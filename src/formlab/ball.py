@@ -55,11 +55,6 @@ class BallDomain:
         """Ambient extension of the inner unit normal, -x/R."""
         return PolyVectorField.position(self.m) * Fraction(-1, 1) * (1 / self.radius)
 
-    def integrate_boundary(self, density) -> ExactScalar:
-        if isinstance(density, Polynomial):
-            density = RadialDensity.from_polynomial(density)
-        return integrate_sphere(density, self.radius)
-
 
 def normal_part(omega: PolyForm, domain: BallDomain) -> PolyForm:
     """Ambient representative of i_N omega (degree drops by one)."""
@@ -127,8 +122,8 @@ class BoundaryForm:
         """Integrated pullback inner product over Sigma."""
         if self.p != other.p:
             raise ValueError("degree mismatch")
-        return self.domain.integrate_boundary(
-            jstar_inner(self.rep, other.rep, self.domain))
+        return integrate_sphere(jstar_inner(self.rep, other.rep, self.domain),
+                                self.domain.radius)
 
     def norm_sq(self) -> ExactScalar:
         return self.inner(self)
@@ -182,7 +177,7 @@ def normal_split_residual(omega: PolyForm, domain: BallDomain) -> ExactScalar:
         rep = rep + omega.d().interior(normal)
     rep = rep - omega.deriv_along(normal)
     rep = rep + omega * (omega.p * domain.curvature)
-    return domain.integrate_boundary(jstar_inner(rep, rep, domain))
+    return integrate_sphere(jstar_inner(rep, rep, domain), domain.radius)
 
 
 def b_term(omega: PolyForm, domain: BallDomain) -> Polynomial:
@@ -248,7 +243,7 @@ class WeightFunction:
 
     @classmethod
     def polynomial(cls, poly: Polynomial) -> "WeightFunction":
-        return cls.from_density("polynomial", RadialDensity.from_polynomial(poly))
+        return cls.from_density("polynomial", RadialDensity(poly.m, {0: poly}))
 
     @classmethod
     def one(cls, m: int) -> "WeightFunction":
@@ -291,6 +286,4 @@ def canonical_weight(domain: BallDomain) -> WeightFunction:
     m = domain.m
     R = domain.radius
     poly = (Polynomial.constant(m, R * R) - Polynomial.radius_squared(m)) * Fraction(1, 2) * (1 / R)
-    wf = WeightFunction.from_density("canonical-distance",
-                                     RadialDensity.from_polynomial(poly))
-    return wf
+    return WeightFunction.from_density("canonical-distance", RadialDensity(m, {0: poly}))

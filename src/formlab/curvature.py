@@ -384,13 +384,9 @@ def _rough_laplacian_at(metric: ChartMetric, field, p: int, x, h):
                 gam = gamma[a, k, l]
                 if gam:
                     row -= gam * T[a]
-            row -= _gamma_correct_form_rows(gamma, T[l], idx, pos, k, m)
+            row -= _gamma_correct_form(gamma, T[l], idx, pos, k, m)
             out -= ginv[k, l] * row
     return out
-
-
-def _gamma_correct_form_rows(gamma, vals, idx, pos, k, m):
-    return _gamma_correct_form(gamma, vals, idx, pos, k, m)
 
 
 def _frame_compound(frame: np.ndarray, p: int) -> np.ndarray:

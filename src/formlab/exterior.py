@@ -297,7 +297,3 @@ class LinearEndomorphism:
             return ConstantForm.zero(self.m, 0)
         return ConstantForm(self.m, form.p,
                             lift_terms(self.entries, form.coeffs, self.m))
-
-
-def tensor_lift(T: LinearEndomorphism, form: ConstantForm) -> ConstantForm:
-    return T.lift(form)

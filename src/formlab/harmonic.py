@@ -18,8 +18,12 @@ many exact linear constraints.
 
 Bases are computed by rational Gaussian elimination with a fixed
 pivoting rule, so repeated runs produce identical bases.  A small disk
-cache stores the results; rationals are encoded portably as decimal
-strings (sign carried by the numerator).
+cache stores the results, one JSON document per (m, l, p, kind): schema
+2 holds the monomial frame and the basis vectors, with rationals
+encoded portably as decimal strings (sign carried by the numerator).
+A file is trusted only when its schema and its (m, l, p, kind) match
+the request; any other file is a miss, and the basis is recomputed and
+written over it.
 """
 
 from __future__ import annotations
@@ -34,9 +38,9 @@ from . import linalg
 from .exterior import multi_indices
 from .polynomials import Polynomial, monomial_exponents
 from .polyform import PolyForm, PolyVectorField
-from .quadrature import sphere_average
 
 KINDS = ("P", "H", "H-closed", "H-normal-null")
+SCHEMA = 2
 
 
 @dataclass
@@ -46,7 +50,6 @@ class FormSpaceBasis:
     p: int
     kind: str
     basis: list[PolyForm]
-    gram: list[list[Fraction]]
 
     @property
     def dim(self) -> int:
@@ -108,28 +111,6 @@ def _restrict(basis: list[PolyForm], operator) -> list[PolyForm]:
     return out
 
 
-def _pullback_gram(basis: list[PolyForm], m: int) -> list[list[Fraction]]:
-    """Gram matrix of the pullbacks to the unit sphere.
-
-    Entry (i, j) is the unit-sphere average (not the integral) of
-    <J* b_i, J* b_j>; the |S^{m-1}(1)| factor is common to all entries.
-    """
-    from .ball import BallDomain, jstar_inner
-    dom = BallDomain(m, Fraction(1))
-    size = len(basis)
-    gram = [[Fraction(0)] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(i, size):
-            density = jstar_inner(basis[i], basis[j], dom)
-            val = Fraction(0)
-            for e, c in density.terms.items():
-                avg = sphere_average(e, m)
-                if avg:
-                    val += c * avg
-            gram[i][j] = gram[j][i] = val
-    return gram
-
-
 def monomial_form_basis(m: int, l: int, p: int) -> FormSpaceBasis:
     """The full space of homogeneous polynomial p-forms of degree l."""
     if l < 0 or not 0 <= p <= m:
@@ -138,7 +119,7 @@ def monomial_form_basis(m: int, l: int, p: int) -> FormSpaceBasis:
     basis = []
     for I, e in frame:
         basis.append(PolyForm(m, p, {I: Polynomial(m, {e: Fraction(1)})}))
-    return FormSpaceBasis(m, l, p, "P", basis, _pullback_gram(basis, m))
+    return FormSpaceBasis(m, l, p, "P", basis)
 
 
 def harmonic_field_basis(m: int, l: int, p: int) -> FormSpaceBasis:
@@ -147,7 +128,7 @@ def harmonic_field_basis(m: int, l: int, p: int) -> FormSpaceBasis:
     basis = _restrict(mono.basis, lambda w: w.laplacian())
     if p >= 1:
         basis = _restrict(basis, lambda w: w.delta())
-    return FormSpaceBasis(m, l, p, "H", basis, _pullback_gram(basis, m))
+    return FormSpaceBasis(m, l, p, "H", basis)
 
 
 def split_closed_normal_null(hbasis: FormSpaceBasis) -> tuple[FormSpaceBasis, FormSpaceBasis]:
@@ -166,9 +147,8 @@ def split_closed_normal_null(hbasis: FormSpaceBasis) -> tuple[FormSpaceBasis, Fo
         # the normal contraction of a boundary function vanishes
         # identically, so the condition is vacuous on 0-forms
         normal_null = list(hbasis.basis)
-    return (FormSpaceBasis(m, l, p, "H-closed", closed, _pullback_gram(closed, m)),
-            FormSpaceBasis(m, l, p, "H-normal-null", normal_null,
-                           _pullback_gram(normal_null, m)))
+    return (FormSpaceBasis(m, l, p, "H-closed", closed),
+            FormSpaceBasis(m, l, p, "H-normal-null", normal_null))
 
 
 def sphere_reduce(q: Polynomial, radius) -> Polynomial:
@@ -223,12 +203,11 @@ def _encode_basis(fsb: FormSpaceBasis) -> dict:
             vec.append(_encode_fraction(Fraction(c)))
         vectors.append(vec)
     return {
-        "schema": 1,
+        "schema": SCHEMA,
         "m": fsb.m, "l": fsb.l, "p": fsb.p, "kind": fsb.kind,
         "dim": fsb.dim,
         "frame": [[list(I), list(e)] for I, e in frame],
         "vectors": vectors,
-        "gram": [[_encode_fraction(v) for v in row] for row in fsb.gram],
     }
 
 
@@ -237,15 +216,15 @@ def _decode_basis(doc: dict) -> FormSpaceBasis:
     frame = [(tuple(I), tuple(e)) for I, e in doc["frame"]]
     basis = [_vector_to_form(m, p, frame, [_decode_fraction(v) for v in vec])
              for vec in doc["vectors"]]
-    gram = [[_decode_fraction(v) for v in row] for row in doc["gram"]]
-    return FormSpaceBasis(m, l, p, doc["kind"], basis, gram)
+    return FormSpaceBasis(m, l, p, doc["kind"], basis)
 
 
 class BasisCache:
     """Memoising store for form-space bases, optionally disk-backed.
 
     Disk writes go through a temporary file and an atomic rename, which
-    keeps the single-writer contract safe under concurrent readers.
+    keeps the single-writer contract safe under concurrent readers.  A
+    file of another schema or for another (m, l, p, kind) is a miss.
     """
 
     def __init__(self, directory: str | None = None):
@@ -265,20 +244,31 @@ class BasisCache:
         key = (m, l, p, kind)
         if key in self._memo:
             return self._memo[key]
-        path = self._path(m, l, p, kind)
-        if path and os.path.exists(path):
-            with open(path) as fh:
-                fsb = _decode_basis(json.load(fh))
-            self._memo[key] = fsb
-            return fsb
-        fsb = self._compute(m, l, p, kind)
+        fsb = self._load(key)
+        if fsb is None:
+            fsb = self._compute(m, l, p, kind)
+            self._store(fsb)
         self._memo[key] = fsb
-        if path:
-            fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-            with os.fdopen(fd, "w") as fh:
-                json.dump(_encode_basis(fsb), fh)
-            os.replace(tmp, path)
         return fsb
+
+    def _load(self, key: tuple) -> FormSpaceBasis | None:
+        path = self._path(*key)
+        if not path or not os.path.exists(path):
+            return None
+        with open(path) as fh:
+            doc = json.load(fh)
+        if [doc.get(k) for k in ("schema", "m", "l", "p", "kind")] != [SCHEMA, *key]:
+            return None
+        return _decode_basis(doc)
+
+    def _store(self, fsb: FormSpaceBasis) -> None:
+        path = self._path(fsb.m, fsb.l, fsb.p, fsb.kind)
+        if not path:
+            return
+        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+        with os.fdopen(fd, "w") as fh:
+            json.dump(_encode_basis(fsb), fh)
+        os.replace(tmp, path)
 
     def _compute(self, m, l, p, kind) -> FormSpaceBasis:
         if kind == "P":
@@ -289,10 +279,5 @@ class BasisCache:
         closed, normal_null = split_closed_normal_null(h)
         other = normal_null if kind == "H-closed" else closed
         self._memo[(m, l, p, other.kind)] = other
-        path = self._path(m, l, p, other.kind)
-        if path and not os.path.exists(path):
-            fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-            with os.fdopen(fd, "w") as fh:
-                json.dump(_encode_basis(other), fh)
-            os.replace(tmp, path)
+        self._store(other)
         return closed if kind == "H-closed" else normal_null

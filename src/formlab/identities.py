@@ -66,16 +66,12 @@ def verify_stokes(phi: PolyForm, psi: PolyForm, domain: BallDomain,
     """int <d phi, psi> = int <phi, delta psi> - int_S <J* phi, i_N psi>."""
     if psi.p != phi.p + 1:
         raise ValueError("need deg(psi) = deg(phi) + 1")
-    lhs = integrate_ball(RadialDensity.from_polynomial(phi.d().inner(psi)),
-                         domain.radius).coeff
-    interior = integrate_ball(
-        RadialDensity.from_polynomial(phi.inner(psi.delta())), domain.radius).coeff
-    boundary = integrate_sphere(
-        RadialDensity.from_polynomial(
-            jstar_inner(phi, normal_part(psi, domain), domain)),
-        domain.radius).coeff
+    R = domain.radius
+    lhs = integrate_ball(phi.d().inner(psi), R).coeff
+    interior = integrate_ball(phi.inner(psi.delta()), R).coeff
+    boundary = integrate_sphere(jstar_inner(phi, normal_part(psi, domain), domain), R).coeff
     terms = {"interior": interior, "boundary": -boundary}
-    return _report("stokes", {"m": domain.m, "p": phi.p, "R": domain.radius},
+    return _report("stokes", {"m": domain.m, "p": phi.p, "R": R},
                    terms, lhs, interior - boundary, tolerance)
 
 
@@ -175,13 +171,13 @@ def verify_unweighted_reilly(omega: PolyForm, domain: BallDomain,
     m, p, R = domain.m, omega.p, domain.radius
     delta_sq = omega.delta().norm_sq() if p >= 1 else Polynomial.zero(m)
     d_sq = omega.d().norm_sq() if p <= m - 1 else Polynomial.zero(m)
-    lhs = integrate_ball(RadialDensity.from_polynomial(d_sq + delta_sq), R).coeff
-    grad = integrate_ball(RadialDensity.from_polynomial(omega.gradient_norm_sq()), R).coeff
+    lhs = integrate_ball(d_sq + delta_sq, R).coeff
+    grad = integrate_ball(omega.gradient_norm_sq(), R).coeff
     if p >= 1:
         i_n = normal_part(omega, domain)
-        codiff = 2 * integrate_sphere(RadialDensity.from_polynomial(
-            boundary_delta_rep(omega, domain).inner(i_n)), R).coeff
-        shape = integrate_sphere(RadialDensity.from_polynomial(b_term(omega, domain)), R).coeff
+        codiff = 2 * integrate_sphere(
+            boundary_delta_rep(omega, domain).inner(i_n), R).coeff
+        shape = integrate_sphere(b_term(omega, domain), R).coeff
     else:
         codiff = Fraction(0)
         shape = Fraction(0)
@@ -250,22 +246,20 @@ def verify_pohozhaev(F: PolyVectorField, phi: PolyForm, domain: BallDomain,
     normal = domain.normal_field()
     dphi = phi.d()
     d_sq = dphi.norm_sq()
-    lhs = integrate_ball(RadialDensity.from_polynomial(d_sq * F.divergence()), R).coeff
+    lhs = integrate_ball(d_sq * F.divergence(), R).coeff
 
     f_dot_n = F.dot(normal)
-    flux = integrate_sphere(RadialDensity.from_polynomial(d_sq * f_dot_n), R).coeff
+    flux = integrate_sphere(d_sq * f_dot_n, R).coeff
     if dphi.p >= 1:
         i_f = dphi.interior(F)
         ddagger = dphi.delta()
-        contraction = integrate_ball(
-            RadialDensity.from_polynomial(i_f.inner(ddagger)), R).coeff
-        boundary_pair = integrate_sphere(RadialDensity.from_polynomial(
-            jstar_inner(i_f, normal_part(dphi, domain), domain)), R).coeff
+        contraction = integrate_ball(i_f.inner(ddagger), R).coeff
+        boundary_pair = integrate_sphere(
+            jstar_inner(i_f, normal_part(dphi, domain), domain), R).coeff
     else:
         contraction = Fraction(0)
         boundary_pair = Fraction(0)
-    jac = integrate_ball(RadialDensity.from_polynomial(
-        gradient_action(F, dphi).inner(dphi)), R).coeff
+    jac = integrate_ball(gradient_action(F, dphi).inner(dphi), R).coeff
 
     terms = {"flux": -flux, "contraction": -2 * contraction,
              "boundary_pair": 2 * boundary_pair, "jacobian": 2 * jac}
@@ -327,7 +321,7 @@ def pullback_split_residual(omega: PolyForm, domain: BallDomain) -> Fraction:
     """int_S (|w|^2 - |J* w|^2 - |i_N w|^2): zero by the normal splitting."""
     i_n = normal_part(omega, domain)
     density = omega.norm_sq() - jstar_inner(omega, omega, domain) - i_n.inner(i_n)
-    return integrate_sphere(RadialDensity.from_polynomial(density), domain.radius).coeff
+    return integrate_sphere(density, domain.radius).coeff
 
 
 def boundary_adjointness_residual(alpha: PolyForm, beta: PolyForm,
@@ -335,11 +329,10 @@ def boundary_adjointness_residual(alpha: PolyForm, beta: PolyForm,
     """int_S <d^S J*a, J*b> - int_S <J*a, delta^S J*b>, exact."""
     if beta.p != alpha.p + 1:
         raise ValueError("need deg(beta) = deg(alpha) + 1")
-    lhs = integrate_sphere(RadialDensity.from_polynomial(
-        jstar_inner(alpha.d(), beta, domain)), domain.radius).coeff
-    rhs = integrate_sphere(RadialDensity.from_polynomial(
-        jstar_inner(alpha, boundary_delta_rep(beta, domain), domain)),
-        domain.radius).coeff
+    R = domain.radius
+    lhs = integrate_sphere(jstar_inner(alpha.d(), beta, domain), R).coeff
+    rhs = integrate_sphere(
+        jstar_inner(alpha, boundary_delta_rep(beta, domain), domain), R).coeff
     return lhs - rhs
 
 
@@ -403,18 +396,6 @@ class ChainReport:
                 "pass": self.passed}
 
 
-def _ball_int(density, domain) -> Fraction:
-    if isinstance(density, Polynomial):
-        density = RadialDensity.from_polynomial(density)
-    return integrate_ball(density, domain.radius).coeff
-
-
-def _sphere_int(density, domain) -> Fraction:
-    if isinstance(density, Polynomial):
-        density = RadialDensity.from_polynomial(density)
-    return integrate_sphere(density, domain.radius).coeff
-
-
 def replay_proof_chain(kind: str, p: int, domain: BallDomain,
                        cache=None) -> ChainReport:
     """Re-run a bound derivation step by step on ball eigenforms.
@@ -437,7 +418,7 @@ def replay_proof_chain(kind: str, p: int, domain: BallDomain,
     if kind not in ("sharp-bound", "comparison", "nonsharp"):
         raise ValueError(f"unknown chain kind {kind!r}")
     cache = cache or BasisCache()
-    m = domain.m
+    m, R = domain.m, domain.radius
     n = domain.boundary_dim
     c = domain.curvature
     if kind in ("comparison", "nonsharp") and p > n - 1:
@@ -455,63 +436,53 @@ def replay_proof_chain(kind: str, p: int, domain: BallDomain,
         tag = f"[{idx}]"
         dphi = phi.d()
         i_n_dphi = normal_part(dphi, domain)
-        jstar_d_sq = jstar_inner(dphi, dphi, domain)
         d_sq = dphi.norm_sq()
-        phi_trace_sq = _sphere_int(jstar_inner(phi, phi, domain), domain)
+        jstar_d_int = integrate_sphere(jstar_inner(dphi, dphi, domain), R).coeff
+        phi_trace_sq = integrate_sphere(jstar_inner(phi, phi, domain), R).coeff
 
         if kind == "sharp-bound":
-            hess_q = weight.hessian_quadratic(dphi, dphi)
-            lap_term = weight.lap * d_sq
-            grad_term = weight.f * dphi.gradient_norm_sq()
-            lhs = _sphere_int(jstar_d_sq, domain)
-            rhs = (_ball_int(hess_q, domain) + _ball_int(lap_term, domain)
-                   + _ball_int(grad_term, domain))
-            checks[f"weighted-identity{tag}"] = lhs == rhs
-
-            poh_lhs = _ball_int(lap_term, domain) + 2 * _ball_int(hess_q, domain)
-            poh_rhs = lhs - _sphere_int(i_n_dphi.norm_sq(), domain)
-            checks[f"vector-field-identity{tag}"] = poh_lhs == poh_rhs
-
-            added_lhs = _sphere_int(i_n_dphi.norm_sq(), domain)
-            added_rhs = -_ball_int(hess_q, domain) + _ball_int(grad_term, domain)
-            checks[f"summed-identity{tag}"] = added_lhs == added_rhs
-
+            hess_int = integrate_ball(weight.hessian_quadratic(dphi, dphi), R).coeff
+            lap_int = integrate_ball(weight.lap * d_sq, R).coeff
+            grad_int = integrate_ball(weight.f * dphi.gradient_norm_sq(), R).coeff
+            normal_int = integrate_sphere(i_n_dphi.norm_sq(), R).coeff
+            checks[f"weighted-identity{tag}"] = jstar_d_int == hess_int + lap_int + grad_int
+            checks[f"vector-field-identity{tag}"] = (
+                lap_int + 2 * hess_int == jstar_d_int - normal_int)
+            checks[f"summed-identity{tag}"] = normal_int == -hess_int + grad_int
             checks[f"normal-trace-energy{tag}"] = (
-                added_lhs == sigma ** 2 * phi_trace_sq)
+                normal_int == sigma ** 2 * phi_trace_sq)
             checks[f"interior-energy{tag}"] = (
-                _ball_int(d_sq, domain) == sigma * phi_trace_sq)
+                integrate_ball(d_sq, R).coeff == sigma * phi_trace_sq)
             checks[f"parallel-differential{tag}"] = all(
                 dphi.partial(k).is_zero() for k in range(1, m + 1))
             rigid = -i_n_dphi - phi * sigma
-            checks[f"normal-trace-proportional{tag}"] = _sphere_int(
-                jstar_inner(rigid, rigid, domain), domain) == 0
+            checks[f"normal-trace-proportional{tag}"] = integrate_sphere(
+                jstar_inner(rigid, rigid, domain), R).coeff == 0
 
         elif kind == "comparison":
             pointwise = (weight.lap * d_sq + weight.hessian_quadratic(dphi, dphi)
-                         - RadialDensity.from_polynomial((n - p) * c * d_sq))
+                         - (n - p) * c * d_sq)
             checks[f"pointwise-sum{tag}"] = pointwise.is_zero()
-            lhs = _sphere_int(jstar_d_sq, domain)
-            rhs = ((n - p) * c * _ball_int(d_sq, domain)
-                   + _ball_int(weight.f * dphi.gradient_norm_sq(), domain))
-            checks[f"comparison-identity{tag}"] = lhs == rhs
+            rhs = ((n - p) * c * integrate_ball(d_sq, R).coeff
+                   + integrate_ball(weight.f * dphi.gradient_norm_sq(), R).coeff)
+            checks[f"comparison-identity{tag}"] = jstar_d_int == rhs
             lam = (1 + p) * (n - p) * c * c
             checks[f"eigenvalue-product{tag}"] = sigma * (n - p) * c == lam
 
         else:  # nonsharp
-            grad_sq = _ball_int(dphi.gradient_norm_sq(), domain)
+            grad_sq = integrate_ball(dphi.gradient_norm_sq(), R).coeff
             ds_rep = boundary_delta_rep(dphi, domain)
-            pair = _sphere_int(ds_rep.inner(i_n_dphi), domain)
-            bint = _sphere_int(b_term(dphi, domain), domain)
+            pair = integrate_sphere(ds_rep.inner(i_n_dphi), R).coeff
+            bint = integrate_sphere(b_term(dphi, domain), R).coeff
             checks[f"unweighted-identity{tag}"] = grad_sq + 2 * pair + bint == 0
-            jsq = _sphere_int(jstar_d_sq, domain)
-            step1 = _sphere_int(jstar_inner(ds_rep, phi, domain), domain)
+            step1 = integrate_sphere(jstar_inner(ds_rep, phi, domain), R).coeff
             checks[f"trace-substitution{tag}"] = pair == -sigma * step1
-            step2 = _sphere_int(jstar_inner(dphi, phi.d(), domain), domain)
-            checks[f"adjoint-step{tag}"] = step1 == step2 and step2 == jsq
-            balt = _sphere_int(b_term_alternate(dphi, domain), domain)
+            step2 = integrate_sphere(jstar_inner(dphi, phi.d(), domain), R).coeff
+            checks[f"adjoint-step{tag}"] = step1 == step2 and step2 == jstar_d_int
+            balt = integrate_sphere(b_term_alternate(dphi, domain), R).coeff
             checks[f"shape-expression{tag}"] = bint == balt
             checks[f"strict-half-bound{tag}"] = sigma > (p + 1) * c / 2
 
     details["sigma"] = str(sigma)
     details["block_dim"] = str(block.dim)
-    return ChainReport(kind, {"m": m, "p": p, "R": domain.radius}, checks, details)
+    return ChainReport(kind, {"m": m, "p": p, "R": R}, checks, details)

@@ -3,7 +3,9 @@
 Integrands are *radial densities*: finite sums ``sum_j r^j P_j(x)`` with
 integer exponents ``j >= -3`` and polynomial ``P_j``.  This class is
 closed under products and partial derivatives and covers every
-integrand produced by the identity checks.
+integrand produced by the identity checks.  ``integrate_sphere`` and
+``integrate_ball`` also take a plain ``Polynomial`` (the r^0 part alone),
+which is how boundary pairings and polynomial identity terms reach them.
 
 All integrals are returned as exact rational multiples of the measure
 of the unit sphere ``|S^{m-1}(1)|``, which is carried as an uncancelled
@@ -111,7 +113,6 @@ class RadialDensity:
         self.m = m
         folded: dict[int, Polynomial] = {}
         if parts:
-            r2 = Polynomial.radius_squared(m)
             for j, poly in parts.items():
                 if not isinstance(poly, Polynomial):
                     poly = Polynomial.constant(m, poly)
@@ -119,9 +120,11 @@ class RadialDensity:
                     raise ValueError("polynomial variable count mismatch")
                 if not poly:
                     continue
-                while j >= 2:
-                    poly = poly * r2
-                    j -= 2
+                if j >= 2:
+                    r2 = Polynomial.radius_squared(m)
+                    while j >= 2:
+                        poly = poly * r2
+                        j -= 2
                 if j < MIN_RADIAL_EXPONENT:
                     raise ValueError(f"radial exponent {j} below {MIN_RADIAL_EXPONENT}")
                 if j in folded:
@@ -224,12 +227,17 @@ class RadialDensity:
         return out
 
 
-def integrate_sphere(density: RadialDensity, radius) -> ExactScalar:
+def _radial_parts(density: RadialDensity | Polynomial) -> dict[int, Polynomial]:
+    """The parts ``{j: P_j}`` of a density; a polynomial is its own r^0 part."""
+    return {0: density} if isinstance(density, Polynomial) else density.parts
+
+
+def integrate_sphere(density: RadialDensity | Polynomial, radius) -> ExactScalar:
     """Exact integral over the sphere of the given radius."""
     R = Fraction(radius)
     m = density.m
     total = Fraction(0)
-    for j, poly in density.parts.items():
+    for j, poly in _radial_parts(density).items():
         for d, part in poly.homogeneous_parts().items():
             for expo, c in part.terms.items():
                 avg = sphere_average(expo, m)
@@ -238,12 +246,12 @@ def integrate_sphere(density: RadialDensity, radius) -> ExactScalar:
     return ExactScalar(total, m)
 
 
-def integrate_ball(density: RadialDensity, radius) -> ExactScalar:
+def integrate_ball(density: RadialDensity | Polynomial, radius) -> ExactScalar:
     """Exact integral over the solid ball of the given radius."""
     R = Fraction(radius)
     m = density.m
     total = Fraction(0)
-    for j, poly in density.parts.items():
+    for j, poly in _radial_parts(density).items():
         for d, part in poly.homogeneous_parts().items():
             power = j + d + m
             if power <= 0:

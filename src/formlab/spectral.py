@@ -32,7 +32,7 @@ from .ball import BallDomain, boundary_delta_rep, jstar_inner, normal_part
 from .harmonic import BasisCache
 from .polynomials import Polynomial
 from .polyform import PolyForm
-from .quadrature import RadialDensity, integrate_ball, integrate_sphere
+from .quadrature import integrate_ball, integrate_sphere
 
 OPERATORS = ("dtn", "dtn-neumann", "hodge-boundary")
 
@@ -111,12 +111,9 @@ def extend(problem: ExtensionProblem, cache: BasisCache | None = None,
                     density = trial[i].inner(trial[j])
                 else:
                     density = jstar_inner(trial[i], trial[j], domain)
-                val = integrate_sphere(RadialDensity.from_polynomial(density), R).coeff
-                M[i][j] = M[j][i] = val
-            b[i] = integrate_sphere(RadialDensity.from_polynomial(
-                jstar_inner(trial[i], datum, domain)), R).coeff
-        const = integrate_sphere(RadialDensity.from_polynomial(
-            jstar_inner(datum, datum, domain)), R).coeff
+                M[i][j] = M[j][i] = integrate_sphere(density, R).coeff
+            b[i] = integrate_sphere(jstar_inner(trial[i], datum, domain), R).coeff
+        const = integrate_sphere(jstar_inner(datum, datum, domain), R).coeff
         sol = linalg.solve(M, b)
         if sol is None:
             raise RuntimeError("normal equations inconsistent (should not happen)")
@@ -144,9 +141,8 @@ def rayleigh_quotient(ext: PolyForm, domain: BallDomain,
         num = num + ext.d().norm_sq()
     if include_codifferential and ext.p >= 1:
         num = num + ext.delta().norm_sq()
-    num_val = integrate_ball(RadialDensity.from_polynomial(num), R).coeff
-    den = integrate_sphere(RadialDensity.from_polynomial(
-        jstar_inner(ext, ext, domain)), R).coeff
+    num_val = integrate_ball(num, R).coeff
+    den = integrate_sphere(jstar_inner(ext, ext, domain), R).coeff
     if den == 0:
         raise ZeroDivisionError("trial form has zero boundary trace")
     return num_val / den
@@ -315,17 +311,15 @@ def assemble_operator(operator: str, m: int, p: int, l_max: int, radius,
     G = [[Fraction(0)] * size for _ in range(size)]
     for i in range(size):
         for j in range(i, size):
-            val = integrate_sphere(RadialDensity.from_polynomial(
-                jstar_inner(reps[i], reps[j], domain)), R).coeff
-            G[i][j] = G[j][i] = val
+            G[i][j] = G[j][i] = integrate_sphere(
+                jstar_inner(reps[i], reps[j], domain), R).coeff
 
     A = [[Fraction(0)] * size for _ in range(size)]
     if operator in ("dtn", "dtn-neumann"):
         for i in range(size):
             traced = -normal_part(exts[i].d(), domain)
             for j in range(size):
-                A[i][j] = integrate_sphere(RadialDensity.from_polynomial(
-                    jstar_inner(traced, reps[j], domain)), R).coeff
+                A[i][j] = integrate_sphere(jstar_inner(traced, reps[j], domain), R).coeff
         for i in range(size):
             for j in range(i + 1, size):
                 if A[i][j] != A[j][i]:
@@ -338,10 +332,10 @@ def assemble_operator(operator: str, m: int, p: int, l_max: int, radius,
             for j in range(i, size):
                 total = Fraction(0)
                 if d_reps[i] is not None and d_reps[j] is not None:
-                    total += integrate_sphere(RadialDensity.from_polynomial(
-                        jstar_inner(d_reps[i], d_reps[j], domain)), R).coeff
-                total += integrate_sphere(RadialDensity.from_polynomial(
-                    jstar_inner(delta_reps[i], delta_reps[j], domain)), R).coeff
+                    total += integrate_sphere(
+                        jstar_inner(d_reps[i], d_reps[j], domain), R).coeff
+                total += integrate_sphere(
+                    jstar_inner(delta_reps[i], delta_reps[j], domain), R).coeff
                 A[i][j] = A[j][i] = total
 
     assembly = OperatorAssembly(operator, domain, p, l_max, blocks, A, G)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from formlab import linalg
+from formlab import harmonic, linalg
 from formlab.ball import BallDomain, boundary_delta_rep, jstar_inner, normal_part
 from formlab.harmonic import (BasisCache, harmonic_field_basis,
                               monomial_form_basis, split_closed_normal_null,
@@ -19,6 +19,13 @@ from formlab.sampling import random_polynomial, rng_for
 
 def binom(n, k):
     return math.comb(n, k)
+
+
+def sphere_gram(basis, m):
+    """Unit-sphere Gram matrix of the pullbacks: entries int <J* a, J* b>."""
+    dom = BallDomain(m, Fraction(1))
+    return [[integrate_sphere(jstar_inner(a, b, dom), 1).coeff for b in basis]
+            for a in basis]
 
 
 class TestMonomialBasis:
@@ -129,10 +136,7 @@ class TestSplit:
         assert len(integral_null) <= normal_null.dim
         # every identically-normal-null form has vanishing integral, and
         # the two characterisations give the same dimension
-        gram = [[integrate_sphere(RadialDensity.from_polynomial(
-            jstar_inner(a, b, dom)), 1).coeff for b in normal_null.basis]
-            for a in normal_null.basis]
-        assert linalg.rank(gram) == normal_null.dim
+        assert linalg.rank(sphere_gram(normal_null.basis, 3)) == normal_null.dim
 
 
 class TestCodifferentialIsomorphism:
@@ -147,7 +151,7 @@ class TestCodifferentialIsomorphism:
             img = boundary_delta_rep(b, dom)
             rhs = [integrate_sphere(RadialDensity.from_polynomial(
                 jstar_inner(img, t, dom)), 1).coeff for t in tgt.basis]
-            coords = linalg.solve([list(r) for r in tgt.gram], rhs)
+            coords = linalg.solve(sphere_gram(tgt.basis, m), rhs)
             assert coords is not None
             # the image lies exactly in the target block
             recon = PolyForm.zero(m, p - 1)
@@ -209,18 +213,50 @@ class TestCache:
         assert a.dim == b.dim
         for u, v in zip(a.basis, b.basis):
             assert u == v
-        assert a.gram == b.gram
 
     def test_document_format(self, tmp_path):
         cache = BasisCache(str(tmp_path))
         cache.get(2, 1, 1, "H")
         path = tmp_path / "basis_m2_l1_p1_H.json"
         doc = json.loads(path.read_text())
-        assert doc["schema"] == 1
+        assert doc["schema"] == 2
         assert doc["dim"] == len(doc["vectors"])
         for vec in doc["vectors"]:
             for num, den in vec:
                 int(num), int(den)  # decimal strings
+
+    def test_stale_and_mismatched_files_are_rebuilt(self, tmp_path, monkeypatch):
+        ref_dir, plant = tmp_path / "ref", tmp_path / "plant"
+        ref = BasisCache(str(ref_dir))
+        want = {kind: ref.get(3, 1, 1, kind) for kind in ("H", "H-normal-null")}
+
+        def doc(directory, kind):
+            return json.loads((directory / f"basis_m3_l1_p1_{kind}.json").read_text())
+
+        # a schema-1 file that still carries a gram, with one vector entry wrong
+        stale = doc(ref_dir, "H-normal-null")
+        stale["schema"] = 1
+        stale["gram"] = [[["1", "1"]] * stale["dim"]] * stale["dim"]
+        stale["vectors"][0][0] = ["7", "1"]
+        # a valid schema-2 document filed under another kind's name
+        mismatched = doc(ref_dir, "H-closed")
+        plant.mkdir()
+        (plant / "basis_m3_l1_p1_H-normal-null.json").write_text(json.dumps(stale))
+        (plant / "basis_m3_l1_p1_H.json").write_text(json.dumps(mismatched))
+
+        cache = BasisCache(str(plant))
+        for kind in ("H", "H-normal-null"):
+            got = cache.get(3, 1, 1, kind)
+            assert got.kind == kind and got.basis == want[kind].basis
+            assert doc(plant, kind) == doc(ref_dir, kind)
+            assert doc(plant, kind)["schema"] == 2
+
+        # the rewritten files are trusted: a fresh cache loads, never computes
+        def no_compute(*args):
+            raise AssertionError("basis recomputed despite a valid file")
+        monkeypatch.setattr(harmonic, "harmonic_field_basis", no_compute)
+        assert BasisCache(str(plant)).get(3, 1, 1, "H-normal-null").basis == \
+            want["H-normal-null"].basis
 
     def test_memoisation(self):
         cache = BasisCache()
@@ -235,4 +271,4 @@ class TestCache:
 def test_gram_matrices_have_full_rank(cache):
     for m, l, p in ((3, 1, 1), (3, 2, 1), (4, 1, 2)):
         basis = cache.get(m, l, p, "H-normal-null")
-        assert linalg.rank([list(r) for r in basis.gram]) == basis.dim
+        assert linalg.rank(sphere_gram(basis.basis, m)) == basis.dim

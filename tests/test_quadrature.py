@@ -9,7 +9,7 @@ from formlab.polynomials import Polynomial
 from formlab.quadrature import (ExactScalar, RadialDensity, integrate_ball,
                                 integrate_sphere, mc_oracle, sphere_average,
                                 unit_sphere_measure)
-from formlab.sampling import random_density, rng_for
+from formlab.sampling import random_density, random_polynomial, rng_for
 
 
 def poly_x1sq(m=3):
@@ -107,6 +107,15 @@ class TestHomogeneityAndLinearity:
         d2 = random_density(rng, m, 3, min_exponent=-1)
         assert integrate_ball(d1 + d2, 1).coeff == \
             integrate_ball(d1, 1).coeff + integrate_ball(d2, 1).coeff
+
+    @pytest.mark.parametrize("R", [1, Fraction(1, 2), Fraction(7, 3)])
+    def test_polynomial_matches_density_path(self, R):
+        rng = rng_for(24, "polynomial-path")
+        for m in (2, 3, 4):
+            q = random_polynomial(rng, m, 4)
+            dens = RadialDensity.from_polynomial(q)
+            assert integrate_sphere(q, R) == integrate_sphere(dens, R)
+            assert integrate_ball(q, R) == integrate_ball(dens, R)
 
     def test_positivity(self):
         # squares integrate to non-negative values
