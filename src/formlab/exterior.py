@@ -50,14 +50,6 @@ def wedge_index(I: MultiIndex, J: MultiIndex) -> tuple[int, MultiIndex] | None:
     return sign, K
 
 
-def interior_index(k: int, I: MultiIndex) -> tuple[int, MultiIndex] | None:
-    """Contraction of e_k into dx_I: sign (-1)^position, index removed."""
-    if k not in I:
-        return None
-    pos = I.index(k)
-    return (-1) ** pos, I[:pos] + I[pos + 1:]
-
-
 def star_index(I: MultiIndex, m: int) -> tuple[int, MultiIndex]:
     Ic = tuple(i for i in range(1, m + 1) if i not in I)
     sign, _ = sort_with_sign(I + Ic)
@@ -148,10 +140,6 @@ def lift_terms(rows, a: dict, m: int) -> dict:
                 v = entry * c
                 _accumulate(out, K, v if sign > 0 else -v)
     return out
-
-
-def prune(terms: dict) -> dict:
-    return {I: c for I, c in terms.items() if c}
 
 
 # ---------------------------------------------------------------------------

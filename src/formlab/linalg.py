@@ -80,26 +80,26 @@ def nullspace(rows: Matrix, ncols: int | None = None) -> list[Vector]:
     return basis
 
 
-def solve(rows: Matrix, rhs: Vector) -> Vector | None:
-    """One solution of ``rows @ x = rhs`` or None if inconsistent.
+def solve(rows: Matrix, rhs: Matrix) -> Matrix | None:
+    """One solution of ``rows @ X = rhs`` (one column per right-hand
+    side, all from one elimination) or None if any is inconsistent.
 
     Free variables are set to zero.
     """
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    aug = [list(r) + list(b) for r, b in zip(rows, rhs)]
     red, pivots = rref(aug)
     n = len(rows[0]) if rows else 0
+    if any(pc >= n for pc in pivots):
+        return None
+    k = len(rhs[0]) if rhs else 0
+    x = [[Fraction(0)] * k for _ in range(n)]
     for r, pc in enumerate(pivots):
-        if pc == n:
-            return None
-    x = [Fraction(0)] * n
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][n]
+        x[pc] = red[r][n:]
     return x
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
-            for i in range(len(a))]
+def mat_add(a: Matrix, b: Matrix) -> Matrix:
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:

@@ -164,10 +164,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
-
     def homogeneous_parts(self) -> dict[int, "Polynomial"]:
         parts: dict[int, dict] = {}
         for e, c in self.terms.items():

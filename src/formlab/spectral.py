@@ -15,14 +15,16 @@ trial spaces:
 Trial spaces are the pullbacks of the normal-null harmonic blocks
 (co-exact on the sphere) and, where the operator acts on them, the
 closed blocks.  Stiffness and Gram matrices are exact rationals; the
-floating eigensolve uses LAPACK via scipy and every rational target
-eigenvalue can be certified exactly through the nullity of A - theta G.
+normal matrix of an extension belongs to its trial space, so the data
+of a closed block are solved in one elimination.  The floating
+eigensolve uses LAPACK via scipy and every rational target eigenvalue can be certified exactly through the nullity of A - theta G.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import scipy.linalg
@@ -79,57 +81,67 @@ def _interior_trial_space(kind: str, m: int, p: int, degree: int,
     return basis
 
 
+def _sphere_matrix(rows: list, cols: list, pairing, R: Fraction) -> list[list[Fraction]]:
+    """Exact matrix of the sphere integrals of ``pairing(row, col)``,
+    filled symmetrically when ``rows is cols``."""
+    symmetric = rows is cols
+    out = [[Fraction(0)] * len(cols) for _ in rows]
+    for i, u in enumerate(rows):
+        for j in range(i if symmetric else 0, len(cols)):
+            out[i][j] = integrate_sphere(pairing(u, cols[j]), R).coeff
+            if symmetric:
+                out[j][i] = out[i][j]
+    return out
+
+
+def _extend_block(kind: str, domain: BallDomain, data: list[PolyForm],
+                  degree: int, cache: BasisCache,
+                  max_degree: int | None = None) -> list[tuple[PolyForm, Fraction]]:
+    """(extension, misfit) of each datum; see ``extend``.  A datum's
+    misfit is Q(v) = v^T M v - 2 b.v + const; the columns b of B are
+    solved together.  The block escalates while any misfit is non-zero;
+    trial spaces nest, so no misfit grows on the way."""
+    m, p, R = domain.m, data[0].p, domain.radius
+    if max_degree is None:
+        max_degree = degree + 4
+    inner = partial(jstar_inner, domain=domain)
+    while True:
+        trial = _interior_trial_space(kind, m, p, degree, cache)
+        M = _sphere_matrix(trial, trial,
+                           PolyForm.inner if kind == "harmonic-neumann" else inner, R)
+        B = _sphere_matrix(trial, data, inner, R)
+        X = linalg.solve(M, B)
+        if X is None:
+            raise RuntimeError("normal equations inconsistent (should not happen)")
+        out = []
+        for k, datum in enumerate(data):
+            ext = sum((t * x[k] for x, t in zip(X, trial) if x[k]), PolyForm.zero(m, p))
+            const = integrate_sphere(inner(datum, datum), R).coeff
+            out.append((ext, const - sum(x[k] * b[k] for x, b in zip(X, B))))
+        worst = max(misfit for _, misfit in out)
+        if worst == 0:
+            return out
+        if degree + 2 > max_degree:
+            raise ValueError(
+                f"ansatz degree insufficient: misfit {worst} at degree {degree}")
+        degree += 2
+
+
 def extend(problem: ExtensionProblem, cache: BasisCache | None = None,
            max_degree: int | None = None) -> tuple[PolyForm, Fraction]:
     """Least-squares harmonic extension with exact rational arithmetic.
 
     Interior constraints are imposed exactly through the trial space;
     the boundary misfit (pullback mismatch plus, for the Neumann kind,
-    the normal-part energy) is minimised.  Returns the extension and
+    the normal-part energy) is minimised.  The normal matrix belongs to
+    the trial space, so ``_extend_block`` solves a block's data in one
+    elimination; this is its one-datum case.  Returns the extension and
     the exact misfit, escalating the ansatz degree by 2 when the misfit
     fails to vanish, up to ``max_degree`` (default: start + 4).
     """
-    cache = cache or BasisCache()
-    domain = problem.domain
-    m, p = domain.m, problem.datum_rep.p
-    degree = problem.ansatz_degree
-    if max_degree is None:
-        max_degree = degree + 4
-    best: tuple[PolyForm, Fraction] | None = None
-    while True:
-        kind = problem.kind
-        trial = _interior_trial_space(kind, m, p, degree, cache)
-        R = domain.radius
-        size = len(trial)
-        datum = problem.datum_rep
-        # Quadratic misfit Q(v) = v^T M v - 2 b.v + const
-        M = [[Fraction(0)] * size for _ in range(size)]
-        b = [Fraction(0)] * size
-        for i in range(size):
-            for j in range(i, size):
-                if kind == "harmonic-neumann":
-                    density = trial[i].inner(trial[j])
-                else:
-                    density = jstar_inner(trial[i], trial[j], domain)
-                M[i][j] = M[j][i] = integrate_sphere(density, R).coeff
-            b[i] = integrate_sphere(jstar_inner(trial[i], datum, domain), R).coeff
-        const = integrate_sphere(jstar_inner(datum, datum, domain), R).coeff
-        sol = linalg.solve(M, b)
-        if sol is None:
-            raise RuntimeError("normal equations inconsistent (should not happen)")
-        ext = PolyForm.zero(m, p)
-        for c, t in zip(sol, trial):
-            if c:
-                ext = ext + t * c
-        misfit = const - sum(ci * bi for ci, bi in zip(sol, b))
-        if misfit == 0:
-            return ext, misfit
-        if best is None or misfit < best[1]:
-            best = (ext, misfit)
-        if degree + 2 > max_degree:
-            raise ValueError(
-                f"ansatz degree insufficient: misfit {best[1]} at degree {degree}")
-        degree += 2
+    return _extend_block(problem.kind, problem.domain, [problem.datum_rep],
+                         problem.ansatz_degree, cache or BasisCache(),
+                         max_degree)[0]
 
 
 def rayleigh_quotient(ext: PolyForm, domain: BallDomain,
@@ -270,14 +282,9 @@ def _build_blocks(operator: str, m: int, p: int, l_max: int,
             closed = cache.get(m, l - 1, p, "H-closed")
             if closed.dim:
                 if operator == "dtn-neumann":
-                    exts = []
-                    for w in closed.basis:
-                        prob = ExtensionProblem("harmonic-neumann", domain, w,
-                                                max(w.max_coeff_degree(), 0) + 2)
-                        ext, misfit = extend(prob, cache)
-                        if misfit != 0:
-                            raise AssertionError("nonzero extension misfit on ball data")
-                        exts.append(ext)
+                    start = max(w.max_coeff_degree() for w in closed.basis) + 2
+                    exts = [ext for ext, _ in _extend_block(
+                        "harmonic-neumann", domain, closed.basis, start, cache)]
                 else:
                     exts = list(closed.basis)
                 blocks.append(Block("exact", l, list(closed.basis), exts))
@@ -305,38 +312,21 @@ def assemble_operator(operator: str, m: int, p: int, l_max: int, radius,
     blocks = _build_blocks(operator, m, p, l_max, domain, cache)
     reps = [w for blk in blocks for w in blk.basis]
     exts = [w for blk in blocks for w in blk.extensions]
-    size = len(reps)
     R = domain.radius
-
-    G = [[Fraction(0)] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(i, size):
-            G[i][j] = G[j][i] = integrate_sphere(
-                jstar_inner(reps[i], reps[j], domain), R).coeff
-
-    A = [[Fraction(0)] * size for _ in range(size)]
+    inner = partial(jstar_inner, domain=domain)
+    G = _sphere_matrix(reps, reps, inner, R)
     if operator in ("dtn", "dtn-neumann"):
-        for i in range(size):
-            traced = -normal_part(exts[i].d(), domain)
-            for j in range(size):
-                A[i][j] = integrate_sphere(jstar_inner(traced, reps[j], domain), R).coeff
-        for i in range(size):
-            for j in range(i + 1, size):
-                if A[i][j] != A[j][i]:
-                    raise AssertionError(
-                        "stiffness matrix not symmetric: self-adjointness violated")
+        traced = [-normal_part(ext.d(), domain) for ext in exts]
+        A = _sphere_matrix(traced, reps, inner, R)
+        if A != [list(col) for col in zip(*A)]:
+            raise AssertionError(
+                "stiffness matrix not symmetric: self-adjointness violated")
     else:
-        d_reps = [w.d() if w.p <= m - 2 else None for w in reps]
         delta_reps = [boundary_delta_rep(w, domain) for w in reps]
-        for i in range(size):
-            for j in range(i, size):
-                total = Fraction(0)
-                if d_reps[i] is not None and d_reps[j] is not None:
-                    total += integrate_sphere(
-                        jstar_inner(d_reps[i], d_reps[j], domain), R).coeff
-                total += integrate_sphere(
-                    jstar_inner(delta_reps[i], delta_reps[j], domain), R).coeff
-                A[i][j] = A[j][i] = total
+        A = _sphere_matrix(delta_reps, delta_reps, inner, R)
+        if p <= m - 2:
+            d_reps = [w.d() for w in reps]
+            A = linalg.mat_add(A, _sphere_matrix(d_reps, d_reps, inner, R))
 
     assembly = OperatorAssembly(operator, domain, p, l_max, blocks, A, G)
     report = _solve_assembly(assembly)

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from formlab import cli
 from formlab.cli import (ConfigError, RunConfig, build_parser, build_config,
                          emit_tables, main, run_suites)
 
@@ -83,6 +84,24 @@ class TestRunSuites:
         report = run_suites(cfg)
         assert report["summary"]["failed"] == 0
         assert (tmp_path / "cache").exists()
+
+
+class TestQuadratureOracle:
+    @staticmethod
+    def run_oracle(m, seed):
+        cfg = small_config(dims=[m], seed=seed)
+        return dict(cli._identity_cases(cfg))[f"quadrature-oracle/m{m}"]()
+
+    def test_catches_wrong_exact_value(self, monkeypatch):
+        true_value = cli.integrate_ball
+        monkeypatch.setattr(cli, "integrate_ball",
+                            lambda dens, R: 1.5 * float(true_value(dens, R)))
+        assert not self.run_oracle(3, 7)["pass"]
+
+    def test_no_chance_failure_at_seed_83(self):
+        # one draw lies just above 3 standard errors at this seed
+        rec = self.run_oracle(3, 83)
+        assert rec["pass"] and rec["worst_sigma"] > 3
 
 
 class TestTables:

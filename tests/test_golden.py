@@ -33,8 +33,8 @@ def _basis_rows(m, l, p, kind):
             for form in fsb.basis]
 
 
-def _assembly(op):
-    assembly, _ = assemble_operator(op, 3, 1, 2, Fraction(1, 2), BasisCache())
+def _assembly(op, m=3, p=1, l_max=2, radius=Fraction(1, 2)):
+    assembly, _ = assemble_operator(op, m, p, l_max, radius, BasisCache())
     return {"G": [[str(v) for v in row] for row in assembly.G],
             "A": [[str(v) for v in row] for row in assembly.A]}
 
@@ -76,6 +76,9 @@ ARTEFACTS = {
     "assembly-dtn": lambda: _assembly("dtn"),
     "assembly-dtn-neumann": lambda: _assembly("dtn-neumann"),
     "assembly-hodge-boundary": lambda: _assembly("hodge-boundary"),
+    # a closed block of 6 data, and the d-part of hodge at p = m-2
+    "assembly-dtn-neumann-4-2-1": lambda: _assembly("dtn-neumann", 4, 2, 1, 1),
+    "assembly-hodge-boundary-4-2-1": lambda: _assembly("hodge-boundary", 4, 2, 1, 1),
     "terms-weighted-reilly": _reilly_terms,
     "terms-stokes": _stokes_terms,
     "terms-pohozhaev": _pohozhaev_terms,
@@ -85,6 +88,8 @@ GOLDEN = {
     "assembly-dtn": "5ba8979bea80ebb6c109f2a16d4f56a978b6ea2aef36721e5714207bf6342186",
     "assembly-dtn-neumann": "61baaec533eb3d68701dc08fdffce3ba406dd34d604ba400000dc731fc0d9832",
     "assembly-hodge-boundary": "4edc14b0f1f4dbf34c55786194bba03cf76f56e9d9db366dfba360e584eb5465",
+    "assembly-dtn-neumann-4-2-1": "e8085b736486dbef5257ecdd425b8671a3660c56f7e98b163f69d4b09051139e",
+    "assembly-hodge-boundary-4-2-1": "ca2c70c563ebd64eff3274fc6c09ffc96e90df22715ee7c8ba696f17ba3fbde1",
     "basis-3-0-2-H-closed": "ac84a2163da731d8d9f243c268efcfe5e532831b7ad61c2c94639d4b6f667d1f",
     "basis-3-1-1-H-normal-null": "46a5d28fc7a4a7283100a691ada55e155b22154779b17a3533bea12d456b12c8",
     "basis-4-1-2-H": "d7d04dbbd797919f0ae2e950b20d487a791fdb0e2fbb88fb63dc7ae3116f9999",

@@ -151,8 +151,9 @@ class TestCodifferentialIsomorphism:
             img = boundary_delta_rep(b, dom)
             rhs = [integrate_sphere(RadialDensity.from_polynomial(
                 jstar_inner(img, t, dom)), 1).coeff for t in tgt.basis]
-            coords = linalg.solve(sphere_gram(tgt.basis, m), rhs)
-            assert coords is not None
+            sol = linalg.solve(sphere_gram(tgt.basis, m), [[v] for v in rhs])
+            assert sol is not None
+            coords = [row[0] for row in sol]
             # the image lies exactly in the target block
             recon = PolyForm.zero(m, p - 1)
             for c, t in zip(coords, tgt.basis):

@@ -9,7 +9,7 @@ from formlab import linalg
 from formlab.ball import BallDomain
 from formlab.polyform import PolyForm
 from formlab.sampling import rng_for
-from formlab.spectral import (ExtensionProblem, assemble_operator,
+from formlab.spectral import (ExtensionProblem, _extend_block, assemble_operator,
                               ball_reference_eigenvalue, certify_eigenvalue,
                               check_bounds, extend, rayleigh_quotient,
                               scaling_check)
@@ -74,6 +74,35 @@ class TestExtension:
         prob = ExtensionProblem("harmonic-coclosed", dom, w, 0)
         with pytest.raises(ValueError, match="ansatz degree insufficient"):
             extend(prob, cache, max_degree=0)
+
+    def test_block_matches_one_datum_extensions(self, cache):
+        dom = BallDomain(4, Fraction(1))
+        data = cache.get(4, 1, 2, "H-closed").basis
+        assert len(data) > 1
+        block = _extend_block("harmonic-neumann", dom, data, 3, cache)
+        for w, (ext, misfit) in zip(data, block):
+            one = extend(ExtensionProblem("harmonic-neumann", dom, w, 3), cache)
+            assert misfit == one[1] == 0
+            assert (ext - one[0]).is_zero()
+
+    def test_solve_columns_match_one_column_solves(self):
+        rng = rng_for(7, "solve-columns")
+        F = Fraction
+        rows = [[F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(4)]
+                for _ in range(3)]
+        rows.append([rows[0][j] + rows[1][j] for j in range(4)])  # dependent row
+        cols = [[sum(r[j] * F(k + j, 3) for j in range(4)) for r in rows]
+                for k in range(3)]
+        rhs = [list(r) for r in zip(*cols)]
+        X = linalg.solve(rows, rhs)
+        assert len(X) == 4 and all(len(x) == 3 for x in X)
+        for k, col in enumerate(cols):
+            one = linalg.solve(rows, [[v] for v in col])
+            assert [x[k] for x in X] == [x[0] for x in one]
+            assert [sum(a * x[k] for a, x in zip(r, X)) for r in rows] == col
+        # a fourth column breaking row 3 = row 0 + row 1 is inconsistent
+        bad = [r + [F(int(i == 3))] for i, r in enumerate(rhs)]
+        assert linalg.solve(rows, bad) is None
 
 
 class TestBallSpectra:
