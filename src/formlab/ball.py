@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .polynomials import Polynomial
 from .polyform import PolyForm, PolyVectorField
@@ -51,9 +52,15 @@ class BallDomain:
     def boundary_dim(self) -> int:
         return self.m - 1
 
-    def normal_field(self) -> PolyVectorField:
-        """Ambient extension of the inner unit normal, -x/R."""
+    @cached_property
+    def _normal(self) -> PolyVectorField:
+        # cached in the instance dict, outside the fields, equality and hash
         return PolyVectorField.position(self.m) * Fraction(-1, 1) * (1 / self.radius)
+
+    def normal_field(self) -> PolyVectorField:
+        """Ambient extension of the inner unit normal, -x/R (built once
+        per domain)."""
+        return self._normal
 
 
 def normal_part(omega: PolyForm, domain: BallDomain) -> PolyForm:

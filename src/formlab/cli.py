@@ -80,6 +80,11 @@ class RunConfig:
             raise ConfigError("lmax must be >= 1")
         if self.mode not in ("exact", "float"):
             raise ConfigError("mode must be 'exact' or 'float'")
+        exact_only = [s for s in self.suites if s != "identities"]
+        if self.mode == "float" and exact_only:
+            raise ConfigError(
+                f"mode 'float' applies to the identities suite only; "
+                f"suites {exact_only} run in exact mode")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
         if any(r <= 0 for r in self.radii):
@@ -332,7 +337,22 @@ def _identity_cases(cfg: RunConfig) -> list[tuple[str, "callable"]]:
 # Spectra suite.
 # ---------------------------------------------------------------------------
 
-def _spectra_cases(cfg: RunConfig, cache: BasisCache) -> list[tuple[str, "callable"]]:
+def _assembler(cache: BasisCache):
+    """``assemble_operator`` memoised per run, so the spectra and bounds
+    suites share each ``(op, m, p, l_max, R)`` assembly.  Under ``--jobs``
+    two workers may both compute a missing key; either result is the
+    same, so no lock is taken."""
+    memo: dict = {}
+
+    def assemble(op: str, m: int, p: int, l_max: int, R):
+        key = (op, m, p, l_max, Fraction(R))
+        if key not in memo:
+            memo[key] = assemble_operator(op, m, p, l_max, R, cache)
+        return memo[key]
+    return assemble
+
+
+def _spectra_cases(cfg: RunConfig, assemble) -> list[tuple[str, "callable"]]:
     cases = []
     for m in cfg.dims:
         for p in cfg.degrees_for(m, "spectra"):
@@ -341,17 +361,17 @@ def _spectra_cases(cfg: RunConfig, cache: BasisCache) -> list[tuple[str, "callab
                     key = f"spectrum/{op}/m{m}/p{p}/R{R}"
 
                     def run(key=key, op=op, m=m, p=p, R=R):
-                        asm, rep = assemble_operator(op, m, p, cfg.l_max, R, cache)
+                        asm, rep = assemble(op, m, p, cfg.l_max, R)
                         ok = all(row["max_reference_deviation"] <= 1e-8
                                  for row in rep.blocks)
+                        doc = rep.to_dict()
                         for theta in sorted({Fraction(row["reference"])
                                              for row in rep.blocks}):
                             nullity = certify_eigenvalue(asm, theta)
-                            rep.certified[str(theta)] = nullity
+                            doc["certified"][str(theta)] = nullity
                             share = sum(r["dim"] for r in rep.blocks
                                         if Fraction(r["reference"]) == theta)
                             ok = ok and nullity == share
-                        doc = rep.to_dict()
                         doc["id"] = key
                         doc["pass"] = ok
                         return doc
@@ -362,8 +382,8 @@ def _spectra_cases(cfg: RunConfig, cache: BasisCache) -> list[tuple[str, "callab
                         key = f"scaling/{op}/m{m}/p{p}/R{R}"
 
                         def run(key=key, op=op, m=m, p=p, R=R):
-                            _, unit = assemble_operator(op, m, p, cfg.l_max, 1, cache)
-                            _, scaled = assemble_operator(op, m, p, cfg.l_max, R, cache)
+                            _, unit = assemble(op, m, p, cfg.l_max, 1)
+                            _, scaled = assemble(op, m, p, cfg.l_max, R)
                             chk = scaling_check(unit, scaled)
                             return chk.to_dict() | {"id": key}
                         cases.append((key, run))
@@ -374,7 +394,8 @@ def _spectra_cases(cfg: RunConfig, cache: BasisCache) -> list[tuple[str, "callab
 # Bounds suite.
 # ---------------------------------------------------------------------------
 
-def _bounds_cases(cfg: RunConfig, cache: BasisCache) -> list[tuple[str, "callable"]]:
+def _bounds_cases(cfg: RunConfig, cache: BasisCache,
+                  assemble) -> list[tuple[str, "callable"]]:
     cases = []
     for m in cfg.dims:
         n = m - 1
@@ -383,9 +404,9 @@ def _bounds_cases(cfg: RunConfig, cache: BasisCache) -> list[tuple[str, "callabl
                 key = f"bounds/m{m}/p{p}/R{R}"
 
                 def run(key=key, m=m, p=p, R=R):
-                    _, d = assemble_operator("dtn", m, p, cfg.l_max, R, cache)
-                    _, t = assemble_operator("dtn-neumann", m, p, cfg.l_max, R, cache)
-                    _, h = assemble_operator("hodge-boundary", m, p, cfg.l_max, R, cache)
+                    _, d = assemble("dtn", m, p, cfg.l_max, R)
+                    _, t = assemble("dtn-neumann", m, p, cfg.l_max, R)
+                    _, h = assemble("hodge-boundary", m, p, cfg.l_max, R)
                     checks = check_bounds(d, t, h)
                     return {"id": key, "params": {"m": m, "p": p, "R": str(R)},
                             "checks": [c.to_dict() for c in checks],
@@ -493,12 +514,13 @@ def _run_cases(cases, jobs: int) -> list[dict]:
 def run_suites(cfg: RunConfig) -> dict:
     cfg.validate()
     cache = BasisCache(cfg.cache_dir)
+    assemble = _assembler(cache)
     suites_out: dict = {}
     timing: dict = {}
     builders = {
         "identities": lambda: _identity_cases(cfg),
-        "spectra": lambda: _spectra_cases(cfg, cache),
-        "bounds": lambda: _bounds_cases(cfg, cache),
+        "spectra": lambda: _spectra_cases(cfg, assemble),
+        "bounds": lambda: _bounds_cases(cfg, cache, assemble),
         "curvature": lambda: _curvature_cases(cfg),
     }
     for suite in SUITES:

@@ -5,7 +5,11 @@ integer exponents ``j >= -3`` and polynomial ``P_j``.  This class is
 closed under products and partial derivatives and covers every
 integrand produced by the identity checks.  ``integrate_sphere`` and
 ``integrate_ball`` also take a plain ``Polynomial`` (the r^0 part alone),
-which is how boundary pairings and polynomial identity terms reach them.
+which is how polynomial identity terms reach them.  ``sphere_pairing``
+integrates a product ``a * b`` over the sphere without building it: the
+spectral layer pairs the once-computed boundary traces of its trial
+forms this way, coefficient by coefficient.  All three read the sphere
+moments from one table, filled as exponents are first met.
 
 All integrals are returned as exact rational multiples of the measure
 of the unit sphere ``|S^{m-1}(1)|``, which is carried as an uncancelled
@@ -18,6 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from operator import add
 
 import numpy as np
 
@@ -56,6 +62,12 @@ def sphere_average(expo, m: int | None = None) -> Fraction:
     for k in range(sum(expo) // 2):
         den *= m + 2 * k
     return Fraction(num, den)
+
+
+@lru_cache(maxsize=None)
+def _moment(expo: tuple, m: int) -> Fraction:
+    """``sphere_average(expo, m)``, memoised as exponents are first met."""
+    return sphere_average(expo, m)
 
 
 def unit_sphere_measure(m: int) -> float:
@@ -240,10 +252,30 @@ def integrate_sphere(density: RadialDensity | Polynomial, radius) -> ExactScalar
     for j, poly in _radial_parts(density).items():
         for d, part in poly.homogeneous_parts().items():
             for expo, c in part.terms.items():
-                avg = sphere_average(expo, m)
+                avg = _moment(expo, m)
                 if avg:
                     total += c * avg * R ** (j + d + m - 1)
     return ExactScalar(total, m)
+
+
+def sphere_pairing(a: Polynomial, b: Polynomial, radius) -> Fraction:
+    """``integrate_sphere(a * b, radius).coeff`` without building ``a * b``:
+    the sum of ``a_s b_t avg(s+t) R^(|s+t|+m-1)`` over term pairs.  Pairs
+    whose summed exponent has an odd entry average to zero and are
+    skipped; the others are summed per exponent before its moment is read."""
+    if a.m != b.m:
+        raise ValueError("variable count mismatch")
+    R = Fraction(radius)
+    m = a.m
+    sums: dict[tuple, Fraction] = {}
+    for ea, ca in a.terms.items():
+        for eb, cb in b.terms.items():
+            expo = tuple(map(add, ea, eb))
+            if any(e & 1 for e in expo):
+                continue
+            sums[expo] = sums.get(expo, 0) + ca * cb
+    return sum((c * _moment(expo, m) * R ** (sum(expo) + m - 1)
+                for expo, c in sums.items()), Fraction(0))
 
 
 def integrate_ball(density: RadialDensity | Polynomial, radius) -> ExactScalar:
@@ -258,7 +290,7 @@ def integrate_ball(density: RadialDensity | Polynomial, radius) -> ExactScalar:
                 raise ValueError(
                     f"non-integrable radial exponent: r^{j} with degree-{d} part in dim {m}")
             for expo, c in part.terms.items():
-                avg = sphere_average(expo, m)
+                avg = _moment(expo, m)
                 if avg:
                     total += c * avg * R ** power / power
     return ExactScalar(total, m)

@@ -14,7 +14,12 @@ trial spaces:
 
 Trial spaces are the pullbacks of the normal-null harmonic blocks
 (co-exact on the sphere) and, where the operator acts on them, the
-closed blocks.  Stiffness and Gram matrices are exact rationals; the
+closed blocks.  Stiffness and Gram matrices are exact rationals.  Every
+one of them is a matrix of boundary pairings int_S <J*u, J*v>, built by
+``_sphere_matrix``: each form's trace (its coefficients and those of its
+normal part) is computed once per matrix, and each entry contracts the
+shared coefficients against cached sphere moments
+(``quadrature.sphere_pairing``), with no product polynomial built.  The
 normal matrix of an extension belongs to its trial space, so the data
 of a closed block are solved in one elimination.  The floating
 eigensolve uses LAPACK via scipy and every rational target eigenvalue can be certified exactly through the nullity of A - theta G.
@@ -24,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 import scipy.linalg
@@ -34,7 +38,7 @@ from .ball import BallDomain, boundary_delta_rep, jstar_inner, normal_part
 from .harmonic import BasisCache
 from .polynomials import Polynomial
 from .polyform import PolyForm
-from .quadrature import integrate_ball, integrate_sphere
+from .quadrature import integrate_ball, integrate_sphere, sphere_pairing
 
 OPERATORS = ("dtn", "dtn-neumann", "hodge-boundary")
 
@@ -81,14 +85,33 @@ def _interior_trial_space(kind: str, m: int, p: int, degree: int,
     return basis
 
 
-def _sphere_matrix(rows: list, cols: list, pairing, R: Fraction) -> list[list[Fraction]]:
-    """Exact matrix of the sphere integrals of ``pairing(row, col)``,
-    filled symmetrically when ``rows is cols``."""
+def _trace(form: PolyForm, domain: BallDomain, pullback: bool) -> dict:
+    """The keyed parts of a form's boundary pairing: ``(1, I)`` for each
+    coefficient and, with ``pullback``, ``(-1, J)`` for each coefficient
+    of i_N form, so that <J*u, J*v> = sum over shared keys (s, K) of
+    s * u_K * v_K."""
+    parts = {(1, I): c for I, c in form.coeffs.items()}
+    if pullback and form.p >= 1:
+        parts.update(((-1, J), c) for J, c in normal_part(form, domain).coeffs.items())
+    return parts
+
+
+def _sphere_matrix(rows: list[PolyForm], cols: list[PolyForm], domain: BallDomain,
+                   pullback: bool = True) -> list[list[Fraction]]:
+    """Exact matrix of int_S <J*row, J*col> (of <row, col> without
+    ``pullback``).  Each form is traced once; each entry contracts the
+    shared parts against cached sphere moments.  Filled symmetrically
+    when ``rows is cols``."""
+    R = domain.radius
     symmetric = rows is cols
+    row_parts = [_trace(u, domain, pullback) for u in rows]
+    col_parts = row_parts if symmetric else [_trace(v, domain, pullback) for v in cols]
     out = [[Fraction(0)] * len(cols) for _ in rows]
-    for i, u in enumerate(rows):
+    for i, a in enumerate(row_parts):
         for j in range(i if symmetric else 0, len(cols)):
-            out[i][j] = integrate_sphere(pairing(u, cols[j]), R).coeff
+            b = col_parts[j]
+            out[i][j] = sum((key[0] * sphere_pairing(c, b[key], R)
+                             for key, c in a.items() if key in b), Fraction(0))
             if symmetric:
                 out[j][i] = out[i][j]
     return out
@@ -104,19 +127,19 @@ def _extend_block(kind: str, domain: BallDomain, data: list[PolyForm],
     m, p, R = domain.m, data[0].p, domain.radius
     if max_degree is None:
         max_degree = degree + 4
-    inner = partial(jstar_inner, domain=domain)
+    consts = [integrate_sphere(jstar_inner(datum, datum, domain), R).coeff
+              for datum in data]
     while True:
         trial = _interior_trial_space(kind, m, p, degree, cache)
-        M = _sphere_matrix(trial, trial,
-                           PolyForm.inner if kind == "harmonic-neumann" else inner, R)
-        B = _sphere_matrix(trial, data, inner, R)
+        M = _sphere_matrix(trial, trial, domain,
+                           pullback=kind != "harmonic-neumann")
+        B = _sphere_matrix(trial, data, domain)
         X = linalg.solve(M, B)
         if X is None:
             raise RuntimeError("normal equations inconsistent (should not happen)")
         out = []
-        for k, datum in enumerate(data):
+        for k, const in enumerate(consts):
             ext = sum((t * x[k] for x, t in zip(X, trial) if x[k]), PolyForm.zero(m, p))
-            const = integrate_sphere(inner(datum, datum), R).coeff
             out.append((ext, const - sum(x[k] * b[k] for x, b in zip(X, B))))
         worst = max(misfit for _, misfit in out)
         if worst == 0:
@@ -312,21 +335,19 @@ def assemble_operator(operator: str, m: int, p: int, l_max: int, radius,
     blocks = _build_blocks(operator, m, p, l_max, domain, cache)
     reps = [w for blk in blocks for w in blk.basis]
     exts = [w for blk in blocks for w in blk.extensions]
-    R = domain.radius
-    inner = partial(jstar_inner, domain=domain)
-    G = _sphere_matrix(reps, reps, inner, R)
+    G = _sphere_matrix(reps, reps, domain)
     if operator in ("dtn", "dtn-neumann"):
         traced = [-normal_part(ext.d(), domain) for ext in exts]
-        A = _sphere_matrix(traced, reps, inner, R)
+        A = _sphere_matrix(traced, reps, domain)
         if A != [list(col) for col in zip(*A)]:
             raise AssertionError(
                 "stiffness matrix not symmetric: self-adjointness violated")
     else:
         delta_reps = [boundary_delta_rep(w, domain) for w in reps]
-        A = _sphere_matrix(delta_reps, delta_reps, inner, R)
+        A = _sphere_matrix(delta_reps, delta_reps, domain)
         if p <= m - 2:
             d_reps = [w.d() for w in reps]
-            A = linalg.mat_add(A, _sphere_matrix(d_reps, d_reps, inner, R))
+            A = linalg.mat_add(A, _sphere_matrix(d_reps, d_reps, domain))
 
     assembly = OperatorAssembly(operator, domain, p, l_max, blocks, A, G)
     report = _solve_assembly(assembly)
@@ -436,8 +457,12 @@ def check_bounds(dtn: SpectrumReport, dtn_neumann: SpectrumReport,
     if factor:
         k_upper = min(len(sigmas), len(lambdas))
         comparisons = [sigmas[k] <= lambdas[k] / factor + tol for k in range(k_upper)]
-        first_block = next(row["dim"] for row in dtn.blocks
-                           if row["kind"] == "coexact" and row["l"] == 1)
+        first_block = next((row["dim"] for row in dtn.blocks
+                            if row["kind"] == "coexact" and row["l"] == 1), None)
+        if first_block is None:
+            raise ValueError(
+                "dtn report has no coexact l=1 block: the equality part of "
+                "the Hodge comparison needs it")
         equalities = [abs(sigmas[k] - lambdas[k] / factor) <= tol
                       for k in range(min(first_block, k_upper))]
         out.append(BoundCheck(

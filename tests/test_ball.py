@@ -45,6 +45,12 @@ class TestNormalField:
         N = dom.normal_field()
         assert [c.evaluate([0, 2, 0]) for c in N.components] == [0, -1, 0]
 
+    def test_built_once_outside_fields(self):
+        dom, twin = BallDomain(3, Fraction(2)), BallDomain(3, Fraction(2))
+        assert dom.normal_field() is dom.normal_field()
+        assert dom == twin and hash(dom) == hash(twin)
+        assert repr(dom) == "BallDomain(m=3, radius=Fraction(2, 1))"
+
 
 class TestNormalContraction:
     def test_one_form(self):

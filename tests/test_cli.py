@@ -4,6 +4,7 @@ import csv
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -78,6 +79,24 @@ class TestRunSuites:
         r1.pop("timing"), r2.pop("timing")
         assert json.dumps(r1, sort_keys=True) != json.dumps(r2, sort_keys=True)
 
+    def test_operators_assembled_once_per_run(self, monkeypatch):
+        calls = []
+        real = cli.assemble_operator
+
+        def counting(op, m, p, l_max, R, cache):
+            calls.append((op, m, p, l_max, Fraction(R)))
+            return real(op, m, p, l_max, R, cache)
+        monkeypatch.setattr(cli, "assemble_operator", counting)
+        cfg = small_config(suites=["spectra", "bounds"], dims=[3], degrees=[1],
+                           radii=[Fraction(1), Fraction(1, 2)])
+        report = run_suites(cfg)
+        assert report["summary"]["failed"] == 0
+        assert sorted(calls) == sorted(set(calls))
+        assert len(calls) == 6
+        spectra = [r for r in report["suites"]["spectra"]["checks"]
+                   if r["id"].startswith("spectrum/")]
+        assert all(r["certified"] for r in spectra)
+
     def test_bounds_suite(self, tmp_path):
         cfg = RunConfig(suites=["bounds"], dims=[3], degrees=[1], l_max=1,
                         seed=3, cache_dir=str(tmp_path / "cache"))
@@ -139,6 +158,14 @@ class TestMainEntry:
                      "--out", str(tmp_path)])
         assert code == 2
         assert "degree" in capsys.readouterr().err
+
+    def test_exit_two_on_float_mode_outside_identities(self, tmp_path, capsys):
+        code = main(["all", "--dim", "2", "--lmax", "1", "--mode", "float",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "mode 'float'" in err and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
 
     def test_exit_two_on_unknown_flag(self):
         assert main(["verify", "--bogus"]) == 2

@@ -4,11 +4,13 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from formlab.polynomials import Polynomial
 from formlab.quadrature import (ExactScalar, RadialDensity, integrate_ball,
                                 integrate_sphere, mc_oracle, sphere_average,
-                                unit_sphere_measure)
+                                sphere_pairing, unit_sphere_measure)
 from formlab.sampling import random_density, random_polynomial, rng_for
 
 
@@ -125,6 +127,39 @@ class TestHomogeneityAndLinearity:
             sq = d * d
             assert integrate_ball(sq, 1).coeff >= 0
             assert integrate_sphere(sq, 1).coeff >= 0
+
+
+def polynomials(m: int, max_exponent: int = 3):
+    """Mixed-degree polynomials whose exponents are odd as well as even."""
+    expos = st.tuples(*[st.integers(0, max_exponent)] * m)
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    return st.dictionaries(expos, coeffs, max_size=6).map(lambda t: Polynomial(m, t))
+
+
+@st.composite
+def polynomial_pairs(draw):
+    m = draw(st.sampled_from((2, 3, 4)))
+    return draw(polynomials(m)), draw(polynomials(m))
+
+
+class TestSpherePairing:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(pair=polynomial_pairs(),
+           R=st.sampled_from((Fraction(1), Fraction(1, 2), Fraction(7, 3))))
+    def test_equals_integral_of_product(self, pair, R):
+        a, b = pair
+        got = sphere_pairing(a, b, R)
+        assert isinstance(got, Fraction)
+        assert got == integrate_sphere(a * b, R).coeff
+
+    def test_odd_pairs_vanish(self):
+        x1, x2 = Polynomial.variable(3, 1), Polynomial.variable(3, 2)
+        assert sphere_pairing(x1, x2 * x2, 1) == 0
+        assert sphere_pairing(x1, x1, Fraction(1, 2)) == Fraction(1, 3) * Fraction(1, 2) ** 4
+
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            sphere_pairing(Polynomial.variable(2, 1), Polynomial.variable(3, 1), 1)
 
 
 class TestMonteCarloOracle:

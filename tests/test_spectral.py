@@ -1,18 +1,24 @@
 """Operator assembly, eigensolves, exact certification, bound checks."""
 
+import copy
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from formlab import linalg
-from formlab.ball import BallDomain
+from formlab.ball import BallDomain, jstar_inner
+from formlab.exterior import multi_indices
 from formlab.polyform import PolyForm
+from formlab.polynomials import Polynomial
+from formlab.quadrature import integrate_sphere
 from formlab.sampling import rng_for
-from formlab.spectral import (ExtensionProblem, _extend_block, assemble_operator,
-                              ball_reference_eigenvalue, certify_eigenvalue,
-                              check_bounds, extend, rayleigh_quotient,
-                              scaling_check)
+from formlab.spectral import (ExtensionProblem, _extend_block, _sphere_matrix,
+                              assemble_operator, ball_reference_eigenvalue,
+                              certify_eigenvalue, check_bounds, extend,
+                              rayleigh_quotient, scaling_check)
 
 
 def binom(n, k):
@@ -239,12 +245,51 @@ class TestAssemblyInvariants:
             assemble_operator("dtn", 3, 3, 1, 1, cache)
 
 
+@st.composite
+def form_lists(draw):
+    """(domain, rows, cols) of p-forms, 0 <= p <= m, with mixed-degree
+    polynomial coefficients."""
+    m = draw(st.sampled_from((2, 3, 4)))
+    p = draw(st.integers(0, m))
+    R = draw(st.sampled_from((Fraction(1), Fraction(1, 2), Fraction(7, 3))))
+    expos = st.tuples(*[st.integers(0, 3)] * m)
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    polys = st.dictionaries(expos, coeffs, max_size=3)
+    forms = st.dictionaries(st.sampled_from(multi_indices(m, p)), polys,
+                            max_size=3).map(
+        lambda cs: PolyForm(m, p, {I: Polynomial(m, t) for I, t in cs.items()}))
+    rows = draw(st.lists(forms, min_size=1, max_size=3))
+    cols = draw(st.lists(forms, min_size=1, max_size=3))
+    return BallDomain(m, R), rows, cols
+
+
+class TestSphereMatrix:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(case=form_lists())
+    def test_entries_equal_integrated_pairings(self, case):
+        dom, rows, cols = case
+        R = dom.radius
+        for pullback, pair in ((True, lambda u, v: jstar_inner(u, v, dom)),
+                               (False, PolyForm.inner)):
+            for rs, cs in ((rows, rows), (rows, cols)):
+                want = [[integrate_sphere(pair(u, v), R).coeff for v in cs]
+                        for u in rs]
+                assert _sphere_matrix(rs, cs, dom, pullback) == want
+
+
 class TestBounds:
     def test_unit_ball_m3(self, d3, t3, h3):
         checks = check_bounds(d3[1], t3[1], h3[1])
         assert all(c.passed for c in checks)
         by_name = {c.name: c for c in checks}
         assert abs(by_name["operator-ordering"].details["nu_1"] - 5 / 3) < 1e-8
+
+    def test_missing_first_coexact_block_is_named(self, d3, t3, h3):
+        dtn = copy.deepcopy(d3[1])
+        dtn.blocks = [row for row in dtn.blocks
+                      if not (row["kind"] == "coexact" and row["l"] == 1)]
+        with pytest.raises(ValueError, match="coexact l=1 block"):
+            check_bounds(dtn, t3[1], h3[1])
 
     def test_rescaled_balls(self, cache):
         for c in (Fraction(1, 2), Fraction(1), Fraction(3)):
