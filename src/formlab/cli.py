@@ -12,8 +12,9 @@ Report schema (``report.json``):
   suites           mapping suite name -> {"checks": [record, ...]}
                    where each record has at least "id" and "pass"
   summary          {"total": N, "passed": N, "failed": N}
-  timing           wall-clock seconds (excluded from determinism
-                   comparisons)
+  timing           wall-clock seconds per suite, and under "tracebacks"
+                   the full traceback of each crashed case by id
+                   (excluded from determinism comparisons)
 
 Identical configuration and seed produce byte-identical reports modulo
 the ``timing`` section at any ``--jobs`` level: the experiment list is
@@ -29,6 +30,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -497,12 +499,15 @@ def _curvature_cases(cfg: RunConfig) -> list[tuple[str, "callable"]]:
 # Orchestration.
 # ---------------------------------------------------------------------------
 
-def _run_cases(cases, jobs: int) -> list[dict]:
+def _run_cases(cases, jobs: int, tracebacks: dict) -> list[dict]:
+    """Records in case order; a crashed case is a failed check with a
+    one-line error, and its full traceback goes to ``tracebacks``."""
     def exec_one(case):
         key, fn = case
         try:
             return fn()
-        except Exception as exc:  # a crashed check is a failed check
+        except Exception as exc:
+            tracebacks[key] = traceback.format_exc()
             return {"id": key, "pass": False, "error": f"{type(exc).__name__}: {exc}"}
 
     if jobs == 1:
@@ -516,7 +521,8 @@ def run_suites(cfg: RunConfig) -> dict:
     cache = BasisCache(cfg.cache_dir)
     assemble = _assembler(cache)
     suites_out: dict = {}
-    timing: dict = {}
+    tracebacks: dict = {}
+    timing: dict = {"tracebacks": tracebacks}
     builders = {
         "identities": lambda: _identity_cases(cfg),
         "spectra": lambda: _spectra_cases(cfg, assemble),
@@ -527,7 +533,7 @@ def run_suites(cfg: RunConfig) -> dict:
         if suite not in cfg.suites:
             continue
         t0 = time.perf_counter()
-        records = _run_cases(builders[suite](), cfg.jobs)
+        records = _run_cases(builders[suite](), cfg.jobs, tracebacks)
         timing[suite] = time.perf_counter() - t0
         suites_out[suite] = {"checks": records}
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -225,6 +226,9 @@ class BasisCache:
     Disk writes go through a temporary file and an atomic rename, which
     keeps the single-writer contract safe under concurrent readers.  A
     file of another schema or for another (m, l, p, kind) is a miss.
+    Misses are resolved under one re-entrant lock (computing a split
+    basis asks for its "H" parent), so threads sharing the cache load or
+    compute each basis once.
     """
 
     def __init__(self, directory: str | None = None):
@@ -232,6 +236,7 @@ class BasisCache:
         if directory:
             os.makedirs(directory, exist_ok=True)
         self._memo: dict[tuple, FormSpaceBasis] = {}
+        self._lock = threading.RLock()
 
     def _path(self, m, l, p, kind) -> str | None:
         if not self.directory:
@@ -244,12 +249,14 @@ class BasisCache:
         key = (m, l, p, kind)
         if key in self._memo:
             return self._memo[key]
-        fsb = self._load(key)
-        if fsb is None:
-            fsb = self._compute(m, l, p, kind)
-            self._store(fsb)
-        self._memo[key] = fsb
-        return fsb
+        with self._lock:
+            if key not in self._memo:
+                fsb = self._load(key)
+                if fsb is None:
+                    fsb = self._compute(m, l, p, kind)
+                    self._store(fsb)
+                self._memo[key] = fsb
+            return self._memo[key]
 
     def _load(self, key: tuple) -> FormSpaceBasis | None:
         path = self._path(*key)

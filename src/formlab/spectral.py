@@ -21,8 +21,12 @@ normal part) is computed once per matrix, and each entry contracts the
 shared coefficients against cached sphere moments
 (``quadrature.sphere_pairing``), with no product polynomial built.  The
 normal matrix of an extension belongs to its trial space, so the data
-of a closed block are solved in one elimination.  The floating
-eigensolve uses LAPACK via scipy and every rational target eigenvalue can be certified exactly through the nullity of A - theta G.
+of a closed block are solved in one elimination; for the Neumann kind
+that matrix is one scalar Gram per dx_I, solved once for every
+(dx_I, datum) pair.  The floating eigensolve reduces the pencil
+(A, G) with numpy's Cholesky factor of G, and every rational target
+eigenvalue can be certified exactly through the nullity of
+A - theta G.
 """
 
 from __future__ import annotations
@@ -31,10 +35,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 
 from . import linalg
 from .ball import BallDomain, boundary_delta_rep, jstar_inner, normal_part
+from .exterior import multi_indices
 from .harmonic import BasisCache
 from .polynomials import Polynomial
 from .polyform import PolyForm
@@ -67,22 +71,11 @@ class ExtensionProblem:
             raise ValueError(f"unknown extension kind {self.kind!r}")
 
 
-def _interior_trial_space(kind: str, m: int, p: int, degree: int,
+def _interior_trial_space(m: int, p: int, degree: int,
                           cache: BasisCache) -> list[PolyForm]:
-    """Polynomial p-forms of coefficient degree <= degree satisfying the
-    interior constraints exactly (homogeneous blocks stack)."""
-    basis: list[PolyForm] = []
-    for l in range(degree + 1):
-        if kind == "harmonic-neumann":
-            # componentwise harmonic forms: harmonic scalars times dx_I
-            scalars = cache.get(m, l, 0, "H")
-            from .exterior import multi_indices
-            for I in multi_indices(m, p):
-                for s in scalars.basis:
-                    basis.append(PolyForm(m, p, {I: s.coeffs[()]}))
-        else:
-            basis.extend(cache.get(m, l, p, "H").basis)
-    return basis
+    """Harmonic p-fields of coefficient degree <= degree (homogeneous
+    blocks stack); at p = 0, the harmonic scalars."""
+    return [w for l in range(degree + 1) for w in cache.get(m, l, p, "H").basis]
 
 
 def _trace(form: PolyForm, domain: BallDomain, pullback: bool) -> dict:
@@ -130,11 +123,23 @@ def _extend_block(kind: str, domain: BallDomain, data: list[PolyForm],
     consts = [integrate_sphere(jstar_inner(datum, datum, domain), R).coeff
               for datum in data]
     while True:
-        trial = _interior_trial_space(kind, m, p, degree, cache)
-        M = _sphere_matrix(trial, trial, domain,
-                           pullback=kind != "harmonic-neumann")
-        B = _sphere_matrix(trial, data, domain)
-        X = linalg.solve(M, B)
+        if kind == "harmonic-neumann":
+            # trial forms s dx_I: M is one scalar Gram per dx_I, so every
+            # (dx_I, datum) column is solved against that Gram at once
+            scalars = _interior_trial_space(m, 0, degree, cache)
+            indices = multi_indices(m, p)
+            trial = [PolyForm(m, p, {I: s.coeffs[()]}) for I in indices for s in scalars]
+            B = _sphere_matrix(trial, data, domain)
+            n, nI, nd = len(scalars), len(indices), len(data)
+            rhs = [[v for i in range(nI) for v in B[i * n + j]] for j in range(n)]
+            M_s = _sphere_matrix(scalars, scalars, domain, pullback=False)
+            Y = linalg.solve(M_s, rhs)
+            X = None if Y is None else [Y[j][i * nd:(i + 1) * nd]
+                                        for i in range(nI) for j in range(n)]
+        else:
+            trial = _interior_trial_space(m, p, degree, cache)
+            B = _sphere_matrix(trial, data, domain)
+            X = linalg.solve(_sphere_matrix(trial, trial, domain), B)
         if X is None:
             raise RuntimeError("normal equations inconsistent (should not happen)")
         out = []
@@ -354,6 +359,13 @@ def assemble_operator(operator: str, m: int, p: int, l_max: int, radius,
     return assembly, report
 
 
+def _generalized_eigvalsh(A: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric pencil A v = lambda G v
+    for positive definite G: with G = L L^T, those of L^-1 A L^-T."""
+    L = np.linalg.cholesky(G)
+    return np.linalg.eigvalsh(np.linalg.solve(L, np.linalg.solve(L, A).T))
+
+
 def _solve_assembly(assembly: OperatorAssembly) -> SpectrumReport:
     size = assembly.dim
     Af = np.array([[float(v) for v in row] for row in assembly.A])
@@ -361,7 +373,7 @@ def _solve_assembly(assembly: OperatorAssembly) -> SpectrumReport:
     if size and linalg.rank([list(r) for r in assembly.G]) < size:
         raise ValueError("rank-deficient Gram matrix: trial basis is degenerate")
     if size:
-        vals = scipy.linalg.eigh(Af, Gf, eigvals_only=True)
+        vals = _generalized_eigvalsh(Af, Gf)
         cond = float(np.linalg.cond(Gf))
     else:
         vals = np.array([])
@@ -380,7 +392,7 @@ def _solve_assembly(assembly: OperatorAssembly) -> SpectrumReport:
     for blk, sl in assembly.block_slices():
         Ab = Af[sl, sl]
         Gb = Gf[sl, sl]
-        bvals = scipy.linalg.eigh(Ab, Gb, eigvals_only=True)
+        bvals = _generalized_eigvalsh(Ab, Gb)
         ref = ball_reference_eigenvalue(assembly.operator, blk.kind,
                                         assembly.domain.m, assembly.p, blk.l,
                                         assembly.domain.radius)

@@ -73,6 +73,26 @@ class TestRunSuites:
         r1.pop("timing"), r2.pop("timing")
         assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
 
+    def test_crash_traceback_kept_under_timing(self, monkeypatch):
+        def boom(*args):
+            raise RuntimeError("forced crash")
+        assert run_suites(small_config())["timing"]["tracebacks"] == {}
+        monkeypatch.setattr(cli.ident, "verify_stokes", boom)
+        key = "stokes/m2/p1/R1"
+        bodies = []
+        for jobs in (1, 2):
+            report = run_suites(small_config(jobs=jobs))
+            rec = next(r for r in report["suites"]["identities"]["checks"]
+                       if r["id"] == key)
+            assert rec == {"id": key, "pass": False,
+                           "error": "RuntimeError: forced crash"}
+            tb = report["timing"].pop("tracebacks")
+            assert list(tb) == [key]
+            assert tb[key].startswith("Traceback") and "in boom" in tb[key]
+            report.pop("timing")
+            bodies.append(json.dumps(report, sort_keys=True))
+        assert bodies[0] == bodies[1] and "Traceback" not in bodies[0]
+
     def test_seed_changes_report(self):
         r1 = run_suites(small_config(seed=3))
         r2 = run_suites(small_config(seed=4))

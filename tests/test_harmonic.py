@@ -2,6 +2,8 @@
 
 import json
 import math
+import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -225,6 +227,32 @@ class TestCache:
         for vec in doc["vectors"]:
             for num, den in vec:
                 int(num), int(den)  # decimal strings
+
+    def test_concurrent_misses_load_once(self, tmp_path, monkeypatch):
+        BasisCache(str(tmp_path)).get(3, 1, 1, "H")
+        loads = []
+        real = harmonic._decode_basis
+
+        def slow_decode(doc):
+            loads.append(doc["kind"])
+            time.sleep(0.05)  # yield, so the other thread reaches its lookup
+            return real(doc)
+        monkeypatch.setattr(harmonic, "_decode_basis", slow_decode)
+        cache = BasisCache(str(tmp_path))
+        barrier = threading.Barrier(2)
+        got = []
+
+        def worker():
+            barrier.wait(timeout=10)
+            got.append(cache.get(3, 1, 1, "H"))
+        threads = [threading.Thread(target=worker) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert len(got) == 2 and got[0] is got[1]
+        assert loads == ["H"]
 
     def test_stale_and_mismatched_files_are_rebuilt(self, tmp_path, monkeypatch):
         ref_dir, plant = tmp_path / "ref", tmp_path / "plant"

@@ -2,8 +2,11 @@
 
 import copy
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,8 +18,8 @@ from formlab.polyform import PolyForm
 from formlab.polynomials import Polynomial
 from formlab.quadrature import integrate_sphere
 from formlab.sampling import rng_for
-from formlab.spectral import (ExtensionProblem, _extend_block, _sphere_matrix,
-                              assemble_operator, ball_reference_eigenvalue,
+from formlab.spectral import (ExtensionProblem, _extend_block, _generalized_eigvalsh,
+                              _sphere_matrix, assemble_operator, ball_reference_eigenvalue,
                               certify_eigenvalue, check_bounds, extend,
                               rayleigh_quotient, scaling_check)
 
@@ -91,6 +94,25 @@ class TestExtension:
             assert misfit == one[1] == 0
             assert (ext - one[0]).is_zero()
 
+    @pytest.mark.parametrize("m, p, l", [(4, 2, 1), (3, 1, 0), (3, 1, 1)])
+    def test_neumann_block_matches_full_normal_solve(self, cache, m, p, l):
+        # reference: eliminate the full normal matrix over the trial forms
+        # s dx_I, as one system, instead of one scalar Gram per dx_I
+        dom = BallDomain(m, Fraction(1))
+        data = cache.get(m, l, p, "H-closed").basis
+        degree = max(w.max_coeff_degree() for w in data) + 2
+        trial = [PolyForm(m, p, {I: s.coeffs[()]}) for k in range(degree + 1)
+                 for I in multi_indices(m, p) for s in cache.get(m, k, 0, "H").basis]
+        B = _sphere_matrix(trial, data, dom)
+        X = linalg.solve(_sphere_matrix(trial, trial, dom, pullback=False), B)
+        block = _extend_block("harmonic-neumann", dom, data, degree, cache)
+        assert len(block) == len(data)
+        for k, (datum, (ext, misfit)) in enumerate(zip(data, block)):
+            want = sum((t * x[k] for x, t in zip(X, trial) if x[k]), PolyForm.zero(m, p))
+            const = integrate_sphere(jstar_inner(datum, datum, dom), 1).coeff
+            assert misfit == const - sum(x[k] * b[k] for x, b in zip(X, B)) == 0
+            assert not ext.is_zero() and (ext - want).is_zero()
+
     def test_solve_columns_match_one_column_solves(self):
         rng = rng_for(7, "solve-columns")
         F = Fraction
@@ -109,6 +131,29 @@ class TestExtension:
         # a fourth column breaking row 3 = row 0 + row 1 is inconsistent
         bad = [r + [F(int(i == 3))] for i, r in enumerate(rhs)]
         assert linalg.solve(rows, bad) is None
+
+
+class TestEigensolve:
+    def test_recovers_pencil_eigenvalues(self):
+        # G = L L^T and A = L diag(d) L^T give the pencil (A, G) the
+        # eigenvalues d exactly; L is integer and unit lower triangular
+        rng = rng_for(7, "pencil")
+        n = 6
+        L = np.eye(n)
+        for i in range(n):
+            for j in range(i):
+                L[i, j] = rng.randint(-1, 1)
+        d = np.array([rng.randint(-5, 9) for _ in range(n)], dtype=float)
+        got = _generalized_eigvalsh(L @ np.diag(d) @ L.T, L @ L.T)
+        assert np.max(np.abs(got - np.sort(d))) <= 1e-12
+
+    def test_cli_import_loads_no_scipy(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, formlab.cli; print('scipy' in sys.modules)"],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestBallSpectra:
