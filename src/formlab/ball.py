@@ -26,7 +26,7 @@ from functools import cached_property
 
 from .polynomials import Polynomial
 from .polyform import PolyForm, PolyVectorField
-from .quadrature import ExactScalar, RadialDensity, integrate_sphere
+from .quadrature import ExactScalar, RadialDensity, integrate_pairs, integrate_sphere
 
 
 @dataclass(frozen=True)
@@ -70,14 +70,36 @@ def normal_part(omega: PolyForm, domain: BallDomain) -> PolyForm:
     return omega.interior(domain.normal_field())
 
 
-def jstar_inner(a: PolyForm, b: PolyForm, domain: BallDomain) -> Polynomial:
-    """Pointwise <J*a, J*b> on Sigma as a polynomial density."""
+def inner_pairs(a: PolyForm, b: PolyForm, scale=1) -> list[tuple]:
+    """The terms ``(scale, a_I, b_I)`` of ``scale * <a, b>``, the form in
+    which ``quadrature.integrate_pairs`` integrates a pairing without
+    building its product."""
     if a.p != b.p:
         raise ValueError("degree mismatch")
-    density = a.inner(b)
+    return [(scale, c, b.coeffs[I]) for I, c in a.coeffs.items() if I in b.coeffs]
+
+
+def jstar_pairs(a: PolyForm, b: PolyForm, domain: BallDomain, scale=1) -> list[tuple]:
+    """The terms of ``scale * <J*a, J*b>`` on Sigma, by the splitting
+    <a, b> - <i_N a, i_N b>."""
+    pairs = inner_pairs(a, b, scale)
     if a.p >= 1:
-        density = density - normal_part(a, domain).inner(normal_part(b, domain))
-    return density
+        pairs += inner_pairs(normal_part(a, domain), normal_part(b, domain), -scale)
+    return pairs
+
+
+def pairs_density(pairs, m: int) -> Polynomial:
+    """``sum_k s_k a_k b_k`` built as a polynomial."""
+    total = Polynomial.zero(m)
+    for s, a, b in pairs:
+        prod = a * b
+        total = total + (prod if s == 1 else prod * s)
+    return total
+
+
+def jstar_inner(a: PolyForm, b: PolyForm, domain: BallDomain) -> Polynomial:
+    """Pointwise <J*a, J*b> on Sigma as a polynomial density."""
+    return pairs_density(jstar_pairs(a, b, domain), a.m)
 
 
 def shape_lift(p: int, domain: BallDomain):
@@ -184,15 +206,16 @@ def normal_split_residual(omega: PolyForm, domain: BallDomain) -> ExactScalar:
         rep = rep + omega.d().interior(normal)
     rep = rep - omega.deriv_along(normal)
     rep = rep + omega * (omega.p * domain.curvature)
-    return integrate_sphere(jstar_inner(rep, rep, domain), domain.radius)
+    return ExactScalar(integrate_pairs(jstar_pairs(rep, rep, domain), domain.radius),
+                       domain.m)
 
 
-def b_term(omega: PolyForm, domain: BallDomain) -> Polynomial:
-    """Boundary quadratic form
+def b_term_pairs(omega: PolyForm, domain: BallDomain) -> list[tuple]:
+    """The terms of the boundary quadratic form
 
-    B(w,w) = <S^[p] J*w, J*w> + nH |i_N w|^2 - <S^[p-1] i_N w, i_N w>
+    B(w,w) = <S^[p] J*w, J*w> + nH |i_N w|^2 - <S^[p-1] i_N w, i_N w>,
 
-    as a pointwise polynomial density on Sigma.
+    with S^[q] = q c on the sphere: pc |w|^2 + (n - 2p + 1) c |i_N w|^2.
     """
     if omega.p < 1:
         raise ValueError("needs degree >= 1")
@@ -200,13 +223,18 @@ def b_term(omega: PolyForm, domain: BallDomain) -> Polynomial:
     n = domain.boundary_dim
     c = domain.curvature
     i_n = normal_part(omega, domain)
-    i_n_sq = i_n.inner(i_n)
-    tang_sq = omega.inner(omega) - i_n_sq
-    return (p * c) * tang_sq + (n * c) * i_n_sq - ((p - 1) * c) * i_n_sq
+    return inner_pairs(omega, omega, p * c) + inner_pairs(i_n, i_n, (n - 2 * p + 1) * c)
 
 
-def b_term_alternate(omega: PolyForm, domain: BallDomain) -> Polynomial:
-    """Two-term shape-operator expression for B, valid for exact forms:
+def b_term(omega: PolyForm, domain: BallDomain) -> Polynomial:
+    """B(w,w) (see ``b_term_pairs``) as a pointwise polynomial density on
+    Sigma."""
+    return pairs_density(b_term_pairs(omega, domain), domain.m)
+
+
+def b_term_alternate_pairs(omega: PolyForm, domain: BallDomain) -> list[tuple]:
+    """The terms of the two-term shape-operator expression for B, valid
+    for exact forms:
 
     <S^[q] J*w, J*w> + <S^[m-q] J*(star w), J*(star w)>,  q = deg w.
     """
@@ -215,8 +243,13 @@ def b_term_alternate(omega: PolyForm, domain: BallDomain) -> Polynomial:
     q = omega.p
     c = domain.curvature
     dual = omega.star()
-    return (q * c) * jstar_inner(omega, omega, domain) \
-        + ((domain.m - q) * c) * jstar_inner(dual, dual, domain)
+    return jstar_pairs(omega, omega, domain, q * c) \
+        + jstar_pairs(dual, dual, domain, (domain.m - q) * c)
+
+
+def b_term_alternate(omega: PolyForm, domain: BallDomain) -> Polynomial:
+    """``b_term_alternate_pairs`` as a pointwise polynomial density."""
+    return pairs_density(b_term_alternate_pairs(omega, domain), domain.m)
 
 
 @dataclass(frozen=True)
@@ -265,9 +298,10 @@ class WeightFunction:
             out = out + self.grad[k] * normal.components[k]
         return out
 
-    def hessian_quadratic(self, a: PolyForm, b: PolyForm) -> RadialDensity:
-        """<a, Hess-lift b> as a density, assembled entry by entry."""
-        out = RadialDensity.zero(self.m)
+    def hessian_pairs(self, a: PolyForm, b: PolyForm):
+        """``(H_ij, terms of <a, E_ij-lift b>)`` for each nonzero Hessian
+        entry, with E_ij the unit matrix, so that
+        <a, Hess-lift b> = sum_ij H_ij <a, E_ij-lift b>."""
         for i in range(self.m):
             for j in range(self.m):
                 entry = self.hess[i][j]
@@ -275,10 +309,15 @@ class WeightFunction:
                     continue
                 unit = [[Polynomial.zero(self.m)] * self.m for _ in range(self.m)]
                 unit[i][j] = Polynomial.one(self.m)
-                lifted = b.lift_by(unit)
-                density = a.inner(lifted)
-                if density:
-                    out = out + entry * density
+                yield entry, inner_pairs(a, b.lift_by(unit))
+
+    def hessian_quadratic(self, a: PolyForm, b: PolyForm) -> RadialDensity:
+        """<a, Hess-lift b> as a density, assembled entry by entry."""
+        out = RadialDensity.zero(self.m)
+        for entry, pairs in self.hessian_pairs(a, b):
+            density = pairs_density(pairs, self.m)
+            if density:
+                out = out + entry * density
         return out
 
 

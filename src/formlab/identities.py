@@ -2,24 +2,31 @@
 
 Every check evaluates both sides of an identity by exact rational
 quadrature and reports the residual as a rational multiple of the
-unit-sphere measure.  A check passes iff the residual is exactly zero
-(or below the caller's tolerance when running with float scalars).
+unit-sphere measure.  A check passes iff the residual is exactly zero.
+With float scalars (``TrackedFloat``) it passes when the residual is at
+most the caller's relative tolerance times the residual's magnitude:
+the same computation carried out on absolute values, which bounds what
+rounding can contribute however much the terms cancel.
 
 The weighted integration-by-parts identity is organised term by term so
-that a failure names the offending term.
+that a failure names the offending term.  Each term is integrated from
+its pairings (``quadrature.integrate_pairs``): the coefficient products
+of the paired forms are contracted against weighted moments, and no
+product polynomial is built just to be integrated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Real
 
 from .exterior import ConstantForm, LinearEndomorphism
 from .polynomials import Polynomial
 from .polyform import PolyForm, PolyVectorField, gradient_action
-from .quadrature import RadialDensity, integrate_ball, integrate_sphere
-from .ball import (BallDomain, WeightFunction, b_term,
-                   b_term_alternate, boundary_delta_rep, jstar_inner,
+from .quadrature import integrate_pairs
+from .ball import (BallDomain, WeightFunction, b_term_alternate_pairs,
+                   b_term_pairs, boundary_delta_rep, inner_pairs, jstar_pairs,
                    normal_part)
 
 
@@ -45,16 +52,82 @@ class IdentityReport:
         }
 
 
-def _passes(residual, tolerance) -> bool:
+class TrackedFloat(float):
+    """A float that carries ``magnitude``: the value of the same
+    arithmetic done on absolute values (|x| for an input).  The rounding
+    error of a result is at most a modest multiple of eps * magnitude,
+    so a float-mode check scales its tolerance by it.  Exact rationals
+    (radii, moments) mixed in count with their absolute value."""
+
+    __slots__ = ("magnitude",)
+
+    def __new__(cls, value, magnitude=None):
+        self = super().__new__(cls, value)
+        self.magnitude = abs(float(value)) if magnitude is None else magnitude
+        return self
+
+    def __add__(self, other):
+        if not isinstance(other, Real):
+            return NotImplemented
+        return TrackedFloat(float(self) + float(other), self.magnitude + _magnitude(other))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if not isinstance(other, Real):
+            return NotImplemented
+        return TrackedFloat(float(self) - float(other), self.magnitude + _magnitude(other))
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if not isinstance(other, Real):
+            return NotImplemented
+        return TrackedFloat(float(self) * float(other), self.magnitude * _magnitude(other))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if not isinstance(other, Real):
+            return NotImplemented
+        return TrackedFloat(float(self) / float(other), self.magnitude / abs(float(other)))
+
+    def __neg__(self):
+        return TrackedFloat(-float(self), self.magnitude)
+
+
+def _magnitude(x) -> float:
+    return x.magnitude if isinstance(x, TrackedFloat) else abs(float(x))
+
+
+def agrees(a, b, tolerance=0) -> bool:
+    """``a == b`` at tolerance 0; otherwise ``|a - b|`` is at most
+    ``tolerance`` times the magnitude of ``a - b`` (see ``TrackedFloat``)."""
     if tolerance == 0:
-        return residual == 0
-    return abs(residual) <= tolerance
+        return a == b
+    diff = a - b
+    return abs(diff) <= tolerance * _magnitude(diff)
 
 
 def _report(identity_id, params, terms, lhs, rhs, tolerance=0) -> IdentityReport:
-    residual = lhs - rhs
-    return IdentityReport(identity_id, params, terms, lhs, rhs, residual,
-                          _passes(residual, tolerance))
+    return IdentityReport(identity_id, params, terms, lhs, rhs, lhs - rhs,
+                          agrees(lhs, rhs, tolerance))
+
+
+def _gradient_pairs(omega: PolyForm, scale=1) -> list[tuple]:
+    """The terms of scale * |nabla omega|^2 = scale * sum_k |d omega/dx_k|^2."""
+    pairs = []
+    for k in range(1, omega.m + 1):
+        dk = omega.partial(k)
+        pairs += inner_pairs(dk, dk, scale)
+    return pairs
+
+
+def _hessian_int(weight: WeightFunction, a: PolyForm, b: PolyForm, R) -> Fraction:
+    """int over the ball of <a, Hess-lift b>, one contraction per entry."""
+    return sum((integrate_pairs(pairs, R, entry, "ball")
+                for entry, pairs in weight.hessian_pairs(a, b)), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -67,9 +140,9 @@ def verify_stokes(phi: PolyForm, psi: PolyForm, domain: BallDomain,
     if psi.p != phi.p + 1:
         raise ValueError("need deg(psi) = deg(phi) + 1")
     R = domain.radius
-    lhs = integrate_ball(phi.d().inner(psi), R).coeff
-    interior = integrate_ball(phi.inner(psi.delta()), R).coeff
-    boundary = integrate_sphere(jstar_inner(phi, normal_part(psi, domain), domain), R).coeff
+    lhs = integrate_pairs(inner_pairs(phi.d(), psi), R, region="ball")
+    interior = integrate_pairs(inner_pairs(phi, psi.delta()), R, region="ball")
+    boundary = integrate_pairs(jstar_pairs(phi, normal_part(psi, domain), domain), R)
     terms = {"interior": interior, "boundary": -boundary}
     return _report("stokes", {"m": domain.m, "p": phi.p, "R": R},
                    terms, lhs, interior - boundary, tolerance)
@@ -99,51 +172,42 @@ def weighted_reilly_terms(weight: WeightFunction, omega: PolyForm,
     m, p, R = domain.m, omega.p, domain.radius
     if omega.m != m or weight.m != m:
         raise ValueError("dimension mismatch")
-    normal = domain.normal_field()
 
-    delta_sq = omega.delta().norm_sq() if p >= 1 else Polynomial.zero(m)
-    d_sq = omega.d().norm_sq() if p <= m - 1 else Polynomial.zero(m)
-    grad_sq = omega.gradient_norm_sq()
-    lhs_density = weight.f * (delta_sq + d_sq - grad_sq)
-
-    # -2 <w, i_{grad f} dw>, assembled with density-valued gradient entries
-    contraction = RadialDensity.zero(m)
+    energy = inner_pairs(omega.delta(), omega.delta()) if p >= 1 else []
     if p <= m - 1:
         dw = omega.d()
+        energy += inner_pairs(dw, dw)
+    energy += _gradient_pairs(omega, -1)
+
+    # -2 <w, i_{grad f} dw>, one contraction per gradient entry
+    contraction = Fraction(0)
+    if p <= m - 1:
         for k in range(1, m + 1):
             gk = weight.grad[k - 1]
             if gk.is_zero():
                 continue
             comps = [Polynomial.zero(m)] * m
             comps[k - 1] = Polynomial.one(m)
-            pairing = omega.inner(dw.interior(comps))
-            if pairing:
-                contraction = contraction + gk * pairing
-    contraction = contraction * (-2)
-
-    hessian = weight.hessian_quadratic(omega, omega)
-    laplacian = weight.lap * omega.norm_sq()
-
-    i_n = normal_part(omega, domain) if p >= 1 else None
-    jstar_sq = omega.norm_sq() - (i_n.inner(i_n) if i_n is not None else Polynomial.zero(m))
-    normal_pullback = weight.normal_derivative(domain) * jstar_sq * (-1)
+            contraction += integrate_pairs(inner_pairs(omega, dw.interior(comps), -2),
+                                           R, gk, "ball")
 
     if p >= 1:
-        ds_rep = boundary_delta_rep(omega, domain)
-        codiff = weight.f * (2 * ds_rep.inner(i_n))
-        shape = weight.f * b_term(omega, domain)
+        i_n = normal_part(omega, domain)
+        codiff = integrate_pairs(inner_pairs(boundary_delta_rep(omega, domain), i_n, 2),
+                                 R, weight.f)
+        shape = integrate_pairs(b_term_pairs(omega, domain), R, weight.f)
     else:
-        codiff = RadialDensity.zero(m)
-        shape = RadialDensity.zero(m)
+        codiff = shape = Fraction(0)
 
     return {
-        "lhs_energy": integrate_ball(lhs_density, R).coeff,
-        "contraction": integrate_ball(contraction, R).coeff,
-        "hessian": integrate_ball(hessian, R).coeff,
-        "laplacian": integrate_ball(laplacian, R).coeff,
-        "normal_pullback": integrate_sphere(normal_pullback, R).coeff,
-        "codifferential": integrate_sphere(codiff, R).coeff,
-        "shape": integrate_sphere(shape, R).coeff,
+        "lhs_energy": integrate_pairs(energy, R, weight.f, "ball"),
+        "contraction": contraction,
+        "hessian": _hessian_int(weight, omega, omega, R),
+        "laplacian": integrate_pairs(inner_pairs(omega, omega), R, weight.lap, "ball"),
+        "normal_pullback": integrate_pairs(jstar_pairs(omega, omega, domain, -1), R,
+                                           weight.normal_derivative(domain)),
+        "codifferential": codiff,
+        "shape": shape,
     }
 
 
@@ -169,15 +233,16 @@ def verify_unweighted_reilly(omega: PolyForm, domain: BallDomain,
         + 2 int_S <delta^S(J*w), i_N w> + int_S B(w,w).
     """
     m, p, R = domain.m, omega.p, domain.radius
-    delta_sq = omega.delta().norm_sq() if p >= 1 else Polynomial.zero(m)
-    d_sq = omega.d().norm_sq() if p <= m - 1 else Polynomial.zero(m)
-    lhs = integrate_ball(d_sq + delta_sq, R).coeff
-    grad = integrate_ball(omega.gradient_norm_sq(), R).coeff
+    energy = inner_pairs(omega.d(), omega.d()) if p <= m - 1 else []
+    if p >= 1:
+        energy += inner_pairs(omega.delta(), omega.delta())
+    lhs = integrate_pairs(energy, R, region="ball")
+    grad = integrate_pairs(_gradient_pairs(omega), R, region="ball")
     if p >= 1:
         i_n = normal_part(omega, domain)
-        codiff = 2 * integrate_sphere(
-            boundary_delta_rep(omega, domain).inner(i_n), R).coeff
-        shape = integrate_sphere(b_term(omega, domain), R).coeff
+        codiff = 2 * integrate_pairs(
+            inner_pairs(boundary_delta_rep(omega, domain), i_n), R)
+        shape = integrate_pairs(b_term_pairs(omega, domain), R)
     else:
         codiff = Fraction(0)
         shape = Fraction(0)
@@ -202,23 +267,22 @@ def verify_function_reilly(weight: WeightFunction, u: Polynomial,
     c = domain.curvature
     du = PolyForm.from_function(u).d()
     lap_u = PolyForm.from_function(u).laplacian().coefficient(())
-    hess_sq = Polynomial.zero(m)
+    energy = [(1, lap_u, lap_u)]
     for a in range(1, m + 1):
         for l in range(1, m + 1):
             e = u.partial(a).partial(l)
-            hess_sq = hess_sq + e * e
-    lhs = integrate_ball(weight.f * (lap_u * lap_u - hess_sq), R).coeff
+            energy.append((-1, e, e))
+    lhs = integrate_pairs(energy, R, weight.f, "ball")
 
     u_n = normal_part(du, domain).coefficient(())
     lap_s_u = boundary_delta_rep(du, domain).coefficient(())
-    grad_s_sq = jstar_inner(du, du, domain)
-    boundary_main = integrate_sphere(
-        weight.f * (2 * u_n * lap_s_u + (n * c) * u_n * u_n + c * grad_s_sq),
-        R).coeff
-    boundary_fn = integrate_sphere(
-        weight.normal_derivative(domain) * grad_s_sq, R).coeff
-    hess_term = integrate_ball(weight.hessian_quadratic(du, du), R).coeff
-    lap_term = integrate_ball(weight.lap * du.norm_sq(), R).coeff
+    boundary_main = integrate_pairs(
+        [(2, u_n, lap_s_u), (n * c, u_n, u_n)] + jstar_pairs(du, du, domain, c),
+        R, weight.f)
+    boundary_fn = integrate_pairs(jstar_pairs(du, du, domain), R,
+                                  weight.normal_derivative(domain))
+    hess_term = _hessian_int(weight, du, du, R)
+    lap_term = integrate_pairs(inner_pairs(du, du), R, weight.lap, "ball")
 
     terms = {"lhs_energy": lhs, "boundary_main": boundary_main,
              "boundary_fn": -boundary_fn, "hessian": hess_term,
@@ -243,23 +307,20 @@ def verify_pohozhaev(F: PolyVectorField, phi: PolyForm, domain: BallDomain,
     m, R = domain.m, domain.radius
     if phi.p > m - 1:
         raise ValueError("d phi needs deg(phi) <= m-1")
-    normal = domain.normal_field()
     dphi = phi.d()
-    d_sq = dphi.norm_sq()
-    lhs = integrate_ball(d_sq * F.divergence(), R).coeff
+    d_sq = inner_pairs(dphi, dphi)
+    lhs = integrate_pairs(d_sq, R, F.divergence(), "ball")
 
-    f_dot_n = F.dot(normal)
-    flux = integrate_sphere(d_sq * f_dot_n, R).coeff
+    flux = integrate_pairs(d_sq, R, F.dot(domain.normal_field()))
     if dphi.p >= 1:
         i_f = dphi.interior(F)
-        ddagger = dphi.delta()
-        contraction = integrate_ball(i_f.inner(ddagger), R).coeff
-        boundary_pair = integrate_sphere(
-            jstar_inner(i_f, normal_part(dphi, domain), domain), R).coeff
+        contraction = integrate_pairs(inner_pairs(i_f, dphi.delta()), R, region="ball")
+        boundary_pair = integrate_pairs(
+            jstar_pairs(i_f, normal_part(dphi, domain), domain), R)
     else:
         contraction = Fraction(0)
         boundary_pair = Fraction(0)
-    jac = integrate_ball(gradient_action(F, dphi).inner(dphi), R).coeff
+    jac = integrate_pairs(inner_pairs(gradient_action(F, dphi), dphi), R, region="ball")
 
     terms = {"flux": -flux, "contraction": -2 * contraction,
              "boundary_pair": 2 * boundary_pair, "jacobian": 2 * jac}
@@ -320,8 +381,9 @@ def adjunction_residual(phi: ConstantForm, psi: ConstantForm, X) -> bool:
 def pullback_split_residual(omega: PolyForm, domain: BallDomain) -> Fraction:
     """int_S (|w|^2 - |J* w|^2 - |i_N w|^2): zero by the normal splitting."""
     i_n = normal_part(omega, domain)
-    density = omega.norm_sq() - jstar_inner(omega, omega, domain) - i_n.inner(i_n)
-    return integrate_sphere(density, domain.radius).coeff
+    pairs = (inner_pairs(omega, omega) + jstar_pairs(omega, omega, domain, -1)
+             + inner_pairs(i_n, i_n, -1))
+    return integrate_pairs(pairs, domain.radius)
 
 
 def boundary_adjointness_residual(alpha: PolyForm, beta: PolyForm,
@@ -330,9 +392,8 @@ def boundary_adjointness_residual(alpha: PolyForm, beta: PolyForm,
     if beta.p != alpha.p + 1:
         raise ValueError("need deg(beta) = deg(alpha) + 1")
     R = domain.radius
-    lhs = integrate_sphere(jstar_inner(alpha.d(), beta, domain), R).coeff
-    rhs = integrate_sphere(
-        jstar_inner(alpha, boundary_delta_rep(beta, domain), domain), R).coeff
+    lhs = integrate_pairs(jstar_pairs(alpha.d(), beta, domain), R)
+    rhs = integrate_pairs(jstar_pairs(alpha, boundary_delta_rep(beta, domain), domain), R)
     return lhs - rhs
 
 
@@ -436,15 +497,15 @@ def replay_proof_chain(kind: str, p: int, domain: BallDomain,
         tag = f"[{idx}]"
         dphi = phi.d()
         i_n_dphi = normal_part(dphi, domain)
-        d_sq = dphi.norm_sq()
-        jstar_d_int = integrate_sphere(jstar_inner(dphi, dphi, domain), R).coeff
-        phi_trace_sq = integrate_sphere(jstar_inner(phi, phi, domain), R).coeff
+        d_sq = inner_pairs(dphi, dphi)
+        jstar_d_int = integrate_pairs(jstar_pairs(dphi, dphi, domain), R)
+        phi_trace_sq = integrate_pairs(jstar_pairs(phi, phi, domain), R)
 
         if kind == "sharp-bound":
-            hess_int = integrate_ball(weight.hessian_quadratic(dphi, dphi), R).coeff
-            lap_int = integrate_ball(weight.lap * d_sq, R).coeff
-            grad_int = integrate_ball(weight.f * dphi.gradient_norm_sq(), R).coeff
-            normal_int = integrate_sphere(i_n_dphi.norm_sq(), R).coeff
+            hess_int = _hessian_int(weight, dphi, dphi, R)
+            lap_int = integrate_pairs(d_sq, R, weight.lap, "ball")
+            grad_int = integrate_pairs(_gradient_pairs(dphi), R, weight.f, "ball")
+            normal_int = integrate_pairs(inner_pairs(i_n_dphi, i_n_dphi), R)
             checks[f"weighted-identity{tag}"] = jstar_d_int == hess_int + lap_int + grad_int
             checks[f"vector-field-identity{tag}"] = (
                 lap_int + 2 * hess_int == jstar_d_int - normal_int)
@@ -452,34 +513,35 @@ def replay_proof_chain(kind: str, p: int, domain: BallDomain,
             checks[f"normal-trace-energy{tag}"] = (
                 normal_int == sigma ** 2 * phi_trace_sq)
             checks[f"interior-energy{tag}"] = (
-                integrate_ball(d_sq, R).coeff == sigma * phi_trace_sq)
+                integrate_pairs(d_sq, R, region="ball") == sigma * phi_trace_sq)
             checks[f"parallel-differential{tag}"] = all(
                 dphi.partial(k).is_zero() for k in range(1, m + 1))
             rigid = -i_n_dphi - phi * sigma
-            checks[f"normal-trace-proportional{tag}"] = integrate_sphere(
-                jstar_inner(rigid, rigid, domain), R).coeff == 0
+            checks[f"normal-trace-proportional{tag}"] = integrate_pairs(
+                jstar_pairs(rigid, rigid, domain), R) == 0
 
         elif kind == "comparison":
-            pointwise = (weight.lap * d_sq + weight.hessian_quadratic(dphi, dphi)
-                         - (n - p) * c * d_sq)
+            norm_sq = dphi.norm_sq()
+            pointwise = (weight.lap * norm_sq + weight.hessian_quadratic(dphi, dphi)
+                         - (n - p) * c * norm_sq)
             checks[f"pointwise-sum{tag}"] = pointwise.is_zero()
-            rhs = ((n - p) * c * integrate_ball(d_sq, R).coeff
-                   + integrate_ball(weight.f * dphi.gradient_norm_sq(), R).coeff)
+            rhs = ((n - p) * c * integrate_pairs(d_sq, R, region="ball")
+                   + integrate_pairs(_gradient_pairs(dphi), R, weight.f, "ball"))
             checks[f"comparison-identity{tag}"] = jstar_d_int == rhs
             lam = (1 + p) * (n - p) * c * c
             checks[f"eigenvalue-product{tag}"] = sigma * (n - p) * c == lam
 
         else:  # nonsharp
-            grad_sq = integrate_ball(dphi.gradient_norm_sq(), R).coeff
+            grad_sq = integrate_pairs(_gradient_pairs(dphi), R, region="ball")
             ds_rep = boundary_delta_rep(dphi, domain)
-            pair = integrate_sphere(ds_rep.inner(i_n_dphi), R).coeff
-            bint = integrate_sphere(b_term(dphi, domain), R).coeff
+            pair = integrate_pairs(inner_pairs(ds_rep, i_n_dphi), R)
+            bint = integrate_pairs(b_term_pairs(dphi, domain), R)
             checks[f"unweighted-identity{tag}"] = grad_sq + 2 * pair + bint == 0
-            step1 = integrate_sphere(jstar_inner(ds_rep, phi, domain), R).coeff
+            step1 = integrate_pairs(jstar_pairs(ds_rep, phi, domain), R)
             checks[f"trace-substitution{tag}"] = pair == -sigma * step1
-            step2 = integrate_sphere(jstar_inner(dphi, phi.d(), domain), R).coeff
+            step2 = integrate_pairs(jstar_pairs(dphi, phi.d(), domain), R)
             checks[f"adjoint-step{tag}"] = step1 == step2 and step2 == jstar_d_int
-            balt = integrate_sphere(b_term_alternate(dphi, domain), R).coeff
+            balt = integrate_pairs(b_term_alternate_pairs(dphi, domain), R)
             checks[f"shape-expression{tag}"] = bint == balt
             checks[f"strict-half-bound{tag}"] = sigma > (p + 1) * c / 2
 

@@ -3,13 +3,20 @@
 Integrands are *radial densities*: finite sums ``sum_j r^j P_j(x)`` with
 integer exponents ``j >= -3`` and polynomial ``P_j``.  This class is
 closed under products and partial derivatives and covers every
-integrand produced by the identity checks.  ``integrate_sphere`` and
-``integrate_ball`` also take a plain ``Polynomial`` (the r^0 part alone),
-which is how polynomial identity terms reach them.  ``sphere_pairing``
-integrates a product ``a * b`` over the sphere without building it: the
-spectral layer pairs the once-computed boundary traces of its trial
-forms this way, coefficient by coefficient.  All three read the sphere
-moments from one table, filled as exponents are first met.
+integrand produced by the identity checks.
+
+Every integral goes through one exact moment contraction,
+``integrate_pairs``: it integrates ``w * sum_k s_k a_k b_k`` over the
+ball or the sphere, for a weight ``w`` (a radial density, a polynomial
+or a scalar), scalars ``s_k`` and polynomials ``a_k``, ``b_k``, without
+building a product.  It sums the coefficient products per exponent and
+contracts each sum against the weight's terms and the sphere moments,
+which one table memoises as exponents are first met.  The identity
+checks integrate their pointwise inner products this way, term by term,
+and the spectral layer its boundary pairings (``sphere_pairing`` is the
+unweighted sphere case).  ``integrate_sphere`` and ``integrate_ball``
+integrate a density (or a plain ``Polynomial``, its r^0 part) as the
+weight of the single pair 1 * 1.
 
 All integrals are returned as exact rational multiples of the measure
 of the unit sphere ``|S^{m-1}(1)|``, which is carried as an uncancelled
@@ -244,56 +251,107 @@ def _radial_parts(density: RadialDensity | Polynomial) -> dict[int, Polynomial]:
     return {0: density} if isinstance(density, Polynomial) else density.parts
 
 
-def integrate_sphere(density: RadialDensity | Polynomial, radius) -> ExactScalar:
-    """Exact integral over the sphere of the given radius."""
+def _weight_terms(weight, m: int) -> list[tuple]:
+    """``(j + |u|, u, c, parity)`` per term ``c r^j x^u`` of a weight, where
+    ``parity`` is the bitmask of odd entries of ``u``; a scalar weight is
+    one term with ``u`` None (the zero exponent)."""
+    if not isinstance(weight, (RadialDensity, Polynomial)):
+        return [(0, None, weight, 0)] if weight else []
+    if weight.m != m:
+        raise ValueError("variable count mismatch")
+    return [(j + sum(u), u, c, _parity(u))
+            for j, poly in _radial_parts(weight).items() for u, c in poly.terms.items()]
+
+
+@lru_cache(maxsize=None)
+def _parity(expo: tuple) -> int:
+    """Bitmask of the odd entries of an exponent tuple."""
+    return sum(1 << i for i, e in enumerate(expo) if e & 1)
+
+
+def integrate_pairs(pairs, radius, weight=1, region: str = "sphere") -> Fraction:
+    """``integrate_<region>(weight * sum_k s_k a_k b_k, radius).coeff``
+    without building a product: ``pairs`` holds the triples
+    ``(s_k, a_k, b_k)`` (a scalar and two polynomials), and ``weight`` is
+    a ``RadialDensity``, a ``Polynomial`` or a scalar.
+
+    The products ``s_k a_I b_J`` are summed per exponent ``e = I + J``;
+    each sum is then contracted against
+    ``sum_{j,u} w_{j,u} avg(u+e) R^power`` over the weight's terms
+    ``w_{j,u} r^j x^u``, with ``power = j+|u|+|e|+m-1`` on the sphere and
+    ``j+|u|+|e|+m`` (divided by ``power``) on the ball, summed per
+    ``power`` before ``R`` is raised to it.  A term pair whose
+    exponent has a parity class that no weight term shares averages to
+    zero and is skipped before its product is formed.  On the ball a
+    nonzero sum meeting a weight term with ``power <= 0`` is rejected
+    as ``integrate_ball`` rejects it."""
+    if region not in ("ball", "sphere"):
+        raise ValueError(f"unknown region {region!r}")
+    pairs = [(s, a, b) for s, a, b in pairs if s and a and b]
+    if not pairs:
+        return Fraction(0)
+    m = pairs[0][1].m
+    wterms = _weight_terms(weight, m)
+    if not wterms:
+        return Fraction(0)
+    base = m if region == "ball" else m - 1
+    # terms r^j x^u with j + |u| <= -m may give power <= 0 on the ball
+    check = region == "ball" and min(t[0] for t in wterms) + base <= 0
+    classes = None if check else {t[3] for t in wterms}
+    sums: dict[tuple, Fraction] = {}
+    for s, a, b in pairs:
+        if a.m != m or b.m != m:
+            raise ValueError("variable count mismatch")
+        b_terms = [(eb, cb, _parity(eb)) for eb, cb in b.terms.items()]
+        for ea, ca in a.terms.items():
+            pa = _parity(ea)
+            sca = ca if s == 1 else s * ca
+            for eb, cb, pb in b_terms:
+                if classes is not None and pa ^ pb not in classes:
+                    continue
+                expo = tuple(map(add, ea, eb))
+                sums[expo] = sums.get(expo, 0) + sca * cb
+    by_class: dict[int, list] = {}
+    for t in wterms:
+        by_class.setdefault(t[3], []).append(t)
+    by_power: dict[int, Fraction] = {}
+    for expo, c in sums.items():
+        if not c:
+            continue
+        d = sum(expo)
+        if check:
+            for k, u, _, _ in wterms:
+                if k + d + base <= 0:
+                    raise ValueError(
+                        f"non-integrable radial power {k + d + base} on the ball in dim {m}")
+        for k, u, w, _ in by_class.get(_parity(expo), ()):
+            avg = _moment(expo if u is None else tuple(map(add, u, expo)), m)
+            power = k + d + base
+            by_power[power] = by_power.get(power, 0) + (c * avg if w == 1 else w * c * avg)
     R = Fraction(radius)
-    m = density.m
-    total = Fraction(0)
-    for j, poly in _radial_parts(density).items():
-        for d, part in poly.homogeneous_parts().items():
-            for expo, c in part.terms.items():
-                avg = _moment(expo, m)
-                if avg:
-                    total += c * avg * R ** (j + d + m - 1)
-    return ExactScalar(total, m)
+    if region == "ball":
+        return sum((c * R ** power / power for power, c in by_power.items()), Fraction(0))
+    return sum((c * R ** power for power, c in by_power.items()), Fraction(0))
 
 
 def sphere_pairing(a: Polynomial, b: Polynomial, radius) -> Fraction:
     """``integrate_sphere(a * b, radius).coeff`` without building ``a * b``:
-    the sum of ``a_s b_t avg(s+t) R^(|s+t|+m-1)`` over term pairs.  Pairs
-    whose summed exponent has an odd entry average to zero and are
-    skipped; the others are summed per exponent before its moment is read."""
+    the unweighted sphere case of ``integrate_pairs``."""
     if a.m != b.m:
         raise ValueError("variable count mismatch")
-    R = Fraction(radius)
-    m = a.m
-    sums: dict[tuple, Fraction] = {}
-    for ea, ca in a.terms.items():
-        for eb, cb in b.terms.items():
-            expo = tuple(map(add, ea, eb))
-            if any(e & 1 for e in expo):
-                continue
-            sums[expo] = sums.get(expo, 0) + ca * cb
-    return sum((c * _moment(expo, m) * R ** (sum(expo) + m - 1)
-                for expo, c in sums.items()), Fraction(0))
+    return integrate_pairs(((1, a, b),), radius)
+
+
+def integrate_sphere(density: RadialDensity | Polynomial, radius) -> ExactScalar:
+    """Exact integral over the sphere of the given radius."""
+    one = Polynomial.one(density.m)
+    return ExactScalar(integrate_pairs(((1, one, one),), radius, density), density.m)
 
 
 def integrate_ball(density: RadialDensity | Polynomial, radius) -> ExactScalar:
     """Exact integral over the solid ball of the given radius."""
-    R = Fraction(radius)
-    m = density.m
-    total = Fraction(0)
-    for j, poly in _radial_parts(density).items():
-        for d, part in poly.homogeneous_parts().items():
-            power = j + d + m
-            if power <= 0:
-                raise ValueError(
-                    f"non-integrable radial exponent: r^{j} with degree-{d} part in dim {m}")
-            for expo, c in part.terms.items():
-                avg = _moment(expo, m)
-                if avg:
-                    total += c * avg * R ** power / power
-    return ExactScalar(total, m)
+    one = Polynomial.one(density.m)
+    return ExactScalar(integrate_pairs(((1, one, one),), radius, density, "ball"), density.m)
 
 
 def mc_oracle(density: RadialDensity, radius, samples: int, seed: int,

@@ -19,7 +19,7 @@ one of them is a matrix of boundary pairings int_S <J*u, J*v>, built by
 ``_sphere_matrix``: each form's trace (its coefficients and those of its
 normal part) is computed once per matrix, and each entry contracts the
 shared coefficients against cached sphere moments
-(``quadrature.sphere_pairing``), with no product polynomial built.  The
+(``quadrature.integrate_pairs``), with no product polynomial built.  The
 normal matrix of an extension belongs to its trial space, so the data
 of a closed block are solved in one elimination; for the Neumann kind
 that matrix is one scalar Gram per dx_I, solved once for every
@@ -42,7 +42,7 @@ from .exterior import multi_indices
 from .harmonic import BasisCache
 from .polynomials import Polynomial
 from .polyform import PolyForm
-from .quadrature import integrate_ball, integrate_sphere, sphere_pairing
+from .quadrature import integrate_ball, integrate_pairs, integrate_sphere
 
 OPERATORS = ("dtn", "dtn-neumann", "hodge-boundary")
 
@@ -103,8 +103,8 @@ def _sphere_matrix(rows: list[PolyForm], cols: list[PolyForm], domain: BallDomai
     for i, a in enumerate(row_parts):
         for j in range(i if symmetric else 0, len(cols)):
             b = col_parts[j]
-            out[i][j] = sum((key[0] * sphere_pairing(c, b[key], R)
-                             for key, c in a.items() if key in b), Fraction(0))
+            out[i][j] = integrate_pairs([(key[0], c, b[key])
+                                         for key, c in a.items() if key in b], R)
             if symmetric:
                 out[j][i] = out[i][j]
     return out

@@ -67,6 +67,12 @@ class TestRunSuites:
         report = run_suites(small_config(mode="float"))
         assert report["summary"]["failed"] == 0
 
+    def test_float_mode_at_large_radii(self):
+        # an absolute tolerance failed 15 of these 43 checks on rounding alone
+        report = run_suites(small_config(dims=[3], radii=[Fraction(4), Fraction(8)],
+                                         mode="float", seed=7))
+        assert report["summary"] == {"total": 43, "passed": 43, "failed": 0}
+
     def test_determinism_across_jobs(self):
         r1 = run_suites(small_config(jobs=1))
         r2 = run_suites(small_config(jobs=3))
@@ -185,6 +191,51 @@ class TestMainEntry:
         assert code == 2
         err = capsys.readouterr().err
         assert "mode 'float'" in err and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("radius", ["1/0", "1,2/0"])
+    def test_exit_two_on_zero_denominator_flag(self, tmp_path, capsys, radius):
+        code = main(["verify", "--dim", "2", "--radius", radius, "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "/0" in err and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
+    def test_exit_two_on_zero_denominator_in_config(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("dims = 2\nradii = 1, 1/0\n")
+        out = tmp_path / "out"
+        code = main(["verify", "--config", str(path), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "'1/0'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(10 ** 41)])
+    def test_exit_two_on_seed_out_of_range(self, tmp_path, capsys, seed):
+        code = main(["verify", "--dim", "2", "--degree", "1", "--seed", seed,
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert "seed must be in 0.." in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_largest_seed_keys_the_oracle(self):
+        cfg = small_config(seed=cli.MAX_SEED)
+        cfg.validate()
+        report = run_suites(cfg)
+        oracle = [r for r in report["suites"]["identities"]["checks"]
+                  if r["id"].startswith("quadrature-oracle")]
+        assert oracle and all("error" not in r for r in oracle)
+        with pytest.raises(ConfigError):
+            small_config(seed=cli.MAX_SEED + 1).validate()
+
+    @pytest.mark.parametrize("dims,degree,named", [("3", "5", "dimension 3"),
+                                                    ("2,4", "3", "dimension 2")])
+    def test_exit_two_on_dimension_without_identity_degree(self, tmp_path, capsys,
+                                                          dims, degree, named):
+        code = main(["verify", "--dim", dims, "--degree", degree, "--out", str(tmp_path)])
+        assert code == 2
+        assert named in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
     def test_exit_two_on_unknown_flag(self):

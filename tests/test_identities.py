@@ -4,14 +4,18 @@ from fractions import Fraction
 
 import pytest
 
-from formlab.ball import BallDomain, WeightFunction, canonical_weight
+from formlab import identities
+from formlab.ball import (BallDomain, WeightFunction, boundary_delta_rep,
+                          canonical_weight, normal_part)
+from formlab.cli import FLOAT_TOLERANCE, _float_form, _float_weight
 from formlab.exterior import LinearEndomorphism
 from formlab.identities import (pointwise_hessian_estimate, replay_proof_chain,
                                 verify_function_reilly, verify_pohozhaev,
                                 verify_stokes, verify_unweighted_reilly,
-                                verify_weighted_reilly)
+                                verify_weighted_reilly, weighted_reilly_terms)
 from formlab.polynomials import Polynomial
 from formlab.polyform import PolyForm, PolyVectorField
+from formlab.quadrature import RadialDensity, integrate_ball, integrate_sphere
 from formlab.sampling import (random_admissible_hessian, random_constant_form,
                               random_form, random_polynomial,
                               random_vector_field, rng_for)
@@ -111,6 +115,114 @@ class TestWeightedReilly:
             weight = WeightFunction.polynomial(random_polynomial(rng, 3, 3))
             assert verify_weighted_reilly(weight, omega, dom).passed
             assert verify_weighted_reilly(canonical_weight(dom), omega, dom).passed
+
+
+def product_reilly_terms(weight, omega, domain):
+    """The weighted identity's terms computed the direct way: each
+    integrand is built as a density (products of polynomials and radial
+    densities) and then integrated.  The oracle for the moment
+    contraction of ``weighted_reilly_terms``; it shares none of the
+    library's pair builders."""
+    m, p, R = domain.m, omega.p, domain.radius
+    n, c = domain.boundary_dim, domain.curvature
+    delta_sq = omega.delta().norm_sq() if p >= 1 else Polynomial.zero(m)
+    d_sq = omega.d().norm_sq() if p <= m - 1 else Polynomial.zero(m)
+    lhs_density = weight.f * (delta_sq + d_sq - omega.gradient_norm_sq())
+
+    contraction = RadialDensity.zero(m)
+    if p <= m - 1:
+        dw = omega.d()
+        for k in range(1, m + 1):
+            comps = [Polynomial.zero(m)] * m
+            comps[k - 1] = Polynomial.one(m)
+            pairing = omega.inner(dw.interior(comps))
+            if pairing:
+                contraction = contraction + weight.grad[k - 1] * pairing
+    contraction = contraction * (-2)
+
+    hessian = RadialDensity.zero(m)
+    for i in range(m):
+        for j in range(m):
+            unit = [[Polynomial.zero(m)] * m for _ in range(m)]
+            unit[i][j] = Polynomial.one(m)
+            hessian = hessian + weight.hess[i][j] * omega.inner(omega.lift_by(unit))
+
+    i_n = normal_part(omega, domain) if p >= 1 else None
+    i_n_sq = i_n.inner(i_n) if i_n is not None else Polynomial.zero(m)
+    jstar_sq = omega.norm_sq() - i_n_sq
+    if p >= 1:
+        codiff = weight.f * (2 * boundary_delta_rep(omega, domain).inner(i_n))
+        b_form = (p * c) * jstar_sq + (n * c) * i_n_sq - ((p - 1) * c) * i_n_sq
+        shape = weight.f * b_form
+    else:
+        codiff = shape = RadialDensity.zero(m)
+    return {
+        "lhs_energy": integrate_ball(lhs_density, R).coeff,
+        "contraction": integrate_ball(contraction, R).coeff,
+        "hessian": integrate_ball(hessian, R).coeff,
+        "laplacian": integrate_ball(weight.lap * omega.norm_sq(), R).coeff,
+        "normal_pullback": integrate_sphere(
+            weight.normal_derivative(domain) * jstar_sq * (-1), R).coeff,
+        "codifferential": integrate_sphere(codiff, R).coeff,
+        "shape": integrate_sphere(shape, R).coeff,
+    }
+
+
+class TestMomentContraction:
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_terms_equal_product_oracle(self, m):
+        rng = rng_for(60, "oracle", m)
+        radii = (Fraction(1), Fraction(1, 2), Fraction(7, 3))
+        for p in range(0, m + 1):
+            for kind in ("polynomial", "canonical", "unit", "radial"):
+                dom = BallDomain(m, radii[(p + len(kind)) % 3])
+                omega = random_form(rng, m, p, 3 if m < 4 else 2)
+                if kind == "polynomial":
+                    weight = WeightFunction.polynomial(random_polynomial(rng, m, 3))
+                elif kind == "canonical":
+                    weight = canonical_weight(dom)
+                elif kind == "unit":
+                    weight = WeightFunction.one(m)
+                else:  # r times a polynomial, plus a polynomial
+                    weight = WeightFunction.from_density("radial", RadialDensity(
+                        m, {1: random_polynomial(rng, m, 1),
+                            0: random_polynomial(rng, m, 2)}))
+                got = weighted_reilly_terms(weight, omega, dom)
+                assert got == product_reilly_terms(weight, omega, dom), (m, p, kind)
+
+
+class TestFloatTolerance:
+    def _float_case(self, R):
+        rng = rng_for(61, "float", R)
+        dom = BallDomain(3, R)
+        omega = _float_form(random_form(rng, 3, 2, 3))
+        weight = _float_weight(WeightFunction.polynomial(random_polynomial(rng, 3, 3)))
+        return weight, omega, dom
+
+    @pytest.mark.parametrize("R", [Fraction(1, 8), 1, 4, 8])
+    def test_rounding_passes_at_any_radius(self, R):
+        weight, omega, dom = self._float_case(R)
+        rep = verify_weighted_reilly(weight, omega, dom, FLOAT_TOLERANCE)
+        assert rep.passed, (rep.residual, rep.terms)
+
+    @pytest.mark.parametrize("R", [Fraction(1, 8), 1, 4, 8])
+    def test_term_off_by_1e_9_fails(self, R, monkeypatch):
+        weight, omega, dom = self._float_case(R)
+        terms = weighted_reilly_terms(weight, omega, dom)
+        name = max(terms, key=lambda k: abs(terms[k]))
+        bad = dict(terms, **{name: terms[name] * (1 + 1e-9)})
+        monkeypatch.setattr(identities, "weighted_reilly_terms", lambda *args: bad)
+        assert not verify_weighted_reilly(weight, omega, dom, FLOAT_TOLERANCE).passed
+
+    def test_cancelling_top_degree_terms_pass(self):
+        # p = m: |J* w|^2 vanishes on the sphere, so normal_pullback is a
+        # rounding remainder of two large cancelling integrals
+        rng = rng_for(11, "reilly", 3, 3, "4", 1)
+        dom = BallDomain(3, 4)
+        omega = _float_form(random_form(rng, 3, 3, 3))
+        weight = _float_weight(WeightFunction.polynomial(random_polynomial(rng, 3, 3)))
+        rep = verify_weighted_reilly(weight, omega, dom, FLOAT_TOLERANCE)
+        assert rep.passed, rep.terms
 
 
 class TestFunctionReilly:

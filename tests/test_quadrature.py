@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from formlab.polynomials import Polynomial
 from formlab.quadrature import (ExactScalar, RadialDensity, integrate_ball,
-                                integrate_sphere, mc_oracle, sphere_average,
-                                sphere_pairing, unit_sphere_measure)
+                                integrate_pairs, integrate_sphere, mc_oracle,
+                                sphere_average, sphere_pairing,
+                                unit_sphere_measure)
 from formlab.sampling import random_density, random_polynomial, rng_for
 
 
@@ -137,20 +138,85 @@ def polynomials(m: int, max_exponent: int = 3):
 
 
 @st.composite
-def polynomial_pairs(draw):
+def weighted_pairs(draw):
+    """(m, pairs, weight): one to three triples (s, a, b), the first with
+    s = 1, and a weight that is the unit scalar, a rational, a polynomial,
+    or a radial density with exponents from -1 to 1."""
     m = draw(st.sampled_from((2, 3, 4)))
-    return draw(polynomials(m)), draw(polynomials(m))
+    scalars = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    first = st.tuples(st.just(1), polynomials(m), polynomials(m))
+    triples = st.tuples(scalars, polynomials(m), polynomials(m))
+    pairs = [draw(first)] + draw(st.lists(triples, max_size=2))
+    weight = draw(st.one_of(
+        st.just(1), scalars, polynomials(m, 2),
+        st.dictionaries(st.integers(-1, 1), polynomials(m, 2), max_size=3)
+        .map(lambda parts: RadialDensity(m, parts))))
+    return m, pairs, weight
+
+
+def integral_of_terms(density: RadialDensity, R, region: str) -> Fraction:
+    """The integral of a built density, monomial by monomial: the
+    reference for the moment contraction, independent of it."""
+    total = Fraction(0)
+    for j, poly in density.parts.items():
+        for expo, c in poly.terms.items():
+            power = j + sum(expo) + density.m - (region == "sphere")
+            if region == "ball" and power <= 0:
+                raise ValueError("non-integrable")
+            avg = sphere_average(expo)
+            total += c * avg * R ** power / (power if region == "ball" else 1)
+    return total
+
+
+def _as_density(m, weight) -> RadialDensity:
+    if isinstance(weight, RadialDensity):
+        return weight
+    if isinstance(weight, Polynomial):
+        return RadialDensity(m, {0: weight})
+    return RadialDensity.constant(m, weight)
 
 
 class TestSpherePairing:
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-    @given(pair=polynomial_pairs(),
-           R=st.sampled_from((Fraction(1), Fraction(1, 2), Fraction(7, 3))))
-    def test_equals_integral_of_product(self, pair, R):
-        a, b = pair
+    @settings(max_examples=250, deadline=None, derandomize=True, database=None)
+    @given(case=weighted_pairs(),
+           R=st.sampled_from((Fraction(1), Fraction(1, 2), Fraction(7, 3))),
+           region=st.sampled_from(("sphere", "ball")))
+    def test_equals_integral_of_product(self, case, R, region):
+        m, pairs, weight = case
+        _, a, b = pairs[0]
         got = sphere_pairing(a, b, R)
         assert isinstance(got, Fraction)
         assert got == integrate_sphere(a * b, R).coeff
+
+        product = Polynomial.zero(m)
+        for s, a, b in pairs:
+            product = product + a * b * s
+        density = _as_density(m, weight) * product
+        got = integrate_pairs(pairs, R, weight, region)
+        assert isinstance(got, Fraction)
+        assert got == integral_of_terms(density, R, region)
+        integrate = integrate_ball if region == "ball" else integrate_sphere
+        assert integrate(density, R).coeff == got
+
+    def test_non_integrable_pair_rejected_as_on_the_product(self):
+        m = 2
+        weight = RadialDensity(m, {-3: Polynomial.one(m)})
+        one, x1 = Polynomial.one(m), Polynomial.variable(m, 1)
+        # r^-3 (power -1), and r^-3 x1 (power 0, odd moment): both rejected
+        for a, b in ((one, one), (x1, one)):
+            with pytest.raises(ValueError):
+                integral_of_terms(weight * (a * b), 1, "ball")
+            with pytest.raises(ValueError):
+                integrate_pairs([(1, a, b)], 1, weight, "ball")
+            with pytest.raises(ValueError):
+                integrate_ball(weight * (a * b), 1)
+        # r^-3 x1^2 (power 1) is integrable, and on the sphere nothing is rejected
+        assert integrate_pairs([(1, x1, x1)], 1, weight, "ball") == \
+            integral_of_terms(weight * (x1 * x1), 1, "ball")
+        assert integrate_pairs([(1, one, one)], 2, weight) == \
+            integral_of_terms(weight, 2, "sphere")
+        # a pair whose accumulated coefficient cancels is not rejected
+        assert integrate_pairs([(1, one, one), (-1, one, one)], 1, weight, "ball") == 0
 
     def test_odd_pairs_vanish(self):
         x1, x2 = Polynomial.variable(3, 1), Polynomial.variable(3, 2)
