@@ -288,7 +288,7 @@ class WeightFunction:
     @classmethod
     def one(cls, m: int) -> "WeightFunction":
         return cls.from_density("polynomial",
-                                RadialDensity.constant(m, Fraction(1)))
+                                RadialDensity.constant(m, 1))
 
     def normal_derivative(self, domain: BallDomain) -> RadialDensity:
         """f_N = <grad f, N> with the inner normal, as a density on Sigma."""

@@ -648,6 +648,10 @@ def _make_run_dir(base: str, seed: int) -> str:
 # Configuration file and argument parsing.
 # ---------------------------------------------------------------------------
 
+CONFIG_KEYS = ("suites", "dims", "degrees", "radii", "lmax", "seed", "mode",
+               "out", "cache", "jobs")
+
+
 def _parse_config_file(path: str) -> dict:
     values: dict = {}
     with open(path) as fh:
@@ -658,7 +662,11 @@ def _parse_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
+            key = key.strip()
+            if key not in CONFIG_KEYS:
+                raise ConfigError(f"{path}:{lineno}: unknown key {key!r} "
+                                  f"(accepted keys: {', '.join(CONFIG_KEYS)})")
+            values[key] = val.strip()
     return values
 
 

@@ -90,7 +90,7 @@ def _form_rows(images: list[PolyForm]) -> list[list[Fraction]]:
         row = []
         for img in images:
             poly = img.coeffs.get(I)
-            row.append(Fraction(poly.coefficient(e)) if poly is not None else Fraction(0))
+            row.append(poly.coefficient(e) if poly is not None else 0)
         rows.append(row)
     return rows
 
@@ -119,7 +119,7 @@ def monomial_form_basis(m: int, l: int, p: int) -> FormSpaceBasis:
     frame = _monomial_frame(m, l, p)
     basis = []
     for I, e in frame:
-        basis.append(PolyForm(m, p, {I: Polynomial(m, {e: Fraction(1)})}))
+        basis.append(PolyForm(m, p, {I: Polynomial(m, {e: 1})}))
     return FormSpaceBasis(m, l, p, "P", basis)
 
 
@@ -185,7 +185,7 @@ def sphere_reduce(q: Polynomial, radius) -> Polynomial:
 # Disk cache.
 # ---------------------------------------------------------------------------
 
-def _encode_fraction(x: Fraction) -> list[str]:
+def _encode_fraction(x: Fraction | int) -> list[str]:
     return [str(x.numerator), str(x.denominator)]
 
 
@@ -199,9 +199,8 @@ def _encode_basis(fsb: FormSpaceBasis) -> dict:
     for form in fsb.basis:
         vec = []
         for I, e in frame:
-            c = form.coeffs.get(I, Polynomial.zero(fsb.m)).coefficient(e) \
-                if I in form.coeffs else Fraction(0)
-            vec.append(_encode_fraction(Fraction(c)))
+            c = form.coeffs[I].coefficient(e) if I in form.coeffs else 0
+            vec.append(_encode_fraction(c))
         vectors.append(vec)
     return {
         "schema": SCHEMA,

@@ -423,7 +423,7 @@ def pointwise_hessian_estimate(hess: LinearEndomorphism, eta: ConstantForm,
     c, eps = Fraction(c), Fraction(eps)
     shifted = [[-hess.entries[i][j] - (c - eps) * int(i == j) for j in range(m)]
                for i in range(m)]
-    admissible = is_positive_semidefinite([[Fraction(v) for v in row] for row in shifted])
+    admissible = is_positive_semidefinite(shifted)
     lap = -hess.trace()
     norm = eta.norm_sq()
     value = lap * norm + eta.inner(hess.lift(eta))

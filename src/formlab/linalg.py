@@ -1,9 +1,13 @@
 """Dense exact linear algebra over the rationals.
 
-Everything here works on plain lists of lists of ``fractions.Fraction``
-(or ints).  Sizes are small (a few hundred at most), so the emphasis is
-on determinism and exactness rather than speed: pivoting always picks
-the largest entry by absolute value, breaking ties by the smallest row
+Everything here works on plain lists of lists of exact rationals in the
+canonical form of ``polynomials``: ``int`` where the denominator is 1,
+``fractions.Fraction`` otherwise, mixed freely.  Every division is by a
+pivot promoted to ``Fraction`` first, so int input gives the same exact
+results as the equal ``Fraction`` input (``int / int`` would be a float).
+Sizes are small (a few hundred at most), so the emphasis is on
+determinism and exactness rather than speed: pivoting always picks the
+largest entry by absolute value, breaking ties by the smallest row
 index, which makes every nullspace basis reproducible across runs.
 """
 
@@ -17,6 +21,11 @@ Vector = list[Fraction]
 
 def _copy(rows: Matrix) -> Matrix:
     return [list(r) for r in rows]
+
+
+def _exact(pivot):
+    """An int pivot as a ``Fraction``, so that dividing by it stays exact."""
+    return Fraction(pivot) if isinstance(pivot, int) else pivot
 
 
 def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
@@ -40,7 +49,7 @@ def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
         if best is None:
             continue
         a[r], a[best] = a[best], a[r]
-        piv = a[r][c]
+        piv = _exact(a[r][c])
         a[r] = [v / piv for v in a[r]]
         for i in range(nrows):
             if i != r and a[i][c] != 0:
@@ -119,7 +128,7 @@ def is_positive_semidefinite(a: Matrix) -> bool:
     m = _copy(a)
     n = len(m)
     for k in range(n):
-        d = m[k][k]
+        d = _exact(m[k][k])
         if d < 0:
             return False
         if d == 0:

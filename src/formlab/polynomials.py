@@ -1,14 +1,20 @@
 """Sparse multivariate polynomials.
 
 A polynomial in ``m`` variables is a map from exponent tuples to
-coefficients.  Coefficients are exact rationals (``fractions.Fraction``
-or ``int``) by default; the same class works unchanged with ``float``
-coefficients for the floating mode, since every operation only uses
-ring arithmetic on the stored values.
+coefficients.  Coefficients are exact rationals by default; the same
+class works unchanged with ``float`` coefficients for the floating mode,
+since every operation only uses ring arithmetic on the stored values.
 
-Canonical form: zero coefficients are pruned eagerly, and whenever a
-deterministic order is needed terms are listed in graded lexicographic
-order of their exponents.
+Canonical form: zero coefficients are pruned eagerly; an exact
+coefficient with denominator 1 is stored as its ``int`` numerator and
+every other exact coefficient as a reduced ``fractions.Fraction``, so
+integral products and sums (most of the work at small integer
+coefficients) run as ``int`` arithmetic in C instead of ``Fraction``
+arithmetic with a ``gcd`` per operation.  Floats (and float subclasses)
+are stored as given.  Coefficients are multiplied, added and subtracted
+here but never divided, since ``int / int`` would be a float.  Whenever
+a deterministic order is needed terms are listed in graded
+lexicographic order of their exponents.
 """
 
 from __future__ import annotations
@@ -47,6 +53,8 @@ class Polynomial:
             for expo, c in terms.items():
                 if c == 0:
                     continue
+                if type(c) is Fraction and c.denominator == 1:
+                    c = c.numerator
                 expo = tuple(expo)
                 if len(expo) != m or any(e < 0 for e in expo):
                     raise ValueError(f"bad exponent tuple {expo} for m={m}")
@@ -64,7 +72,7 @@ class Polynomial:
 
     @classmethod
     def one(cls, m: int) -> "Polynomial":
-        return cls.constant(m, Fraction(1))
+        return cls.constant(m, 1)
 
     @classmethod
     def variable(cls, m: int, k: int) -> "Polynomial":
@@ -72,12 +80,11 @@ class Polynomial:
         if not 1 <= k <= m:
             raise ValueError(f"variable index {k} out of range 1..{m}")
         expo = tuple(int(i == k - 1) for i in range(m))
-        return cls(m, {expo: Fraction(1)})
+        return cls(m, {expo: 1})
 
     @classmethod
     def radius_squared(cls, m: int) -> "Polynomial":
-        return cls(m, {tuple(2 * int(i == j) for i in range(m)): Fraction(1)
-                       for j in range(m)})
+        return cls(m, {tuple(2 * int(i == j) for i in range(m)): 1 for j in range(m)})
 
     # -- ring structure -----------------------------------------------
     def _coerce(self, other):
@@ -171,7 +178,7 @@ class Polynomial:
         return {d: Polynomial(self.m, t) for d, t in sorted(parts.items())}
 
     def coefficient(self, expo: Exponents):
-        return self.terms.get(tuple(expo), Fraction(0))
+        return self.terms.get(tuple(expo), 0)
 
     def evaluate(self, point):
         if len(point) != self.m:

@@ -1,8 +1,10 @@
 """Seeded random inputs for the verification suites.
 
 Coefficients are small integers (|c| <= 3) so exact arithmetic stays
-fast and any failure reproduces from the seed alone.  ``random.Random``
-is used for its cross-platform stability on integer draws.
+fast and any failure reproduces from the seed alone; polynomial
+coefficients are drawn as plain ``int``, the canonical form of an
+integral exact coefficient.  ``random.Random`` is used for its
+cross-platform stability on integer draws.
 """
 
 from __future__ import annotations
@@ -31,9 +33,9 @@ def random_polynomial(rng: random.Random, m: int, max_degree: int,
             if rng.random() < density:
                 c = rng.randint(-MAX_COEFF, MAX_COEFF)
                 if c:
-                    terms[e] = Fraction(c)
+                    terms[e] = c
     if not terms:
-        terms[(0,) * m] = Fraction(rng.randint(1, MAX_COEFF))
+        terms[(0,) * m] = rng.randint(1, MAX_COEFF)
     return Polynomial(m, terms)
 
 

@@ -1,0 +1,168 @@
+"""Canonical form of exact coefficients, and exact linear algebra on it.
+
+An exact coefficient with denominator 1 is stored as an ``int``, every
+other one as a reduced ``Fraction``; float-mode coefficients pass
+through untouched.  Linear algebra on int input must stay exact.
+"""
+
+from fractions import Fraction
+
+from formlab import linalg
+from formlab.cli import _float_form
+from formlab.exterior import multi_indices
+from formlab.harmonic import BasisCache
+from formlab.identities import TrackedFloat
+from formlab.polynomials import Polynomial
+from formlab.polyform import PolyForm, PolyVectorField
+from formlab.sampling import random_form, random_polynomial, rng_for
+
+
+def is_canonical(c) -> bool:
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+def assert_canonical_poly(poly: Polynomial):
+    assert all(is_canonical(c) for c in poly.terms.values()), poly.terms
+
+
+def assert_canonical_form(form: PolyForm):
+    for poly in form.coeffs.values():
+        assert_canonical_poly(poly)
+
+
+def rational_polynomial(rng, m, degree) -> Polynomial:
+    """Small integers over denominators 1..3, so ints and proper
+    fractions both occur."""
+    base = random_polynomial(rng, m, degree)
+    return Polynomial(m, {e: Fraction(c, rng.randint(1, 3)) for e, c in base.terms.items()})
+
+
+def rational_form(rng, m, p, degree) -> PolyForm:
+    return PolyForm(m, p, {I: rational_polynomial(rng, m, degree)
+                           for I in multi_indices(m, p)})
+
+
+class TestPolynomialCanonicalForm:
+    def test_constructors_store_ints(self):
+        for poly in (Polynomial.one(3), Polynomial.variable(3, 2),
+                     Polynomial.radius_squared(3), Polynomial.constant(3, Fraction(4, 2))):
+            assert all(type(c) is int for c in poly.terms.values())
+        assert Polynomial.constant(3, Fraction(4, 2)).terms == {(0, 0, 0): 2}
+        assert Polynomial.constant(3, Fraction(1, 2)).terms == {(0, 0, 0): Fraction(1, 2)}
+        assert type(Polynomial.one(3).coefficient((1, 0, 0))) is int
+
+    def test_sampled_polynomials_store_ints(self):
+        rng = rng_for(5, "canonical-sampling")
+        for m in (2, 3, 4):
+            poly = random_polynomial(rng, m, 3)
+            assert poly and all(type(c) is int for c in poly.terms.values())
+
+    def test_ring_operations_and_partials(self):
+        rng = rng_for(11, "canonical-ring")
+        seen = set()
+        for m in (2, 3, 4):
+            for _ in range(6):
+                a = rational_polynomial(rng, m, 2)
+                b = rational_polynomial(rng, m, 2)
+                results = [a + b, a - b, a * b, a * Fraction(6), 3 * a, a ** 2]
+                results += [a.partial(k) for k in range(1, m + 1)]
+                for poly in results:
+                    assert_canonical_poly(poly)
+                    seen.update(type(c) for c in poly.terms.values())
+        assert seen == {int, Fraction}
+
+    def test_form_calculus(self):
+        rng = rng_for(12, "canonical-forms")
+        for m in (2, 3, 4):
+            for p in range(m + 1):
+                w = rational_form(rng, m, p, 2)
+                field = PolyVectorField([rational_polynomial(rng, m, 1) for _ in range(m)])
+                if p < m:
+                    assert_canonical_form(w.d())
+                    assert_canonical_form(w.wedge(rational_form(rng, m, 1, 1)))
+                if p > 0:
+                    assert_canonical_form(w.delta())
+                    assert_canonical_form(w.interior(field))
+
+    def test_integral_results_of_fractions_demote(self):
+        half = Polynomial.constant(2, Fraction(1, 2)) * Polynomial.variable(2, 1)
+        twice = half + half
+        assert twice.terms == {(1, 0): 1}
+        assert type(twice.terms[(1, 0)]) is int
+
+
+class TestFloatCoefficients:
+    def test_tracked_floats_pass_through(self):
+        c = TrackedFloat(0.5, magnitude=4.0)
+        poly = Polynomial(2, {(1, 0): c})
+        assert poly.terms[(1, 0)] is c
+        prod = poly * Polynomial.one(2)
+        assert type(prod.terms[(1, 0)]) is TrackedFloat
+        assert prod.terms[(1, 0)].magnitude == 4.0
+        assert (poly + poly).terms[(1, 0)].magnitude == 8.0
+
+    def test_float_form_calculus_keeps_tracked_floats(self):
+        rng = rng_for(13, "canonical-float")
+        w = _float_form(random_form(rng, 3, 1, 2))
+        for poly in w.coeffs.values():
+            for c in poly.terms.values():
+                assert type(c) is TrackedFloat and c.magnitude == abs(c)
+        for out in (w.d(), w.delta(), w * Fraction(1, 3)):
+            for poly in out.coeffs.values():
+                assert all(type(c) is TrackedFloat and c.magnitude >= abs(c)
+                           for c in poly.terms.values())
+
+
+class TestCacheRoundTrip:
+    def test_disk_load_gives_canonical_coefficients(self, tmp_path):
+        built = BasisCache(str(tmp_path)).get(3, 2, 1, "H")
+        loaded = BasisCache(str(tmp_path)).get(3, 2, 1, "H")
+        assert loaded.basis == built.basis
+        coeffs = [c for form in loaded.basis for poly in form.coeffs.values()
+                  for c in poly.terms.values()]
+        assert coeffs and all(is_canonical(c) for c in coeffs)
+        assert any(type(c) is int for c in coeffs)
+
+
+class TestLinalgExactness:
+    INT_CASES = [
+        [[2, 1], [1, 1]],
+        [[3, 1, 1]],
+        [[0, 2, 4], [1, 3, 5], [2, 4, 7]],
+        [[10, 8, 16], [8, 32, 0], [16, 0, 32]],
+    ]
+
+    @staticmethod
+    def exact(rows):
+        return [[Fraction(v) for v in row] for row in rows]
+
+    @staticmethod
+    def assert_no_floats(rows):
+        assert not any(isinstance(v, float) for row in rows for v in row)
+
+    def test_rref_nullspace_rank(self):
+        for rows in self.INT_CASES:
+            red, pivots = linalg.rref(rows)
+            self.assert_no_floats(red)
+            assert (red, pivots) == linalg.rref(self.exact(rows))
+            null = linalg.nullspace(rows)
+            self.assert_no_floats(null)
+            assert null == linalg.nullspace(self.exact(rows))
+            assert linalg.rank(rows) == linalg.rank(self.exact(rows))
+        assert linalg.rref([[2, 1], [1, 1]])[0] == [[1, 0], [0, 1]]
+        assert linalg.nullspace([[3, 1, 1]]) == [[Fraction(-1, 3), 1, 0],
+                                                 [Fraction(-1, 3), 0, 1]]
+
+    def test_solve(self):
+        rows, rhs = [[2, 1], [1, 3]], [[1, 0], [0, 1]]
+        x = linalg.solve(rows, rhs)
+        self.assert_no_floats(x)
+        assert x == linalg.solve(self.exact(rows), self.exact(rhs))
+        assert x == [[Fraction(3, 5), Fraction(-1, 5)], [Fraction(-1, 5), Fraction(2, 5)]]
+
+    def test_positive_semidefinite(self):
+        # a singular Gram matrix: float pivots leave a negative rounding residue
+        gram = [[10, 8, 16], [8, 32, 0], [16, 0, 32]]
+        assert linalg.is_positive_semidefinite(gram)
+        assert linalg.is_positive_semidefinite(self.exact(gram))
+        assert not linalg.is_positive_semidefinite([[1, 2], [2, 1]])

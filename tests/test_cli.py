@@ -211,6 +211,18 @@ class TestMainEntry:
         assert "configuration error" in err and "'1/0'" in err
         assert not out.exists()
 
+    def test_exit_two_on_unknown_config_key(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("seed = 3\ndim = 4\n")
+        out = tmp_path / "out"
+        code = main(["verify", "--config", str(path), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{path}:2: unknown key 'dim'" in err and "Traceback" not in err
+        assert "accepted keys: " + ", ".join(cli.CONFIG_KEYS) in err
+        assert "dims" in cli.CONFIG_KEYS
+        assert not out.exists()
+
     @pytest.mark.parametrize("seed", ["-1", str(10 ** 41)])
     def test_exit_two_on_seed_out_of_range(self, tmp_path, capsys, seed):
         code = main(["verify", "--dim", "2", "--degree", "1", "--seed", seed,

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from formlab import identities
 from formlab.ball import (BallDomain, WeightFunction, boundary_delta_rep,
@@ -341,3 +343,64 @@ class TestProofChains:
     def test_comparison_needs_room(self, cache):
         with pytest.raises(ValueError):
             replay_proof_chain("comparison", 2, DOM3, cache)
+
+
+# ---------------------------------------------------------------------------
+# Property tests: exact residuals over drawn dimensions, degrees and radii.
+# ---------------------------------------------------------------------------
+
+def _rationalised(form: PolyForm, rng) -> PolyForm:
+    """The form with each coefficient divided by 1..5, so that both the
+    int and the Fraction coefficient paths run."""
+    return PolyForm(form.m, form.p, {
+        I: Polynomial(form.m, {e: Fraction(c, rng.randint(1, 5))
+                               for e, c in poly.terms.items()})
+        for I, poly in form.coeffs.items()})
+
+
+@st.composite
+def identity_cases(draw, p_range):
+    """(m, p, domain, degree, rng, rational) with p drawn from
+    ``p_range(m)``, R in [1/7, 7] and polynomial degree <= 3."""
+    m = draw(st.integers(2, 4))
+    lo, hi = p_range(m)
+    p = draw(st.integers(lo, hi))
+    R = draw(st.fractions(min_value=Fraction(1, 7), max_value=7, max_denominator=7))
+    degree = draw(st.integers(0, 3))
+    rng = rng_for(draw(st.integers(0, 2 ** 32)), "hypothesis-identities")
+    return m, p, BallDomain(m, R), degree, rng, draw(st.booleans())
+
+
+def _drawn_form(rng, m, p, degree, rational) -> PolyForm:
+    form = random_form(rng, m, p, degree)
+    return _rationalised(form, rng) if rational else form
+
+
+class TestIdentitiesProperty:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(case=identity_cases(lambda m: (0, m)))
+    def test_weighted_reilly(self, case):
+        m, p, dom, degree, rng, rational = case
+        omega = _drawn_form(rng, m, p, degree, rational)
+        poly = _drawn_form(rng, m, 0, degree, rational).coefficient(())
+        rep = verify_weighted_reilly(WeightFunction.polynomial(poly), omega, dom)
+        assert rep.passed and rep.residual == 0, (m, p, dom.radius, rep.terms)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(case=identity_cases(lambda m: (0, m - 1)))
+    def test_stokes(self, case):
+        m, p, dom, degree, rng, rational = case
+        phi = _drawn_form(rng, m, p, degree, rational)
+        psi = _drawn_form(rng, m, p + 1, degree, rational)
+        rep = verify_stokes(phi, psi, dom)
+        assert rep.passed and rep.residual == 0, (m, p, dom.radius, rep.terms)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(case=identity_cases(lambda m: (0, m - 1)))
+    def test_pohozhaev(self, case):
+        m, p, dom, degree, rng, rational = case
+        phi = _drawn_form(rng, m, p, degree, rational)
+        F = PolyVectorField([_drawn_form(rng, m, 0, min(degree, 2), rational).coefficient(())
+                             for _ in range(m)])
+        rep = verify_pohozhaev(F, phi, dom)
+        assert rep.passed and rep.residual == 0, (m, p, dom.radius, rep.terms)
