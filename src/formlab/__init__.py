@@ -10,9 +10,14 @@ The library layers are, bottom up:
   ball         boundary calculus on the sphere, weight functions
   identities   integral identity checks and proof-chain replays
   harmonic     homogeneous harmonic form spaces by rational elimination
-  spectral     boundary operator assembly, eigensolves, certification
+  spectral     boundary operator assembly, exact block-certified spectra
   curvature    chart-based Weitzenboeck / Bochner / curvature checks
   cli          batch runner with reports, CSV tables and exit codes
+
+Every layer but ``curvature`` is exact and loads no numpy: the
+curvature names below resolve on first access (PEP 562), and the Monte
+Carlo oracle and the diagnostic of a failed spectral certificate import
+numpy when they run.
 """
 
 from .exterior import ConstantForm, LinearEndomorphism, MultiIndex, multi_indices
@@ -27,19 +32,18 @@ from .identities import (IdentityReport, pointwise_hessian_estimate,
                          verify_pohozhaev, verify_stokes,
                          verify_unweighted_reilly, verify_weighted_reilly)
 from .harmonic import BasisCache, FormSpaceBasis, sphere_reduce
-from .spectral import (ExtensionProblem, SpectrumReport, assemble_operator,
-                       ball_reference_eigenvalue, certify_eigenvalue,
-                       check_bounds, extend, scaling_check)
-from .curvature import (ChartMetric, bochner_residual, curvature_at,
-                        gallot_meyer_check, weitzenbock_at)
+from .spectral import (CertificateError, ExtensionProblem, SpectrumReport,
+                       assemble_operator, ball_reference_eigenvalue,
+                       certify_eigenvalue, check_bounds, extend, scaling_check)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BallDomain", "BasisCache", "BoundaryForm", "ChartMetric", "ConstantForm",
-    "ExactScalar", "ExtensionProblem", "FormSpaceBasis", "IdentityReport",
-    "LinearEndomorphism", "MultiIndex", "PolyForm", "PolyVectorField",
-    "Polynomial", "RadialDensity", "SpectrumReport", "WeightFunction",
+    "BallDomain", "BasisCache", "BoundaryForm", "CertificateError",
+    "ChartMetric", "ConstantForm", "ExactScalar", "ExtensionProblem",
+    "FormSpaceBasis", "IdentityReport", "LinearEndomorphism", "MultiIndex",
+    "PolyForm", "PolyVectorField", "Polynomial", "RadialDensity",
+    "SpectrumReport", "WeightFunction",
     "assemble_operator", "b_term", "b_term_alternate",
     "ball_reference_eigenvalue", "bochner_residual", "canonical_weight",
     "certify_eigenvalue", "check_bounds", "curvature_at", "extend",
@@ -50,3 +54,13 @@ __all__ = [
     "verify_pohozhaev", "verify_stokes", "verify_unweighted_reilly",
     "verify_weighted_reilly", "weitzenbock_at",
 ]
+
+_CURVATURE_NAMES = ("ChartMetric", "bochner_residual", "curvature_at",
+                    "gallot_meyer_check", "weitzenbock_at")
+
+
+def __getattr__(name):
+    if name in _CURVATURE_NAMES:
+        from . import curvature
+        return getattr(curvature, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

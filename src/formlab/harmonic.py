@@ -273,7 +273,8 @@ class BasisCache:
             return
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
-            json.dump(_encode_basis(fsb), fh)
+            # one write: json.dump streams through the pure-Python encoder
+            fh.write(json.dumps(_encode_basis(fsb)))
         os.replace(tmp, path)
 
     def _compute(self, m, l, p, kind) -> FormSpaceBasis:

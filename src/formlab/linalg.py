@@ -142,5 +142,25 @@ def is_positive_semidefinite(a: Matrix) -> bool:
     return True
 
 
+def is_positive_definite(a: Matrix) -> bool:
+    """Exact positive-definiteness test for a symmetric rational matrix:
+    symmetric Gaussian elimination (LDL^T) on the upper triangle, which
+    must meet only positive pivots."""
+    m = _copy(a)
+    n = len(m)
+    for k in range(n):
+        d = _exact(m[k][k])
+        if d <= 0:
+            return False
+        row_k = m[k]
+        for i in range(k + 1, n):
+            f = row_k[i] / d
+            if f:
+                row_i = m[i]
+                for j in range(i, n):
+                    row_i[j] -= f * row_k[j]
+    return True
+
+
 def nullity(rows: Matrix, ncols: int) -> int:
     return ncols - rank(rows)

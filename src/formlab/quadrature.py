@@ -22,6 +22,10 @@ All integrals are returned as exact rational multiples of the measure
 of the unit sphere ``|S^{m-1}(1)|``, which is carried as an uncancelled
 symbolic unit.  Identity residuals therefore reduce to rational
 comparisons with no transcendental arithmetic.
+
+Floating point enters only in ``mc_oracle``, the Monte Carlo cross-check,
+and in ``RadialDensity.evaluate_float``; they import numpy when called,
+so the exact layers never load it.
 """
 
 from __future__ import annotations
@@ -31,8 +35,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import add
-
-import numpy as np
 
 from .polynomials import Polynomial
 
@@ -227,8 +229,9 @@ class RadialDensity:
         return RadialDensity(self.m, parts)
 
     # -- evaluation --------------------------------------------------------
-    def evaluate_float(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate at an (N, m) array of points."""
+    def evaluate_float(self, points):
+        """Evaluate at an (N, m) numpy array of points."""
+        import numpy as np
         n = points.shape[0]
         out = np.zeros(n)
         r = np.sqrt(np.sum(points * points, axis=1))
@@ -365,6 +368,7 @@ def mc_oracle(density: RadialDensity, radius, samples: int, seed: int,
         raise ValueError("need at least 1e4 samples")
     if region not in ("ball", "sphere"):
         raise ValueError(f"unknown region {region!r}")
+    import numpy as np
     m = density.m
     R = float(radius)
     rng = np.random.Generator(np.random.Philox(key=seed))

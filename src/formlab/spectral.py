@@ -23,18 +23,24 @@ shared coefficients against cached sphere moments
 normal matrix of an extension belongs to its trial space, so the data
 of a closed block are solved in one elimination; for the Neumann kind
 that matrix is one scalar Gram per dx_I, solved once for every
-(dx_I, datum) pair.  The floating eigensolve reduces the pencil
-(A, G) with numpy's Cholesky factor of G, and every rational target
-eigenvalue can be certified exactly through the nullity of
-A - theta G.
+(dx_I, datum) pair.
+
+The spectrum is exact and certified block by block: A and G vanish
+outside the diagonal blocks, each block satisfies A_b == theta_b G_b
+with theta_b the closed-form ball eigenvalue, and each G_b is positive
+definite by an exact LDL^T test.  Then the eigenvalues are theta_b with
+multiplicity dim_b, as ``Fraction``s, and no floating eigensolve runs.
+A pencil failing the certificate raises ``CertificateError``; only that
+diagnostic computes float eigenvalues, and only it imports numpy.  The
+bound and scaling checks decide on these exact spectra with ==, <= and
+<.  ``certify_eigenvalue`` (the nullity of A - theta G over the whole
+matrix) stays as an independent check of the certified multiplicities.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
 
 from . import linalg
 from .ball import BallDomain, boundary_delta_rep, jstar_inner, normal_part
@@ -45,8 +51,6 @@ from .polyform import PolyForm
 from .quadrature import integrate_ball, integrate_pairs, integrate_sphere
 
 OPERATORS = ("dtn", "dtn-neumann", "hodge-boundary")
-
-MULTIPLICITY_GROUP_TOL = 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +233,7 @@ class OperatorAssembly:
 
 @dataclass
 class EigenvalueGroup:
-    value: float
+    value: Fraction
     multiplicity: int
 
 
@@ -242,12 +246,11 @@ class SpectrumReport:
     l_max: int
     eigenvalues: list[EigenvalueGroup]
     blocks: list[dict]
-    gram_condition: float
     certified: dict[str, int] = field(default_factory=dict)
 
-    def first_positive(self, tol: float = 1e-9) -> float:
+    def first_positive(self) -> Fraction:
         for g in self.eigenvalues:
-            if g.value > tol:
+            if g.value > 0:
                 return g.value
         raise ValueError("no positive eigenvalue found")
 
@@ -256,10 +259,11 @@ class SpectrumReport:
             "operator": self.operator,
             "m": self.m, "p": self.p, "radius": str(self.radius),
             "l_max": self.l_max,
-            "eigenvalues": [{"value": g.value, "multiplicity": g.multiplicity}
+            "eigenvalues": [{"value": str(g.value), "multiplicity": g.multiplicity}
                             for g in self.eigenvalues],
-            "blocks": self.blocks,
-            "gram_condition": self.gram_condition,
+            "blocks": [{"kind": row["kind"], "l": row["l"], "dim": row["dim"],
+                        "eigenvalues": [str(v) for v in row["eigenvalues"]],
+                        "reference": row["reference"]} for row in self.blocks],
             "certified": dict(self.certified),
         }
 
@@ -329,8 +333,8 @@ def _build_blocks(operator: str, m: int, p: int, l_max: int,
 
 def assemble_operator(operator: str, m: int, p: int, l_max: int, radius,
                       cache: BasisCache | None = None) -> tuple[OperatorAssembly, SpectrumReport]:
-    """Assemble the exact stiffness and Gram matrices, then solve the
-    generalized symmetric eigenproblem in floating point."""
+    """Assemble the exact stiffness and Gram matrices, then read the
+    spectrum off the exact block certificate (``_certify_blocks``)."""
     if operator not in OPERATORS:
         raise ValueError(f"unknown operator {operator!r}")
     if not 1 <= p <= m - 1:
@@ -359,53 +363,90 @@ def assemble_operator(operator: str, m: int, p: int, l_max: int, radius,
     return assembly, report
 
 
-def _generalized_eigvalsh(A: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the symmetric pencil A v = lambda G v
-    for positive definite G: with G = L L^T, those of L^-1 A L^-T."""
-    L = np.linalg.cholesky(G)
+class CertificateError(AssertionError):
+    """An assembled pencil that fails the exact block certificate."""
+
+
+def _generalized_eigvalsh(A, G):
+    """Ascending float eigenvalues of the symmetric pencil A v = lambda G v
+    for positive definite G: with G = L L^T, those of L^-1 A L^-T.  Only
+    a certificate failure quotes them, so numpy is imported here."""
+    import numpy as np
+    A = np.array(A, dtype=float)
+    L = np.linalg.cholesky(np.array(G, dtype=float))
     return np.linalg.eigvalsh(np.linalg.solve(L, np.linalg.solve(L, A).T))
 
 
-def _solve_assembly(assembly: OperatorAssembly) -> SpectrumReport:
-    size = assembly.dim
-    Af = np.array([[float(v) for v in row] for row in assembly.A])
-    Gf = np.array([[float(v) for v in row] for row in assembly.G])
-    if size and linalg.rank([list(r) for r in assembly.G]) < size:
-        raise ValueError("rank-deficient Gram matrix: trial basis is degenerate")
-    if size:
-        vals = _generalized_eigvalsh(Af, Gf)
-        cond = float(np.linalg.cond(Gf))
-    else:
-        vals = np.array([])
-        cond = 1.0
-    groups: list[EigenvalueGroup] = []
-    for v in vals:
-        v = float(v)
-        if groups and abs(v - groups[-1].value) <= MULTIPLICITY_GROUP_TOL * max(1.0, abs(v)):
-            g = groups[-1]
-            g.value = (g.value * g.multiplicity + v) / (g.multiplicity + 1)
-            g.multiplicity += 1
-        else:
-            groups.append(EigenvalueGroup(v, 1))
+def _float_eigenvalues(assembly: OperatorAssembly, index: list[int]) -> str:
+    """The pencil's float eigenvalues on the rows and columns ``index``."""
+    A = [[assembly.A[i][j] for j in index] for i in index]
+    G = [[assembly.G[i][j] for j in index] for i in index]
+    try:
+        vals = _generalized_eigvalsh(A, G)
+    except ValueError as exc:   # numpy's LinAlgError: G not positive definite
+        return f"no float eigenvalues ({exc})"
+    return "float eigenvalues [" + ", ".join(f"{v:.12g}" for v in vals) + "]"
 
-    block_rows = []
-    for blk, sl in assembly.block_slices():
-        Ab = Af[sl, sl]
-        Gb = Gf[sl, sl]
-        bvals = _generalized_eigvalsh(Ab, Gb)
-        ref = ball_reference_eigenvalue(assembly.operator, blk.kind,
-                                        assembly.domain.m, assembly.p, blk.l,
-                                        assembly.domain.radius)
-        block_rows.append({
-            "kind": blk.kind, "l": blk.l, "dim": blk.dim,
-            "eigenvalues": [float(v) for v in bvals],
-            "reference": str(ref),
-            "max_reference_deviation": max(
-                (abs(float(v) - float(ref)) for v in bvals), default=0.0),
-        })
+
+def _certify_blocks(assembly: OperatorAssembly) -> list[Fraction]:
+    """theta_b of each block, once the pencil passes the exact block
+    certificate: every entry of A and G outside the diagonal blocks is 0,
+    A_b == theta_b G_b entrywise with theta_b = ``ball_reference_eigenvalue``,
+    and G_b passes the exact LDL^T positive-definiteness test.  Then the
+    spectrum is exactly theta_b with multiplicity dim_b over the blocks.
+    A failure raises ``CertificateError`` naming the operator, the block
+    and the condition, with the float eigenvalues of the rows involved."""
+    dom = assembly.domain
+    slices = assembly.block_slices()
+    owner = [b for b, (_, sl) in enumerate(slices) for _ in range(sl.start, sl.stop)]
+
+    def label(b: int) -> str:
+        blk, sl = slices[b]
+        return f"block {blk.kind} l={blk.l} (rows {sl.start}..{sl.stop - 1})"
+
+    def fail(b: int, condition: str, *blocks: int):
+        index = [i for c in (b, *blocks) for i in range(slices[c][1].start,
+                                                         slices[c][1].stop)]
+        raise CertificateError(
+            f"{assembly.operator} at m={dom.m}, p={assembly.p}, R={dom.radius}: "
+            f"{label(b)}: {condition}; {_float_eigenvalues(assembly, index)}")
+
+    thetas = []
+    for b, (blk, sl) in enumerate(slices):
+        rows = range(sl.start, sl.stop)
+        for name, M in (("A", assembly.A), ("G", assembly.G)):
+            for i in rows:
+                if any(M[i][:sl.start]) or any(M[i][sl.stop:]):
+                    j = next(j for j, v in enumerate(M[i]) if v and owner[j] != b)
+                    fail(b, f"off-diagonal entry {name}[{i}][{j}] = {M[i][j]} "
+                            f"couples it to {label(owner[j])}", owner[j])
+        theta = ball_reference_eigenvalue(assembly.operator, blk.kind, dom.m,
+                                          assembly.p, blk.l, dom.radius)
+        A_b = [assembly.A[i][sl] for i in rows]
+        G_b = [assembly.G[i][sl] for i in rows]
+        if A_b != [[theta * g for g in row] for row in G_b]:
+            fail(b, f"A_b != theta_b G_b with theta_b = {theta}")
+        if not linalg.is_positive_definite(G_b):
+            fail(b, "G_b fails the exact LDL^T positive-definiteness test")
+        thetas.append(theta)
+    return thetas
+
+
+def _solve_assembly(assembly: OperatorAssembly) -> SpectrumReport:
+    """The exact spectrum read off the block certificate."""
+    multiplicity: dict[Fraction, int] = {}
+    rows = []
+    for (blk, _), theta in zip(assembly.block_slices(), _certify_blocks(assembly)):
+        multiplicity[theta] = multiplicity.get(theta, 0) + blk.dim
+        # the certified block eigenvalues are theta itself: no deviation
+        rows.append({"kind": blk.kind, "l": blk.l, "dim": blk.dim,
+                     "eigenvalues": [theta] * blk.dim, "reference": str(theta),
+                     "max_reference_deviation": Fraction(0)})
+    spectrum = sorted(multiplicity.items())
     return SpectrumReport(assembly.operator, assembly.domain.m, assembly.p,
-                          assembly.domain.radius, assembly.l_max, groups,
-                          block_rows, cond)
+                          assembly.domain.radius, assembly.l_max,
+                          [EigenvalueGroup(t, k) for t, k in spectrum], rows,
+                          {str(t): k for t, k in spectrum})
 
 
 def certify_eigenvalue(assembly: OperatorAssembly, theta: Fraction,
@@ -439,8 +480,8 @@ class BoundCheck:
 
 
 def check_bounds(dtn: SpectrumReport, dtn_neumann: SpectrumReport,
-                 hodge: SpectrumReport, tol: float = 1e-8) -> list[BoundCheck]:
-    """The eigenvalue inequalities, checked on computed spectra.
+                 hodge: SpectrumReport) -> list[BoundCheck]:
+    """The eigenvalue inequalities, decided exactly on certified spectra.
 
     * sharp lower bound  sigma_1 >= (p+1) c, equality on the ball;
     * comparison         sigma_k <= lambda_k / ((n-p) c) for every
@@ -454,28 +495,28 @@ def check_bounds(dtn: SpectrumReport, dtn_neumann: SpectrumReport,
     out = []
 
     sigma1 = dtn.first_positive()
-    target = float((p + 1) * c)
+    target = (p + 1) * c
     out.append(BoundCheck(
         "first-eigenvalue-lower-bound",
         "sigma_1 >= (p+1)c with equality on the ball",
-        abs(sigma1 - target) <= tol,
+        sigma1 == target,
         {"sigma_1": sigma1, "(p+1)c": target}))
 
     sigmas = [g.value for g in dtn.eigenvalues for _ in range(g.multiplicity)
-              if g.value > 1e-9]
+              if g.value > 0]
     lambdas = sorted(ev for row in hodge.blocks if row["kind"] == "coexact"
                      for ev in row["eigenvalues"])
-    factor = float((n - p) * c) if p <= n - 1 else None
-    if factor:
+    if p <= n - 1:
+        factor = (n - p) * c
         k_upper = min(len(sigmas), len(lambdas))
-        comparisons = [sigmas[k] <= lambdas[k] / factor + tol for k in range(k_upper)]
+        comparisons = [sigmas[k] <= lambdas[k] / factor for k in range(k_upper)]
         first_block = next((row["dim"] for row in dtn.blocks
                             if row["kind"] == "coexact" and row["l"] == 1), None)
         if first_block is None:
             raise ValueError(
                 "dtn report has no coexact l=1 block: the equality part of "
                 "the Hodge comparison needs it")
-        equalities = [abs(sigmas[k] - lambdas[k] / factor) <= tol
+        equalities = [sigmas[k] == lambdas[k] / factor
                       for k in range(min(first_block, k_upper))]
         out.append(BoundCheck(
             "hodge-comparison",
@@ -486,21 +527,20 @@ def check_bounds(dtn: SpectrumReport, dtn_neumann: SpectrumReport,
     out.append(BoundCheck(
         "strict-half-bound",
         "sigma_1 > (p+1)c/2 strictly",
-        sigma1 > float((p + 1) * c / 2) + tol,
-        {"sigma_1": sigma1, "(p+1)c/2": float((p + 1) * c / 2)}))
+        sigma1 > target / 2,
+        {"sigma_1": sigma1, "(p+1)c/2": target / 2}))
 
     nu1 = dtn_neumann.first_positive()
     out.append(BoundCheck(
         "operator-ordering",
         "nu_1 <= sigma_1",
-        nu1 <= sigma1 + tol,
+        nu1 <= sigma1,
         {"nu_1": nu1, "sigma_1": sigma1}))
     return out
 
 
-def scaling_check(report_unit: SpectrumReport, report_scaled: SpectrumReport,
-                  rel_tol: float = 1e-10) -> BoundCheck:
-    """Eigenvalues scale like 1/R (order-one operators) or 1/R^2
+def scaling_check(report_unit: SpectrumReport, report_scaled: SpectrumReport) -> BoundCheck:
+    """Eigenvalues scale exactly like 1/R (order-one operators) or 1/R^2
     (boundary Laplacian) when the ball is rescaled from radius one."""
     if (report_unit.operator != report_scaled.operator
             or report_unit.m != report_scaled.m
@@ -508,18 +548,9 @@ def scaling_check(report_unit: SpectrumReport, report_scaled: SpectrumReport,
             or report_unit.l_max != report_scaled.l_max):
         raise ValueError("reports are not comparable")
     power = 2 if report_unit.operator == "hodge-boundary" else 1
-    ratio = float(Fraction(report_scaled.radius) ** power)
-    ok = True
-    worst = 0.0
-    for gu, gs in zip(report_unit.eigenvalues, report_scaled.eigenvalues):
-        if gu.multiplicity != gs.multiplicity:
-            ok = False
-            break
-        expected = gu.value / ratio
-        err = abs(gs.value - expected) / max(1.0, abs(expected))
-        worst = max(worst, err)
-        if err > rel_tol:
-            ok = False
+    ratio = Fraction(report_scaled.radius) ** power
+    expected = [(g.value / ratio, g.multiplicity) for g in report_unit.eigenvalues]
+    got = [(g.value, g.multiplicity) for g in report_scaled.eigenvalues]
     return BoundCheck("radius-scaling",
                       f"eigenvalues scale like 1/R^{power}",
-                      ok, {"worst_relative_error": worst})
+                      expected == got, {"groups": len(got)})

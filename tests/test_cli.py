@@ -176,7 +176,7 @@ class TestMainEntry:
         runs = list(tmp_path.iterdir())
         assert len(runs) == 1
         report = json.loads((runs[0] / "report.json").read_text())
-        assert report["schema_version"] == 1
+        assert report["schema_version"] == 2
         assert (runs[0] / "identities.csv").exists()
 
     def test_exit_two_on_bad_degree(self, tmp_path, capsys):
@@ -222,6 +222,25 @@ class TestMainEntry:
         assert "accepted keys: " + ", ".join(cli.CONFIG_KEYS) in err
         assert "dims" in cli.CONFIG_KEYS
         assert not out.exists()
+
+    @pytest.mark.parametrize("suite", ["verify", "spectrum", "bounds", "curvature"])
+    def test_exit_two_on_suites_key_outside_all(self, tmp_path, capsys, suite):
+        path = tmp_path / "run.cfg"
+        path.write_text("dims = 2\nsuites = spectra\n")
+        out = tmp_path / "out"
+        code = main([suite, "--config", str(path), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{path}: key 'suites'" in err and repr(suite) in err
+        assert "Traceback" not in err and not out.exists()
+
+    def test_suites_key_selects_suites_of_all(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("suites = bounds, spectra\n")
+        args = build_parser().parse_args(["all", "--config", str(path)])
+        assert build_config(args).suites == ["bounds", "spectra"]
+        args = build_parser().parse_args(["all"])
+        assert build_config(args).suites == list(cli.SUITES)
 
     @pytest.mark.parametrize("seed", ["-1", str(10 ** 41)])
     def test_exit_two_on_seed_out_of_range(self, tmp_path, capsys, seed):

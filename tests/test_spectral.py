@@ -11,14 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from formlab import linalg
+from formlab import linalg, spectral
 from formlab.ball import BallDomain, jstar_inner
 from formlab.exterior import multi_indices
 from formlab.polyform import PolyForm
 from formlab.polynomials import Polynomial
 from formlab.quadrature import integrate_sphere
 from formlab.sampling import rng_for
-from formlab.spectral import (ExtensionProblem, _extend_block, _generalized_eigvalsh,
+from formlab.spectral import (CertificateError, ExtensionProblem, _extend_block, _generalized_eigvalsh,
                               _sphere_matrix, assemble_operator, ball_reference_eigenvalue,
                               certify_eigenvalue, check_bounds, extend,
                               rayleigh_quotient, scaling_check)
@@ -371,3 +371,95 @@ class TestReferenceFormulas:
         assert ball_reference_eigenvalue("dtn", "coexact", 3, 1, 1, 2) == 1
         assert ball_reference_eigenvalue("hodge-boundary", "coexact", 3, 1, 1, 2) \
             == Fraction(1, 2)
+
+
+class TestBlockCertificate:
+    """The exact block certificate behind every reported spectrum."""
+
+    @staticmethod
+    def edited_copy(asm, edit):
+        bad = copy.deepcopy(asm)
+        edit(bad, [sl for _, sl in bad.block_slices()])
+        return bad
+
+    def test_shifted_reference_names_the_block(self, d3, monkeypatch):
+        real = spectral.ball_reference_eigenvalue
+
+        def shifted(op, kind, m, p, l, R):
+            theta = real(op, kind, m, p, l, R)
+            return theta + 1 if (kind, l) == ("coexact", 2) else theta
+        monkeypatch.setattr(spectral, "ball_reference_eigenvalue", shifted)
+        with pytest.raises(CertificateError) as err:
+            spectral._solve_assembly(d3[0])
+        msg = str(err.value)
+        assert msg.startswith("dtn at m=3, p=1, R=1: block coexact l=2 ")
+        assert "A_b != theta_b G_b with theta_b = 4" in msg
+        # the diagnostic quotes the block's true float eigenvalues, all 3
+        vals = [float(v) for v in msg.split("float eigenvalues [")[1][:-1].split(", ")]
+        assert len(vals) == d3[0].blocks[1].dim
+        assert all(abs(v - 3) < 1e-8 for v in vals)
+
+    def test_off_diagonal_entry_names_both_blocks(self, t3):
+        def couple(asm, slices):
+            i, j = slices[0].start, slices[1].start
+            asm.A[i][j] = asm.A[j][i] = Fraction(1, 5)
+        bad = self.edited_copy(t3[0], couple)
+        first, second = (f"block {b.kind} l={b.l}" for b in bad.blocks[:2])
+        with pytest.raises(CertificateError,
+                           match="block .*: off-diagonal entry A\\[0\\]\\[3\\] = 1/5 "
+                                 f"couples it to {second}") as err:
+            spectral._solve_assembly(bad)
+        assert f": {first} (rows 0..2)" in str(err.value)
+
+    def test_singular_gram_block_names_the_block(self, h3):
+        def duplicate(asm, slices):
+            i, j = slices[1].start, slices[1].start + 1
+            for M in (asm.A, asm.G):
+                for row in M:
+                    row[j] = row[i]
+                M[j] = list(M[i])
+        bad = self.edited_copy(h3[0], duplicate)
+        blk = bad.blocks[1]
+        with pytest.raises(CertificateError,
+                           match=f"block {blk.kind} l={blk.l} .*G_b fails the exact "
+                                 "LDL\\^T positive-definiteness test"):
+            spectral._solve_assembly(bad)
+
+    def test_exact_positive_definite_test(self):
+        assert linalg.is_positive_definite([[2, 1], [1, 2]])
+        assert linalg.is_positive_definite([[Fraction(1, 3)]])
+        assert linalg.is_positive_definite([])
+        assert not linalg.is_positive_definite([[1, 1], [1, 1]])
+        assert not linalg.is_positive_definite([[1, 2], [2, 1]])
+        assert not linalg.is_positive_definite([[0, 0], [0, 1]])
+
+    @pytest.mark.parametrize("m, p, l_max, R", [(2, 1, 3, Fraction(2, 3)),
+                                                (3, 1, 2, Fraction(1)),
+                                                (3, 2, 2, Fraction(1, 2)),
+                                                (4, 2, 2, Fraction(1))])
+    def test_multiplicities_equal_full_matrix_nullities(self, cache, m, p, l_max, R):
+        for op in spectral.OPERATORS:
+            asm, rep = assemble_operator(op, m, p, l_max, R, cache)
+            groups = {str(g.value): g.multiplicity for g in rep.eigenvalues}
+            assert rep.certified == groups
+            assert sum(groups.values()) == asm.dim
+            for g in rep.eigenvalues:
+                assert isinstance(g.value, Fraction)
+                assert certify_eigenvalue(asm, g.value) == g.multiplicity
+
+
+class TestNumpyFree:
+    def test_spectrum_run_loads_no_numpy(self, tmp_path):
+        script = (
+            "import sys, formlab.cli\n"
+            "before = 'numpy' in sys.modules\n"
+            f"code = formlab.cli.main(['spectrum', '--dim', '3', '--lmax', '1', "
+            f"'--out', {str(tmp_path)!r}])\n"
+            "after = 'numpy' in sys.modules\n"
+            "from formlab import ChartMetric\n"
+            "import formlab.curvature\n"
+            "print(before, code, after, ChartMetric is formlab.curvature.ChartMetric)\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False 0 False True"
