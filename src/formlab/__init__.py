@@ -32,21 +32,21 @@ from .identities import (IdentityReport, pointwise_hessian_estimate,
                          verify_pohozhaev, verify_stokes,
                          verify_unweighted_reilly, verify_weighted_reilly)
 from .harmonic import BasisCache, FormSpaceBasis, sphere_reduce
-from .spectral import (CertificateError, ExtensionProblem, SpectrumReport,
-                       assemble_operator, ball_reference_eigenvalue,
-                       certify_eigenvalue, check_bounds, extend, scaling_check)
+from .spectral import (CertificateError, SpectrumReport, assemble_operator,
+                       ball_reference_eigenvalue, certify_eigenvalue,
+                       check_bounds, scaling_check)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BallDomain", "BasisCache", "BoundaryForm", "CertificateError",
-    "ChartMetric", "ConstantForm", "ExactScalar", "ExtensionProblem",
+    "ChartMetric", "ConstantForm", "ExactScalar",
     "FormSpaceBasis", "IdentityReport", "LinearEndomorphism", "MultiIndex",
     "PolyForm", "PolyVectorField", "Polynomial", "RadialDensity",
     "SpectrumReport", "WeightFunction",
     "assemble_operator", "b_term", "b_term_alternate",
     "ball_reference_eigenvalue", "bochner_residual", "canonical_weight",
-    "certify_eigenvalue", "check_bounds", "curvature_at", "extend",
+    "certify_eigenvalue", "check_bounds", "curvature_at",
     "gallot_meyer_check", "gradient_action", "integrate_ball",
     "integrate_sphere", "mc_oracle", "multi_indices", "normal_part",
     "pointwise_hessian_estimate", "replay_proof_chain", "scaling_check",

@@ -5,7 +5,9 @@ build:
 
   * the full monomial space of homogeneous polynomial p-forms,
   * its subspace of harmonic fields (componentwise harmonic and
-    co-closed),
+    co-closed; the componentwise Laplacian ``rough_laplacian`` is minus
+    the Hodge Laplacian on flat R^m, so its kernel, row space and the
+    canonical nullspace basis are the same),
   * the closed subspace (additionally d w = 0), and
   * the normal-null subspace (additionally i_x w = 0 identically).
 
@@ -126,7 +128,7 @@ def monomial_form_basis(m: int, l: int, p: int) -> FormSpaceBasis:
 def harmonic_field_basis(m: int, l: int, p: int) -> FormSpaceBasis:
     """Harmonic fields: componentwise harmonic and co-closed."""
     mono = monomial_form_basis(m, l, p)
-    basis = _restrict(mono.basis, lambda w: w.laplacian())
+    basis = _restrict(mono.basis, PolyForm.rough_laplacian)
     if p >= 1:
         basis = _restrict(basis, lambda w: w.delta())
     return FormSpaceBasis(m, l, p, "H", basis)
@@ -156,29 +158,27 @@ def sphere_reduce(q: Polynomial, radius) -> Polynomial:
     """Canonical representative of q modulo |x|^2 - R^2.
 
     Eliminates the last variable's square: monomials keep exponent of
-    x_m at most one.  Linear and idempotent.
+    x_m at most one.  Linear and idempotent; q vanishes on the sphere
+    |x| = R exactly when its representative is 0.
     """
     R2 = Fraction(radius) ** 2
     m = q.m
-    out = Polynomial.zero(m)
-    work = q
+    out: dict = {}
+    work = q.terms
     while work:
-        keep = {}
-        carry = Polynomial.zero(m)
-        for e, c in work.terms.items():
-            if e[m - 1] >= 2:
-                base = e[:m - 1] + (e[m - 1] - 2,)
-                # x_m^2 = R^2 - sum_{i<m} x_i^2
-                rest = Polynomial(m, {base: c * R2})
-                for i in range(m - 1):
-                    e2 = tuple(b + 2 * int(j == i) for j, b in enumerate(base))
-                    rest = rest - Polynomial(m, {e2: c})
-                carry = carry + rest
-            else:
-                keep[e] = c
-        out = out + Polynomial(m, keep)
+        carry: dict = {}
+        for e, c in work.items():
+            if e[m - 1] < 2:
+                out[e] = out.get(e, 0) + c
+                continue
+            # x_m^2 = R^2 - sum_{i<m} x_i^2
+            base = e[:m - 1] + (e[m - 1] - 2,)
+            carry[base] = carry.get(base, 0) + c * R2
+            for i in range(m - 1):
+                e2 = base[:i] + (base[i] + 2,) + base[i + 1:]
+                carry[e2] = carry.get(e2, 0) - c
         work = carry
-    return out
+    return Polynomial._of(m, out)
 
 
 # ---------------------------------------------------------------------------

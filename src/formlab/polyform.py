@@ -1,9 +1,9 @@
 """Differential forms on R^m with polynomial coefficients.
 
 The flat-space calculus: exterior derivative, codifferential, Hodge
-Laplacian, componentwise covariant gradient, interior product with a
-polynomial vector field, directional derivative, and the lift of a
-vector field's Jacobian to p-forms.
+Laplacian and componentwise (rough) Laplacian, componentwise covariant
+gradient, interior product with a polynomial vector field, directional
+derivative, and the lift of a vector field's Jacobian to p-forms.
 
 Sign conventions: the codifferential is ``delta = -sum_k i_{e_k} d/dx_k``
 so the Hodge Laplacian ``d delta + delta d`` is non-negative and acts on
@@ -13,7 +13,7 @@ functions as minus the sum of second derivatives.
 from __future__ import annotations
 
 from .exterior import (inner_terms, interior_terms, lift_terms, star_terms,
-                       wedge_terms)
+                       wedge_index, wedge_terms)
 from .polynomials import Polynomial
 
 
@@ -39,6 +39,18 @@ class PolyForm:
                 if c:
                     clean[I] = c
         self.coeffs = clean
+
+    @classmethod
+    def _of(cls, m: int, p: int, coeffs: dict) -> "PolyForm":
+        """Private constructor for results of the calculus below, whose
+        multi-indices are sorted and of length p and whose coefficients
+        are Polynomials by construction: drops zero coefficients without
+        checking the indices again."""
+        self = object.__new__(cls)
+        self.m = m
+        self.p = p
+        self.coeffs = {I: c for I, c in coeffs.items() if c}
+        return self
 
     # -- constructors --------------------------------------------------
     @classmethod
@@ -71,16 +83,16 @@ class PolyForm:
         coeffs = dict(self.coeffs)
         for I, c in other.coeffs.items():
             coeffs[I] = coeffs.get(I, Polynomial.zero(self.m)) + c
-        return PolyForm(self.m, self.p, coeffs)
+        return PolyForm._of(self.m, self.p, coeffs)
 
     def __sub__(self, other: "PolyForm") -> "PolyForm":
         return self + (-other)
 
     def __neg__(self) -> "PolyForm":
-        return PolyForm(self.m, self.p, {I: -c for I, c in self.coeffs.items()})
+        return PolyForm._of(self.m, self.p, {I: -c for I, c in self.coeffs.items()})
 
     def __mul__(self, s) -> "PolyForm":
-        return PolyForm(self.m, self.p, {I: c * s for I, c in self.coeffs.items()})
+        return PolyForm._of(self.m, self.p, {I: c * s for I, c in self.coeffs.items()})
 
     __rmul__ = __mul__
 
@@ -95,9 +107,6 @@ class PolyForm:
 
     def coefficient(self, I) -> Polynomial:
         return self.coeffs.get(tuple(I), Polynomial.zero(self.m))
-
-    def max_coeff_degree(self) -> int:
-        return max((c.degree() for c in self.coeffs.values()), default=-1)
 
     def homogeneous_parts(self) -> dict[int, "PolyForm"]:
         """Split by coefficient degree."""
@@ -115,18 +124,21 @@ class PolyForm:
         out: dict = {}
         for I, c in self.coeffs.items():
             for k in range(1, self.m + 1):
+                merged = wedge_index((k,), I)
+                if merged is None:
+                    continue
                 dk = c.partial(k)
                 if not dk:
                     continue
-                basis = PolyForm(self.m, 1, {(k,): dk})
-                for K, v in wedge_terms(basis.coeffs, {I: Polynomial.one(self.m)}).items():
-                    out[K] = out.get(K, Polynomial.zero(self.m)) + v
-        return PolyForm(self.m, self.p + 1, out)
+                sign, K = merged
+                v = dk if sign > 0 else -dk
+                out[K] = v if K not in out else out[K] + v
+        return PolyForm._of(self.m, self.p + 1, out)
 
     def partial(self, k: int) -> "PolyForm":
         """Componentwise d/dx_k (the flat covariant derivative along e_k)."""
-        return PolyForm(self.m, self.p,
-                        {I: c.partial(k) for I, c in self.coeffs.items()})
+        return PolyForm._of(self.m, self.p,
+                            {I: c.partial(k) for I, c in self.coeffs.items()})
 
     def covariant_gradient(self) -> tuple["PolyForm", ...]:
         return tuple(self.partial(k) for k in range(1, self.m + 1))
@@ -142,7 +154,7 @@ class PolyForm:
             comps[k - 1] = Polynomial.one(self.m)
             for J, v in interior_terms(comps, dk.coeffs).items():
                 out[J] = out.get(J, Polynomial.zero(self.m)) - v
-        return PolyForm(self.m, self.p - 1, out)
+        return PolyForm._of(self.m, self.p - 1, out)
 
     def laplacian(self) -> "PolyForm":
         """Hodge Laplacian d delta + delta d, missing ends dropped."""
@@ -153,6 +165,20 @@ class PolyForm:
             total = total + self.d().delta()
         return total
 
+    def rough_laplacian(self) -> "PolyForm":
+        """Componentwise sum_k d^2/dx_k^2; on flat R^m this is minus the
+        Hodge Laplacian.  Each coefficient is built in one dict."""
+        out = {}
+        for I, c in self.coeffs.items():
+            terms: dict = {}
+            for e, v in c.terms.items():
+                for i, ei in enumerate(e):
+                    if ei >= 2:
+                        ne = e[:i] + (ei - 2,) + e[i + 1:]
+                        terms[ne] = terms.get(ne, 0) + v * (ei * (ei - 1))
+            out[I] = Polynomial._of(self.m, terms)
+        return PolyForm._of(self.m, self.p, out)
+
     def interior(self, field) -> "PolyForm":
         """Interior product with a PolyVectorField or component sequence."""
         if self.p == 0:
@@ -162,7 +188,7 @@ class PolyForm:
             raise ValueError("vector dimension mismatch")
         comps = tuple(c if isinstance(c, Polynomial) else Polynomial.constant(self.m, c)
                       for c in comps)
-        return PolyForm(self.m, self.p - 1, interior_terms(comps, self.coeffs))
+        return PolyForm._of(self.m, self.p - 1, interior_terms(comps, self.coeffs))
 
     def deriv_along(self, field: "PolyVectorField") -> "PolyForm":
         """Directional derivative sum_k F_k d/dx_k applied componentwise."""
@@ -178,8 +204,8 @@ class PolyForm:
         self._check_mate(other)
         if self.p + other.p > self.m:
             raise ValueError("wedge degree exceeds ambient dimension")
-        return PolyForm(self.m, self.p + other.p,
-                        wedge_terms(self.coeffs, other.coeffs))
+        return PolyForm._of(self.m, self.p + other.p,
+                            wedge_terms(self.coeffs, other.coeffs))
 
     def star(self) -> "PolyForm":
         return PolyForm(self.m, self.m - self.p, star_terms(self.coeffs, self.m))

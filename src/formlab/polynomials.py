@@ -43,23 +43,42 @@ def monomial_exponents(m: int, degree: int) -> list[Exponents]:
     return sorted(out, key=grlex_key)
 
 
+def _canonical(terms: dict) -> dict:
+    """Drop zero coefficients; store a denominator-1 ``Fraction`` as its
+    ``int`` numerator."""
+    clean = {}
+    for expo, c in terms.items():
+        if c == 0:
+            continue
+        if type(c) is Fraction and c.denominator == 1:
+            c = c.numerator
+        clean[expo] = c
+    return clean
+
+
 class Polynomial:
     __slots__ = ("m", "terms")
 
     def __init__(self, m: int, terms=None):
-        self.m = m
-        clean = {}
+        checked = {}
         if terms:
             for expo, c in terms.items():
-                if c == 0:
-                    continue
-                if type(c) is Fraction and c.denominator == 1:
-                    c = c.numerator
                 expo = tuple(expo)
                 if len(expo) != m or any(e < 0 for e in expo):
                     raise ValueError(f"bad exponent tuple {expo} for m={m}")
-                clean[expo] = c
-        self.terms = clean
+                checked[expo] = c
+        self.m = m
+        self.terms = _canonical(checked)
+
+    @classmethod
+    def _of(cls, m: int, terms: dict) -> "Polynomial":
+        """Private constructor for terms whose exponent tuples are valid
+        by construction (the results of ``+``, ``-``, ``*`` and
+        ``partial``): canonical form without the exponent check."""
+        self = object.__new__(cls)
+        self.m = m
+        self.terms = _canonical(terms)
+        return self
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -99,12 +118,12 @@ class Polynomial:
         terms = dict(self.terms)
         for e, c in other.terms.items():
             terms[e] = terms.get(e, 0) + c
-        return Polynomial(self.m, terms)
+        return Polynomial._of(self.m, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.m, {e: -c for e, c in self.terms.items()})
+        return Polynomial._of(self.m, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -116,7 +135,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             if other == 0:
                 return Polynomial.zero(self.m)
-            return Polynomial(self.m, {e: c * other for e, c in self.terms.items()})
+            return Polynomial._of(self.m, {e: c * other for e, c in self.terms.items()})
         if other.m != self.m:
             raise ValueError("variable count mismatch")
         terms: dict = {}
@@ -124,7 +143,7 @@ class Polynomial:
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
                 terms[e] = terms.get(e, 0) + c1 * c2
-        return Polynomial(self.m, terms)
+        return Polynomial._of(self.m, terms)
 
     __rmul__ = __mul__
 
@@ -160,7 +179,7 @@ class Polynomial:
                 continue
             ne = e[:i] + (e[i] - 1,) + e[i + 1:]
             terms[ne] = terms.get(ne, 0) + c * e[i]
-        return Polynomial(self.m, terms)
+        return Polynomial._of(self.m, terms)
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""

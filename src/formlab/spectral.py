@@ -19,11 +19,13 @@ one of them is a matrix of boundary pairings int_S <J*u, J*v>, built by
 ``_sphere_matrix``: each form's trace (its coefficients and those of its
 normal part) is computed once per matrix, and each entry contracts the
 shared coefficients against cached sphere moments
-(``quadrature.integrate_pairs``), with no product polynomial built.  The
-normal matrix of an extension belongs to its trial space, so the data
-of a closed block are solved in one elimination; for the Neumann kind
-that matrix is one scalar Gram per dx_I, solved once for every
-(dx_I, datum) pair.
+(``quadrature.integrate_pairs``), with no product polynomial built.  No
+extension is solved for.  A coexact trial form is its own extension
+(checked componentwise harmonic, and co-closed or normal-null).  The
+``dtn-neumann`` extension of a closed datum is a closed formula
+(``_neumann_extension``, after Raulot-Savo), and each one is checked
+exactly to be harmonic, to pull back to the datum and to have no normal
+part on the sphere.
 
 The spectrum is exact and certified block by block: A and G vanish
 outside the diagonal blocks, each block satisfies A_b == theta_b G_b
@@ -44,43 +46,17 @@ from fractions import Fraction
 
 from . import linalg
 from .ball import BallDomain, boundary_delta_rep, jstar_inner, normal_part
-from .exterior import multi_indices
-from .harmonic import BasisCache
+from .harmonic import BasisCache, sphere_reduce
 from .polynomials import Polynomial
-from .polyform import PolyForm
+from .polyform import PolyForm, PolyVectorField
 from .quadrature import integrate_ball, integrate_pairs, integrate_sphere
 
 OPERATORS = ("dtn", "dtn-neumann", "hodge-boundary")
 
 
 # ---------------------------------------------------------------------------
-# Harmonic extension problems.
+# Boundary pairings and the Neumann extension.
 # ---------------------------------------------------------------------------
-
-@dataclass
-class ExtensionProblem:
-    """Boundary datum plus the interior system the extension satisfies.
-
-    kind "harmonic-coclosed": Delta ext = 0, delta ext = 0, J* ext = datum.
-    kind "harmonic-neumann":  Delta ext = 0, J* ext = datum, i_N ext = 0.
-    """
-
-    kind: str
-    domain: BallDomain
-    datum_rep: PolyForm
-    ansatz_degree: int
-
-    def __post_init__(self):
-        if self.kind not in ("harmonic-coclosed", "harmonic-neumann"):
-            raise ValueError(f"unknown extension kind {self.kind!r}")
-
-
-def _interior_trial_space(m: int, p: int, degree: int,
-                          cache: BasisCache) -> list[PolyForm]:
-    """Harmonic p-fields of coefficient degree <= degree (homogeneous
-    blocks stack); at p = 0, the harmonic scalars."""
-    return [w for l in range(degree + 1) for w in cache.get(m, l, p, "H").basis]
-
 
 def _trace(form: PolyForm, domain: BallDomain, pullback: bool) -> dict:
     """The keyed parts of a form's boundary pairing: ``(1, I)`` for each
@@ -114,66 +90,51 @@ def _sphere_matrix(rows: list[PolyForm], cols: list[PolyForm], domain: BallDomai
     return out
 
 
-def _extend_block(kind: str, domain: BallDomain, data: list[PolyForm],
-                  degree: int, cache: BasisCache,
-                  max_degree: int | None = None) -> list[tuple[PolyForm, Fraction]]:
-    """(extension, misfit) of each datum; see ``extend``.  A datum's
-    misfit is Q(v) = v^T M v - 2 b.v + const; the columns b of B are
-    solved together.  The block escalates while any misfit is non-zero;
-    trial spaces nest, so no misfit grows on the way."""
-    m, p, R = domain.m, data[0].p, domain.radius
-    if max_degree is None:
-        max_degree = degree + 4
-    consts = [integrate_sphere(jstar_inner(datum, datum, domain), R).coeff
-              for datum in data]
-    while True:
-        if kind == "harmonic-neumann":
-            # trial forms s dx_I: M is one scalar Gram per dx_I, so every
-            # (dx_I, datum) column is solved against that Gram at once
-            scalars = _interior_trial_space(m, 0, degree, cache)
-            indices = multi_indices(m, p)
-            trial = [PolyForm(m, p, {I: s.coeffs[()]}) for I in indices for s in scalars]
-            B = _sphere_matrix(trial, data, domain)
-            n, nI, nd = len(scalars), len(indices), len(data)
-            rhs = [[v for i in range(nI) for v in B[i * n + j]] for j in range(n)]
-            M_s = _sphere_matrix(scalars, scalars, domain, pullback=False)
-            Y = linalg.solve(M_s, rhs)
-            X = None if Y is None else [Y[j][i * nd:(i + 1) * nd]
-                                        for i in range(nI) for j in range(n)]
-        else:
-            trial = _interior_trial_space(m, p, degree, cache)
-            B = _sphere_matrix(trial, data, domain)
-            X = linalg.solve(_sphere_matrix(trial, trial, domain), B)
-        if X is None:
-            raise RuntimeError("normal equations inconsistent (should not happen)")
-        out = []
-        for k, const in enumerate(consts):
-            ext = sum((t * x[k] for x, t in zip(X, trial) if x[k]), PolyForm.zero(m, p))
-            out.append((ext, const - sum(x[k] * b[k] for x, b in zip(X, B))))
-        worst = max(misfit for _, misfit in out)
-        if worst == 0:
-            return out
-        if degree + 2 > max_degree:
-            raise ValueError(
-                f"ansatz degree insufficient: misfit {worst} at degree {degree}")
-        degree += 2
+def _neumann_failures(ext: PolyForm, phi: PolyForm, domain: BallDomain) -> list[str]:
+    """The conditions defining the dtn-neumann extension of phi that ext
+    fails, each decided exactly by polynomial identities: harmonic
+    (componentwise), pullback phi and no normal part on the sphere.  A
+    form's pullback vanishes where its wedge with x^b does, so the
+    boundary conditions are that x^b ^ (ext - phi) and i_x ext reduce to
+    0 modulo |x|^2 - R^2 (``sphere_reduce``).  Together the three
+    determine ext."""
+    x = PolyVectorField.position(domain.m)
+
+    def zero_on_sphere(form: PolyForm) -> bool:
+        return not any(sphere_reduce(c, domain.radius) for c in form.coeffs.values())
+
+    checks = (("harmonic", ext.rough_laplacian().is_zero()),
+              ("pullback", zero_on_sphere(x.dual_one_form().wedge(ext - phi))),
+              ("normal part", zero_on_sphere(ext.interior(x))))
+    return [name for name, ok in checks if not ok]
 
 
-def extend(problem: ExtensionProblem, cache: BasisCache | None = None,
-           max_degree: int | None = None) -> tuple[PolyForm, Fraction]:
-    """Least-squares harmonic extension with exact rational arithmetic.
+def _neumann_extension(phi: PolyForm, k: int, domain: BallDomain) -> PolyForm:
+    """The dtn-neumann extension of a closed harmonic p-form phi whose
+    coefficients are homogeneous of degree k, in closed form:
 
-    Interior constraints are imposed exactly through the trial space;
-    the boundary misfit (pullback mismatch plus, for the Neumann kind,
-    the normal-part energy) is minimised.  The normal matrix belongs to
-    the trial space, so ``_extend_block`` solves a block's data in one
-    elimination; this is its one-datum case.  Returns the extension and
-    the exact misfit, escalating the ansatz degree by 2 when the misfit
-    fails to vanish, up to ``max_degree`` (default: start + 4).
-    """
-    return _extend_block(problem.kind, problem.domain, [problem.datum_rep],
-                         problem.ansatz_degree, cache or BasisCache(),
-                         max_degree)[0]
+        ext = phi - R^-2 x^b ^ i_x phi + a R^-2 (|x|^2 - R^2) phi,
+        a = (p + k) / (m + 2k).
+
+    x^b ^ . has no pullback and |x|^2 - R^2 vanishes on the sphere, so
+    J* ext = J* phi; i_x ext = (1 - a)(1 - |x|^2/R^2) i_x phi vanishes
+    there; and a is the coefficient that makes ext harmonic, since the
+    componentwise Laplacian takes |x|^2 phi to (2m + 4k) phi and
+    x^b ^ i_x phi to 2(p + k) phi.  The result is checked exactly
+    (``_neumann_failures``); a failure raises ``AssertionError`` naming
+    the condition."""
+    m, p, R2 = domain.m, phi.p, domain.radius ** 2
+    x = PolyVectorField.position(m)
+    a = Fraction(p + k, m + 2 * k)
+    # grouped as R^-2 (a |x|^2 phi - x^b ^ i_x phi) + (1 - a) phi
+    ext = ((phi * (Polynomial.radius_squared(m) * a)
+            - x.dual_one_form().wedge(phi.interior(x))) * (1 / R2) + phi * (1 - a))
+    failures = _neumann_failures(ext, phi, domain)
+    if failures:
+        raise AssertionError(
+            f"Neumann extension of a closed degree-{k} {p}-form at m={m}, "
+            f"R={domain.radius} fails: {', '.join(failures)}")
+    return ext
 
 
 def rayleigh_quotient(ext: PolyForm, domain: BallDomain,
@@ -276,6 +237,20 @@ def ball_reference_eigenvalue(operator: str, block_kind: str, m: int, p: int,
     harmonic fields); exact blocks with label l are pullbacks of
     degree-(l-1) closed harmonic fields.  Eigenvalues scale like 1/R
     for the order-one operators and 1/R^2 for the boundary Laplacian.
+
+    The ``dtn-neumann`` exact block follows from the extension formula
+    of ``_neumann_extension`` (Raulot-Savo, "On the first eigenvalue of
+    the Dirichlet-to-Neumann operator on forms", J. Funct. Anal. 262,
+    2012).  With k = l - 1 and a = (p + k)/(m + 2k), dphi = 0 and
+    d(i_x phi) = L_x phi = (p + k) phi give
+
+        d ext = R^-2 (2a + p + k) x^b ^ phi,
+        i_x d ext = R^-2 (2a + p + k)(|x|^2 phi - x^b ^ i_x phi),
+
+    whose pullback to the sphere |x| = R is (2a + p + k) J* phi.  The
+    operator is -i_N d ext with the inner normal N = -x/R, so the
+    eigenvalue is (2a + p + k)/R = (p + k)(m + 2k + 2)/((m + 2k) R),
+    which is (l + p - 1)(n + 2l + 1)/((n + 2l - 1) R) with n = m - 1.
     """
     R = Fraction(radius)
     n = m - 1
@@ -295,12 +270,11 @@ def ball_reference_eigenvalue(operator: str, block_kind: str, m: int, p: int,
 
 
 def _check_self_extension(form: PolyForm, domain: BallDomain, kind: str) -> None:
-    if not form.laplacian().is_zero():
+    if not form.rough_laplacian().is_zero():
         raise AssertionError("trial form is not componentwise harmonic")
     if kind == "harmonic-coclosed" and not form.delta().is_zero():
         raise AssertionError("trial form is not co-closed")
     if kind == "harmonic-neumann":
-        from .polyform import PolyVectorField
         if not form.interior(PolyVectorField.position(domain.m)).is_zero():
             raise AssertionError("trial form has a normal part on the boundary")
 
@@ -314,9 +288,7 @@ def _build_blocks(operator: str, m: int, p: int, l_max: int,
             closed = cache.get(m, l - 1, p, "H-closed")
             if closed.dim:
                 if operator == "dtn-neumann":
-                    start = max(w.max_coeff_degree() for w in closed.basis) + 2
-                    exts = [ext for ext, _ in _extend_block(
-                        "harmonic-neumann", domain, closed.basis, start, cache)]
+                    exts = [_neumann_extension(w, l - 1, domain) for w in closed.basis]
                 else:
                     exts = list(closed.basis)
                 blocks.append(Block("exact", l, list(closed.basis), exts))

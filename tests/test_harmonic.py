@@ -86,6 +86,18 @@ class TestHarmonicFields:
                 if p <= m - 1:
                     assert b.d().laplacian().is_zero()
 
+    @pytest.mark.parametrize("m", (2, 3, 4))
+    def test_rough_laplacian_build_equals_hodge_build(self, m):
+        # the componentwise Laplacian is minus the Hodge Laplacian, so the
+        # restriction has the same row space and the same canonical basis
+        for l in range(4):
+            for p in range(m + 1):
+                hodge = harmonic._restrict(monomial_form_basis(m, l, p).basis,
+                                           PolyForm.laplacian)
+                if p >= 1:
+                    hodge = harmonic._restrict(hodge, PolyForm.delta)
+                assert harmonic_field_basis(m, l, p).basis == hodge
+
     def test_basis_reproducible(self):
         a = harmonic_field_basis(3, 2, 1)
         b = harmonic_field_basis(3, 2, 1)

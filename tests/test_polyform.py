@@ -15,6 +15,39 @@ def x(m, k):
     return Polynomial.variable(m, k)
 
 
+class TestPolynomialConstructor:
+    def test_outside_input_is_checked(self):
+        with pytest.raises(ValueError, match="bad exponent tuple"):
+            Polynomial(2, {(1,): 1})
+        with pytest.raises(ValueError, match="bad exponent tuple"):
+            Polynomial(2, {(-1, 0): 1})
+
+    def test_operations_keep_the_canonical_form(self):
+        # results go through the private constructor: zeros dropped,
+        # denominator-1 fractions stored as ints, exponents as tuples
+        a = Polynomial(2, {(1, 0): Fraction(1, 2), (0, 1): 1})
+        b = Polynomial(2, {(1, 0): Fraction(-1, 2), (0, 0): Fraction(3)})
+        assert (a + b).terms == {(0, 1): 1, (0, 0): 3}
+        assert type((a * 2).terms[(1, 0)]) is int
+        assert (a - a).terms == {} and (a * 0).terms == {}
+        assert (a * b).partial(1).terms == {(1, 0): Fraction(-1, 2), (0, 1): Fraction(-1, 2),
+                                            (0, 0): Fraction(3, 2)}
+
+
+class TestPolyFormConstructor:
+    def test_outside_input_is_checked(self):
+        for p, I in ((1, (4,)), (2, (2, 1)), (2, (1, 1)), (2, (1,))):
+            with pytest.raises(ValueError, match="bad multi-index"):
+                PolyForm(3, p, {I: 1})
+
+    def test_calculus_results_drop_zero_coefficients(self):
+        w = PolyForm(3, 1, {(1,): x(3, 1), (2,): x(3, 3) * x(3, 3)})
+        assert (w - w).coeffs == {} and (w * 0).coeffs == {}
+        assert w.d() == PolyForm(3, 2, {(2, 3): x(3, 3) * (-2)})
+        assert set(w.partial(1).coeffs) == {(1,)}
+        assert w.interior([0, 0, 1]).coeffs == {}
+
+
 class TestExteriorDerivative:
     def test_single_term(self):
         w = PolyForm(3, 1, {(1,): x(3, 2)})
@@ -89,6 +122,26 @@ class TestLaplacian:
             for k in range(1, m + 1):
                 rough = rough + w.partial(k).partial(k)
             assert w.laplacian() == -rough
+
+
+class TestRoughLaplacian:
+    def test_is_minus_the_hodge_laplacian(self):
+        rng = rng_for(13, "rough-laplacian")
+        for m in (2, 3, 4):
+            for p in range(m + 1):
+                for degree in (2, 4):
+                    w = random_form(rng, m, p, degree) * Fraction(1, 3)
+                    assert w.rough_laplacian() == -w.laplacian()
+
+    def test_builds_no_polynomial_sums(self, monkeypatch):
+        w = random_form(rng_for(14, "rough-laplacian"), 4, 2, 3)
+        want = -w.laplacian()
+
+        def no_add(*args):
+            raise AssertionError("Polynomial.__add__ called")
+        monkeypatch.setattr(Polynomial, "__add__", no_add)
+        monkeypatch.setattr(Polynomial, "__radd__", no_add)
+        assert w.rough_laplacian() == want
 
 
 class TestCovariantGradient:

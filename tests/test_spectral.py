@@ -12,20 +12,96 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from formlab import linalg, spectral
-from formlab.ball import BallDomain, jstar_inner
+from formlab.ball import BallDomain, inner_pairs, jstar_inner, jstar_pairs, normal_part
 from formlab.exterior import multi_indices
-from formlab.polyform import PolyForm
+from formlab.polyform import PolyForm, PolyVectorField
 from formlab.polynomials import Polynomial
-from formlab.quadrature import integrate_sphere
+from formlab.quadrature import integrate_pairs, integrate_sphere
 from formlab.sampling import rng_for
-from formlab.spectral import (CertificateError, ExtensionProblem, _extend_block, _generalized_eigvalsh,
-                              _sphere_matrix, assemble_operator, ball_reference_eigenvalue,
-                              certify_eigenvalue, check_bounds, extend,
-                              rayleigh_quotient, scaling_check)
+from formlab.spectral import (CertificateError, _generalized_eigvalsh, _neumann_extension,
+                              _neumann_failures, _sphere_matrix, assemble_operator,
+                              ball_reference_eigenvalue, certify_eigenvalue,
+                              check_bounds, rayleigh_quotient, scaling_check)
 
 
 def binom(n, k):
     return math.comb(n, k)
+
+
+# ---------------------------------------------------------------------------
+# Least-squares harmonic extension: the independent oracle that the
+# closed-form Neumann extension is checked against.
+# ---------------------------------------------------------------------------
+
+EXTENSION_KINDS = ("harmonic-coclosed", "harmonic-neumann")
+
+
+def _trial_space(m, p, degree, cache):
+    """Harmonic p-fields of coefficient degree <= degree (homogeneous
+    blocks stack); at p = 0, the harmonic scalars."""
+    return [w for l in range(degree + 1) for w in cache.get(m, l, p, "H").basis]
+
+
+def lsq_extend_block(kind, domain, data, degree, cache, max_degree=None):
+    """(extension, misfit) of each datum by exact least squares.
+
+    kind "harmonic-coclosed": Delta ext = 0, delta ext = 0, J* ext = datum;
+    kind "harmonic-neumann":  Delta ext = 0, J* ext = datum, i_N ext = 0.
+    The interior conditions hold by the trial space; the boundary misfit
+    Q(v) = v^T M v - 2 b.v + const (pullback mismatch plus, for the
+    Neumann kind, the normal-part energy) is minimised, with the columns
+    b of B solved together.  The block escalates the degree by 2 while
+    any misfit is non-zero, up to ``max_degree`` (default: start + 4);
+    trial spaces nest, so no misfit grows on the way."""
+    assert kind in EXTENSION_KINDS, kind
+    m, p, R = domain.m, data[0].p, domain.radius
+    if max_degree is None:
+        max_degree = degree + 4
+    consts = [integrate_sphere(jstar_inner(datum, datum, domain), R).coeff
+              for datum in data]
+    while True:
+        if kind == "harmonic-neumann":
+            # trial forms s dx_I: M is one scalar Gram per dx_I, so every
+            # (dx_I, datum) column is solved against that Gram at once
+            scalars = _trial_space(m, 0, degree, cache)
+            indices = multi_indices(m, p)
+            trial = [PolyForm(m, p, {I: s.coeffs[()]}) for I in indices for s in scalars]
+            B = _sphere_matrix(trial, data, domain)
+            n, nI, nd = len(scalars), len(indices), len(data)
+            rhs = [[v for i in range(nI) for v in B[i * n + j]] for j in range(n)]
+            M_s = _sphere_matrix(scalars, scalars, domain, pullback=False)
+            Y = linalg.solve(M_s, rhs)
+            X = None if Y is None else [Y[j][i * nd:(i + 1) * nd]
+                                        for i in range(nI) for j in range(n)]
+        else:
+            trial = _trial_space(m, p, degree, cache)
+            B = _sphere_matrix(trial, data, domain)
+            X = linalg.solve(_sphere_matrix(trial, trial, domain), B)
+        assert X is not None, "normal equations inconsistent"
+        out = []
+        for k, const in enumerate(consts):
+            ext = sum((t * x[k] for x, t in zip(X, trial) if x[k]), PolyForm.zero(m, p))
+            out.append((ext, const - sum(x[k] * b[k] for x, b in zip(X, B))))
+        worst = max(misfit for _, misfit in out)
+        if worst == 0:
+            return out
+        if degree + 2 > max_degree:
+            raise ValueError(
+                f"ansatz degree insufficient: misfit {worst} at degree {degree}")
+        degree += 2
+
+
+def lsq_extend(kind, domain, datum, degree, cache, max_degree=None):
+    """The one-datum case of ``lsq_extend_block``."""
+    return lsq_extend_block(kind, domain, [datum], degree, cache, max_degree)[0]
+
+
+def neumann_misfit(ext, datum, domain):
+    """The Neumann least-squares objective at ext:
+    int_S |J*(ext - datum)|^2 + int_S |i_N ext|^2."""
+    diff, normal = ext - datum, normal_part(ext, domain)
+    return integrate_pairs(jstar_pairs(diff, diff, domain)
+                           + inner_pairs(normal, normal), domain.radius)
 
 
 @pytest.fixture(scope="module")
@@ -47,8 +123,7 @@ class TestExtension:
     def test_coclosed_datum_extends_to_itself(self, cache):
         dom = BallDomain(3, Fraction(1))
         w = cache.get(3, 1, 1, "H-normal-null").basis[0]
-        prob = ExtensionProblem("harmonic-coclosed", dom, w, 3)
-        ext, misfit = extend(prob, cache)
+        ext, misfit = lsq_extend("harmonic-coclosed", dom, w, 3, cache)
         assert misfit == 0
         # unique extension: difference has zero boundary trace and is zero
         assert (ext - w).is_zero()
@@ -56,22 +131,21 @@ class TestExtension:
     def test_neumann_kind_on_coexact_datum(self, cache):
         dom = BallDomain(3, Fraction(1))
         w = cache.get(3, 1, 1, "H-normal-null").basis[0]
-        prob = ExtensionProblem("harmonic-neumann", dom, w, 3)
-        ext, misfit = extend(prob, cache)
+        ext, misfit = lsq_extend("harmonic-neumann", dom, w, 3, cache)
         assert misfit == 0
         assert rayleigh_quotient(ext, dom, True) == 2  # p + l
 
-    def test_neumann_kind_on_closed_datum(self, cache):
+    def test_neumann_kind_on_closed_datum(self):
         # constant closed datum: lowest exact block of the Neumann-type
         # operator, eigenvalue p(n+3)/(n+1)
         dom = BallDomain(3, Fraction(1))
-        prob = ExtensionProblem("harmonic-neumann", dom, PolyForm.basis(3, (1,)), 2)
-        ext, misfit = extend(prob, cache)
+        datum = PolyForm.basis(3, (1,))
+        ext = _neumann_extension(datum, 0, dom)
+        misfit = neumann_misfit(ext, datum, dom)
         assert misfit == 0
         assert rayleigh_quotient(ext, dom, True) == Fraction(5, 3)
-        from formlab.polyform import PolyVectorField
         trace = ext.interior(PolyVectorField.position(3))
-        from formlab.quadrature import RadialDensity, integrate_sphere
+        from formlab.quadrature import RadialDensity
         assert integrate_sphere(
             RadialDensity.from_polynomial(trace.norm_sq()), 1).coeff == 0
 
@@ -80,17 +154,16 @@ class TestExtension:
         # datum with no polynomial extension of tiny degree: use a cubic
         # coexact datum but cap the ansatz below its degree
         w = cache.get(3, 2, 1, "H-normal-null").basis[0]
-        prob = ExtensionProblem("harmonic-coclosed", dom, w, 0)
         with pytest.raises(ValueError, match="ansatz degree insufficient"):
-            extend(prob, cache, max_degree=0)
+            lsq_extend("harmonic-coclosed", dom, w, 0, cache, max_degree=0)
 
     def test_block_matches_one_datum_extensions(self, cache):
         dom = BallDomain(4, Fraction(1))
         data = cache.get(4, 1, 2, "H-closed").basis
         assert len(data) > 1
-        block = _extend_block("harmonic-neumann", dom, data, 3, cache)
+        block = lsq_extend_block("harmonic-neumann", dom, data, 3, cache)
         for w, (ext, misfit) in zip(data, block):
-            one = extend(ExtensionProblem("harmonic-neumann", dom, w, 3), cache)
+            one = lsq_extend("harmonic-neumann", dom, w, 3, cache)
             assert misfit == one[1] == 0
             assert (ext - one[0]).is_zero()
 
@@ -100,12 +173,12 @@ class TestExtension:
         # s dx_I, as one system, instead of one scalar Gram per dx_I
         dom = BallDomain(m, Fraction(1))
         data = cache.get(m, l, p, "H-closed").basis
-        degree = max(w.max_coeff_degree() for w in data) + 2
+        degree = l + 2
         trial = [PolyForm(m, p, {I: s.coeffs[()]}) for k in range(degree + 1)
                  for I in multi_indices(m, p) for s in cache.get(m, k, 0, "H").basis]
         B = _sphere_matrix(trial, data, dom)
         X = linalg.solve(_sphere_matrix(trial, trial, dom, pullback=False), B)
-        block = _extend_block("harmonic-neumann", dom, data, degree, cache)
+        block = lsq_extend_block("harmonic-neumann", dom, data, degree, cache)
         assert len(block) == len(data)
         for k, (datum, (ext, misfit)) in enumerate(zip(data, block)):
             want = sum((t * x[k] for x, t in zip(X, trial) if x[k]), PolyForm.zero(m, p))
@@ -131,6 +204,89 @@ class TestExtension:
         # a fourth column breaking row 3 = row 0 + row 1 is inconsistent
         bad = [r + [F(int(i == 3))] for i, r in enumerate(rhs)]
         assert linalg.solve(rows, bad) is None
+
+
+RADII = (Fraction(1), Fraction(1, 2), Fraction(7, 3))
+
+
+def closed_blocks(cache, radii=RADII):
+    """(domain, k, closed degree-k harmonic p-forms) for m in 2..4,
+    p in 1..m-1, k in 0..2."""
+    for m in (2, 3, 4):
+        for p in range(1, m):
+            for k in range(3):
+                data = cache.get(m, k, p, "H-closed").basis
+                for R in radii:
+                    yield BallDomain(m, R), k, data
+
+
+def neumann_formula(phi, k, dom, a, first):
+    """first - R^-2 x^b ^ i_x phi + a R^-2 (|x|^2 - R^2) phi: the closed
+    formula with its coefficient and first term exposed to mutation."""
+    m, R2 = dom.m, dom.radius ** 2
+    x = PolyVectorField.position(m)
+    return (first - x.dual_one_form().wedge(phi.interior(x)) * (1 / R2)
+            + phi * ((Polynomial.radius_squared(m) - R2) * (a / R2)))
+
+
+class TestNeumannExtension:
+    """The closed-form dtn-neumann extension and its exact checks."""
+
+    def test_formula_equals_least_squares_oracle(self, cache):
+        count = 0
+        for dom, k, data in closed_blocks(cache):
+            block = lsq_extend_block("harmonic-neumann", dom, data, k + 2, cache)
+            for phi, (want, misfit) in zip(data, block):
+                assert misfit == 0
+                assert _neumann_extension(phi, k, dom) == want
+                count += 1
+        assert count == 438
+
+    @pytest.fixture
+    def mutant_failures(self, cache):
+        """The failed checks of a mutated formula on every closed block
+        at R = 1 and R = 7/3, one list per datum."""
+        def failures(mutate):
+            out = []
+            for dom, k, data in closed_blocks(cache, (Fraction(1), Fraction(7, 3))):
+                for phi in data:
+                    a = Fraction(phi.p + k, dom.m + 2 * k)
+                    out.append(_neumann_failures(mutate(phi, k, dom, a), phi, dom))
+            assert out
+            return out
+        return failures
+
+    def test_wrong_coefficient_fails_only_harmonicity(self, mutant_failures):
+        # a -> (p+k+1)/(m+2k): boundary conditions hold, harmonicity not
+        def mutate(phi, k, dom, a):
+            return neumann_formula(phi, k, dom, a + Fraction(1, dom.m + 2 * k), phi)
+        assert all(f == ["harmonic"] for f in mutant_failures(mutate))
+
+    def test_extension_of_twice_the_datum_fails_only_pullback(self, mutant_failures):
+        # the formula applied to 2 phi is the Neumann extension of 2 phi:
+        # harmonic with no normal part, but the wrong pullback
+        def mutate(phi, k, dom, a):
+            return neumann_formula(2 * phi, k, dom, a, 2 * phi)
+        assert all(f == ["pullback"] for f in mutant_failures(mutate))
+        # doubling only the first term also leaves a normal part i_x phi
+        # on the sphere, so both boundary checks see it
+        def first_only(phi, k, dom, a):
+            return neumann_formula(phi, k, dom, a, 2 * phi)
+        assert all(f == ["pullback", "normal part"]
+                   for f in mutant_failures(first_only))
+
+    def test_uncorrected_datum_fails_only_normal_part(self, mutant_failures):
+        # ext = phi: harmonic with pullback phi, but i_x phi != 0 on the sphere
+        assert all(f == ["normal part"]
+                   for f in mutant_failures(lambda phi, k, dom, a: phi))
+
+    def test_failure_names_the_condition(self, cache):
+        # a co-exact datum is not closed: the formula's correction term
+        # a R^-2 (|x|^2 - R^2) phi is then not harmonic
+        dom = BallDomain(3, Fraction(1, 2))
+        phi = cache.get(3, 1, 1, "H-normal-null").basis[0]
+        with pytest.raises(AssertionError, match="m=3, R=1/2 fails: harmonic$"):
+            _neumann_extension(phi, 1, dom)
 
 
 class TestEigensolve:
