@@ -25,8 +25,7 @@ from .polynomials import Polynomial
 from .polyform import PolyForm, PolyVectorField, gradient_action
 from .quadrature import (ExactScalar, RadialDensity, integrate_ball,
                          integrate_sphere, mc_oracle, sphere_average)
-from .ball import (BallDomain, BoundaryForm, WeightFunction, b_term,
-                   b_term_alternate, canonical_weight, normal_part, shape_lift)
+from .ball import BallDomain, WeightFunction, canonical_weight, normal_part
 from .identities import (IdentityReport, pointwise_hessian_estimate,
                          replay_proof_chain, verify_function_reilly,
                          verify_pohozhaev, verify_stokes,
@@ -39,18 +38,17 @@ from .spectral import (CertificateError, SpectrumReport, assemble_operator,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BallDomain", "BasisCache", "BoundaryForm", "CertificateError",
+    "BallDomain", "BasisCache", "CertificateError",
     "ChartMetric", "ConstantForm", "ExactScalar",
     "FormSpaceBasis", "IdentityReport", "LinearEndomorphism", "MultiIndex",
     "PolyForm", "PolyVectorField", "Polynomial", "RadialDensity",
     "SpectrumReport", "WeightFunction",
-    "assemble_operator", "b_term", "b_term_alternate",
-    "ball_reference_eigenvalue", "bochner_residual", "canonical_weight",
-    "certify_eigenvalue", "check_bounds", "curvature_at",
+    "assemble_operator", "ball_reference_eigenvalue", "bochner_residual",
+    "canonical_weight", "certify_eigenvalue", "check_bounds", "curvature_at",
     "gallot_meyer_check", "gradient_action", "integrate_ball",
     "integrate_sphere", "mc_oracle", "multi_indices", "normal_part",
     "pointwise_hessian_estimate", "replay_proof_chain", "scaling_check",
-    "shape_lift", "sphere_average", "sphere_reduce", "verify_function_reilly",
+    "sphere_average", "sphere_reduce", "verify_function_reilly",
     "verify_pohozhaev", "verify_stokes", "verify_unweighted_reilly",
     "verify_weighted_reilly", "weitzenbock_at",
 ]

@@ -10,6 +10,8 @@ pullback inner product is computed through the pointwise splitting
     <J* a, J* b> = <a, b> - <i_N a, i_N b>   on Sigma,
 
 which keeps every boundary computation inside polynomial arithmetic.
+Pairings are returned as the pair lists that
+``quadrature.integrate_pairs`` integrates without building a product.
 The tangential codifferential is assembled from ambient data through
 
     delta^S (J* w) = J*(delta w) + i_N(grad_N w) + S^[p-1](i_N w) - nH i_N w,
@@ -26,7 +28,7 @@ from functools import cached_property
 
 from .polynomials import Polynomial
 from .polyform import PolyForm, PolyVectorField
-from .quadrature import ExactScalar, RadialDensity, integrate_pairs, integrate_sphere
+from .quadrature import ExactScalar, RadialDensity, integrate_pairs
 
 
 @dataclass(frozen=True)
@@ -88,97 +90,6 @@ def jstar_pairs(a: PolyForm, b: PolyForm, domain: BallDomain, scale=1) -> list[t
     return pairs
 
 
-def pairs_density(pairs, m: int) -> Polynomial:
-    """``sum_k s_k a_k b_k`` built as a polynomial."""
-    total = Polynomial.zero(m)
-    for s, a, b in pairs:
-        prod = a * b
-        total = total + (prod if s == 1 else prod * s)
-    return total
-
-
-def jstar_inner(a: PolyForm, b: PolyForm, domain: BallDomain) -> Polynomial:
-    """Pointwise <J*a, J*b> on Sigma as a polynomial density."""
-    return pairs_density(jstar_pairs(a, b, domain), a.m)
-
-
-def shape_lift(p: int, domain: BallDomain):
-    """The degree-p lift of the shape operator; on the sphere it is
-    multiplication by p*c (zero on 0-forms by convention)."""
-    factor = p * domain.curvature
-
-    def apply(phi: "BoundaryForm") -> "BoundaryForm":
-        return BoundaryForm(phi.domain, phi.rep * factor)
-
-    apply.factor = factor
-    return apply
-
-
-class BoundaryForm:
-    """A form on the boundary sphere given by an ambient representative.
-
-    Two boundary forms are equal when the pullback of the difference of
-    their representatives has exactly zero L^2-norm on Sigma.
-    """
-
-    __slots__ = ("domain", "rep")
-
-    def __init__(self, domain: BallDomain, rep: PolyForm):
-        if rep.m != domain.m:
-            raise ValueError("representative dimension mismatch")
-        self.domain = domain
-        self.rep = rep
-
-    @property
-    def p(self) -> int:
-        return self.rep.p
-
-    def __add__(self, other: "BoundaryForm") -> "BoundaryForm":
-        return BoundaryForm(self.domain, self.rep + other.rep)
-
-    def __sub__(self, other: "BoundaryForm") -> "BoundaryForm":
-        return BoundaryForm(self.domain, self.rep - other.rep)
-
-    def __neg__(self) -> "BoundaryForm":
-        return BoundaryForm(self.domain, -self.rep)
-
-    def __mul__(self, s) -> "BoundaryForm":
-        return BoundaryForm(self.domain, self.rep * s)
-
-    __rmul__ = __mul__
-
-    def inner(self, other: "BoundaryForm") -> ExactScalar:
-        """Integrated pullback inner product over Sigma."""
-        if self.p != other.p:
-            raise ValueError("degree mismatch")
-        return integrate_sphere(jstar_inner(self.rep, other.rep, self.domain),
-                                self.domain.radius)
-
-    def norm_sq(self) -> ExactScalar:
-        return self.inner(self)
-
-    def is_zero(self) -> bool:
-        return self.norm_sq().is_zero()
-
-    def __eq__(self, other):
-        return isinstance(other, BoundaryForm) and (self - other).is_zero()
-
-    __hash__ = None
-
-    def d(self) -> "BoundaryForm":
-        """Tangential differential: J* commutes with d."""
-        if self.p > self.domain.m - 2:
-            raise ValueError("top boundary degree has no differential")
-        return BoundaryForm(self.domain, self.rep.d())
-
-    def delta(self) -> "BoundaryForm":
-        """Tangential codifferential assembled from ambient data."""
-        if self.p == 0:
-            raise ValueError("codifferential of a boundary 0-form")
-        return BoundaryForm(self.domain,
-                            boundary_delta_rep(self.rep, self.domain))
-
-
 def boundary_delta_rep(omega: PolyForm, domain: BallDomain) -> PolyForm:
     """Ambient representative of delta^Sigma(J* omega)."""
     if omega.p == 0:
@@ -226,12 +137,6 @@ def b_term_pairs(omega: PolyForm, domain: BallDomain) -> list[tuple]:
     return inner_pairs(omega, omega, p * c) + inner_pairs(i_n, i_n, (n - 2 * p + 1) * c)
 
 
-def b_term(omega: PolyForm, domain: BallDomain) -> Polynomial:
-    """B(w,w) (see ``b_term_pairs``) as a pointwise polynomial density on
-    Sigma."""
-    return pairs_density(b_term_pairs(omega, domain), domain.m)
-
-
 def b_term_alternate_pairs(omega: PolyForm, domain: BallDomain) -> list[tuple]:
     """The terms of the two-term shape-operator expression for B, valid
     for exact forms:
@@ -245,11 +150,6 @@ def b_term_alternate_pairs(omega: PolyForm, domain: BallDomain) -> list[tuple]:
     dual = omega.star()
     return jstar_pairs(omega, omega, domain, q * c) \
         + jstar_pairs(dual, dual, domain, (domain.m - q) * c)
-
-
-def b_term_alternate(omega: PolyForm, domain: BallDomain) -> Polynomial:
-    """``b_term_alternate_pairs`` as a pointwise polynomial density."""
-    return pairs_density(b_term_alternate_pairs(omega, domain), domain.m)
 
 
 @dataclass(frozen=True)
@@ -310,15 +210,6 @@ class WeightFunction:
                 unit = [[Polynomial.zero(self.m)] * self.m for _ in range(self.m)]
                 unit[i][j] = Polynomial.one(self.m)
                 yield entry, inner_pairs(a, b.lift_by(unit))
-
-    def hessian_quadratic(self, a: PolyForm, b: PolyForm) -> RadialDensity:
-        """<a, Hess-lift b> as a density, assembled entry by entry."""
-        out = RadialDensity.zero(self.m)
-        for entry, pairs in self.hessian_pairs(a, b):
-            density = pairs_density(pairs, self.m)
-            if density:
-                out = out + entry * density
-        return out
 
 
 def canonical_weight(domain: BallDomain) -> WeightFunction:

@@ -24,8 +24,9 @@ cache stores the results, one JSON document per (m, l, p, kind): schema
 2 holds the monomial frame and the basis vectors, with rationals
 encoded portably as decimal strings (sign carried by the numerator).
 A file is trusted only when its schema and its (m, l, p, kind) match
-the request; any other file is a miss, and the basis is recomputed and
-written over it.
+the request and every decoded form satisfies the constraints that
+define its kind (``_in_kind``); any other file is a miss, and
+the basis is recomputed and written over it.
 """
 
 from __future__ import annotations
@@ -219,12 +220,30 @@ def _decode_basis(doc: dict) -> FormSpaceBasis:
     return FormSpaceBasis(m, l, p, doc["kind"], basis)
 
 
+def _in_kind(w: PolyForm, kind: str) -> bool:
+    """Whether w satisfies the constraints that define ``kind``, each an
+    exact polynomial identity: componentwise harmonic unless "P",
+    co-closed for p >= 1, closed for "H-closed" with p <= m-1 and
+    i_x w = 0 for "H-normal-null" with p >= 1."""
+    if kind == "P":
+        return True
+    conditions = [w.rough_laplacian()]
+    if w.p >= 1:
+        conditions.append(w.delta())
+    if kind == "H-closed" and w.p <= w.m - 1:
+        conditions.append(w.d())
+    if kind == "H-normal-null" and w.p >= 1:
+        conditions.append(w.interior(PolyVectorField.position(w.m)))
+    return all(c.is_zero() for c in conditions)
+
+
 class BasisCache:
     """Memoising store for form-space bases, optionally disk-backed.
 
     Disk writes go through a temporary file and an atomic rename, which
     keeps the single-writer contract safe under concurrent readers.  A
-    file of another schema or for another (m, l, p, kind) is a miss.
+    file of another schema, for another (m, l, p, kind) or with a form
+    outside its kind is a miss.
     Misses are resolved under one re-entrant lock (computing a split
     basis asks for its "H" parent), so threads sharing the cache load or
     compute each basis once.
@@ -265,7 +284,8 @@ class BasisCache:
             doc = json.load(fh)
         if [doc.get(k) for k in ("schema", "m", "l", "p", "kind")] != [SCHEMA, *key]:
             return None
-        return _decode_basis(doc)
+        fsb = _decode_basis(doc)
+        return fsb if all(_in_kind(w, fsb.kind) for w in fsb.basis) else None
 
     def _store(self, fsb: FormSpaceBasis) -> None:
         path = self._path(fsb.m, fsb.l, fsb.p, fsb.kind)

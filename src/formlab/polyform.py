@@ -82,7 +82,7 @@ class PolyForm:
             raise ValueError("degree mismatch")
         coeffs = dict(self.coeffs)
         for I, c in other.coeffs.items():
-            coeffs[I] = coeffs.get(I, Polynomial.zero(self.m)) + c
+            coeffs[I] = coeffs[I] + c if I in coeffs else c
         return PolyForm._of(self.m, self.p, coeffs)
 
     def __sub__(self, other: "PolyForm") -> "PolyForm":
@@ -153,7 +153,7 @@ class PolyForm:
             comps = [Polynomial.zero(self.m)] * self.m
             comps[k - 1] = Polynomial.one(self.m)
             for J, v in interior_terms(comps, dk.coeffs).items():
-                out[J] = out.get(J, Polynomial.zero(self.m)) - v
+                out[J] = out[J] - v if J in out else -v
         return PolyForm._of(self.m, self.p - 1, out)
 
     def laplacian(self) -> "PolyForm":
@@ -219,14 +219,6 @@ class PolyForm:
 
     def norm_sq(self) -> Polynomial:
         return self.inner(self)
-
-    def gradient_norm_sq(self) -> Polynomial:
-        """|nabla omega|^2 = sum_k |d omega/dx_k|^2 as a density."""
-        total = Polynomial.zero(self.m)
-        for k in range(1, self.m + 1):
-            dk = self.partial(k)
-            total = total + dk.inner(dk)
-        return total
 
     def lift_by(self, rows) -> "PolyForm":
         """Apply the p-form lift of the (1,1) tensor with entries

@@ -13,10 +13,9 @@ building a product.  It sums the coefficient products per exponent and
 contracts each sum against the weight's terms and the sphere moments,
 which one table memoises as exponents are first met.  The identity
 checks integrate their pointwise inner products this way, term by term,
-and the spectral layer its boundary pairings (``sphere_pairing`` is the
-unweighted sphere case).  ``integrate_sphere`` and ``integrate_ball``
-integrate a density (or a plain ``Polynomial``, its r^0 part) as the
-weight of the single pair 1 * 1.
+and the spectral layer its boundary pairings.  ``integrate_sphere`` and
+``integrate_ball`` integrate a density (or a plain ``Polynomial``, its
+r^0 part) as the weight of the single pair 1 * 1.
 
 All integrals are returned as exact rational multiples of the measure
 of the unit sphere ``|S^{m-1}(1)|``, which is carried as an uncancelled
@@ -183,7 +182,7 @@ class RadialDensity:
         other = self._coerce(other)
         parts = dict(self.parts)
         for j, poly in other.parts.items():
-            parts[j] = parts.get(j, Polynomial.zero(self.m)) + poly
+            parts[j] = parts[j] + poly if j in parts else poly
         return RadialDensity(self.m, parts)
 
     __radd__ = __add__
@@ -207,7 +206,7 @@ class RadialDensity:
             for j2, p2 in other.parts.items():
                 j = j1 + j2
                 prod = p1 * p2
-                parts[j] = parts.get(j, Polynomial.zero(self.m)) + prod
+                parts[j] = parts[j] + prod if j in parts else prod
         return RadialDensity(self.m, parts)
 
     __rmul__ = __mul__
@@ -222,10 +221,10 @@ class RadialDensity:
         for j, poly in self.parts.items():
             dp = poly.partial(k)
             if dp:
-                parts[j] = parts.get(j, Polynomial.zero(self.m)) + dp
+                parts[j] = parts[j] + dp if j in parts else dp
             if j:
                 shifted = poly * xk * j
-                parts[j - 2] = parts.get(j - 2, Polynomial.zero(self.m)) + shifted
+                parts[j - 2] = parts[j - 2] + shifted if j - 2 in parts else shifted
         return RadialDensity(self.m, parts)
 
     # -- evaluation --------------------------------------------------------
@@ -335,14 +334,6 @@ def integrate_pairs(pairs, radius, weight=1, region: str = "sphere") -> Fraction
     if region == "ball":
         return sum((c * R ** power / power for power, c in by_power.items()), Fraction(0))
     return sum((c * R ** power for power, c in by_power.items()), Fraction(0))
-
-
-def sphere_pairing(a: Polynomial, b: Polynomial, radius) -> Fraction:
-    """``integrate_sphere(a * b, radius).coeff`` without building ``a * b``:
-    the unweighted sphere case of ``integrate_pairs``."""
-    if a.m != b.m:
-        raise ValueError("variable count mismatch")
-    return integrate_pairs(((1, a, b),), radius)
 
 
 def integrate_sphere(density: RadialDensity | Polynomial, radius) -> ExactScalar:

@@ -20,8 +20,9 @@ one of them is a matrix of boundary pairings int_S <J*u, J*v>, built by
 normal part) is computed once per matrix, and each entry contracts the
 shared coefficients against cached sphere moments
 (``quadrature.integrate_pairs``), with no product polynomial built.  No
-extension is solved for.  A coexact trial form is its own extension
-(checked componentwise harmonic, and co-closed or normal-null).  The
+extension is solved for.  A coexact trial form is its own extension:
+it is harmonic, co-closed and normal-null, and ``BasisCache`` checks
+these constraints of every basis it loads from disk.  The
 ``dtn-neumann`` extension of a closed datum is a closed formula
 (``_neumann_extension``, after Raulot-Savo), and each one is checked
 exactly to be harmonic, to pull back to the datum and to have no normal
@@ -45,11 +46,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .ball import BallDomain, boundary_delta_rep, jstar_inner, normal_part
+from .ball import BallDomain, boundary_delta_rep, normal_part
 from .harmonic import BasisCache, sphere_reduce
 from .polynomials import Polynomial
 from .polyform import PolyForm, PolyVectorField
-from .quadrature import integrate_ball, integrate_pairs, integrate_sphere
+from .quadrature import integrate_pairs
 
 OPERATORS = ("dtn", "dtn-neumann", "hodge-boundary")
 
@@ -135,22 +136,6 @@ def _neumann_extension(phi: PolyForm, k: int, domain: BallDomain) -> PolyForm:
             f"Neumann extension of a closed degree-{k} {p}-form at m={m}, "
             f"R={domain.radius} fails: {', '.join(failures)}")
     return ext
-
-
-def rayleigh_quotient(ext: PolyForm, domain: BallDomain,
-                      include_codifferential: bool) -> Fraction:
-    """(int |d ext|^2 [+ |delta ext|^2]) / int_S |J* ext|^2."""
-    m, R = domain.m, domain.radius
-    num = Polynomial.zero(m)
-    if ext.p <= m - 1:
-        num = num + ext.d().norm_sq()
-    if include_codifferential and ext.p >= 1:
-        num = num + ext.delta().norm_sq()
-    num_val = integrate_ball(num, R).coeff
-    den = integrate_sphere(jstar_inner(ext, ext, domain), R).coeff
-    if den == 0:
-        raise ZeroDivisionError("trial form has zero boundary trace")
-    return num_val / den
 
 
 # ---------------------------------------------------------------------------
@@ -269,16 +254,6 @@ def ball_reference_eigenvalue(operator: str, block_kind: str, m: int, p: int,
     raise ValueError(f"unknown operator {operator!r}")
 
 
-def _check_self_extension(form: PolyForm, domain: BallDomain, kind: str) -> None:
-    if not form.rough_laplacian().is_zero():
-        raise AssertionError("trial form is not componentwise harmonic")
-    if kind == "harmonic-coclosed" and not form.delta().is_zero():
-        raise AssertionError("trial form is not co-closed")
-    if kind == "harmonic-neumann":
-        if not form.interior(PolyVectorField.position(domain.m)).is_zero():
-            raise AssertionError("trial form has a normal part on the boundary")
-
-
 def _build_blocks(operator: str, m: int, p: int, l_max: int,
                   domain: BallDomain, cache: BasisCache) -> list[Block]:
     blocks: list[Block] = []
@@ -294,10 +269,6 @@ def _build_blocks(operator: str, m: int, p: int, l_max: int,
                 blocks.append(Block("exact", l, list(closed.basis), exts))
         coexact = cache.get(m, l, p, "H-normal-null")
         if coexact.dim:
-            kind = ("harmonic-neumann" if operator == "dtn-neumann"
-                    else "harmonic-coclosed")
-            for w in coexact.basis:
-                _check_self_extension(w, domain, kind)
             blocks.append(Block("coexact", l, list(coexact.basis),
                                 list(coexact.basis)))
     return blocks
@@ -410,10 +381,8 @@ def _solve_assembly(assembly: OperatorAssembly) -> SpectrumReport:
     rows = []
     for (blk, _), theta in zip(assembly.block_slices(), _certify_blocks(assembly)):
         multiplicity[theta] = multiplicity.get(theta, 0) + blk.dim
-        # the certified block eigenvalues are theta itself: no deviation
         rows.append({"kind": blk.kind, "l": blk.l, "dim": blk.dim,
-                     "eigenvalues": [theta] * blk.dim, "reference": str(theta),
-                     "max_reference_deviation": Fraction(0)})
+                     "eigenvalues": [theta] * blk.dim, "reference": str(theta)})
     spectrum = sorted(multiplicity.items())
     return SpectrumReport(assembly.operator, assembly.domain.m, assembly.p,
                           assembly.domain.radius, assembly.l_max,

@@ -12,9 +12,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from densities import pairs_density
 from formlab import linalg
-from formlab.ball import (BallDomain, WeightFunction, b_term,
-                          b_term_alternate, canonical_weight)
+from formlab.ball import (BallDomain, WeightFunction, b_term_alternate_pairs,
+                          b_term_pairs, canonical_weight)
 from formlab.cli import RunConfig, run_suites
 from formlab.curvature import (ChartMetric, bochner_residual, curvature_at,
                                gallot_meyer_check, weitzenbock_at)
@@ -261,7 +262,8 @@ def test_criterion_09_strict_bound_and_shape_expression(acache, spectra_m3):
         dom = BallDomain(m, Fraction(1))
         phi = random_form(rng, m, p, 3)
         w = phi.d()
-        diff = b_term(w, dom) - b_term_alternate(w, dom)
+        diff = (pairs_density(b_term_pairs(w, dom), m)
+                - pairs_density(b_term_alternate_pairs(w, dom), m))
         sq = diff * diff
         assert integrate_sphere(RadialDensity.from_polynomial(sq), 1).coeff == 0
     chain = replay_proof_chain("nonsharp", 1, BallDomain(3, Fraction(1)), acache)

@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from formlab.ball import (BallDomain, BoundaryForm, WeightFunction, b_term,
-                          b_term_alternate, boundary_delta_rep, canonical_weight,
-                          jstar_inner, normal_part, normal_split_residual,
-                          shape_lift)
+from densities import jstar_density, pairs_density
+from formlab.ball import (BallDomain, WeightFunction, b_term_alternate_pairs,
+                          b_term_pairs, boundary_delta_rep, canonical_weight,
+                          normal_part, normal_split_residual)
 from formlab.polynomials import Polynomial
 from formlab.polyform import PolyForm, PolyVectorField
 from formlab.quadrature import RadialDensity, integrate_sphere
@@ -25,6 +25,16 @@ def sphere_int(density, dom):
     if isinstance(density, Polynomial):
         density = RadialDensity.from_polynomial(density)
     return integrate_sphere(density, dom.radius).coeff
+
+
+def trace_norm_sq(w, dom):
+    """int_S |J* w|^2, integrated from its product density."""
+    return sphere_int(jstar_density(w, w, dom), dom)
+
+
+def b_density(w, dom):
+    """B(w, w) as a pointwise density on the sphere."""
+    return pairs_density(b_term_pairs(w, dom), dom.m)
 
 
 class TestNormalField:
@@ -73,18 +83,15 @@ class TestNormalContraction:
 
 class TestBoundaryInner:
     def test_constant_one_form(self):
-        phi = BoundaryForm(DOM3, PolyForm.basis(3, (1,)))
-        assert phi.norm_sq().coeff == Fraction(2, 3)
+        assert trace_norm_sq(PolyForm.basis(3, (1,)), DOM3) == Fraction(2, 3)
 
     def test_volume_pullback_full_measure(self):
         rep = PolyForm.volume(3).interior(PolyVectorField.position(3))
-        phi = BoundaryForm(DOM3, rep)
-        assert phi.norm_sq().coeff == 1  # |S^2| after normalisation
+        assert trace_norm_sq(rep, DOM3) == 1  # |S^2| after normalisation
 
     def test_orthogonal_representatives(self):
-        a = BoundaryForm(DOM3, PolyForm.basis(3, (1,)))
-        b = BoundaryForm(DOM3, PolyForm.basis(3, (2,)))
-        assert a.inner(b).is_zero()
+        a, b = PolyForm.basis(3, (1,)), PolyForm.basis(3, (2,))
+        assert sphere_int(jstar_density(a, b, DOM3), DOM3) == 0
 
     def test_pointwise_split(self):
         rng = rng_for(30, "split")
@@ -94,45 +101,27 @@ class TestBoundaryInner:
             p = rng.randint(1, m)
             w = random_form(rng, m, p, 2)
             i_n = normal_part(w, dom)
-            density = w.norm_sq() - jstar_inner(w, w, dom) - i_n.norm_sq()
+            density = w.norm_sq() - jstar_density(w, w, dom) - i_n.norm_sq()
             assert sphere_int(density, dom) == 0
-
-
-class TestShapeLift:
-    def test_unit_sphere_one_form(self):
-        lift = shape_lift(1, DOM3)
-        assert lift.factor == 1
-
-    def test_degree_zero_convention(self):
-        assert shape_lift(0, DOM3).factor == 0
-
-    def test_curvature_scaling(self):
-        dom = BallDomain(3, Fraction(1, 3))
-        assert shape_lift(2, dom).factor == 6  # 2c with c = 3
-
-    def test_apply(self):
-        phi = BoundaryForm(DOM3, PolyForm.basis(3, (1,)))
-        out = shape_lift(1, DOM3)(phi)
-        assert (out - phi).is_zero()
 
 
 class TestBTerm:
     def test_unit_sphere_one_form(self):
-        got = b_term(PolyForm.basis(3, (1,)), DOM3)
+        got = b_density(PolyForm.basis(3, (1,)), DOM3)
         assert got == Polynomial.one(3) + x(1) * x(1)
 
     def test_tangential_reduces_to_shape_term(self):
         w = PolyForm(3, 1, {(1,): x(2), (2,): -x(1)})
-        got = b_term(w, DOM3)
-        assert got == jstar_inner(w, w, DOM3) * DOM3.curvature
+        got = b_density(w, DOM3)
+        assert got == jstar_density(w, w, DOM3) * DOM3.curvature
 
     def test_radius_scaling(self):
         # every curvature factor halves at doubled radius: comparing at
         # corresponding boundary points x and 2x
         w = PolyForm.basis(3, (1,))
         dom2 = BallDomain(3, Fraction(2))
-        b1 = b_term(w, DOM3)
-        b2 = b_term(w, dom2)
+        b1 = b_density(w, DOM3)
+        b2 = b_density(w, dom2)
         for pt in ([Fraction(1), 0, 0], [Fraction(3, 5), Fraction(4, 5), 0]):
             double = [2 * v for v in pt]
             assert b2.evaluate(double) * 2 == b1.evaluate(pt)
@@ -145,26 +134,19 @@ class TestBTerm:
             p = rng.randint(1, m - 1)
             phi = random_form(rng, m, p, 3)
             w = phi.d()
-            diff = b_term(w, dom) - b_term_alternate(w, dom)
+            diff = b_density(w, dom) - pairs_density(b_term_alternate_pairs(w, dom), m)
             assert sphere_int(diff * diff, dom) == 0
 
 
 class TestBoundaryOperators:
     def test_d_commutes_with_pullback(self):
-        phi = BoundaryForm(DOM3, PolyForm(3, 1, {(1,): x(2)}))
-        got = phi.d()
-        want = BoundaryForm(DOM3, PolyForm(3, 2, {(1, 2): Polynomial.constant(3, -1)}))
-        assert (got - want).is_zero()
+        got = PolyForm(3, 1, {(1,): x(2)}).d()
+        want = PolyForm(3, 2, {(1, 2): Polynomial.constant(3, -1)})
+        assert trace_norm_sq(got - want, DOM3) == 0
 
     def test_d_squared_zero(self):
         f = random_polynomial(rng_for(32, "dd"), 3, 3)
-        phi = BoundaryForm(DOM3, PolyForm.from_function(f))
-        assert phi.d().d().is_zero()
-
-    def test_top_degree_rejected(self):
-        phi = BoundaryForm(DOM3, PolyForm.basis(3, (1, 2)))
-        with pytest.raises(ValueError):
-            phi.d()
+        assert trace_norm_sq(PolyForm.from_function(f).d().d(), DOM3) == 0
 
     def test_delta_example_on_circle_harmonic(self):
         # delta^S of the pullback of dx1 on S^2 is the first spherical
@@ -176,8 +158,8 @@ class TestBoundaryOperators:
         rng = rng_for(33, "deltadelta")
         for _ in range(5):
             w = random_form(rng, 3, 2, 2)
-            phi = BoundaryForm(DOM3, w)
-            assert phi.delta().delta().is_zero()
+            twice = boundary_delta_rep(boundary_delta_rep(w, DOM3), DOM3)
+            assert trace_norm_sq(twice, DOM3) == 0
 
     def test_adjointness_gram(self):
         rng = rng_for(34, "adjoint")
@@ -188,16 +170,15 @@ class TestBoundaryOperators:
                 betas = [random_form(rng, m, p, 2) for _ in range(2)]
                 for a in alphas:
                     for b in betas:
-                        lhs = sphere_int(jstar_inner(a.d(), b, dom), dom)
-                        rhs = sphere_int(jstar_inner(
+                        lhs = sphere_int(jstar_density(a.d(), b, dom), dom)
+                        rhs = sphere_int(jstar_density(
                             a, boundary_delta_rep(b, dom), dom), dom)
                         assert lhs == rhs
 
     def test_coclosed_basis_killed(self, cache):
         basis = cache.get(3, 1, 1, "H-normal-null")
         for w in basis.basis:
-            rep = boundary_delta_rep(w, DOM3)
-            assert sphere_int(jstar_inner(rep, rep, DOM3), DOM3) == 0
+            assert trace_norm_sq(boundary_delta_rep(w, DOM3), DOM3) == 0
 
 
 class TestNormalSplitIdentity:

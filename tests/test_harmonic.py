@@ -8,8 +8,9 @@ from fractions import Fraction
 
 import pytest
 
+from densities import jstar_density
 from formlab import harmonic, linalg
-from formlab.ball import BallDomain, boundary_delta_rep, jstar_inner, normal_part
+from formlab.ball import BallDomain, boundary_delta_rep, normal_part
 from formlab.harmonic import (BasisCache, harmonic_field_basis,
                               monomial_form_basis, split_closed_normal_null,
                               sphere_reduce)
@@ -26,7 +27,7 @@ def binom(n, k):
 def sphere_gram(basis, m):
     """Unit-sphere Gram matrix of the pullbacks: entries int <J* a, J* b>."""
     dom = BallDomain(m, Fraction(1))
-    return [[integrate_sphere(jstar_inner(a, b, dom), 1).coeff for b in basis]
+    return [[integrate_sphere(jstar_density(a, b, dom), 1).coeff for b in basis]
             for a in basis]
 
 
@@ -164,7 +165,7 @@ class TestCodifferentialIsomorphism:
         for b in src.basis:
             img = boundary_delta_rep(b, dom)
             rhs = [integrate_sphere(RadialDensity.from_polynomial(
-                jstar_inner(img, t, dom)), 1).coeff for t in tgt.basis]
+                jstar_density(img, t, dom)), 1).coeff for t in tgt.basis]
             sol = linalg.solve(sphere_gram(tgt.basis, m), [[v] for v in rhs])
             assert sol is not None
             coords = [row[0] for row in sol]
@@ -174,7 +175,7 @@ class TestCodifferentialIsomorphism:
                 recon = recon + t * c
             diff = img - recon
             assert integrate_sphere(RadialDensity.from_polynomial(
-                jstar_inner(diff, diff, dom)), 1).coeff == 0
+                jstar_density(diff, diff, dom)), 1).coeff == 0
             coord_rows.append(coords)
         assert linalg.rank(coord_rows) == src.dim
 
@@ -298,6 +299,25 @@ class TestCache:
         monkeypatch.setattr(harmonic, "harmonic_field_basis", no_compute)
         assert BasisCache(str(plant)).get(3, 1, 1, "H-normal-null").basis == \
             want["H-normal-null"].basis
+
+    @pytest.mark.parametrize("kind", ["H", "H-closed", "H-normal-null"])
+    def test_tampered_vector_entry_is_rebuilt(self, tmp_path, kind):
+        ref_dir, plant = tmp_path / "ref", tmp_path / "plant"
+        want = BasisCache(str(ref_dir)).get(3, 1, 2, kind)
+        name = f"basis_m3_l1_p2_{kind}.json"
+        computed = json.loads((ref_dir / name).read_text())
+        # add 1 to the first vector's entry at x_j dx_I with j in I: every
+        # kind but "P" rejects it, since delta(x_j dx_I) = -i_{e_j} dx_I != 0
+        tampered = json.loads((ref_dir / name).read_text())
+        k = next(i for i, (I, e) in enumerate(tampered["frame"])
+                 if any(e[j - 1] for j in I))
+        num, den = tampered["vectors"][0][k]
+        tampered["vectors"][0][k] = [str(int(num) + int(den)), den]
+        plant.mkdir()
+        (plant / name).write_text(json.dumps(tampered))
+        got = BasisCache(str(plant)).get(3, 1, 2, kind)
+        assert got.basis == want.basis
+        assert json.loads((plant / name).read_text()) == computed
 
     def test_memoisation(self):
         cache = BasisCache()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from formlab import identities
+from formlab import ball, identities
 from formlab.ball import (BallDomain, WeightFunction, boundary_delta_rep,
                           canonical_weight, normal_part)
 from formlab.cli import FLOAT_TOLERANCE, _float_form, _float_weight
@@ -129,7 +129,8 @@ def product_reilly_terms(weight, omega, domain):
     n, c = domain.boundary_dim, domain.curvature
     delta_sq = omega.delta().norm_sq() if p >= 1 else Polynomial.zero(m)
     d_sq = omega.d().norm_sq() if p <= m - 1 else Polynomial.zero(m)
-    lhs_density = weight.f * (delta_sq + d_sq - omega.gradient_norm_sq())
+    grad_sq = sum((g.norm_sq() for g in omega.covariant_gradient()), Polynomial.zero(m))
+    lhs_density = weight.f * (delta_sq + d_sq - grad_sq)
 
     contraction = RadialDensity.zero(m)
     if p <= m - 1:
@@ -339,6 +340,23 @@ class TestProofChains:
     def test_higher_degree(self, cache):
         rep = replay_proof_chain("sharp-bound", 2, DOM3, cache)
         assert rep.passed
+
+    @pytest.mark.parametrize("m, p", [(3, 1), (4, 1), (4, 2)])
+    def test_comparison_pointwise_sum_rejects_doubled_weight(self, m, p, cache,
+                                                             monkeypatch):
+        for R in (Fraction(1), Fraction(1, 2), Fraction(7, 3)):
+            dom = BallDomain(m, R)
+            checks = replay_proof_chain("comparison", p, dom, cache).checks
+            pointwise = [k for k in checks if k.startswith("pointwise-sum")]
+            assert pointwise and all(checks[k] for k in pointwise)
+        real = ball.canonical_weight
+
+        def doubled(dom):
+            return WeightFunction.from_density("doubled", real(dom).f * 2)
+        monkeypatch.setattr(ball, "canonical_weight", doubled)
+        for R in (Fraction(1), Fraction(1, 2), Fraction(7, 3)):
+            checks = replay_proof_chain("comparison", p, BallDomain(m, R), cache).checks
+            assert not any(v for k, v in checks.items() if k.startswith("pointwise-sum"))
 
     def test_comparison_needs_room(self, cache):
         with pytest.raises(ValueError):

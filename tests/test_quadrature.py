@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from formlab.polynomials import Polynomial
 from formlab.quadrature import (ExactScalar, RadialDensity, integrate_ball,
                                 integrate_pairs, integrate_sphere, mc_oracle,
-                                sphere_average, sphere_pairing,
-                                unit_sphere_measure)
+                                sphere_average, unit_sphere_measure)
 from formlab.sampling import random_density, random_polynomial, rng_for
 
 
@@ -184,7 +183,7 @@ class TestSpherePairing:
     def test_equals_integral_of_product(self, case, R, region):
         m, pairs, weight = case
         _, a, b = pairs[0]
-        got = sphere_pairing(a, b, R)
+        got = integrate_pairs([(1, a, b)], R)
         assert isinstance(got, Fraction)
         assert got == integrate_sphere(a * b, R).coeff
 
@@ -220,12 +219,13 @@ class TestSpherePairing:
 
     def test_odd_pairs_vanish(self):
         x1, x2 = Polynomial.variable(3, 1), Polynomial.variable(3, 2)
-        assert sphere_pairing(x1, x2 * x2, 1) == 0
-        assert sphere_pairing(x1, x1, Fraction(1, 2)) == Fraction(1, 3) * Fraction(1, 2) ** 4
+        assert integrate_pairs([(1, x1, x2 * x2)], 1) == 0
+        assert integrate_pairs([(1, x1, x1)], Fraction(1, 2)) == \
+            Fraction(1, 3) * Fraction(1, 2) ** 4
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            sphere_pairing(Polynomial.variable(2, 1), Polynomial.variable(3, 1), 1)
+            integrate_pairs([(1, Polynomial.variable(2, 1), Polynomial.variable(3, 1))], 1)
 
 
 class TestMonteCarloOracle:
