@@ -14,10 +14,11 @@ The library layers are, bottom up:
   curvature    chart-based Weitzenboeck / Bochner / curvature checks
   cli          batch runner with reports, CSV tables and exit codes
 
-Every layer but ``curvature`` is exact and loads no numpy: the
-curvature names below resolve on first access (PEP 562), and the Monte
+Every layer but ``curvature`` is exact and loads no numpy; the Monte
 Carlo oracle and the diagnostic of a failed spectral certificate import
-numpy when they run.
+numpy when they run.  The ``identities`` and ``curvature`` names below
+resolve on first access (PEP 562), so importing the package, or running
+a suite that calls neither layer, loads neither module.
 """
 
 from .exterior import ConstantForm, LinearEndomorphism, MultiIndex, multi_indices
@@ -26,10 +27,6 @@ from .polyform import PolyForm, PolyVectorField, gradient_action
 from .quadrature import (ExactScalar, RadialDensity, integrate_ball,
                          integrate_sphere, mc_oracle, sphere_average)
 from .ball import BallDomain, WeightFunction, canonical_weight, normal_part
-from .identities import (IdentityReport, pointwise_hessian_estimate,
-                         replay_proof_chain, verify_function_reilly,
-                         verify_pohozhaev, verify_stokes,
-                         verify_unweighted_reilly, verify_weighted_reilly)
 from .harmonic import BasisCache, FormSpaceBasis, sphere_reduce
 from .spectral import (CertificateError, SpectrumReport, assemble_operator,
                        ball_reference_eigenvalue, certify_eigenvalue,
@@ -53,12 +50,20 @@ __all__ = [
     "verify_weighted_reilly", "weitzenbock_at",
 ]
 
-_CURVATURE_NAMES = ("ChartMetric", "bochner_residual", "curvature_at",
-                    "gallot_meyer_check", "weitzenbock_at")
+# Names resolved on first access (PEP 562), by the module defining them.
+_LAZY_MODULES = {
+    "identities": ("IdentityReport", "pointwise_hessian_estimate",
+                   "replay_proof_chain", "verify_function_reilly",
+                   "verify_pohozhaev", "verify_stokes",
+                   "verify_unweighted_reilly", "verify_weighted_reilly"),
+    "curvature": ("ChartMetric", "bochner_residual", "curvature_at",
+                  "gallot_meyer_check", "weitzenbock_at"),
+}
+_LAZY = {name: module for module, names in _LAZY_MODULES.items() for name in names}
 
 
 def __getattr__(name):
-    if name in _CURVATURE_NAMES:
-        from . import curvature
-        return getattr(curvature, name)
+    if name in _LAZY:
+        from importlib import import_module
+        return getattr(import_module(f".{_LAZY[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

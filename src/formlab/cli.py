@@ -53,14 +53,11 @@ import json
 import os
 import sys
 import time
-import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import identities as ident
-from . import sampling
-from .ball import BallDomain, WeightFunction, canonical_weight
+from .ball import BallDomain, WeightFunction, canonical_weight, normal_split_residual
+from .exterior import LinearEndomorphism
 from .harmonic import BasisCache
 from .polynomials import Polynomial
 from .polyform import PolyForm, PolyVectorField
@@ -85,6 +82,9 @@ MAX_SEED = (2 ** 128 - ORACLE_DRAWS) // 1000
 # ~5.7e-7 per draw, so chance failures stay negligible over many draws
 # and seeds, while an exact value off by half lies tens of sigma away.
 ORACLE_SIGMA_BOUND = 5.0
+# The curvature suite covers m = 2..4 only; a larger dimension is a
+# configuration error, never a silently empty suite.
+CURVATURE_MAX_DIM = 4
 
 
 @dataclass
@@ -106,6 +106,11 @@ class RunConfig:
                 raise ConfigError(f"unknown suite {s!r}")
         if any(m < 2 for m in self.dims):
             raise ConfigError("dimensions must be >= 2")
+        too_large = [m for m in self.dims if m > CURVATURE_MAX_DIM]
+        if "curvature" in self.suites and too_large:
+            raise ConfigError(
+                f"the curvature suite covers dimensions 2..{CURVATURE_MAX_DIM}; "
+                f"got dimensions {too_large}")
         if self.l_max < 1:
             raise ConfigError("lmax must be >= 1")
         if self.mode not in ("exact", "float"):
@@ -167,7 +172,8 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 
 def _float_poly(p: Polynomial) -> Polynomial:
-    return Polynomial(p.m, {e: ident.TrackedFloat(c) for e, c in p.terms.items()})
+    from .identities import TrackedFloat
+    return Polynomial(p.m, {e: TrackedFloat(c) for e, c in p.terms.items()})
 
 
 def _float_form(w: PolyForm) -> PolyForm:
@@ -188,6 +194,9 @@ def _float_field(F: PolyVectorField) -> PolyVectorField:
 # ---------------------------------------------------------------------------
 
 def _identity_cases(cfg: RunConfig) -> list[tuple[str, "callable"]]:
+    from . import identities as ident
+    from . import sampling
+
     tol = 0 if cfg.mode == "exact" else FLOAT_TOLERANCE
     as_form = (lambda w: w) if cfg.mode == "exact" else _float_form
     as_weight = (lambda w: w) if cfg.mode == "exact" else _float_weight
@@ -306,7 +315,6 @@ def _identity_cases(cfg: RunConfig) -> list[tuple[str, "callable"]]:
                             ident.hessian_expansion_residual(f, w)
                     checks[f"normal-split-p{p}"] = \
                         ident.pullback_split_residual(w, dom) == 0
-                    from .ball import normal_split_residual
                     checks[f"splitting-identity-p{p}"] = \
                         normal_split_residual(w, dom).is_zero()
                     if p <= m - 1:
@@ -338,7 +346,6 @@ def _identity_cases(cfg: RunConfig) -> list[tuple[str, "callable"]]:
                     rep = ident.pointwise_hessian_estimate(H, eta, c, eps)
                     if not rep.passed:
                         failures += 1
-                from .exterior import LinearEndomorphism
                 iso = LinearEndomorphism.diagonal([-c] * m)
                 eta = sampling.random_constant_form(rng, m, min(2, m))
                 iso_rep = ident.pointwise_hessian_estimate(iso, eta, c, Fraction(0))
@@ -421,6 +428,8 @@ def _spectra_cases(cfg: RunConfig, assemble) -> list[tuple[str, "callable"]]:
 
 def _bounds_cases(cfg: RunConfig, cache: BasisCache,
                   assemble) -> list[tuple[str, "callable"]]:
+    from .identities import replay_proof_chain
+
     cases = []
     for m in cfg.dims:
         n = m - 1
@@ -446,7 +455,7 @@ def _bounds_cases(cfg: RunConfig, cache: BasisCache,
                     key = f"chain/{kind}/m{m}/p{p}/R{R}"
 
                     def run(key=key, kind=kind, p=p, dom=dom):
-                        rep = ident.replay_proof_chain(kind, p, dom, cache)
+                        rep = replay_proof_chain(kind, p, dom, cache)
                         return rep.to_dict() | {"id": key}
                     cases.append((key, run))
     return cases
@@ -459,12 +468,11 @@ def _bounds_cases(cfg: RunConfig, cache: BasisCache,
 def _curvature_cases(cfg: RunConfig) -> list[tuple[str, "callable"]]:
     import numpy as np
 
+    from . import sampling
     from .curvature import (ChartMetric, bochner_residual, curvature_at,
                             gallot_meyer_check, weitzenbock_at)
     cases = []
     for m in cfg.dims:
-        if m > 4:
-            continue
         pts = [[0.0] * m, [0.2] + [-0.1] * (m - 1), [0.15, 0.25] + [0.05] * (m - 2)]
 
         key = f"curvature/flat/m{m}"
@@ -534,11 +542,13 @@ def _run_cases(cases, jobs: int, tracebacks: dict) -> list[dict]:
         try:
             return fn()
         except Exception as exc:
+            import traceback
             tracebacks[key] = traceback.format_exc()
             return {"id": key, "pass": False, "error": f"{type(exc).__name__}: {exc}"}
 
     if jobs == 1:
         return [exec_one(c) for c in cases]
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(exec_one, cases))
 
@@ -761,6 +771,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # One OpenBLAS thread unless the user says otherwise: the Monte Carlo
+    # oracle's numpy work is elementwise, the curvature suite's matrices
+    # are at most C(4, 2) = 6 wide, and the certificate diagnostic runs
+    # only on failure, so a thread pool would spin without paying.  Set
+    # before anything here can import numpy; library imports are unaffected.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -83,7 +84,7 @@ class TestRunSuites:
         def boom(*args):
             raise RuntimeError("forced crash")
         assert run_suites(small_config())["timing"]["tracebacks"] == {}
-        monkeypatch.setattr(cli.ident, "verify_stokes", boom)
+        monkeypatch.setattr("formlab.identities.verify_stokes", boom)
         key = "stokes/m2/p1/R1"
         bodies = []
         for jobs in (1, 2):
@@ -286,3 +287,49 @@ class TestMainEntry:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "checks passed" in proc.stdout
+
+    @pytest.mark.parametrize("argv", [["curvature", "--dim", "5"],
+                                      ["all", "--dim", "3,5"]])
+    def test_exit_two_on_curvature_dimension_above_four(self, tmp_path, capsys, argv):
+        code = main(argv + ["--lmax", "1", "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "curvature suite covers dimensions 2..4; got dimensions [5]" in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
+    def test_curvature_dimension_checked_for_config_suites(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("suites = spectra, curvature\ndims = 4,6\n")
+        cfg = build_config(build_parser().parse_args(["all", "--config", str(path)]))
+        with pytest.raises(ConfigError, match=r"2\.\.4; got dimensions \[6\]"):
+            cfg.validate()
+        path.write_text("suites = spectra\ndims = 6\n")
+        build_config(build_parser().parse_args(["all", "--config", str(path)])).validate()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="needs /proc/self/task to count threads")
+class TestBlasThreads:
+    """``main`` pins OpenBLAS to one thread unless the variable is set."""
+
+    CHILD = ("import os, sys\n"
+             "from formlab.cli import main\n"
+             "code = main(['verify', '--dim', '2', '--lmax', '1', '--out', sys.argv[1]])\n"
+             "assert code == 0 and 'numpy' in sys.modules\n"
+             "print(len(os.listdir('/proc/self/task')),\n"
+             "      os.environ.get('OPENBLAS_NUM_THREADS'))\n")
+
+    def run_child(self, tmp_path, **env):
+        child_env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        proc = subprocess.run([sys.executable, "-c", self.CHILD, str(tmp_path)],
+                              capture_output=True, text=True, env=child_env | env)
+        assert proc.returncode == 0, proc.stderr
+        threads, value = proc.stdout.split()[-2:]
+        return int(threads), value
+
+    def test_unset_variable_runs_one_thread(self, tmp_path):
+        assert self.run_child(tmp_path) == (1, "1")
+
+    def test_user_value_wins(self, tmp_path):
+        assert self.run_child(tmp_path, OPENBLAS_NUM_THREADS="2")[1] == "2"

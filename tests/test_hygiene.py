@@ -1,7 +1,10 @@
-"""Library surface hygiene: every exported name resolves, and no module
-under ``src/formlab`` imports a name it never uses or re-exports."""
+"""Library surface hygiene: every exported name resolves, no module
+under ``src/formlab`` imports a name it never uses or re-exports, and a
+run loads only the layers its suite calls."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -74,3 +77,20 @@ def test_no_unused_imports(path):
 def test_checker_flags_an_unused_import():
     tree = ast.parse("import os\nfrom .x import a, b as c\n__all__ = ['a']\n")
     assert set(_imported_names(tree)) - _used_names(tree) == {"os", "c"}
+
+
+@pytest.mark.parametrize("suite,absent", [
+    ("spectrum", ["numpy", "formlab.identities", "formlab.sampling",
+                  "formlab.curvature", "concurrent.futures"]),
+    ("bounds", ["numpy", "formlab.curvature"]),
+])
+def test_run_loads_only_its_layers(tmp_path, suite, absent):
+    child = ("import sys\n"
+             "from formlab.cli import main\n"
+             f"code = main([{suite!r}, '--dim', '2', '--lmax', '1', "
+             f"'--out', {str(tmp_path)!r}])\n"
+             "assert code == 0, code\n"
+             f"print(sorted(m for m in {absent!r} if m in sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
