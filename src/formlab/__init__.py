@@ -14,11 +14,11 @@ The library layers are, bottom up:
   curvature    chart-based Weitzenboeck / Bochner / curvature checks
   cli          batch runner with reports, CSV tables and exit codes
 
-Every layer but ``curvature`` is exact and loads no numpy; the Monte
-Carlo oracle and the diagnostic of a failed spectral certificate import
-numpy when they run.  The ``identities`` and ``curvature`` names below
-resolve on first access (PEP 562), so importing the package, or running
-a suite that calls neither layer, loads neither module.
+Every layer but ``curvature`` is exact and loads no numpy; only the
+Monte Carlo oracle imports numpy, when it runs.  The ``identities`` and
+``curvature`` names below resolve on first access (PEP 562), so
+importing the package, or running a suite that calls neither layer,
+loads neither module.
 """
 
 from .exterior import ConstantForm, LinearEndomorphism, MultiIndex, multi_indices
@@ -29,8 +29,7 @@ from .quadrature import (ExactScalar, RadialDensity, integrate_ball,
 from .ball import BallDomain, WeightFunction, canonical_weight, normal_part
 from .harmonic import BasisCache, FormSpaceBasis, sphere_reduce
 from .spectral import (CertificateError, SpectrumReport, assemble_operator,
-                       ball_reference_eigenvalue, certify_eigenvalue,
-                       check_bounds, scaling_check)
+                       ball_reference_eigenvalue, check_bounds, scaling_check)
 
 __version__ = "0.1.0"
 
@@ -41,7 +40,7 @@ __all__ = [
     "PolyForm", "PolyVectorField", "Polynomial", "RadialDensity",
     "SpectrumReport", "WeightFunction",
     "assemble_operator", "ball_reference_eigenvalue", "bochner_residual",
-    "canonical_weight", "certify_eigenvalue", "check_bounds", "curvature_at",
+    "canonical_weight", "check_bounds", "curvature_at",
     "gallot_meyer_check", "gradient_action", "integrate_ball",
     "integrate_sphere", "mc_oracle", "multi_indices", "normal_part",
     "pointwise_hessian_estimate", "replay_proof_chain", "scaling_check",

@@ -126,6 +126,11 @@ class RunConfig:
             raise ConfigError(f"seed must be in 0..{MAX_SEED}, got {self.seed}")
         if any(r <= 0 for r in self.radii):
             raise ConfigError("radii must be positive")
+        for name, values in (("dimension", self.dims), ("radius", self.radii),
+                             ("degree", self.degrees or [])):
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise ConfigError(f"{name} {repeated[0]} is given more than once")
         if self.degrees is not None:
             if any(p < 1 for p in self.degrees):
                 raise ConfigError("degrees must be >= 1")
@@ -654,6 +659,18 @@ def _print_summary(report: dict) -> None:
     print(f"\n{s['passed']}/{s['total']} checks passed")
 
 
+def _open_dir(role: str, make):
+    """``make()``, which creates a directory the run needs, called before
+    any case runs; an unusable directory is a configuration error naming
+    it."""
+    try:
+        return make()
+    except OSError as exc:
+        # makedirs(exist_ok=True) raises FileExistsError only for a non-directory
+        reason = "not a directory" if isinstance(exc, FileExistsError) else exc.strerror
+        raise ConfigError(f"unusable {role} directory {exc.filename!r}: {reason}") from None
+
+
 def _make_run_dir(base: str, seed: int) -> str:
     os.makedirs(base, exist_ok=True)
     stamp = time.strftime("%Y%m%d-%H%M%S")
@@ -772,10 +789,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     # One OpenBLAS thread unless the user says otherwise: the Monte Carlo
-    # oracle's numpy work is elementwise, the curvature suite's matrices
-    # are at most C(4, 2) = 6 wide, and the certificate diagnostic runs
-    # only on failure, so a thread pool would spin without paying.  Set
-    # before anything here can import numpy; library imports are unaffected.
+    # oracle's numpy work is elementwise and the curvature suite's
+    # matrices are at most C(4, 2) = 6 wide, so a thread pool would spin
+    # without paying.  Set before anything here can import numpy; library
+    # imports are unaffected.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     try:
@@ -785,11 +802,12 @@ def main(argv=None) -> int:
     try:
         cfg = build_config(args)
         cfg.validate()
+        _open_dir("cache", lambda: BasisCache(cfg.cache_dir))
+        run_dir = _open_dir("output", lambda: _make_run_dir(cfg.out_dir, cfg.seed))
     except (ConfigError, ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     report = run_suites(cfg)
-    run_dir = _make_run_dir(cfg.out_dir, cfg.seed)
     report_path = os.path.join(run_dir, "report.json")
     with open(report_path, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)

@@ -24,9 +24,11 @@ cache stores the results, one JSON document per (m, l, p, kind): schema
 2 holds the monomial frame and the basis vectors, with rationals
 encoded portably as decimal strings (sign carried by the numerator).
 A file is trusted only when its schema and its (m, l, p, kind) match
-the request and every decoded form satisfies the constraints that
-define its kind (``_in_kind``); any other file is a miss, and
-the basis is recomputed and written over it.
+the request, its vectors are in the reduced form every computed basis
+has, which proves them linearly independent (``_in_reduced_form``),
+and every decoded form satisfies the constraints that define its kind
+(``_in_kind``); any other file is a miss, and the basis is recomputed
+and written over it.
 """
 
 from __future__ import annotations
@@ -194,21 +196,36 @@ def _decode_fraction(pair) -> Fraction:
     return Fraction(int(pair[0]), int(pair[1]))
 
 
+def _coordinates(fsb: FormSpaceBasis) -> list[list]:
+    """Each basis form's coefficients in the monomial frame."""
+    frame = _monomial_frame(fsb.m, fsb.l, fsb.p)
+    return [[form.coeffs[I].coefficient(e) if I in form.coeffs else 0 for I, e in frame]
+            for form in fsb.basis]
+
+
+def _in_reduced_form(vectors: list[list]) -> bool:
+    """Whether the vectors are in reduced form by their last nonzero
+    coordinate: those coordinates strictly increase, each vector is 1
+    there and every other vector is 0 there.  Such vectors are linearly
+    independent, which this decides in O(k N), with no elimination.
+    Every basis ``BasisCache`` computes has this form."""
+    last = -1
+    for vec in vectors:
+        lead = max((i for i, c in enumerate(vec) if c), default=-1)
+        if lead <= last or vec[lead] != 1 or sum(1 for v in vectors if v[lead]) != 1:
+            return False
+        last = lead
+    return True
+
+
 def _encode_basis(fsb: FormSpaceBasis) -> dict:
     frame = _monomial_frame(fsb.m, fsb.l, fsb.p)
-    vectors = []
-    for form in fsb.basis:
-        vec = []
-        for I, e in frame:
-            c = form.coeffs[I].coefficient(e) if I in form.coeffs else 0
-            vec.append(_encode_fraction(c))
-        vectors.append(vec)
     return {
         "schema": SCHEMA,
         "m": fsb.m, "l": fsb.l, "p": fsb.p, "kind": fsb.kind,
         "dim": fsb.dim,
         "frame": [[list(I), list(e)] for I, e in frame],
-        "vectors": vectors,
+        "vectors": [[_encode_fraction(c) for c in vec] for vec in _coordinates(fsb)],
     }
 
 
@@ -242,8 +259,8 @@ class BasisCache:
 
     Disk writes go through a temporary file and an atomic rename, which
     keeps the single-writer contract safe under concurrent readers.  A
-    file of another schema, for another (m, l, p, kind) or with a form
-    outside its kind is a miss.
+    file of another schema, for another (m, l, p, kind), with dependent
+    vectors or with a form outside its kind is a miss.
     Misses are resolved under one re-entrant lock (computing a split
     basis asks for its "H" parent), so threads sharing the cache load or
     compute each basis once.
@@ -285,7 +302,9 @@ class BasisCache:
         if [doc.get(k) for k in ("schema", "m", "l", "p", "kind")] != [SCHEMA, *key]:
             return None
         fsb = _decode_basis(doc)
-        return fsb if all(_in_kind(w, fsb.kind) for w in fsb.basis) else None
+        trusted = (_in_reduced_form(_coordinates(fsb))
+                   and all(_in_kind(w, fsb.kind) for w in fsb.basis))
+        return fsb if trusted else None
 
     def _store(self, fsb: FormSpaceBasis) -> None:
         path = self._path(fsb.m, fsb.l, fsb.p, fsb.kind)

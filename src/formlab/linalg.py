@@ -60,12 +60,6 @@ def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
     return a, pivots
 
 
-def rank(rows: Matrix) -> int:
-    if not rows:
-        return 0
-    return len(rref(rows)[1])
-
-
 def nullspace(rows: Matrix, ncols: int | None = None) -> list[Vector]:
     """Basis of the right nullspace, one vector per free column.
 
@@ -87,36 +81,6 @@ def nullspace(rows: Matrix, ncols: int | None = None) -> list[Vector]:
             v[pc] = -red[r][fc]
         basis.append(v)
     return basis
-
-
-def solve(rows: Matrix, rhs: Matrix) -> Matrix | None:
-    """One solution of ``rows @ X = rhs`` (one column per right-hand
-    side, all from one elimination) or None if any is inconsistent.
-
-    Free variables are set to zero.
-    """
-    aug = [list(r) + list(b) for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    n = len(rows[0]) if rows else 0
-    if any(pc >= n for pc in pivots):
-        return None
-    k = len(rhs[0]) if rhs else 0
-    x = [[Fraction(0)] * k for _ in range(n)]
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][n:]
-    return x
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def scalar_mul(s: Fraction, a: Matrix) -> Matrix:
-    return [[s * x for x in row] for row in a]
 
 
 def is_positive_semidefinite(a: Matrix) -> bool:
@@ -161,6 +125,3 @@ def is_positive_definite(a: Matrix) -> bool:
                     row_i[j] -= f * row_k[j]
     return True
 
-
-def nullity(rows: Matrix, ncols: int) -> int:
-    return ncols - rank(rows)

@@ -1,6 +1,6 @@
-"""Boundary operator spectra on the ball, assembled from first principles.
+"""Boundary operator spectra on the ball, certified from first principles.
 
-Three operators on boundary forms are assembled over exact polynomial
+Three operators on boundary forms are certified over exact polynomial
 trial spaces:
 
   * ``dtn``: the harmonic-and-co-closed Dirichlet-to-Neumann map,
@@ -14,30 +14,29 @@ trial spaces:
 
 Trial spaces are the pullbacks of the normal-null harmonic blocks
 (co-exact on the sphere) and, where the operator acts on them, the
-closed blocks.  Stiffness and Gram matrices are exact rationals.  Every
-one of them is a matrix of boundary pairings int_S <J*u, J*v>, built by
-``_sphere_matrix``: each form's trace (its coefficients and those of its
-normal part) is computed once per matrix, and each entry contracts the
-shared coefficients against cached sphere moments
-(``quadrature.integrate_pairs``), with no product polynomial built.  No
-extension is solved for.  A coexact trial form is its own extension:
-it is harmonic, co-closed and normal-null, and ``BasisCache`` checks
-these constraints of every basis it loads from disk.  The
-``dtn-neumann`` extension of a closed datum is a closed formula
-(``_neumann_extension``, after Raulot-Savo), and each one is checked
-exactly to be harmonic, to pull back to the datum and to have no normal
-part on the sphere.
+closed blocks.  The Gram matrix G of boundary pairings
+int_S <J*u, J*v> is exact and built by ``_sphere_matrix``: each form's
+trace (its coefficients and those of its normal part) is computed once,
+and each entry contracts the shared coefficients against cached sphere
+moments (``quadrature.integrate_pairs``), with no product polynomial
+built.  No extension is solved for.  A coexact trial form is its own
+extension: it is harmonic, co-closed and normal-null, and
+``BasisCache`` checks these constraints of every basis it loads from
+disk.  The ``dtn-neumann`` extension of a closed datum is a closed
+formula (``_neumann_extension``, after Raulot-Savo), and each one is
+checked exactly to be harmonic, to pull back to the datum and to have
+no normal part on the sphere.
 
-The spectrum is exact and certified block by block: A and G vanish
-outside the diagonal blocks, each block satisfies A_b == theta_b G_b
-with theta_b the closed-form ball eigenvalue, and each G_b is positive
-definite by an exact LDL^T test.  Then the eigenvalues are theta_b with
-multiplicity dim_b, as ``Fraction``s, and no floating eigensolve runs.
-A pencil failing the certificate raises ``CertificateError``; only that
-diagnostic computes float eigenvalues, and only it imports numpy.  The
-bound and scaling checks decide on these exact spectra with ==, <= and
-<.  ``certify_eigenvalue`` (the nullity of A - theta G over the whole
-matrix) stays as an independent check of the certified multiplicities.
+The spectrum is exact and certified block by block, pointwise: every
+trial form phi of a block is an eigenform, J*(T phi) = theta_b J* phi
+on the sphere with theta_b the closed-form ball eigenvalue, decided
+exactly by polynomial identities; G vanishes outside the diagonal
+blocks; and each G_b is positive definite by an exact LDL^T test.  The
+stiffness matrix A is then Theta G, so it is never paired, and the
+eigenvalues are theta_b with multiplicity dim_b, as ``Fraction``s, with
+no floating eigensolve.  A failure raises ``CertificateError`` naming
+the block, the trial form and the condition.  The bound and scaling
+checks decide on these exact spectra with ==, <= and <.
 """
 
 from __future__ import annotations
@@ -91,22 +90,29 @@ def _sphere_matrix(rows: list[PolyForm], cols: list[PolyForm], domain: BallDomai
     return out
 
 
+def _zero_on_sphere(form: PolyForm, domain: BallDomain) -> bool:
+    """Whether every coefficient of form reduces to 0 modulo
+    |x|^2 - R^2 (``sphere_reduce``), i.e. vanishes on the sphere."""
+    return not any(sphere_reduce(c, domain.radius) for c in form.coeffs.values())
+
+
+def _pullback_vanishes(form: PolyForm, domain: BallDomain) -> bool:
+    """Whether J* form = 0 on the sphere: a form's pullback vanishes
+    where its wedge with the normal direction x^b does."""
+    x = PolyVectorField.position(domain.m)
+    return _zero_on_sphere(x.dual_one_form().wedge(form), domain)
+
+
 def _neumann_failures(ext: PolyForm, phi: PolyForm, domain: BallDomain) -> list[str]:
     """The conditions defining the dtn-neumann extension of phi that ext
     fails, each decided exactly by polynomial identities: harmonic
-    (componentwise), pullback phi and no normal part on the sphere.  A
-    form's pullback vanishes where its wedge with x^b does, so the
-    boundary conditions are that x^b ^ (ext - phi) and i_x ext reduce to
-    0 modulo |x|^2 - R^2 (``sphere_reduce``).  Together the three
-    determine ext."""
+    (componentwise), pullback phi and no normal part on the sphere, the
+    boundary conditions being that x^b ^ (ext - phi) and i_x ext reduce
+    to 0 modulo |x|^2 - R^2.  Together the three determine ext."""
     x = PolyVectorField.position(domain.m)
-
-    def zero_on_sphere(form: PolyForm) -> bool:
-        return not any(sphere_reduce(c, domain.radius) for c in form.coeffs.values())
-
     checks = (("harmonic", ext.rough_laplacian().is_zero()),
-              ("pullback", zero_on_sphere(x.dual_one_form().wedge(ext - phi))),
-              ("normal part", zero_on_sphere(ext.interior(x))))
+              ("pullback", _pullback_vanishes(ext - phi, domain)),
+              ("normal part", _zero_on_sphere(ext.interior(x), domain)))
     return [name for name, ok in checks if not ok]
 
 
@@ -161,12 +167,24 @@ class OperatorAssembly:
     p: int
     l_max: int
     blocks: list[Block]
-    A: list[list[Fraction]]
     G: list[list[Fraction]]
 
     @property
     def dim(self) -> int:
-        return len(self.A)
+        return len(self.G)
+
+    def theta(self, blk: Block) -> Fraction:
+        """The closed-form ball eigenvalue of a block."""
+        return ball_reference_eigenvalue(self.operator, blk.kind, self.domain.m,
+                                         self.p, blk.l, self.domain.radius)
+
+    @property
+    def A(self) -> list[list[Fraction]]:
+        """The stiffness matrix int_S <J*(T u), J*v>.  The certificate
+        proves it equal to Theta G, Theta the diagonal of the block
+        eigenvalues, so it is read off G and never paired."""
+        row_theta = [self.theta(blk) for blk in self.blocks for _ in blk.basis]
+        return [[t * g for g in row] for t, row in zip(row_theta, self.G)]
 
     def block_slices(self):
         out = []
@@ -276,8 +294,8 @@ def _build_blocks(operator: str, m: int, p: int, l_max: int,
 
 def assemble_operator(operator: str, m: int, p: int, l_max: int, radius,
                       cache: BasisCache | None = None) -> tuple[OperatorAssembly, SpectrumReport]:
-    """Assemble the exact stiffness and Gram matrices, then read the
-    spectrum off the exact block certificate (``_certify_blocks``)."""
+    """Pair the exact Gram matrix, then read the spectrum off the exact
+    block certificate (``_certify_blocks``)."""
     if operator not in OPERATORS:
         raise ValueError(f"unknown operator {operator!r}")
     if not 1 <= p <= m - 1:
@@ -286,22 +304,8 @@ def assemble_operator(operator: str, m: int, p: int, l_max: int, radius,
     domain = BallDomain(m, Fraction(radius))
     blocks = _build_blocks(operator, m, p, l_max, domain, cache)
     reps = [w for blk in blocks for w in blk.basis]
-    exts = [w for blk in blocks for w in blk.extensions]
-    G = _sphere_matrix(reps, reps, domain)
-    if operator in ("dtn", "dtn-neumann"):
-        traced = [-normal_part(ext.d(), domain) for ext in exts]
-        A = _sphere_matrix(traced, reps, domain)
-        if A != [list(col) for col in zip(*A)]:
-            raise AssertionError(
-                "stiffness matrix not symmetric: self-adjointness violated")
-    else:
-        delta_reps = [boundary_delta_rep(w, domain) for w in reps]
-        A = _sphere_matrix(delta_reps, delta_reps, domain)
-        if p <= m - 2:
-            d_reps = [w.d() for w in reps]
-            A = linalg.mat_add(A, _sphere_matrix(d_reps, d_reps, domain))
-
-    assembly = OperatorAssembly(operator, domain, p, l_max, blocks, A, G)
+    assembly = OperatorAssembly(operator, domain, p, l_max, blocks,
+                                _sphere_matrix(reps, reps, domain))
     report = _solve_assembly(assembly)
     return assembly, report
 
@@ -310,35 +314,37 @@ class CertificateError(AssertionError):
     """An assembled pencil that fails the exact block certificate."""
 
 
-def _generalized_eigvalsh(A, G):
-    """Ascending float eigenvalues of the symmetric pencil A v = lambda G v
-    for positive definite G: with G = L L^T, those of L^-1 A L^-T.  Only
-    a certificate failure quotes them, so numpy is imported here."""
-    import numpy as np
-    A = np.array(A, dtype=float)
-    L = np.linalg.cholesky(np.array(G, dtype=float))
-    return np.linalg.eigvalsh(np.linalg.solve(L, np.linalg.solve(L, A).T))
-
-
-def _float_eigenvalues(assembly: OperatorAssembly, index: list[int]) -> str:
-    """The pencil's float eigenvalues on the rows and columns ``index``."""
-    A = [[assembly.A[i][j] for j in index] for i in index]
-    G = [[assembly.G[i][j] for j in index] for i in index]
-    try:
-        vals = _generalized_eigvalsh(A, G)
-    except ValueError as exc:   # numpy's LinAlgError: G not positive definite
-        return f"no float eigenvalues ({exc})"
-    return "float eigenvalues [" + ", ".join(f"{v:.12g}" for v in vals) + "]"
+def _operator_image(operator: str, w: PolyForm, ext: PolyForm,
+                    domain: BallDomain) -> PolyForm:
+    """Ambient representative of T(J* w) for the trial form w with
+    extension ext: -i_N d ext for the Dirichlet-to-Neumann maps, and
+    d^S delta^S + delta^S d^S for the boundary Hodge Laplacian, whose
+    second term vanishes on top-degree boundary forms (p = m-1)."""
+    if operator == "hodge-boundary":
+        image = boundary_delta_rep(w, domain).d()
+        if w.p <= domain.m - 2:
+            image = image + boundary_delta_rep(w.d(), domain)
+        return image
+    return -normal_part(ext.d(), domain)
 
 
 def _certify_blocks(assembly: OperatorAssembly) -> list[Fraction]:
     """theta_b of each block, once the pencil passes the exact block
-    certificate: every entry of A and G outside the diagonal blocks is 0,
-    A_b == theta_b G_b entrywise with theta_b = ``ball_reference_eigenvalue``,
-    and G_b passes the exact LDL^T positive-definiteness test.  Then the
-    spectrum is exactly theta_b with multiplicity dim_b over the blocks.
-    A failure raises ``CertificateError`` naming the operator, the block
-    and the condition, with the float eigenvalues of the rows involved."""
+    certificate:
+
+      * every entry of G outside the diagonal blocks is 0;
+      * every trial form phi of block b is an eigenform pointwise,
+        J*(T phi) = theta_b J* phi on the sphere, with theta_b from
+        ``ball_reference_eigenvalue``: x^b ^ (T phi - theta_b phi)
+        reduces to 0 modulo |x|^2 - R^2;
+      * G_b passes the exact LDL^T positive-definiteness test.
+
+    The pointwise identity gives A_ij = int_S <J*(T phi_i), J* phi_j>
+    = theta_b(i) G_ij, through Green's formula on the closed sphere for
+    the boundary Hodge Laplacian, so A = Theta G and the spectrum is
+    exactly theta_b with multiplicity dim_b over the blocks.  A failure
+    raises ``CertificateError`` naming the operator, the block, the
+    trial form where one fails, and the condition."""
     dom = assembly.domain
     slices = assembly.block_slices()
     owner = [b for b, (_, sl) in enumerate(slices) for _ in range(sl.start, sl.stop)]
@@ -347,29 +353,27 @@ def _certify_blocks(assembly: OperatorAssembly) -> list[Fraction]:
         blk, sl = slices[b]
         return f"block {blk.kind} l={blk.l} (rows {sl.start}..{sl.stop - 1})"
 
-    def fail(b: int, condition: str, *blocks: int):
-        index = [i for c in (b, *blocks) for i in range(slices[c][1].start,
-                                                         slices[c][1].stop)]
+    def fail(b: int, condition: str):
         raise CertificateError(
             f"{assembly.operator} at m={dom.m}, p={assembly.p}, R={dom.radius}: "
-            f"{label(b)}: {condition}; {_float_eigenvalues(assembly, index)}")
+            f"{label(b)}: {condition}")
 
     thetas = []
     for b, (blk, sl) in enumerate(slices):
         rows = range(sl.start, sl.stop)
-        for name, M in (("A", assembly.A), ("G", assembly.G)):
-            for i in rows:
-                if any(M[i][:sl.start]) or any(M[i][sl.stop:]):
-                    j = next(j for j, v in enumerate(M[i]) if v and owner[j] != b)
-                    fail(b, f"off-diagonal entry {name}[{i}][{j}] = {M[i][j]} "
-                            f"couples it to {label(owner[j])}", owner[j])
-        theta = ball_reference_eigenvalue(assembly.operator, blk.kind, dom.m,
-                                          assembly.p, blk.l, dom.radius)
-        A_b = [assembly.A[i][sl] for i in rows]
-        G_b = [assembly.G[i][sl] for i in rows]
-        if A_b != [[theta * g for g in row] for row in G_b]:
-            fail(b, f"A_b != theta_b G_b with theta_b = {theta}")
-        if not linalg.is_positive_definite(G_b):
+        for i in rows:
+            row = assembly.G[i]
+            if any(row[:sl.start]) or any(row[sl.stop:]):
+                j = next(j for j, v in enumerate(row) if v and owner[j] != b)
+                fail(b, f"off-diagonal entry G[{i}][{j}] = {row[j]} "
+                        f"couples it to {label(owner[j])}")
+        theta = assembly.theta(blk)
+        for i, w, ext in zip(rows, blk.basis, blk.extensions):
+            image = _operator_image(assembly.operator, w, ext, dom)
+            if not _pullback_vanishes(image - w * theta, dom):
+                fail(b, f"trial form {i} is not an eigenform: "
+                        f"J*(T phi) != theta_b J* phi with theta_b = {theta}")
+        if not linalg.is_positive_definite([assembly.G[i][sl] for i in rows]):
             fail(b, "G_b fails the exact LDL^T positive-definiteness test")
         thetas.append(theta)
     return thetas
@@ -388,19 +392,6 @@ def _solve_assembly(assembly: OperatorAssembly) -> SpectrumReport:
                           assembly.domain.radius, assembly.l_max,
                           [EigenvalueGroup(t, k) for t, k in spectrum], rows,
                           {str(t): k for t, k in spectrum})
-
-
-def certify_eigenvalue(assembly: OperatorAssembly, theta: Fraction,
-                       expected_multiplicity: int | None = None) -> int:
-    """Exact multiplicity of theta: nullity of A - theta G over Q."""
-    theta = Fraction(theta)
-    shifted = linalg.mat_sub(assembly.A, linalg.scalar_mul(theta, assembly.G))
-    nullity = linalg.nullity(shifted, assembly.dim)
-    if expected_multiplicity is not None and nullity != expected_multiplicity:
-        raise AssertionError(
-            f"eigenvalue {theta} has exact multiplicity {nullity}, "
-            f"expected {expected_multiplicity}")
-    return nullity
 
 
 # ---------------------------------------------------------------------------

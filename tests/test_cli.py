@@ -120,6 +120,8 @@ class TestRunSuites:
         assert report["summary"]["failed"] == 0
         assert sorted(calls) == sorted(set(calls))
         assert len(calls) == 6
+        ids = [r["id"] for suite in report["suites"].values() for r in suite["checks"]]
+        assert len(ids) == len(set(ids))
         spectra = [r for r in report["suites"]["spectra"]["checks"]
                    if r["id"].startswith("spectrum/")]
         assert all(r["certified"] for r in spectra)
@@ -306,6 +308,46 @@ class TestMainEntry:
             cfg.validate()
         path.write_text("suites = spectra\ndims = 6\n")
         build_config(build_parser().parse_args(["all", "--config", str(path)])).validate()
+
+    @pytest.fixture
+    def no_cases(self, monkeypatch):
+        def run_suites(*args):
+            raise AssertionError("cases ran despite a configuration error")
+        monkeypatch.setattr(cli, "run_suites", run_suites)
+
+    def test_exit_two_on_unusable_out(self, tmp_path, capsys, no_cases):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main(["spectrum", "--dim", "2", "--lmax", "1",
+                     "--out", str(blocker / "runs")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: unusable output directory")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("under", ["file", "file/cache"])
+    def test_exit_two_on_unusable_cache(self, tmp_path, capsys, no_cases, under):
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "out"
+        code = main(["spectrum", "--dim", "2", "--lmax", "1", "--out", str(out),
+                     "--cache", str(tmp_path / under)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"unusable cache directory '{tmp_path / 'file'}" in err
+        assert "not a directory" in err.lower() and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,named", [
+        (["spectrum", "--dim", "3,3"], "dimension 3"),
+        (["verify", "--radius", "1,1"], "radius 1"),
+        (["verify", "--radius", "1,2/2"], "radius 1"),
+        (["bounds", "--dim", "3", "--degree", "1,2,1"], "degree 1"),
+    ])
+    def test_exit_two_on_duplicate_values(self, tmp_path, capsys, argv, named):
+        code = main(argv + ["--lmax", "1", "--out", str(tmp_path)])
+        assert code == 2
+        assert f"{named} is given more than once" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from densities import jstar_density
-from formlab import harmonic, linalg
+from formlab import harmonic
 from formlab.ball import BallDomain, boundary_delta_rep, normal_part
 from formlab.harmonic import (BasisCache, harmonic_field_basis,
                               monomial_form_basis, split_closed_normal_null,
@@ -18,6 +18,7 @@ from formlab.polynomials import Polynomial
 from formlab.polyform import PolyForm, PolyVectorField
 from formlab.quadrature import RadialDensity, integrate_sphere
 from formlab.sampling import random_polynomial, rng_for
+from oracle import rank, solve
 
 
 def binom(n, k):
@@ -74,9 +75,9 @@ class TestHarmonicFields:
                     if I in form.coeffs else Fraction(0) for I, e in frame]
 
         base_rows = [coords(b) for b in got.basis]
-        base_rank = linalg.rank(base_rows)
-        assert linalg.rank(base_rows + [coords(rotation)]) == base_rank
-        assert linalg.rank(base_rows + [coords(radial)]) == base_rank + 1
+        base_rank = rank(base_rows)
+        assert rank(base_rows + [coords(rotation)]) == base_rank
+        assert rank(base_rows + [coords(radial)]) == base_rank + 1
 
     def test_conditions_hold_exactly(self):
         for m, l, p in ((3, 2, 1), (3, 1, 2), (4, 1, 1)):
@@ -151,7 +152,7 @@ class TestSplit:
         assert len(integral_null) <= normal_null.dim
         # every identically-normal-null form has vanishing integral, and
         # the two characterisations give the same dimension
-        assert linalg.rank(sphere_gram(normal_null.basis, 3)) == normal_null.dim
+        assert rank(sphere_gram(normal_null.basis, 3)) == normal_null.dim
 
 
 class TestCodifferentialIsomorphism:
@@ -166,7 +167,7 @@ class TestCodifferentialIsomorphism:
             img = boundary_delta_rep(b, dom)
             rhs = [integrate_sphere(RadialDensity.from_polynomial(
                 jstar_density(img, t, dom)), 1).coeff for t in tgt.basis]
-            sol = linalg.solve(sphere_gram(tgt.basis, m), [[v] for v in rhs])
+            sol = solve(sphere_gram(tgt.basis, m), [[v] for v in rhs])
             assert sol is not None
             coords = [row[0] for row in sol]
             # the image lies exactly in the target block
@@ -177,7 +178,7 @@ class TestCodifferentialIsomorphism:
             assert integrate_sphere(RadialDensity.from_polynomial(
                 jstar_density(diff, diff, dom)), 1).coeff == 0
             coord_rows.append(coords)
-        assert linalg.rank(coord_rows) == src.dim
+        assert rank(coord_rows) == src.dim
 
 
 class TestSphereReduce:
@@ -319,6 +320,36 @@ class TestCache:
         assert got.basis == want.basis
         assert json.loads((plant / name).read_text()) == computed
 
+    @pytest.mark.parametrize("kind", ["H", "H-closed", "H-normal-null"])
+    def test_dependent_vector_is_rebuilt(self, tmp_path, kind):
+        # one extra vector, the sum of the first two: every form still
+        # satisfies the constraints of its kind, but the basis is dependent
+        ref_dir, plant = tmp_path / "ref", tmp_path / "plant"
+        want = BasisCache(str(ref_dir)).get(3, 1, 1, kind)
+        name = f"basis_m3_l1_p1_{kind}.json"
+        computed = json.loads((ref_dir / name).read_text())
+        planted = json.loads((ref_dir / name).read_text())
+        first, second = ([Fraction(int(num), int(den)) for num, den in vec]
+                         for vec in planted["vectors"][:2])
+        planted["vectors"].append([[str(s.numerator), str(s.denominator)]
+                                   for s in (a + b for a, b in zip(first, second))])
+        planted["dim"] += 1
+        plant.mkdir()
+        (plant / name).write_text(json.dumps(planted))
+        got = BasisCache(str(plant)).get(3, 1, 1, kind)
+        assert got.basis == want.basis
+        assert json.loads((plant / name).read_text()) == computed
+
+    def test_reduced_form_decides_independence(self):
+        assert harmonic._in_reduced_form([[0, 1, 0], [3, 0, 1]])
+        assert harmonic._in_reduced_form([])
+        for vectors in ([[1, 0], [1, 0]],          # leads not increasing
+                        [[0, 1], [1, 0]],
+                        [[0, 2, 0], [0, 0, 1]],    # lead entry not 1
+                        [[0, 1, 1], [0, 0, 1]],    # lead shared with an earlier vector
+                        [[0, 0], [1, 0]]):         # a zero vector
+            assert not harmonic._in_reduced_form(vectors), vectors
+
     def test_memoisation(self):
         cache = BasisCache()
         a = cache.get(3, 1, 1, "H")
@@ -332,4 +363,4 @@ class TestCache:
 def test_gram_matrices_have_full_rank(cache):
     for m, l, p in ((3, 1, 1), (3, 2, 1), (4, 1, 2)):
         basis = cache.get(m, l, p, "H-normal-null")
-        assert linalg.rank(sphere_gram(basis.basis, m)) == basis.dim
+        assert rank(sphere_gram(basis.basis, m)) == basis.dim

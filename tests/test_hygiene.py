@@ -79,17 +79,27 @@ def test_checker_flags_an_unused_import():
     assert set(_imported_names(tree)) - _used_names(tree) == {"os", "c"}
 
 
-@pytest.mark.parametrize("suite,absent", [
-    ("spectrum", ["numpy", "formlab.identities", "formlab.sampling",
-                  "formlab.curvature", "concurrent.futures"]),
-    ("bounds", ["numpy", "formlab.curvature"]),
+SPECTRUM_ABSENT = ["numpy", "formlab.identities", "formlab.sampling",
+                   "formlab.curvature", "concurrent.futures"]
+# a block eigenvalue off by one fails the spectral certificate
+SHIFT_THETA = ("import formlab.spectral as sp\n"
+               "real = sp.ball_reference_eigenvalue\n"
+               "sp.ball_reference_eigenvalue = lambda *a: real(*a) + 1\n")
+
+
+@pytest.mark.parametrize("suite,absent,patch,want", [
+    pytest.param("spectrum", SPECTRUM_ABSENT, "", 0, id="spectrum-absent0"),
+    pytest.param("bounds", ["numpy", "formlab.curvature"], "", 0, id="bounds-absent1"),
+    pytest.param("spectrum", SPECTRUM_ABSENT, SHIFT_THETA, 1,
+                 id="spectrum-failed-certificate"),
 ])
-def test_run_loads_only_its_layers(tmp_path, suite, absent):
+def test_run_loads_only_its_layers(tmp_path, suite, absent, patch, want):
     child = ("import sys\n"
+             + patch +
              "from formlab.cli import main\n"
              f"code = main([{suite!r}, '--dim', '2', '--lmax', '1', "
              f"'--out', {str(tmp_path)!r}])\n"
-             "assert code == 0, code\n"
+             f"assert code == {want}, code\n"
              f"print(sorted(m for m in {absent!r} if m in sys.modules))\n")
     proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

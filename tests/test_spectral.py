@@ -1,4 +1,4 @@
-"""Operator assembly, eigensolves, exact certification, bound checks."""
+"""Operator assembly, exact certification, bound checks."""
 
 import copy
 import math
@@ -6,7 +6,6 @@ import subprocess
 import sys
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,15 +13,16 @@ from hypothesis import strategies as st
 from densities import jstar_density
 from formlab import linalg, spectral
 from formlab.ball import BallDomain, inner_pairs, jstar_pairs, normal_part
+from formlab.harmonic import BasisCache
 from formlab.exterior import multi_indices
 from formlab.polyform import PolyForm, PolyVectorField
 from formlab.polynomials import Polynomial
 from formlab.quadrature import integrate_ball, integrate_pairs, integrate_sphere
 from formlab.sampling import rng_for
-from formlab.spectral import (CertificateError, _generalized_eigvalsh, _neumann_extension,
-                              _neumann_failures, _sphere_matrix, assemble_operator,
-                              ball_reference_eigenvalue, certify_eigenvalue,
-                              check_bounds, scaling_check)
+from formlab.spectral import (CertificateError, _neumann_extension, _neumann_failures,
+                              _sphere_matrix, assemble_operator,
+                              ball_reference_eigenvalue, check_bounds, scaling_check)
+from oracle import certify_eigenvalue, full_stiffness, rank, solve
 
 
 def binom(n, k):
@@ -71,13 +71,13 @@ def lsq_extend_block(kind, domain, data, degree, cache, max_degree=None):
             n, nI, nd = len(scalars), len(indices), len(data)
             rhs = [[v for i in range(nI) for v in B[i * n + j]] for j in range(n)]
             M_s = _sphere_matrix(scalars, scalars, domain, pullback=False)
-            Y = linalg.solve(M_s, rhs)
+            Y = solve(M_s, rhs)
             X = None if Y is None else [Y[j][i * nd:(i + 1) * nd]
                                         for i in range(nI) for j in range(n)]
         else:
             trial = _trial_space(m, p, degree, cache)
             B = _sphere_matrix(trial, data, domain)
-            X = linalg.solve(_sphere_matrix(trial, trial, domain), B)
+            X = solve(_sphere_matrix(trial, trial, domain), B)
         assert X is not None, "normal equations inconsistent"
         out = []
         for k, const in enumerate(consts):
@@ -192,7 +192,7 @@ class TestExtension:
         trial = [PolyForm(m, p, {I: s.coeffs[()]}) for k in range(degree + 1)
                  for I in multi_indices(m, p) for s in cache.get(m, k, 0, "H").basis]
         B = _sphere_matrix(trial, data, dom)
-        X = linalg.solve(_sphere_matrix(trial, trial, dom, pullback=False), B)
+        X = solve(_sphere_matrix(trial, trial, dom, pullback=False), B)
         block = lsq_extend_block("harmonic-neumann", dom, data, degree, cache)
         assert len(block) == len(data)
         for k, (datum, (ext, misfit)) in enumerate(zip(data, block)):
@@ -210,15 +210,15 @@ class TestExtension:
         cols = [[sum(r[j] * F(k + j, 3) for j in range(4)) for r in rows]
                 for k in range(3)]
         rhs = [list(r) for r in zip(*cols)]
-        X = linalg.solve(rows, rhs)
+        X = solve(rows, rhs)
         assert len(X) == 4 and all(len(x) == 3 for x in X)
         for k, col in enumerate(cols):
-            one = linalg.solve(rows, [[v] for v in col])
+            one = solve(rows, [[v] for v in col])
             assert [x[k] for x in X] == [x[0] for x in one]
             assert [sum(a * x[k] for a, x in zip(r, X)) for r in rows] == col
         # a fourth column breaking row 3 = row 0 + row 1 is inconsistent
         bad = [r + [F(int(i == 3))] for i, r in enumerate(rhs)]
-        assert linalg.solve(rows, bad) is None
+        assert solve(rows, bad) is None
 
 
 RADII = (Fraction(1), Fraction(1, 2), Fraction(7, 3))
@@ -305,19 +305,6 @@ class TestNeumannExtension:
 
 
 class TestEigensolve:
-    def test_recovers_pencil_eigenvalues(self):
-        # G = L L^T and A = L diag(d) L^T give the pencil (A, G) the
-        # eigenvalues d exactly; L is integer and unit lower triangular
-        rng = rng_for(7, "pencil")
-        n = 6
-        L = np.eye(n)
-        for i in range(n):
-            for j in range(i):
-                L[i, j] = rng.randint(-1, 1)
-        d = np.array([rng.randint(-5, 9) for _ in range(n)], dtype=float)
-        got = _generalized_eigvalsh(L @ np.diag(d) @ L.T, L @ L.T)
-        assert np.max(np.abs(got - np.sort(d))) <= 1e-12
-
     def test_cli_import_loads_no_scipy(self):
         proc = subprocess.run(
             [sys.executable, "-c",
@@ -410,7 +397,7 @@ class TestAssemblyInvariants:
 
     def test_gram_full_rank(self, d3):
         asm, _ = d3
-        assert linalg.rank([list(r) for r in asm.G]) == asm.dim
+        assert rank([list(r) for r in asm.G]) == asm.dim
 
     def test_eigenvalues_nonnegative(self, d3, t3, h3):
         for _, rep in (d3, t3, h3):
@@ -559,24 +546,34 @@ class TestBlockCertificate:
             theta = real(op, kind, m, p, l, R)
             return theta + 1 if (kind, l) == ("coexact", 2) else theta
         monkeypatch.setattr(spectral, "ball_reference_eigenvalue", shifted)
+        _, sl = d3[0].block_slices()[1]
         with pytest.raises(CertificateError) as err:
             spectral._solve_assembly(d3[0])
-        msg = str(err.value)
-        assert msg.startswith("dtn at m=3, p=1, R=1: block coexact l=2 ")
-        assert "A_b != theta_b G_b with theta_b = 4" in msg
-        # the diagnostic quotes the block's true float eigenvalues, all 3
-        vals = [float(v) for v in msg.split("float eigenvalues [")[1][:-1].split(", ")]
-        assert len(vals) == d3[0].blocks[1].dim
-        assert all(abs(v - 3) < 1e-8 for v in vals)
+        assert str(err.value) == (
+            f"dtn at m=3, p=1, R=1: block coexact l=2 (rows {sl.start}..{sl.stop - 1}): "
+            f"trial form {sl.start} is not an eigenform: "
+            "J*(T phi) != theta_b J* phi with theta_b = 4")
+
+    def test_shifted_exact_reference_names_the_form(self, t3, monkeypatch):
+        real = spectral.ball_reference_eigenvalue
+
+        def shifted(op, kind, m, p, l, R):
+            theta = real(op, kind, m, p, l, R)
+            return theta * 2 if kind == "exact" else theta
+        monkeypatch.setattr(spectral, "ball_reference_eigenvalue", shifted)
+        with pytest.raises(CertificateError,
+                           match="block exact l=1 \\(rows 0..2\\): trial form 0 is not "
+                                 "an eigenform: .* theta_b = 10/3$"):
+            spectral._solve_assembly(t3[0])
 
     def test_off_diagonal_entry_names_both_blocks(self, t3):
         def couple(asm, slices):
             i, j = slices[0].start, slices[1].start
-            asm.A[i][j] = asm.A[j][i] = Fraction(1, 5)
+            asm.G[i][j] = asm.G[j][i] = Fraction(1, 5)
         bad = self.edited_copy(t3[0], couple)
         first, second = (f"block {b.kind} l={b.l}" for b in bad.blocks[:2])
         with pytest.raises(CertificateError,
-                           match="block .*: off-diagonal entry A\\[0\\]\\[3\\] = 1/5 "
+                           match="block .*: off-diagonal entry G\\[0\\]\\[3\\] = 1/5 "
                                  f"couples it to {second}") as err:
             spectral._solve_assembly(bad)
         assert f": {first} (rows 0..2)" in str(err.value)
@@ -584,16 +581,39 @@ class TestBlockCertificate:
     def test_singular_gram_block_names_the_block(self, h3):
         def duplicate(asm, slices):
             i, j = slices[1].start, slices[1].start + 1
-            for M in (asm.A, asm.G):
-                for row in M:
-                    row[j] = row[i]
-                M[j] = list(M[i])
+            for row in asm.G:
+                row[j] = row[i]
+            asm.G[j] = list(asm.G[i])
         bad = self.edited_copy(h3[0], duplicate)
         blk = bad.blocks[1]
         with pytest.raises(CertificateError,
                            match=f"block {blk.kind} l={blk.l} .*G_b fails the exact "
                                  "LDL\\^T positive-definiteness test"):
             spectral._solve_assembly(bad)
+
+    def test_wrong_neumann_coefficient_names_the_form(self, monkeypatch):
+        # a -> (p+k+1)/(m+2k) with the extension's own checks bypassed:
+        # the pullback of -i_N d ext is then (2a + p + k)/R J* phi, off theta_b
+        def unchecked(phi, k, dom):
+            a = Fraction(phi.p + k + 1, dom.m + 2 * k)
+            return neumann_formula(phi, k, dom, a, phi)
+        monkeypatch.setattr(spectral, "_neumann_extension", unchecked)
+        with pytest.raises(CertificateError,
+                           match="^dtn-neumann at m=3, p=1, R=1: block exact l=1 "
+                                 "\\(rows 0..2\\): trial form 0 is not an eigenform"):
+            assemble_operator("dtn-neumann", 3, 1, 1, 1, BasisCache())
+
+    @pytest.mark.parametrize("op", spectral.OPERATORS)
+    def test_tampered_basis_vector_names_the_form(self, op):
+        # a closed degree-2 field added to the first coexact l=2 datum:
+        # still orthogonal to the l=1 blocks, but no eigenform
+        cache = BasisCache()
+        coexact = cache.get(3, 2, 1, "H-normal-null").basis
+        coexact[0] = coexact[0] + cache.get(3, 2, 1, "H-closed").basis[0]
+        with pytest.raises(CertificateError,
+                           match=f"^{op} at m=3, p=1, R=1: block coexact l=2 "
+                                 "\\(rows (\\d+)\\.\\.\\d+\\): trial form \\1 is not an eigenform"):
+            assemble_operator(op, 3, 1, 2, 1, cache)
 
     def test_exact_positive_definite_test(self):
         assert linalg.is_positive_definite([[2, 1], [1, 2]])
@@ -610,12 +630,15 @@ class TestBlockCertificate:
     def test_multiplicities_equal_full_matrix_nullities(self, cache, m, p, l_max, R):
         for op in spectral.OPERATORS:
             asm, rep = assemble_operator(op, m, p, l_max, R, cache)
+            # Theta G, never paired, equals the stiffness matrix paired in full
+            A = full_stiffness(asm)
+            assert asm.A == A
             groups = {str(g.value): g.multiplicity for g in rep.eigenvalues}
             assert rep.certified == groups
             assert sum(groups.values()) == asm.dim
             for g in rep.eigenvalues:
                 assert isinstance(g.value, Fraction)
-                assert certify_eigenvalue(asm, g.value) == g.multiplicity
+                assert certify_eigenvalue(asm, g.value, A) == g.multiplicity
 
 
 class TestNumpyFree:
