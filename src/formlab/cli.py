@@ -12,9 +12,11 @@ Report schema (``report.json``):
   suites           mapping suite name -> {"checks": [record, ...]}
                    where each record has at least "id" and "pass"
   summary          {"total": N, "passed": N, "failed": N}
-  timing           wall-clock seconds per suite, and under "tracebacks"
-                   the full traceback of each crashed case by id
-                   (excluded from determinism comparisons)
+  timing           excluded from determinism comparisons:
+                     "cases"       wall-clock seconds of each case by id
+                     <suite>       the sum of its cases' seconds (a float)
+                     "tracebacks"  full traceback of each crashed case by id
+                     "jobs"        the --jobs value
 
 A spectra record carries "operator", "m", "p", "radius", "l_max",
 "eigenvalues" (groups {"value", "multiplicity"}), "blocks" (one row
@@ -40,9 +42,17 @@ Schema 2 changed, from schema 1:
   * spectra.csv "eigenvalue" and "difference": exact rational strings.
 
 Identical configuration and seed produce byte-identical reports modulo
-the ``timing`` section at any ``--jobs`` level: the experiment list is
-built deterministically, each case derives its randomness from the
-seed and its own key, and results are aggregated in list order.
+the ``timing`` section at any ``--jobs`` level: the case list is built
+deterministically, each case derives its randomness from the seed and
+its own key, and results are put back in list order.
+
+``--jobs K`` splits the case list into groups (every spectrum, scaling,
+bounds and chain case of one (m, p) is one group, since they share its
+bases and assemblies; every other case is a group of its own) and deals
+the groups round-robin to min(K, groups) workers.  Worker 0 is the
+calling process; the others are ``os.fork`` children, which inherit the
+case list and every module loaded while building it.  At ``--jobs 1``
+nothing is forked.
 """
 
 from __future__ import annotations
@@ -55,6 +65,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from importlib import import_module
 
 from .ball import BallDomain, WeightFunction, canonical_weight, normal_split_residual
 from .exterior import LinearEndomorphism
@@ -122,6 +133,9 @@ class RunConfig:
                 f"suites {exact_only} run in exact mode")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
+        if self.jobs > 1 and not hasattr(os, "fork"):
+            raise ConfigError("jobs above 1 run in forked worker processes, "
+                              "and this platform has no os.fork")
         if not 0 <= self.seed <= MAX_SEED:
             raise ConfigError(f"seed must be in 0..{MAX_SEED}, got {self.seed}")
         if any(r <= 0 for r in self.radii):
@@ -198,7 +212,7 @@ def _float_field(F: PolyVectorField) -> PolyVectorField:
 # Identity suite.
 # ---------------------------------------------------------------------------
 
-def _identity_cases(cfg: RunConfig) -> list[tuple[str, "callable"]]:
+def _identity_cases(cfg: RunConfig) -> list[tuple]:
     from . import identities as ident
     from . import sampling
 
@@ -209,7 +223,7 @@ def _identity_cases(cfg: RunConfig) -> list[tuple[str, "callable"]]:
     cases = []
 
     def add(key, fn):
-        cases.append((key, fn))
+        cases.append((key, fn, None))
 
     for m in cfg.dims:
         for R in cfg.radii:
@@ -360,7 +374,9 @@ def _identity_cases(cfg: RunConfig) -> list[tuple[str, "callable"]]:
                         "isotropic_equality": iso_rep.equality}
             add(key, run)
 
-    # quadrature spot checks against the stochastic oracle
+    # quadrature spot checks against the stochastic oracle, which draws
+    # with numpy: loaded here, before any worker is forked, so it loads once
+    import_module("numpy")
     for m in cfg.dims:
         key = f"quadrature-oracle/m{m}"
 
@@ -386,10 +402,11 @@ def _identity_cases(cfg: RunConfig) -> list[tuple[str, "callable"]]:
 # ---------------------------------------------------------------------------
 
 def _assembler(cache: BasisCache):
-    """``assemble_operator`` memoised per run, so the spectra and bounds
-    suites share each ``(op, m, p, l_max, R)`` assembly.  Under ``--jobs``
-    two workers may both compute a missing key; either result is the
-    same, so no lock is taken."""
+    """``assemble_operator`` memoised per worker process, so the spectra
+    and bounds suites share each ``(op, m, p, l_max, R)`` assembly.  Every
+    case that assembles at one (m, p) carries the group label (m, p),
+    which keeps those cases in one worker (``_partition``): each
+    assembly is computed once per run at any ``--jobs``."""
     memo: dict = {}
 
     def assemble(op: str, m: int, p: int, l_max: int, R):
@@ -400,7 +417,7 @@ def _assembler(cache: BasisCache):
     return assemble
 
 
-def _spectra_cases(cfg: RunConfig, assemble) -> list[tuple[str, "callable"]]:
+def _spectra_cases(cfg: RunConfig, assemble) -> list[tuple]:
     cases = []
     for m in cfg.dims:
         for p in cfg.degrees_for(m, "spectra"):
@@ -412,7 +429,7 @@ def _spectra_cases(cfg: RunConfig, assemble) -> list[tuple[str, "callable"]]:
                         # assembly raises unless the block certificate holds
                         _, rep = assemble(op, m, p, cfg.l_max, R)
                         return rep.to_dict() | {"id": key, "pass": True}
-                    cases.append((key, run))
+                    cases.append((key, run, (m, p)))
 
                 if Fraction(R) != 1:
                     for op in OPERATORS:
@@ -423,7 +440,7 @@ def _spectra_cases(cfg: RunConfig, assemble) -> list[tuple[str, "callable"]]:
                             _, scaled = assemble(op, m, p, cfg.l_max, R)
                             chk = scaling_check(unit, scaled)
                             return chk.to_dict() | {"id": key}
-                        cases.append((key, run))
+                        cases.append((key, run, (m, p)))
     return cases
 
 
@@ -431,8 +448,7 @@ def _spectra_cases(cfg: RunConfig, assemble) -> list[tuple[str, "callable"]]:
 # Bounds suite.
 # ---------------------------------------------------------------------------
 
-def _bounds_cases(cfg: RunConfig, cache: BasisCache,
-                  assemble) -> list[tuple[str, "callable"]]:
+def _bounds_cases(cfg: RunConfig, cache: BasisCache, assemble) -> list[tuple]:
     from .identities import replay_proof_chain
 
     cases = []
@@ -450,7 +466,7 @@ def _bounds_cases(cfg: RunConfig, cache: BasisCache,
                     return {"id": key, "params": {"m": m, "p": p, "R": str(R)},
                             "checks": [c.to_dict() for c in checks],
                             "pass": all(c.passed for c in checks)}
-                cases.append((key, run))
+                cases.append((key, run, (m, p)))
 
                 dom = BallDomain(m, Fraction(R))
                 kinds = ["sharp-bound"]
@@ -462,7 +478,7 @@ def _bounds_cases(cfg: RunConfig, cache: BasisCache,
                     def run(key=key, kind=kind, p=p, dom=dom):
                         rep = replay_proof_chain(kind, p, dom, cache)
                         return rep.to_dict() | {"id": key}
-                    cases.append((key, run))
+                    cases.append((key, run, (m, p)))
     return cases
 
 
@@ -470,7 +486,7 @@ def _bounds_cases(cfg: RunConfig, cache: BasisCache,
 # Curvature suite.
 # ---------------------------------------------------------------------------
 
-def _curvature_cases(cfg: RunConfig) -> list[tuple[str, "callable"]]:
+def _curvature_cases(cfg: RunConfig) -> list[tuple]:
     import numpy as np
 
     from . import sampling
@@ -499,7 +515,7 @@ def _curvature_cases(cfg: RunConfig) -> list[tuple[str, "callable"]]:
             worst_r = rep.residual
             ok = ok and rep.residual <= 1e-10
             return {"id": key, "pass": ok, "bochner_residual": worst_r}
-        cases.append((key, run))
+        cases.append((key, run, None))
 
         key = f"curvature/round/m{m}"
 
@@ -531,7 +547,7 @@ def _curvature_cases(cfg: RunConfig) -> list[tuple[str, "callable"]]:
             ok = ok and rep.order >= 1.9 and gm.passed
             return {"id": key, "pass": ok, "weitzenbock_deviation": w_dev,
                     "bochner_order": rep.order, "gallot_meyer_margin": gm.worst_margin}
-        cases.append((key, run))
+        cases.append((key, run, None))
     return cases
 
 
@@ -539,49 +555,126 @@ def _curvature_cases(cfg: RunConfig) -> list[tuple[str, "callable"]]:
 # Orchestration.
 # ---------------------------------------------------------------------------
 
-def _run_cases(cases, jobs: int, tracebacks: dict) -> list[dict]:
-    """Records in case order; a crashed case is a failed check with a
-    one-line error, and its full traceback goes to ``tracebacks``."""
-    def exec_one(case):
-        key, fn = case
+def _partition(groups: list, jobs: int) -> list[list[int]]:
+    """Case indices per worker, from each case's group label.
+
+    Cases sharing a label other than None form one group; every other
+    case is a group of its own.  Groups go round-robin, in order of
+    their first case, to min(jobs, number of groups) workers (at least
+    one), so the split depends on the case list alone and worker 0's
+    share is empty only when there is no case."""
+    number: dict = {}
+    slots = [number.setdefault(("case", i) if g is None else ("group", g), len(number))
+             for i, g in enumerate(groups)]
+    shares: list[list[int]] = [[] for _ in range(max(1, min(jobs, len(number))))]
+    for i, slot in enumerate(slots):
+        shares[slot % len(shares)].append(i)
+    return shares
+
+
+def _run_share(cases: list, share: list[int]) -> list[tuple]:
+    """(index, record, seconds, traceback or None) for each case of the
+    share; a crashed case is a failed check with a one-line error, and
+    its full traceback rides along."""
+    out = []
+    for i in share:
+        _, key, run, _ = cases[i]
+        t0 = time.perf_counter()
+        tb = None
         try:
-            return fn()
+            record = run()
         except Exception as exc:
             import traceback
-            tracebacks[key] = traceback.format_exc()
-            return {"id": key, "pass": False, "error": f"{type(exc).__name__}: {exc}"}
+            tb = traceback.format_exc()
+            record = {"id": key, "pass": False, "error": f"{type(exc).__name__}: {exc}"}
+        out.append((i, record, time.perf_counter() - t0, tb))
+    return out
 
-    if jobs == 1:
-        return [exec_one(c) for c in cases]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(exec_one, cases))
+
+def _run_workers(cases: list, shares: list[list[int]]) -> list[tuple]:
+    """Every share's ``_run_share`` results.  Worker 0 is this process;
+    each other worker is a forked child that pickles its results into a
+    pipe and leaves by ``os._exit``, so it never returns into the
+    caller.  A child that exits without reporting fails each case of
+    its share with an error naming its exit.  Every child is reaped
+    before this returns or raises.  A fork copies only the calling
+    thread, so the caller must run no other thread holding a lock that
+    a case takes."""
+    if len(shares) == 1:
+        return _run_share(cases, shares[0])
+    # imported only to fork: they add 6 ms to a --jobs 1 run's start-up
+    import pickle
+    import signal
+
+    children: dict = {}   # pid -> (worker, read end of its pipe)
+    try:
+        for worker in range(1, len(shares)):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(read)
+                    for _, pipe in children.values():
+                        pipe.close()
+                    payload = pickle.dumps(_run_share(cases, shares[worker]))
+                    with os.fdopen(write, "wb") as pipe:
+                        pipe.write(payload)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write)
+            children[pid] = (worker, os.fdopen(read, "rb"))
+        results = _run_share(cases, shares[0])
+        for pid, (worker, pipe) in list(children.items()):
+            payload = pipe.read()
+            pipe.close()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            if code == 0:
+                results += pickle.loads(payload)
+                continue
+            exit_ = (f"exited with code {code}" if code > 0
+                     else f"was killed by signal {-code}")
+            results += [(i, {"id": cases[i][1], "pass": False,
+                             "error": f"WorkerExit: worker {worker} {exit_} "
+                                      f"before reporting its cases"}, 0.0, None)
+                        for i in shares[worker]]
+        return results
+    finally:
+        for pid, (_, pipe) in children.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def run_suites(cfg: RunConfig) -> dict:
     cfg.validate()
     cache = BasisCache(cfg.cache_dir)
     assemble = _assembler(cache)
-    suites_out: dict = {}
-    tracebacks: dict = {}
-    timing: dict = {"tracebacks": tracebacks}
     builders = {
         "identities": lambda: _identity_cases(cfg),
         "spectra": lambda: _spectra_cases(cfg, assemble),
         "bounds": lambda: _bounds_cases(cfg, cache, assemble),
         "curvature": lambda: _curvature_cases(cfg),
     }
-    for suite in SUITES:
-        if suite not in cfg.suites:
-            continue
-        t0 = time.perf_counter()
-        records = _run_cases(builders[suite](), cfg.jobs, tracebacks)
-        timing[suite] = time.perf_counter() - t0
-        suites_out[suite] = {"checks": records}
+    selected = [suite for suite in SUITES if suite in cfg.suites]
+    # every case of every selected suite, in report order
+    cases = [(suite, *case) for suite in selected for case in builders[suite]()]
+    results = _run_workers(cases, _partition([c[3] for c in cases], cfg.jobs))
+    suites_out: dict = {suite: {"checks": []} for suite in selected}
+    timing: dict = ({suite: 0.0 for suite in selected}
+                    | {"cases": {}, "tracebacks": {}, "jobs": cfg.jobs})
+    for i, record, seconds, tb in sorted(results, key=lambda res: res[0]):
+        suite, key = cases[i][:2]
+        suites_out[suite]["checks"].append(record)
+        timing[suite] += seconds
+        timing["cases"][key] = seconds
+        if tb is not None:
+            timing["tracebacks"][key] = tb
 
     total = sum(len(s["checks"]) for s in suites_out.values())
     passed = sum(1 for s in suites_out.values() for r in s["checks"] if r.get("pass"))
-    timing["jobs"] = cfg.jobs
     return {
         "schema_version": SCHEMA_VERSION,
         "config": cfg.to_dict(),
@@ -782,7 +875,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mode", choices=("exact", "float"), default=None)
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--cache", default=None, help="basis cache directory")
-        p.add_argument("--jobs", type=int, default=None, help="worker count")
+        p.add_argument("--jobs", type=int, default=None,
+                       help="worker processes; above 1, forked ones (default 1)")
         p.add_argument("--config", default=None, help="key=value config file")
     return parser
 

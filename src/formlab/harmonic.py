@@ -232,6 +232,9 @@ def _encode_basis(fsb: FormSpaceBasis) -> dict:
 def _decode_basis(doc: dict) -> FormSpaceBasis:
     m, l, p = doc["m"], doc["l"], doc["p"]
     frame = [(tuple(I), tuple(e)) for I, e in doc["frame"]]
+    if frame != _monomial_frame(m, l, p) or any(len(vec) != len(frame)
+                                                for vec in doc["vectors"]):
+        raise ValueError("basis document does not fit its monomial frame")
     basis = [_vector_to_form(m, p, frame, [_decode_fraction(v) for v in vec])
              for vec in doc["vectors"]]
     return FormSpaceBasis(m, l, p, doc["kind"], basis)
@@ -257,13 +260,17 @@ def _in_kind(w: PolyForm, kind: str) -> bool:
 class BasisCache:
     """Memoising store for form-space bases, optionally disk-backed.
 
-    Disk writes go through a temporary file and an atomic rename, which
-    keeps the single-writer contract safe under concurrent readers.  A
-    file of another schema, for another (m, l, p, kind), with dependent
-    vectors or with a form outside its kind is a miss.
+    Disk writes go through a temporary file and an atomic rename, so
+    readers only ever see whole files.  The forked workers of the
+    command line's ``--jobs`` each hold their own memo; two that miss
+    the same basis both compute it and write the same bytes.  A file
+    that is not a well-formed basis document (truncated, a zero
+    denominator, a vector that does not fit its frame), of another
+    schema, for another (m, l, p, kind), with dependent vectors or with
+    a form outside its kind is a miss, rebuilt and rewritten.
     Misses are resolved under one re-entrant lock (computing a split
-    basis asks for its "H" parent), so threads sharing the cache load or
-    compute each basis once.
+    basis asks for its "H" parent), so threads sharing one instance load
+    or compute each basis once.
     """
 
     def __init__(self, directory: str | None = None):
@@ -297,11 +304,16 @@ class BasisCache:
         path = self._path(*key)
         if not path or not os.path.exists(path):
             return None
-        with open(path) as fh:
-            doc = json.load(fh)
-        if [doc.get(k) for k in ("schema", "m", "l", "p", "kind")] != [SCHEMA, *key]:
+        try:
+            with open(path) as fh:
+                doc = json.load(fh)
+            if [doc.get(k) for k in ("schema", "m", "l", "p", "kind")] != [SCHEMA, *key]:
+                return None
+            fsb = _decode_basis(doc)
+        except (ValueError, TypeError, KeyError, IndexError, AttributeError,
+                ZeroDivisionError):
+            # not JSON, not a document, or entries of the wrong shape
             return None
-        fsb = _decode_basis(doc)
         trusted = (_in_reduced_form(_coordinates(fsb))
                    and all(_in_kind(w, fsb.kind) for w in fsb.basis))
         return fsb if trusted else None

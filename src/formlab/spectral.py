@@ -58,35 +58,28 @@ OPERATORS = ("dtn", "dtn-neumann", "hodge-boundary")
 # Boundary pairings and the Neumann extension.
 # ---------------------------------------------------------------------------
 
-def _trace(form: PolyForm, domain: BallDomain, pullback: bool) -> dict:
+def _trace(form: PolyForm, domain: BallDomain) -> dict:
     """The keyed parts of a form's boundary pairing: ``(1, I)`` for each
-    coefficient and, with ``pullback``, ``(-1, J)`` for each coefficient
-    of i_N form, so that <J*u, J*v> = sum over shared keys (s, K) of
-    s * u_K * v_K."""
+    coefficient and ``(-1, J)`` for each coefficient of i_N form, so that
+    <J*u, J*v> = sum over shared keys (s, K) of s * u_K * v_K."""
     parts = {(1, I): c for I, c in form.coeffs.items()}
-    if pullback and form.p >= 1:
+    if form.p >= 1:
         parts.update(((-1, J), c) for J, c in normal_part(form, domain).coeffs.items())
     return parts
 
 
-def _sphere_matrix(rows: list[PolyForm], cols: list[PolyForm], domain: BallDomain,
-                   pullback: bool = True) -> list[list[Fraction]]:
-    """Exact matrix of int_S <J*row, J*col> (of <row, col> without
-    ``pullback``).  Each form is traced once; each entry contracts the
-    shared parts against cached sphere moments.  Filled symmetrically
-    when ``rows is cols``."""
+def _sphere_matrix(forms: list[PolyForm], domain: BallDomain) -> list[list[Fraction]]:
+    """Exact symmetric matrix of int_S <J*u, J*v> over the forms.  Each
+    form is traced once; each entry on and above the diagonal contracts
+    the shared parts against cached sphere moments."""
     R = domain.radius
-    symmetric = rows is cols
-    row_parts = [_trace(u, domain, pullback) for u in rows]
-    col_parts = row_parts if symmetric else [_trace(v, domain, pullback) for v in cols]
-    out = [[Fraction(0)] * len(cols) for _ in rows]
-    for i, a in enumerate(row_parts):
-        for j in range(i if symmetric else 0, len(cols)):
-            b = col_parts[j]
-            out[i][j] = integrate_pairs([(key[0], c, b[key])
-                                         for key, c in a.items() if key in b], R)
-            if symmetric:
-                out[j][i] = out[i][j]
+    parts = [_trace(u, domain) for u in forms]
+    out = [[Fraction(0)] * len(forms) for _ in forms]
+    for i, a in enumerate(parts):
+        for j in range(i, len(forms)):
+            b = parts[j]
+            out[i][j] = out[j][i] = integrate_pairs(
+                [(key[0], c, b[key]) for key, c in a.items() if key in b], R)
     return out
 
 
@@ -305,7 +298,7 @@ def assemble_operator(operator: str, m: int, p: int, l_max: int, radius,
     blocks = _build_blocks(operator, m, p, l_max, domain, cache)
     reps = [w for blk in blocks for w in blk.basis]
     assembly = OperatorAssembly(operator, domain, p, l_max, blocks,
-                                _sphere_matrix(reps, reps, domain))
+                                _sphere_matrix(reps, domain))
     report = _solve_assembly(assembly)
     return assembly, report
 

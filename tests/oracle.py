@@ -1,18 +1,35 @@
 """Independent oracles for the spectral certificate.
 
-``full_stiffness`` pairs the stiffness matrix A entry by entry, as
-assembly did before the pointwise eigenform certificate made it
-redundant, and ``certify_eigenvalue`` takes the exact multiplicity of an
-eigenvalue as the nullity of A - theta G over the whole matrix.  The
-rational ``rank``, ``nullity`` and ``solve`` live here with them, since
-only tests need them.
+``sphere_matrix`` is the general boundary pairing of two lists of
+forms, with or without the pullback.  ``full_stiffness`` pairs the
+stiffness matrix A entry by entry, as assembly did before the pointwise
+eigenform certificate made it redundant, and ``certify_eigenvalue``
+takes the exact multiplicity of an eigenvalue as the nullity of
+A - theta G over the whole matrix.  The rational ``rank``, ``nullity``
+and ``solve`` live here with them, since only tests need them.
 """
 
 from fractions import Fraction
 
 from formlab.ball import boundary_delta_rep, normal_part
 from formlab.linalg import rref
-from formlab.spectral import _sphere_matrix
+from formlab.quadrature import integrate_pairs
+from formlab.spectral import _trace
+
+
+def sphere_matrix(rows, cols, domain, pullback=True):
+    """Exact matrix of int_S <J*row, J*col>, or of <row, col> without
+    ``pullback``, for any two lists of forms: the general pairing that
+    ``spectral._sphere_matrix`` specialises to one symmetric list."""
+    def parts(form):
+        if pullback:
+            return _trace(form, domain)
+        return {(1, I): c for I, c in form.coeffs.items()}
+
+    row_parts, col_parts = [parts(u) for u in rows], [parts(v) for v in cols]
+    return [[integrate_pairs([(key[0], c, b[key]) for key, c in a.items() if key in b],
+                             domain.radius)
+             for b in col_parts] for a in row_parts]
 
 
 def rank(rows) -> int:
@@ -64,14 +81,14 @@ def full_stiffness(assembly):
     reps = [w for blk in assembly.blocks for w in blk.basis]
     if assembly.operator == "hodge-boundary":
         delta_reps = [boundary_delta_rep(w, dom) for w in reps]
-        A = _sphere_matrix(delta_reps, delta_reps, dom)
+        A = sphere_matrix(delta_reps, delta_reps, dom)
         if assembly.p <= dom.m - 2:
             d_reps = [w.d() for w in reps]
-            A = mat_add(A, _sphere_matrix(d_reps, d_reps, dom))
+            A = mat_add(A, sphere_matrix(d_reps, d_reps, dom))
         return A
     traced = [-normal_part(ext.d(), dom)
               for blk in assembly.blocks for ext in blk.extensions]
-    A = _sphere_matrix(traced, reps, dom)
+    A = sphere_matrix(traced, reps, dom)
     assert A == [list(col) for col in zip(*A)], "stiffness matrix not symmetric"
     return A
 

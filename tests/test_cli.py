@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import signal
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,6 +13,7 @@ import pytest
 from formlab import cli
 from formlab.cli import (ConfigError, RunConfig, build_parser, build_config,
                          emit_tables, main, run_suites)
+from formlab.harmonic import BasisCache
 
 
 def small_config(**kw):
@@ -80,15 +82,23 @@ class TestRunSuites:
         r1.pop("timing"), r2.pop("timing")
         assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
 
-    def test_crash_traceback_kept_under_timing(self, monkeypatch):
+    def test_crash_traceback_kept_under_timing(self, monkeypatch, tmp_path):
+        pids = tmp_path / "pids"
+
         def boom(*args):
+            with open(pids, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
             raise RuntimeError("forced crash")
         assert run_suites(small_config())["timing"]["tracebacks"] == {}
         monkeypatch.setattr("formlab.identities.verify_stokes", boom)
         key = "stokes/m2/p1/R1"
         bodies = []
         for jobs in (1, 2):
+            pids.unlink(missing_ok=True)
             report = run_suites(small_config(jobs=jobs))
+            # at --jobs 2 the crashing case runs in a forked worker
+            (pid,) = map(int, pids.read_text().split())
+            assert (pid == os.getpid()) == (jobs == 1)
             rec = next(r for r in report["suites"]["identities"]["checks"]
                        if r["id"] == key)
             assert rec == {"id": key, "pass": False,
@@ -99,6 +109,17 @@ class TestRunSuites:
             report.pop("timing")
             bodies.append(json.dumps(report, sort_keys=True))
         assert bodies[0] == bodies[1] and "Traceback" not in bodies[0]
+
+    def test_timing_has_every_case(self):
+        cfg = small_config(suites=["identities", "spectra", "bounds"], jobs=2)
+        report = run_suites(cfg)
+        timing = report["timing"]
+        ids = [r["id"] for suite in report["suites"].values() for r in suite["checks"]]
+        assert sorted(timing["cases"]) == sorted(ids)
+        for suite, data in report["suites"].items():
+            want = sum(timing["cases"][r["id"]] for r in data["checks"])
+            assert float(timing[suite]) == pytest.approx(want)
+        assert timing["jobs"] == 2 and timing["tracebacks"] == {}
 
     def test_seed_changes_report(self):
         r1 = run_suites(small_config(seed=3))
@@ -134,11 +155,90 @@ class TestRunSuites:
         assert (tmp_path / "cache").exists()
 
 
+class TestWorkers:
+    def test_partition(self):
+        cfg = small_config(suites=["identities", "spectra", "bounds"], dims=[3])
+        cfg.validate()
+        cache = BasisCache()
+        assemble = cli._assembler(cache)
+        cases = (cli._identity_cases(cfg) + cli._spectra_cases(cfg, assemble)
+                 + cli._bounds_cases(cfg, cache, assemble))
+        groups = [c[2] for c in cases]
+        assert {(3, 1), (3, 2), None} == set(groups)
+        for jobs in (1, 2, 3, 7, 10 ** 6):
+            shares = cli._partition(groups, jobs)
+            assert shares == cli._partition(groups, jobs)
+            assert sorted(i for share in shares for i in share) == list(range(len(cases)))
+            assert all(share == sorted(share) for share in shares)
+            # 2 (m, p) groups and one group per identity case
+            assert len(shares) == min(jobs, groups.count(None) + 2)
+            assert shares[0]
+            for mp in ((3, 1), (3, 2)):
+                owners = {w for w, share in enumerate(shares)
+                          for i in share if groups[i] == mp}
+                assert len(owners) == 1
+        # round-robin over groups in order of their first case
+        assert cli._partition(["a", None, "a", "b", None], 2) == [[0, 2, 3], [1, 4]]
+        assert cli._partition([], 4) == [[]]
+
+    def test_shared_cache_across_workers(self, tmp_path):
+        # three forked workers build and write overlapping bases into
+        # one directory
+        reports, files = [], []
+        for jobs in (1, 3):
+            cache = tmp_path / f"cache-{jobs}"
+            cfg = small_config(suites=["spectra", "bounds"], dims=[2, 3],
+                               cache_dir=str(cache), jobs=jobs)
+            report = run_suites(cfg)
+            assert report["summary"]["failed"] == 0
+            report.pop("timing")
+            reports.append(json.dumps(report, sort_keys=True))
+            files.append({f.name: f.read_bytes() for f in cache.iterdir()})
+        assert reports[0] == reports[1]
+        assert files[0] == files[1] and all(n.endswith(".json") for n in files[1])
+
+    def test_dying_worker_fails_its_share(self, monkeypatch, tmp_path):
+        # every identity case is a group of its own, so worker 1 of 2 runs
+        # the odd-numbered cases, stokes/m2/p1/R1 (case 3) among them
+        monkeypatch.setattr("formlab.identities.verify_stokes",
+                            lambda *args: os._exit(3))
+
+        def hung(*args):
+            raise TimeoutError("run did not end after its worker died")
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(120)
+        try:
+            code = main(["verify", "--dim", "2", "--lmax", "1", "--jobs", "2",
+                         "--out", str(tmp_path)])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        (run_dir,) = os.listdir(tmp_path)
+        report = json.loads((tmp_path / run_dir / "report.json").read_text())
+        checks = report["suites"]["identities"]["checks"]
+        failed = [r for r in checks if not r["pass"]]
+        assert [r["id"] for r in checks[1::2]] == [r["id"] for r in failed]
+        assert all(r["error"] == "WorkerExit: worker 1 exited with code 3 "
+                                 "before reporting its cases" for r in failed)
+        assert report["summary"]["passed"] == len(checks) - len(failed) > 0
+
+    def test_exit_two_without_fork(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.delattr(os, "fork")
+        code = main(["verify", "--dim", "2", "--jobs", "2", "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("configuration error: ")
+        assert not os.listdir(tmp_path)
+
+
 class TestQuadratureOracle:
     @staticmethod
     def run_oracle(m, seed):
         cfg = small_config(dims=[m], seed=seed)
-        return dict(cli._identity_cases(cfg))[f"quadrature-oracle/m{m}"]()
+        runs = {key: run for key, run, _ in cli._identity_cases(cfg)}
+        return runs[f"quadrature-oracle/m{m}"]()
 
     def test_catches_wrong_exact_value(self, monkeypatch):
         true_value = cli.integrate_ball

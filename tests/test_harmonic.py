@@ -268,6 +268,28 @@ class TestCache:
         assert len(got) == 2 and got[0] is got[1]
         assert loads == ["H"]
 
+    @pytest.mark.parametrize("damage", ["truncated", "zero-denominator", "short-vector"])
+    def test_malformed_file_is_rebuilt(self, tmp_path, damage):
+        name = "basis_m2_l1_p1_H-normal-null.json"
+        want = BasisCache(str(tmp_path / "ref")).get(2, 1, 1, "H-normal-null")
+        good = (tmp_path / "ref" / name).read_text()
+        doc = json.loads(good)
+        assert doc["vectors"]
+        if damage == "truncated":
+            bad = good[:50]
+        elif damage == "zero-denominator":
+            doc["vectors"][0][0] = ["1", "0"]
+            bad = json.dumps(doc)
+        else:
+            doc["vectors"][0].pop()
+            bad = json.dumps(doc)
+        plant = tmp_path / "plant"
+        plant.mkdir()
+        (plant / name).write_text(bad)
+        got = BasisCache(str(plant)).get(2, 1, 1, "H-normal-null")
+        assert got.basis == want.basis
+        assert (plant / name).read_text() == good
+
     def test_stale_and_mismatched_files_are_rebuilt(self, tmp_path, monkeypatch):
         ref_dir, plant = tmp_path / "ref", tmp_path / "plant"
         ref = BasisCache(str(ref_dir))

@@ -87,18 +87,23 @@ SHIFT_THETA = ("import formlab.spectral as sp\n"
                "sp.ball_reference_eigenvalue = lambda *a: real(*a) + 1\n")
 
 
-@pytest.mark.parametrize("suite,absent,patch,want", [
-    pytest.param("spectrum", SPECTRUM_ABSENT, "", 0, id="spectrum-absent0"),
-    pytest.param("bounds", ["numpy", "formlab.curvature"], "", 0, id="bounds-absent1"),
-    pytest.param("spectrum", SPECTRUM_ABSENT, SHIFT_THETA, 1,
+@pytest.mark.parametrize("suite,absent,patch,want,jobs", [
+    pytest.param("spectrum", SPECTRUM_ABSENT, "", 0, 1, id="spectrum-absent0"),
+    pytest.param("bounds", ["numpy", "formlab.curvature"], "", 0, 1, id="bounds-absent1"),
+    pytest.param("spectrum", SPECTRUM_ABSENT, SHIFT_THETA, 1, 1,
                  id="spectrum-failed-certificate"),
+    # forked workers, not a pool: at dimensions 2 and 3 the spectrum has
+    # three (m, p) groups, so --jobs 2 forks one worker
+    pytest.param("all", ["concurrent.futures"], "", 0, 2, id="all-jobs2"),
+    pytest.param("spectrum", SPECTRUM_ABSENT, "", 0, 2, id="spectrum-jobs2"),
 ])
-def test_run_loads_only_its_layers(tmp_path, suite, absent, patch, want):
+def test_run_loads_only_its_layers(tmp_path, suite, absent, patch, want, jobs):
+    dims = "2" if jobs == 1 else "2,3"
     child = ("import sys\n"
              + patch +
              "from formlab.cli import main\n"
-             f"code = main([{suite!r}, '--dim', '2', '--lmax', '1', "
-             f"'--out', {str(tmp_path)!r}])\n"
+             f"code = main([{suite!r}, '--dim', {dims!r}, '--lmax', '1', "
+             f"'--jobs', '{jobs}', '--out', {str(tmp_path)!r}])\n"
              f"assert code == {want}, code\n"
              f"print(sorted(m for m in {absent!r} if m in sys.modules))\n")
     proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True)

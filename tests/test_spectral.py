@@ -22,7 +22,7 @@ from formlab.sampling import rng_for
 from formlab.spectral import (CertificateError, _neumann_extension, _neumann_failures,
                               _sphere_matrix, assemble_operator,
                               ball_reference_eigenvalue, check_bounds, scaling_check)
-from oracle import certify_eigenvalue, full_stiffness, rank, solve
+from oracle import certify_eigenvalue, full_stiffness, rank, solve, sphere_matrix
 
 
 def binom(n, k):
@@ -67,17 +67,17 @@ def lsq_extend_block(kind, domain, data, degree, cache, max_degree=None):
             scalars = _trial_space(m, 0, degree, cache)
             indices = multi_indices(m, p)
             trial = [PolyForm(m, p, {I: s.coeffs[()]}) for I in indices for s in scalars]
-            B = _sphere_matrix(trial, data, domain)
+            B = sphere_matrix(trial, data, domain)
             n, nI, nd = len(scalars), len(indices), len(data)
             rhs = [[v for i in range(nI) for v in B[i * n + j]] for j in range(n)]
-            M_s = _sphere_matrix(scalars, scalars, domain, pullback=False)
+            M_s = sphere_matrix(scalars, scalars, domain, pullback=False)
             Y = solve(M_s, rhs)
             X = None if Y is None else [Y[j][i * nd:(i + 1) * nd]
                                         for i in range(nI) for j in range(n)]
         else:
             trial = _trial_space(m, p, degree, cache)
-            B = _sphere_matrix(trial, data, domain)
-            X = solve(_sphere_matrix(trial, trial, domain), B)
+            B = sphere_matrix(trial, data, domain)
+            X = solve(sphere_matrix(trial, trial, domain), B)
         assert X is not None, "normal equations inconsistent"
         out = []
         for k, const in enumerate(consts):
@@ -191,8 +191,8 @@ class TestExtension:
         degree = l + 2
         trial = [PolyForm(m, p, {I: s.coeffs[()]}) for k in range(degree + 1)
                  for I in multi_indices(m, p) for s in cache.get(m, k, 0, "H").basis]
-        B = _sphere_matrix(trial, data, dom)
-        X = solve(_sphere_matrix(trial, trial, dom, pullback=False), B)
+        B = sphere_matrix(trial, data, dom)
+        X = solve(sphere_matrix(trial, trial, dom, pullback=False), B)
         block = lsq_extend_block("harmonic-neumann", dom, data, degree, cache)
         assert len(block) == len(data)
         for k, (datum, (ext, misfit)) in enumerate(zip(data, block)):
@@ -476,7 +476,10 @@ class TestSphereMatrix:
             for rs, cs in ((rows, rows), (rows, cols)):
                 want = [[integrate_sphere(pair(u, v), R).coeff for v in cs]
                         for u in rs]
-                assert _sphere_matrix(rs, cs, dom, pullback) == want
+                assert sphere_matrix(rs, cs, dom, pullback) == want
+                if pullback and rs is cs:
+                    # the Gram pairing that assembly uses
+                    assert _sphere_matrix(rs, dom) == want
 
 
 class TestBounds:
