@@ -112,6 +112,9 @@ class RunConfig:
     jobs: int = 1
 
     def validate(self) -> None:
+        for key, values in (("dims", self.dims), ("radii", self.radii)):
+            if not values:
+                raise ConfigError(f"{key} is empty: give at least one value")
         for s in self.suites:
             if s not in SUITES:
                 raise ConfigError(f"unknown suite {s!r}")

@@ -9,7 +9,8 @@ build:
     the Hodge Laplacian on flat R^m, so its kernel, row space and the
     canonical nullspace basis are the same),
   * the closed subspace (additionally d w = 0), and
-  * the normal-null subspace (additionally i_x w = 0 identically).
+  * the normal-null subspace (additionally i_x w = 0 identically),
+    each restricted from the harmonic fields when it is asked for.
 
 The normal-null condition i_x w = 0 as a polynomial form is equivalent
 to the vanishing of the normal contraction on any origin-centred
@@ -24,16 +25,20 @@ cache stores the results, one JSON document per (m, l, p, kind): schema
 2 holds the monomial frame and the basis vectors, with rationals
 encoded portably as decimal strings (sign carried by the numerator).
 A file is trusted only when its schema and its (m, l, p, kind) match
-the request, its vectors are in the reduced form every computed basis
-has, which proves them linearly independent (``_in_reduced_form``),
-and every decoded form satisfies the constraints that define its kind
-(``_in_kind``); any other file is a miss, and the basis is recomputed
-and written over it.
+the request, it holds exactly ``expected_dim(m, l, p, kind)`` vectors,
+the dimension in closed form, its vectors are in the reduced form every
+computed basis has, which proves them linearly independent
+(``_in_reduced_form``), and every decoded form satisfies the
+constraints that define its kind (``_in_kind``).  Independent forms of
+the kind, as many as its dimension, span it.  Any other file is a miss,
+and the basis is recomputed and written over it; a computed basis of
+any other size raises ``AssertionError``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 import threading
@@ -137,24 +142,83 @@ def harmonic_field_basis(m: int, l: int, p: int) -> FormSpaceBasis:
     return FormSpaceBasis(m, l, p, "H", basis)
 
 
-def split_closed_normal_null(hbasis: FormSpaceBasis) -> tuple[FormSpaceBasis, FormSpaceBasis]:
-    """Split a harmonic-field basis into (closed, normal-null) parts."""
-    if hbasis.kind != "H":
-        raise ValueError("expected a harmonic-field basis")
-    m, l, p = hbasis.m, hbasis.l, hbasis.p
-    if p <= m - 1:
-        closed = _restrict(hbasis.basis, lambda w: w.d())
-    else:
-        closed = list(hbasis.basis)
-    if p >= 1:
+def _kind_constraint(kind: str, m: int, p: int):
+    """The operator whose kernel cuts ``kind`` out of the harmonic
+    fields: d for "H-closed" with p <= m-1 and i_x for "H-normal-null"
+    with p >= 1.  None where the constraint is vacuous, since d of an
+    m-form and the normal contraction of a 0-form vanish identically."""
+    if kind == "H-closed" and p <= m - 1:
+        return PolyForm.d
+    if kind == "H-normal-null" and p >= 1:
         position = PolyVectorField.position(m)
-        normal_null = _restrict(hbasis.basis, lambda w: w.interior(position))
-    else:
-        # the normal contraction of a boundary function vanishes
-        # identically, so the condition is vacuous on 0-forms
-        normal_null = list(hbasis.basis)
-    return (FormSpaceBasis(m, l, p, "H-closed", closed),
-            FormSpaceBasis(m, l, p, "H-normal-null", normal_null))
+        return lambda w: w.interior(position)
+    return None
+
+
+def _harmonic_polynomials(m: int, l: int) -> int:
+    """dim of the harmonic polynomials of degree l on R^m."""
+    return math.comb(l + m - 1, m - 1) - (math.comb(l + m - 3, m - 1) if l >= 2 else 0)
+
+
+def _weyl_dim(m: int, weight: tuple) -> int:
+    """Weyl's dimension of the so(m) representation of highest weight
+    ``weight``, padded with zeros to rank m // 2.  It is computed on
+    2 (weight + rho), whose entries are integers for odd m too:
+    prod over i < j of (l_i^2 - l_j^2), times prod of l_i for odd m,
+    over the same product at weight 0."""
+    rank = m // 2
+    doubled_rho = [m - 2 - 2 * i for i in range(rank)]
+    shifted = [2 * w + r for w, r in zip(list(weight) + [0] * rank, doubled_rho)]
+
+    def product(ls):
+        out = math.prod(a * a - b * b for i, a in enumerate(ls) for b in ls[i + 1:])
+        return out * math.prod(ls) if m % 2 else out
+    num, den = product(shifted), product(doubled_rho)
+    assert num % den == 0, (m, weight)
+    return num // den
+
+
+def expected_dim(m: int, l: int, p: int, kind: str) -> int:
+    """The dimension of the (m, l, p, kind) basis in closed form, by
+    exact integer arithmetic and no elimination.  With n = m - 1:
+
+      * "P": C(m, p) C(l + m - 1, m - 1);
+      * "H-normal-null": the harmonic polynomials of degree l at p = 0;
+        0 at l = 0 or p = m; at p = m - 1, 1 for l = 1 and 0 otherwise;
+        else Weyl's so(m) dimension of the highest weight (l, 1^q),
+        q = min(p, n - 1 - p), doubled for even m with q + 1 = m/2,
+        where the twin weight (l, 1, ..., -1) adds as much;
+      * "H-closed": 1 at l = 0 and 0 otherwise for p = 0 or p = m, the
+        harmonic polynomials of degree l + 1 at p = 1, and else the
+        "H-normal-null" dimension at (l + 1, p - 1), onto which i_x
+        maps the closed fields one to one;
+      * "H": 1 at l = p = 0, else "H-closed" plus "H-normal-null".
+
+    The weights are those of the eigenforms of the Laplacian on S^n
+    (Ikeda-Taniguchi, Osaka J. Math. 15, 1978).
+    """
+    if kind == "P":
+        return math.comb(m, p) * math.comb(l + m - 1, m - 1)
+    if kind == "H":
+        if l + p == 0:
+            return 1
+        return expected_dim(m, l, p, "H-closed") + expected_dim(m, l, p, "H-normal-null")
+    if kind == "H-closed":
+        if p in (0, m):
+            return int(l == 0)
+        if p == 1:
+            return _harmonic_polynomials(m, l + 1)
+        return expected_dim(m, l + 1, p - 1, "H-normal-null")
+    if kind != "H-normal-null":
+        raise ValueError(f"unknown basis kind {kind!r}")
+    if p == 0:
+        return _harmonic_polynomials(m, l)
+    if l == 0 or p == m:
+        return 0
+    if p == m - 1:
+        return int(l == 1)
+    q = min(p, m - 2 - p)
+    return (2 if 2 * (q + 1) == m else 1) * _weyl_dim(m, (l,) + (1,) * q)
 
 
 def sphere_reduce(q: Polynomial, radius) -> Polynomial:
@@ -250,10 +314,9 @@ def _in_kind(w: PolyForm, kind: str) -> bool:
     conditions = [w.rough_laplacian()]
     if w.p >= 1:
         conditions.append(w.delta())
-    if kind == "H-closed" and w.p <= w.m - 1:
-        conditions.append(w.d())
-    if kind == "H-normal-null" and w.p >= 1:
-        conditions.append(w.interior(PolyVectorField.position(w.m)))
+    constraint = _kind_constraint(kind, w.m, w.p)
+    if constraint:
+        conditions.append(constraint(w))
     return all(c.is_zero() for c in conditions)
 
 
@@ -266,11 +329,14 @@ class BasisCache:
     the same basis both compute it and write the same bytes.  A file
     that is not a well-formed basis document (truncated, a zero
     denominator, a vector that does not fit its frame), of another
-    schema, for another (m, l, p, kind), with dependent vectors or with
-    a form outside its kind is a miss, rebuilt and rewritten.
-    Misses are resolved under one re-entrant lock (computing a split
-    basis asks for its "H" parent), so threads sharing one instance load
-    or compute each basis once.
+    schema, for another (m, l, p, kind), with dependent vectors, with a
+    form outside its kind or with a vector count other than
+    ``expected_dim`` is a miss, rebuilt and rewritten.  A miss computes
+    and stores the requested basis only: "H-closed" and "H-normal-null"
+    are each restricted from their "H" parent on demand.  Misses are
+    resolved under one re-entrant lock (computing a restricted basis
+    asks for its "H" parent), so threads sharing one instance load or
+    compute each basis once.
     """
 
     def __init__(self, directory: str | None = None):
@@ -314,7 +380,8 @@ class BasisCache:
                 ZeroDivisionError):
             # not JSON, not a document, or entries of the wrong shape
             return None
-        trusted = (_in_reduced_form(_coordinates(fsb))
+        trusted = (fsb.dim == expected_dim(*key)
+                   and _in_reduced_form(_coordinates(fsb))
                    and all(_in_kind(w, fsb.kind) for w in fsb.basis))
         return fsb if trusted else None
 
@@ -330,12 +397,15 @@ class BasisCache:
 
     def _compute(self, m, l, p, kind) -> FormSpaceBasis:
         if kind == "P":
-            return monomial_form_basis(m, l, p)
-        if kind == "H":
-            return harmonic_field_basis(m, l, p)
-        h = self.get(m, l, p, "H")
-        closed, normal_null = split_closed_normal_null(h)
-        other = normal_null if kind == "H-closed" else closed
-        self._memo[(m, l, p, other.kind)] = other
-        self._store(other)
-        return closed if kind == "H-closed" else normal_null
+            fsb = monomial_form_basis(m, l, p)
+        elif kind == "H":
+            fsb = harmonic_field_basis(m, l, p)
+        else:
+            basis = self.get(m, l, p, "H").basis
+            constraint = _kind_constraint(kind, m, p)
+            fsb = FormSpaceBasis(m, l, p, kind,
+                                 _restrict(basis, constraint) if constraint else list(basis))
+        if fsb.dim != expected_dim(m, l, p, kind):
+            raise AssertionError(f"basis ({m}, {l}, {p}, {kind}) has {fsb.dim} vectors, "
+                                 f"expected {expected_dim(m, l, p, kind)}")
+        return fsb

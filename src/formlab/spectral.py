@@ -15,14 +15,13 @@ trial spaces:
 Trial spaces are the pullbacks of the normal-null harmonic blocks
 (co-exact on the sphere) and, where the operator acts on them, the
 closed blocks.  The Gram matrix G of boundary pairings
-int_S <J*u, J*v> is exact and built by ``_sphere_matrix``: each form's
-trace (its coefficients and those of its normal part) is computed once,
-and each entry contracts the shared coefficients against cached sphere
-moments (``quadrature.integrate_pairs``), with no product polynomial
-built.  No extension is solved for.  A coexact trial form is its own
-extension: it is harmonic, co-closed and normal-null, and
-``BasisCache`` checks these constraints of every basis it loads from
-disk.  The ``dtn-neumann`` extension of a closed datum is a closed
+int_S <J*u, J*v> is exact and built block by block from Fischer
+products of the coefficients (``_gram_block``), with no integral
+evaluated; it is 0 between blocks by a theorem, proved in
+``_certify_blocks``.  No extension is solved for.  A coexact trial
+form is its own extension: it is harmonic, co-closed and normal-null,
+and ``BasisCache`` checks these constraints of every basis it loads
+from disk.  The ``dtn-neumann`` extension of a closed datum is a closed
 formula (``_neumann_extension``, after Raulot-Savo), and each one is
 checked exactly to be harmonic, to pull back to the datum and to have
 no normal part on the sphere.
@@ -30,17 +29,18 @@ no normal part on the sphere.
 The spectrum is exact and certified block by block, pointwise: every
 trial form phi of a block is an eigenform, J*(T phi) = theta_b J* phi
 on the sphere with theta_b the closed-form ball eigenvalue, decided
-exactly by polynomial identities; G vanishes outside the diagonal
-blocks; and each G_b is positive definite by an exact LDL^T test.  The
-stiffness matrix A is then Theta G, so it is never paired, and the
-eigenvalues are theta_b with multiplicity dim_b, as ``Fraction``s, with
-no floating eigensolve.  A failure raises ``CertificateError`` naming
-the block, the trial form and the condition.  The bound and scaling
-checks decide on these exact spectra with ==, <= and <.
+exactly by polynomial identities, and each G_b is positive definite by
+an exact LDL^T test.  The stiffness matrix A is then Theta G, so it is
+never paired, and the eigenvalues are theta_b with multiplicity dim_b,
+as ``Fraction``s, with no floating eigensolve.  A failure raises
+``CertificateError`` naming the block, the trial form and the
+condition.  The bound and scaling checks decide on these exact spectra
+with ==, <= and <.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -49,37 +49,47 @@ from .ball import BallDomain, boundary_delta_rep, normal_part
 from .harmonic import BasisCache, sphere_reduce
 from .polynomials import Polynomial
 from .polyform import PolyForm, PolyVectorField
-from .quadrature import integrate_pairs
 
 OPERATORS = ("dtn", "dtn-neumann", "hodge-boundary")
 
 
 # ---------------------------------------------------------------------------
-# Boundary pairings and the Neumann extension.
+# The Gram matrix and the Neumann extension.
 # ---------------------------------------------------------------------------
 
-def _trace(form: PolyForm, domain: BallDomain) -> dict:
-    """The keyed parts of a form's boundary pairing: ``(1, I)`` for each
-    coefficient and ``(-1, J)`` for each coefficient of i_N form, so that
-    <J*u, J*v> = sum over shared keys (s, K) of s * u_K * v_K."""
-    parts = {(1, I): c for I, c in form.coeffs.items()}
-    if form.p >= 1:
-        parts.update(((-1, J), c) for J, c in normal_part(form, domain).coeffs.items())
-    return parts
+def _fischer(u: PolyForm, v: PolyForm) -> Fraction:
+    """The Fischer product <u, v>_F = sum over components I and
+    exponents a of a! u_{I,a} v_{I,a}, a! = a_1! ... a_m!."""
+    return sum((math.prod(map(math.factorial, a)) * c * v.coeffs[I].terms.get(a, 0)
+                for I, f in u.coeffs.items() if I in v.coeffs
+                for a, c in f.terms.items()), Fraction(0))
 
 
-def _sphere_matrix(forms: list[PolyForm], domain: BallDomain) -> list[list[Fraction]]:
-    """Exact symmetric matrix of int_S <J*u, J*v> over the forms.  Each
-    form is traced once; each entry on and above the diagonal contracts
-    the shared parts against cached sphere moments."""
-    R = domain.radius
-    parts = [_trace(u, domain) for u in forms]
+def _gram_block(forms: list[PolyForm], k: int, domain: BallDomain) -> list[list[Fraction]]:
+    """Exact symmetric matrix of int_S <J*u, J*v> over harmonic,
+    co-closed p-forms whose coefficients are homogeneous of degree k:
+
+        R^(m-1+2k) (<u, v>_F / P(m, k) - <i_x u, i_x v>_F / P(m, k+1)),
+
+    with P(m, k) = m (m+2) ... (m+2k-2).  On the sphere <J*u, J*v> is
+    <u, v> - R^-2 <i_x u, i_x v>; the coefficients of u are harmonic of
+    degree k and, as u is co-closed, those of i_x u are harmonic of
+    degree k+1; and for harmonic f, g homogeneous of degree j the mean of
+    f g over the unit sphere is <f, g>_F / P(m, j) (Stein-Weiss, Fourier
+    Analysis on Euclidean Spaces, ch. IV).  Integrals are in units of
+    |S^{m-1}(1)|, so a degree-2j integrand over the radius-R sphere
+    carries R^(m-1+2j)."""
+    m, R = domain.m, domain.radius
+    x = PolyVectorField.position(m)
+    normals = [u.interior(x) for u in forms]
+    P_k = math.prod(range(m, m + 2 * k, 2))
+    P_k1 = P_k * (m + 2 * k)
+    scale = R ** (m - 1 + 2 * k)
     out = [[Fraction(0)] * len(forms) for _ in forms]
-    for i, a in enumerate(parts):
+    for i, (u, iu) in enumerate(zip(forms, normals)):
         for j in range(i, len(forms)):
-            b = parts[j]
-            out[i][j] = out[j][i] = integrate_pairs(
-                [(key[0], c, b[key]) for key, c in a.items() if key in b], R)
+            out[i][j] = out[j][i] = scale * (_fischer(u, forms[j]) / P_k
+                                             - _fischer(iu, normals[j]) / P_k1)
     return out
 
 
@@ -151,6 +161,11 @@ class Block:
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    @property
+    def degree(self) -> int:
+        """The coefficient degree of the block's trial forms."""
+        return self.l if self.kind == "coexact" else self.l - 1
 
 
 @dataclass
@@ -296,9 +311,15 @@ def assemble_operator(operator: str, m: int, p: int, l_max: int, radius,
     cache = cache or BasisCache()
     domain = BallDomain(m, Fraction(radius))
     blocks = _build_blocks(operator, m, p, l_max, domain, cache)
-    reps = [w for blk in blocks for w in blk.basis]
-    assembly = OperatorAssembly(operator, domain, p, l_max, blocks,
-                                _sphere_matrix(reps, domain))
+    # G is 0 off the diagonal blocks; _certify_blocks gives the proof
+    n = sum(blk.dim for blk in blocks)
+    G = [[Fraction(0)] * n for _ in range(n)]
+    start = 0
+    for blk in blocks:
+        for i, row in enumerate(_gram_block(blk.basis, blk.degree, domain), start):
+            G[i][start:start + blk.dim] = row
+        start += blk.dim
+    assembly = OperatorAssembly(operator, domain, p, l_max, blocks, G)
     report = _solve_assembly(assembly)
     return assembly, report
 
@@ -325,12 +346,32 @@ def _certify_blocks(assembly: OperatorAssembly) -> list[Fraction]:
     """theta_b of each block, once the pencil passes the exact block
     certificate:
 
-      * every entry of G outside the diagonal blocks is 0;
       * every trial form phi of block b is an eigenform pointwise,
         J*(T phi) = theta_b J* phi on the sphere, with theta_b from
         ``ball_reference_eigenvalue``: x^b ^ (T phi - theta_b phi)
         reduces to 0 modulo |x|^2 - R^2;
       * G_b passes the exact LDL^T positive-definiteness test.
+
+    G is 0 outside the diagonal blocks by a theorem, so it is built
+    block by block (``_gram_block``) and never paired across blocks.  It
+    uses the constraints of ``harmonic._in_kind``, which ``BasisCache``
+    checks on every basis it loads and ``harmonic._restrict`` gives on
+    every basis it computes: trial forms are componentwise harmonic and
+    co-closed, exact ones closed and coexact ones normal-null
+    (i_x phi = 0).  On the sphere <J*u, J*v> = <u, v> - R^-2 <i_x u, i_x v>.
+
+      * Blocks of different coefficient degrees k != k' are orthogonal:
+        the coefficients of u, v and of i_x u, i_x v are harmonic
+        polynomials, homogeneous of different degrees, and spherical
+        harmonics of different degrees are orthogonal on every sphere
+        (Stein-Weiss, Fourier Analysis on Euclidean Spaces, ch. IV).
+      * The one pair of blocks that shares a degree is the exact block
+        l = k+1 and the coexact block l = k.  There i_x v = 0, and the
+        mean of <u, v> over the sphere is <u, v>_F / P(m, k) as in
+        ``_gram_block``.  The closed u is d(i_x u) / (p + k), since
+        d i_x + i_x d is p + k on homogeneous p-forms of degree k, and
+        i_x is the adjoint of d for the Fischer product, so
+        <u, v>_F = <i_x u, i_x v>_F / (p + k) = 0.
 
     The pointwise identity gives A_ij = int_S <J*(T phi_i), J* phi_j>
     = theta_b(i) G_ij, through Green's formula on the closed sphere for
@@ -339,35 +380,23 @@ def _certify_blocks(assembly: OperatorAssembly) -> list[Fraction]:
     raises ``CertificateError`` naming the operator, the block, the
     trial form where one fails, and the condition."""
     dom = assembly.domain
-    slices = assembly.block_slices()
-    owner = [b for b, (_, sl) in enumerate(slices) for _ in range(sl.start, sl.stop)]
 
-    def label(b: int) -> str:
-        blk, sl = slices[b]
-        return f"block {blk.kind} l={blk.l} (rows {sl.start}..{sl.stop - 1})"
-
-    def fail(b: int, condition: str):
+    def fail(blk: Block, sl: slice, condition: str):
         raise CertificateError(
             f"{assembly.operator} at m={dom.m}, p={assembly.p}, R={dom.radius}: "
-            f"{label(b)}: {condition}")
+            f"block {blk.kind} l={blk.l} (rows {sl.start}..{sl.stop - 1}): {condition}")
 
     thetas = []
-    for b, (blk, sl) in enumerate(slices):
+    for blk, sl in assembly.block_slices():
         rows = range(sl.start, sl.stop)
-        for i in rows:
-            row = assembly.G[i]
-            if any(row[:sl.start]) or any(row[sl.stop:]):
-                j = next(j for j, v in enumerate(row) if v and owner[j] != b)
-                fail(b, f"off-diagonal entry G[{i}][{j}] = {row[j]} "
-                        f"couples it to {label(owner[j])}")
         theta = assembly.theta(blk)
         for i, w, ext in zip(rows, blk.basis, blk.extensions):
             image = _operator_image(assembly.operator, w, ext, dom)
             if not _pullback_vanishes(image - w * theta, dom):
-                fail(b, f"trial form {i} is not an eigenform: "
-                        f"J*(T phi) != theta_b J* phi with theta_b = {theta}")
+                fail(blk, sl, f"trial form {i} is not an eigenform: "
+                              f"J*(T phi) != theta_b J* phi with theta_b = {theta}")
         if not linalg.is_positive_definite([assembly.G[i][sl] for i in rows]):
-            fail(b, "G_b fails the exact LDL^T positive-definiteness test")
+            fail(blk, sl, "G_b fails the exact LDL^T positive-definiteness test")
         thetas.append(theta)
     return thetas
 

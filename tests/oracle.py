@@ -1,12 +1,15 @@
 """Independent oracles for the spectral certificate.
 
 ``sphere_matrix`` is the general boundary pairing of two lists of
-forms, with or without the pullback.  ``full_stiffness`` pairs the
-stiffness matrix A entry by entry, as assembly did before the pointwise
-eigenform certificate made it redundant, and ``certify_eigenvalue``
-takes the exact multiplicity of an eigenvalue as the nullity of
-A - theta G over the whole matrix.  The rational ``rank``, ``nullity``
-and ``solve`` live here with them, since only tests need them.
+forms, with or without the pullback, by sphere moments.
+``full_gram`` pairs the Gram matrix G with it entry by entry, across
+blocks too, as assembly did before G was built from Fischer products
+block by block; ``full_stiffness`` pairs the stiffness matrix A the
+same way, as assembly did before the pointwise eigenform certificate
+made it redundant; and ``certify_eigenvalue`` takes the exact
+multiplicity of an eigenvalue as the nullity of A - theta G over the
+whole matrix.  The rational ``rank``, ``nullity`` and ``solve`` live
+here with them, since only tests need them.
 """
 
 from fractions import Fraction
@@ -14,13 +17,22 @@ from fractions import Fraction
 from formlab.ball import boundary_delta_rep, normal_part
 from formlab.linalg import rref
 from formlab.quadrature import integrate_pairs
-from formlab.spectral import _trace
+
+
+def _trace(form, domain) -> dict:
+    """The keyed parts of a form's boundary pairing: ``(1, I)`` for each
+    coefficient and ``(-1, J)`` for each coefficient of i_N form, so that
+    <J*u, J*v> = sum over shared keys (s, K) of s * u_K * v_K."""
+    parts = {(1, I): c for I, c in form.coeffs.items()}
+    if form.p >= 1:
+        parts.update(((-1, J), c) for J, c in normal_part(form, domain).coeffs.items())
+    return parts
 
 
 def sphere_matrix(rows, cols, domain, pullback=True):
     """Exact matrix of int_S <J*row, J*col>, or of <row, col> without
-    ``pullback``, for any two lists of forms: the general pairing that
-    ``spectral._sphere_matrix`` specialises to one symmetric list."""
+    ``pullback``, for any two lists of forms, by contracting the shared
+    coefficients against sphere moments."""
     def parts(form):
         if pullback:
             return _trace(form, domain)
@@ -93,8 +105,16 @@ def full_stiffness(assembly):
     return A
 
 
-def certify_eigenvalue(assembly, theta, A=None) -> int:
+def full_gram(assembly):
+    """G_ij = int_S <J* phi_i, J* phi_j> paired in full by sphere
+    moments, the entries between blocks included."""
+    reps = [w for blk in assembly.blocks for w in blk.basis]
+    return sphere_matrix(reps, reps, assembly.domain)
+
+
+def certify_eigenvalue(assembly, theta, A=None, G=None) -> int:
     """Exact multiplicity of theta: the nullity of A - theta G over Q,
-    with A the fully paired stiffness matrix unless given."""
+    with A and G the fully paired matrices unless given."""
     A = full_stiffness(assembly) if A is None else A
-    return nullity(mat_sub(A, scalar_mul(Fraction(theta), assembly.G)), assembly.dim)
+    G = full_gram(assembly) if G is None else G
+    return nullity(mat_sub(A, scalar_mul(Fraction(theta), G)), assembly.dim)

@@ -437,6 +437,24 @@ class TestMainEntry:
         assert "not a directory" in err.lower() and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,config,key", [
+        (["spectrum", "--dim", ","], None, "dims"),
+        (["bounds", "--dim", "3", "--radius", ","], None, "radii"),
+        (["verify", "--radius", ","], None, "radii"),
+        (["spectrum"], "dims =\n", "dims"),
+    ])
+    def test_exit_two_on_empty_list(self, tmp_path, capsys, no_cases, argv, config, key):
+        if config is not None:
+            path = tmp_path / "run.cfg"
+            path.write_text(config)
+            argv = argv + ["--config", str(path)]
+        out = tmp_path / "out"
+        code = main(argv + ["--lmax", "1", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"configuration error: {key} is empty" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv,named", [
         (["spectrum", "--dim", "3,3"], "dimension 3"),
         (["verify", "--radius", "1,1"], "radius 1"),

@@ -11,9 +11,8 @@ import pytest
 from densities import jstar_density
 from formlab import harmonic
 from formlab.ball import BallDomain, boundary_delta_rep, normal_part
-from formlab.harmonic import (BasisCache, harmonic_field_basis,
-                              monomial_form_basis, split_closed_normal_null,
-                              sphere_reduce)
+from formlab.harmonic import (KINDS, BasisCache, expected_dim, harmonic_field_basis,
+                              monomial_form_basis, sphere_reduce)
 from formlab.polynomials import Polynomial
 from formlab.polyform import PolyForm, PolyVectorField
 from formlab.quadrature import RadialDensity, integrate_sphere
@@ -109,39 +108,33 @@ class TestHarmonicFields:
 
 
 class TestSplit:
-    def test_coexact_block_dimensions(self):
+    def test_coexact_block_dimensions(self, cache):
         for m in (3, 4):
-            h = harmonic_field_basis(m, 1, 1)
-            _, normal_null = split_closed_normal_null(h)
-            assert normal_null.dim == binom(m, 2)
+            assert cache.get(m, 1, 1, "H-normal-null").dim == binom(m, 2)
 
-    def test_m4_p2(self):
-        h = harmonic_field_basis(4, 1, 2)
-        _, normal_null = split_closed_normal_null(h)
-        assert normal_null.dim == binom(4, 3)
+    def test_m4_p2(self, cache):
+        assert cache.get(4, 1, 2, "H-normal-null").dim == binom(4, 3)
 
-    def test_constant_closed_forms(self):
+    def test_constant_closed_forms(self, cache):
         for m in (3, 4):
             for p in range(1, m):
-                h = harmonic_field_basis(m, 0, p)
-                closed, _ = split_closed_normal_null(h)
-                assert closed.dim == binom(m, p)
+                assert cache.get(m, 0, p, "H-closed").dim == binom(m, p)
 
-    def test_conditions(self):
-        h = harmonic_field_basis(3, 2, 1)
-        closed, normal_null = split_closed_normal_null(h)
+    def test_conditions(self, cache):
+        closed = cache.get(3, 2, 1, "H-closed")
+        normal_null = cache.get(3, 2, 1, "H-normal-null")
         pos = PolyVectorField.position(3)
         for b in closed.basis:
             assert b.d().is_zero()
         for b in normal_null.basis:
             assert b.interior(pos).is_zero()
 
-    def test_normal_null_matches_integral_condition(self):
+    def test_normal_null_matches_integral_condition(self, cache):
         # i_x w = 0 identically iff the boundary normal part has zero
         # L2 norm on the sphere (rank comparison over the H basis)
         dom = BallDomain(3, Fraction(1))
-        h = harmonic_field_basis(3, 2, 1)
-        _, normal_null = split_closed_normal_null(h)
+        h = cache.get(3, 2, 1, "H")
+        normal_null = cache.get(3, 2, 1, "H-normal-null")
         integral_null = []
         for b in h.basis:
             i_n = normal_part(b, dom)
@@ -153,6 +146,40 @@ class TestSplit:
         # every identically-normal-null form has vanishing integral, and
         # the two characterisations give the same dimension
         assert rank(sphere_gram(normal_null.basis, 3)) == normal_null.dim
+
+
+class TestExpectedDim:
+    # (m, largest l): every basis these build is also checked against
+    # the formula inside BasisCache, on each computation and each load
+    GRID = ((2, 5), (3, 4), (4, 3), (5, 2), (6, 1))
+
+    @pytest.mark.parametrize("m, top", GRID)
+    def test_equals_computed_dimension(self, cache, m, top):
+        for l in range(top + 1):
+            for p in range(m + 1):
+                for kind in KINDS:
+                    assert cache.get(m, l, p, kind).dim == expected_dim(m, l, p, kind)
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_low_degrees_in_closed_form(self, m):
+        # constant closed p-forms are all constant p-forms; normal-null
+        # fields of degree 1 are the i_x of constant (p+1)-forms
+        for p in range(m + 1):
+            assert expected_dim(m, 0, p, "H-closed") == binom(m, p)
+            assert expected_dim(m, 0, p, "H") == binom(m, p)
+            assert expected_dim(m, 1, p, "H-normal-null") == binom(m, p + 1)
+
+    def test_weyl_dimensions(self):
+        # coexact fields on S^2 are the rotated gradients of the degree-l
+        # spherical harmonics; so(4) splits (l, 1) and (l, -1) alike; at
+        # l = 0 no normal-null field exists, whatever q
+        assert [expected_dim(3, l, 1, "H-normal-null") for l in range(5)] == \
+            [0, 3, 5, 7, 9]
+        assert [expected_dim(4, l, 1, "H-normal-null") for l in range(4)] == \
+            [0, 6, 16, 30]
+        assert expected_dim(4, 0, 2, "H-normal-null") == 0
+        with pytest.raises(ValueError):
+            expected_dim(3, 1, 1, "bogus")
 
 
 class TestCodifferentialIsomorphism:
@@ -294,6 +321,7 @@ class TestCache:
         ref_dir, plant = tmp_path / "ref", tmp_path / "plant"
         ref = BasisCache(str(ref_dir))
         want = {kind: ref.get(3, 1, 1, kind) for kind in ("H", "H-normal-null")}
+        ref.get(3, 1, 1, "H-closed")
 
         def doc(directory, kind):
             return json.loads((directory / f"basis_m3_l1_p1_{kind}.json").read_text())
@@ -361,6 +389,34 @@ class TestCache:
         got = BasisCache(str(plant)).get(3, 1, 1, kind)
         assert got.basis == want.basis
         assert json.loads((plant / name).read_text()) == computed
+
+    @pytest.mark.parametrize("kind", ["H", "H-closed", "H-normal-null"])
+    def test_deleted_vector_is_rebuilt(self, tmp_path, kind):
+        # the last vector dropped and dim lowered: what is left is still
+        # independent forms of the kind, but too few to span it
+        ref_dir, plant = tmp_path / "ref", tmp_path / "plant"
+        want = BasisCache(str(ref_dir)).get(3, 2, 1, kind)
+        name = f"basis_m3_l2_p1_{kind}.json"
+        computed = json.loads((ref_dir / name).read_text())
+        planted = json.loads((ref_dir / name).read_text())
+        planted["vectors"].pop()
+        planted["dim"] -= 1
+        plant.mkdir()
+        (plant / name).write_text(json.dumps(planted))
+        got = BasisCache(str(plant)).get(3, 2, 1, kind)
+        assert got.basis == want.basis
+        assert json.loads((plant / name).read_text()) == computed
+
+    def test_miss_stores_only_what_it_needs(self, tmp_path):
+        BasisCache(str(tmp_path)).get(3, 1, 1, "H-normal-null")
+        assert sorted(f.name for f in tmp_path.iterdir()) == [
+            "basis_m3_l1_p1_H-normal-null.json", "basis_m3_l1_p1_H.json"]
+
+    def test_wrong_computed_dimension_raises(self, monkeypatch):
+        monkeypatch.setattr(harmonic, "expected_dim", lambda m, l, p, kind: 0)
+        with pytest.raises(AssertionError, match=r"\(3, 1, 1, H\) has 8 vectors, "
+                                                 "expected 0"):
+            BasisCache().get(3, 1, 1, "H")
 
     def test_reduced_form_decides_independence(self):
         assert harmonic._in_reduced_form([[0, 1, 0], [3, 0, 1]])

@@ -20,9 +20,10 @@ from formlab.polynomials import Polynomial
 from formlab.quadrature import integrate_ball, integrate_pairs, integrate_sphere
 from formlab.sampling import rng_for
 from formlab.spectral import (CertificateError, _neumann_extension, _neumann_failures,
-                              _sphere_matrix, assemble_operator,
-                              ball_reference_eigenvalue, check_bounds, scaling_check)
-from oracle import certify_eigenvalue, full_stiffness, rank, solve, sphere_matrix
+                              assemble_operator, ball_reference_eigenvalue,
+                              check_bounds, scaling_check)
+from oracle import (certify_eigenvalue, full_gram, full_stiffness, rank, solve,
+                    sphere_matrix)
 
 
 def binom(n, k):
@@ -477,9 +478,6 @@ class TestSphereMatrix:
                 want = [[integrate_sphere(pair(u, v), R).coeff for v in cs]
                         for u in rs]
                 assert sphere_matrix(rs, cs, dom, pullback) == want
-                if pullback and rs is cs:
-                    # the Gram pairing that assembly uses
-                    assert _sphere_matrix(rs, dom) == want
 
 
 class TestBounds:
@@ -533,6 +531,10 @@ class TestReferenceFormulas:
             == Fraction(1, 2)
 
 
+FULL_MATRIX_CASES = [(2, 1, 3, Fraction(2, 3)), (3, 1, 2, Fraction(1)),
+                     (3, 2, 2, Fraction(1, 2)), (4, 2, 2, Fraction(1))]
+
+
 class TestBlockCertificate:
     """The exact block certificate behind every reported spectrum."""
 
@@ -568,18 +570,6 @@ class TestBlockCertificate:
                            match="block exact l=1 \\(rows 0..2\\): trial form 0 is not "
                                  "an eigenform: .* theta_b = 10/3$"):
             spectral._solve_assembly(t3[0])
-
-    def test_off_diagonal_entry_names_both_blocks(self, t3):
-        def couple(asm, slices):
-            i, j = slices[0].start, slices[1].start
-            asm.G[i][j] = asm.G[j][i] = Fraction(1, 5)
-        bad = self.edited_copy(t3[0], couple)
-        first, second = (f"block {b.kind} l={b.l}" for b in bad.blocks[:2])
-        with pytest.raises(CertificateError,
-                           match="block .*: off-diagonal entry G\\[0\\]\\[3\\] = 1/5 "
-                                 f"couples it to {second}") as err:
-            spectral._solve_assembly(bad)
-        assert f": {first} (rows 0..2)" in str(err.value)
 
     def test_singular_gram_block_names_the_block(self, h3):
         def duplicate(asm, slices):
@@ -626,22 +616,27 @@ class TestBlockCertificate:
         assert not linalg.is_positive_definite([[1, 2], [2, 1]])
         assert not linalg.is_positive_definite([[0, 0], [0, 1]])
 
-    @pytest.mark.parametrize("m, p, l_max, R", [(2, 1, 3, Fraction(2, 3)),
-                                                (3, 1, 2, Fraction(1)),
-                                                (3, 2, 2, Fraction(1, 2)),
-                                                (4, 2, 2, Fraction(1))])
+    @pytest.mark.parametrize("m, p, l_max, R", FULL_MATRIX_CASES)
     def test_multiplicities_equal_full_matrix_nullities(self, cache, m, p, l_max, R):
         for op in spectral.OPERATORS:
             asm, rep = assemble_operator(op, m, p, l_max, R, cache)
             # Theta G, never paired, equals the stiffness matrix paired in full
-            A = full_stiffness(asm)
+            A, G = full_stiffness(asm), full_gram(asm)
             assert asm.A == A
             groups = {str(g.value): g.multiplicity for g in rep.eigenvalues}
             assert rep.certified == groups
             assert sum(groups.values()) == asm.dim
             for g in rep.eigenvalues:
                 assert isinstance(g.value, Fraction)
-                assert certify_eigenvalue(asm, g.value, A) == g.multiplicity
+                assert certify_eigenvalue(asm, g.value, A, G) == g.multiplicity
+
+    @pytest.mark.parametrize("m, p, l_max, R", FULL_MATRIX_CASES)
+    def test_gram_equals_full_moment_pairing(self, cache, m, p, l_max, R):
+        # the Fischer blocks, and the zeros between them, equal G paired
+        # entry by entry from sphere moments
+        for op in spectral.OPERATORS:
+            asm, _ = assemble_operator(op, m, p, l_max, R, cache)
+            assert asm.G == full_gram(asm)
 
 
 class TestNumpyFree:
