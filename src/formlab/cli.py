@@ -41,18 +41,26 @@ Schema 2 changed, from schema 1:
     eigenvalue groups compared exactly;
   * spectra.csv "eigenvalue" and "difference": exact rational strings.
 
+Every check is a ``Case`` record: its key, a module-level function,
+the keyword arguments to call it with and its group label.  ``CASES``
+maps each suite to the generator of its cases.  A case's function gets
+the run's ``_Context`` and returns its record without an id; the runner
+adds ``"id"``, the case key, in one place, for a crashed case too.
+
 Identical configuration and seed produce byte-identical reports modulo
 the ``timing`` section at any ``--jobs`` level: the case list is built
-deterministically, each case derives its randomness from the seed and
-its own key, and results are put back in list order.
+deterministically, each case draws its randomness from a generator
+keyed by the seed and the case's own context (a tag such as
+``"reilly"`` or ``"quad"`` and the case's parameters), and results are
+put back in list order.
 
 ``--jobs K`` splits the case list into groups (every spectrum, scaling,
 bounds and chain case of one (m, p) is one group, since they share its
 bases and assemblies; every other case is a group of its own) and deals
 the groups round-robin to min(K, groups) workers.  Worker 0 is the
 calling process; the others are ``os.fork`` children, which inherit the
-case list and every module loaded while building it.  At ``--jobs 1``
-nothing is forked.
+case list, the run's context and every module loaded while building
+the list.  At ``--jobs 1`` nothing is forked.
 """
 
 from __future__ import annotations
@@ -63,6 +71,7 @@ import json
 import os
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import import_module
@@ -112,7 +121,8 @@ class RunConfig:
     jobs: int = 1
 
     def validate(self) -> None:
-        for key, values in (("dims", self.dims), ("radii", self.radii)):
+        for key, values in (("suites", self.suites), ("dims", self.dims),
+                            ("radii", self.radii)):
             if not values:
                 raise ConfigError(f"{key} is empty: give at least one value")
         for s in self.suites:
@@ -143,8 +153,8 @@ class RunConfig:
             raise ConfigError(f"seed must be in 0..{MAX_SEED}, got {self.seed}")
         if any(r <= 0 for r in self.radii):
             raise ConfigError("radii must be positive")
-        for name, values in (("dimension", self.dims), ("radius", self.radii),
-                             ("degree", self.degrees or [])):
+        for name, values in (("suite", self.suites), ("dimension", self.dims),
+                             ("radius", self.radii), ("degree", self.degrees or [])):
             repeated = [v for i, v in enumerate(values) if v in values[:i]]
             if repeated:
                 raise ConfigError(f"{name} {repeated[0]} is given more than once")
@@ -190,8 +200,20 @@ class ConfigError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Float-mode coercion.
+# Cases and the context they run in.
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Case:
+    """One check: ``run(ctx, **args)`` returns its record, to which the
+    runner adds ``"id": key``.  ``run`` is a module-level function, so a
+    case pickles.  Cases sharing a ``group`` other than None run in one
+    worker (``_partition``)."""
+    key: str
+    run: Callable[..., dict]
+    args: dict
+    group: tuple | None = None
+
 
 def _float_poly(p: Polynomial) -> Polynomial:
     from .identities import TrackedFloat
@@ -211,347 +233,343 @@ def _float_field(F: PolyVectorField) -> PolyVectorField:
     return PolyVectorField([_float_poly(c) for c in F.components])
 
 
+_FLOAT = {Polynomial: _float_poly, PolyForm: _float_form,
+          WeightFunction: _float_weight, PolyVectorField: _float_field}
+
+
+class _Context:
+    """What the cases of one run share; each worker process holds its
+    own copy."""
+
+    def __init__(self, cfg: RunConfig):
+        self.seed = cfg.seed
+        self.l_max = cfg.l_max
+        self.float_mode = cfg.mode == "float"
+        self.tol = FLOAT_TOLERANCE if self.float_mode else 0
+        self.cache = BasisCache(cfg.cache_dir)
+        self._spectra: dict = {}
+
+    def num(self, x):
+        """x in exact mode; in float mode, x with ``TrackedFloat``
+        coefficients (a polynomial, form, weight or vector field)."""
+        return _FLOAT[type(x)](x) if self.float_mode else x
+
+    def spectrum(self, op: str, m: int, p: int, R):
+        """``assemble_operator``'s report, memoised per worker process, so
+        the spectra and bounds suites share each ``(op, m, p, R)``
+        assembly.  Every case that assembles at one (m, p) carries the
+        group label (m, p), which keeps those cases in one worker
+        (``_partition``): each assembly is computed once per run at any
+        ``--jobs``.  Assembly raises unless the block certificate holds."""
+        key = (op, m, p, Fraction(R))
+        if key not in self._spectra:
+            _, self._spectra[key] = assemble_operator(op, m, p, self.l_max, R, self.cache)
+        return self._spectra[key]
+
+
 # ---------------------------------------------------------------------------
 # Identity suite.
 # ---------------------------------------------------------------------------
 
-def _identity_cases(cfg: RunConfig) -> list[tuple]:
-    from . import identities as ident
+def _reilly_poly(ctx: _Context, dom, p, trial) -> dict:
+    from . import identities as ident, sampling
+    rng = sampling.rng_for(ctx.seed, "reilly", dom.m, p, str(dom.radius), trial)
+    omega = ctx.num(sampling.random_form(rng, dom.m, p, 3))
+    weight = ctx.num(WeightFunction.polynomial(sampling.random_polynomial(rng, dom.m, 3)))
+    return ident.verify_weighted_reilly(weight, omega, dom, ctx.tol).to_dict()
+
+
+def _reilly_canonical(ctx: _Context, dom, p) -> dict:
+    from . import identities as ident, sampling
+    rng = sampling.rng_for(ctx.seed, "reilly-can", dom.m, p, str(dom.radius))
+    omega = ctx.num(sampling.random_form(rng, dom.m, p, 3))
+    weight = ctx.num(canonical_weight(dom))
+    return ident.verify_weighted_reilly(weight, omega, dom, ctx.tol).to_dict()
+
+
+def _stokes(ctx: _Context, dom, p) -> dict:
+    from . import identities as ident, sampling
+    rng = sampling.rng_for(ctx.seed, "stokes", dom.m, p, str(dom.radius))
+    phi = ctx.num(sampling.random_form(rng, dom.m, p, 3))
+    psi = ctx.num(sampling.random_form(rng, dom.m, p + 1, 3))
+    return ident.verify_stokes(phi, psi, dom, ctx.tol).to_dict()
+
+
+def _unweighted_match(ctx: _Context, dom, degrees) -> dict:
+    """The weighted formula at weight 1 against the unweighted one, term
+    by term, at a degree drawn from ``degrees``."""
+    from . import identities as ident, sampling
+    m = dom.m
+    rng = sampling.rng_for(ctx.seed, "unweighted", m, str(dom.radius))
+    p = rng.choice(degrees)
+    omega = ctx.num(sampling.random_form(rng, m, p, 3))
+    rw = ident.verify_weighted_reilly(ctx.num(WeightFunction.one(m)), omega, dom, ctx.tol)
+    ru = ident.verify_unweighted_reilly(omega, dom, ctx.tol)
+    match = (
+        ident.agrees(rw.terms["lhs_energy"], ru.terms["energy"] - ru.terms["gradient"], ctx.tol)
+        and ident.agrees(rw.terms["codifferential"], ru.terms["codifferential"], ctx.tol)
+        and ident.agrees(rw.terms["shape"], ru.terms["shape"], ctx.tol)
+        and all(ident.agrees(rw.terms[k], 0, ctx.tol) for k in
+                ("contraction", "hessian", "laplacian", "normal_pullback")))
+    return {"params": {"m": m, "p": p},
+            "pass": bool(rw.passed and ru.passed and match),
+            "residual": str(rw.residual)}
+
+
+def _function_match(ctx: _Context, dom) -> dict:
+    from . import identities as ident, sampling
+    rng = sampling.rng_for(ctx.seed, "function", dom.m, str(dom.radius))
+    u = ctx.num(sampling.random_polynomial(rng, dom.m, 3))
+    weight = ctx.num(canonical_weight(dom))
+    rf = ident.verify_function_reilly(weight, u, dom, ctx.tol)
+    rw = ident.verify_weighted_reilly(weight, PolyForm.from_function(u).d(), dom, ctx.tol)
+    return {"params": {"m": dom.m},
+            "pass": bool(rf.passed and rw.passed),
+            "residual": str(rf.residual)}
+
+
+def _pohozhaev(ctx: _Context, dom, p, label) -> dict:
+    from . import identities as ident, sampling
+    m = dom.m
+    rng = sampling.rng_for(ctx.seed, "poh", m, p, str(dom.radius), label)
+    phi = ctx.num(sampling.random_form(rng, m, p, 3))
+    if label == "euler":
+        F = PolyVectorField.position(m)
+    elif label == "weight-gradient":
+        F = PolyVectorField([g.parts.get(0, Polynomial.zero(m))
+                             for g in canonical_weight(dom).grad])
+    else:
+        F = sampling.random_vector_field(rng, m, 2)
+    return ident.verify_pohozhaev(ctx.num(F), phi, dom, ctx.tol).to_dict()
+
+
+def _pointwise_lemmas(ctx: _Context, dom) -> dict:
+    from . import identities as ident, sampling
+    m = dom.m
+    rng = sampling.rng_for(ctx.seed, "pointwise", m, str(dom.radius))
+    checks = {}
+    for p in range(1, m + 1):
+        w = sampling.random_form(rng, m, p, 2)
+        F = sampling.random_vector_field(rng, m, 2)
+        f = sampling.random_polynomial(rng, m, 2)
+        checks[f"product-rule-p{p}"] = ident.product_rule_residual(F, w)
+        checks[f"weighted-codifferential-p{p}"] = ident.weighted_codifferential_residual(f, w)
+        if p <= m - 1:
+            checks[f"hessian-expansion-p{p}"] = ident.hessian_expansion_residual(f, w)
+        checks[f"normal-split-p{p}"] = ident.pullback_split_residual(w, dom) == 0
+        checks[f"splitting-identity-p{p}"] = normal_split_residual(w, dom).is_zero()
+        if p <= m - 1:
+            checks[f"boundary-adjointness-p{p}"] = ident.boundary_adjointness_residual(
+                sampling.random_form(rng, m, p, 2),
+                sampling.random_form(rng, m, p + 1, 2), dom) == 0
+        phi = sampling.random_constant_form(rng, m, p)
+        psi = sampling.random_constant_form(rng, m, max(p - 1, 0))
+        X = sampling.random_vector(rng, m)
+        checks[f"adjunction-p{p}"] = ident.adjunction_residual(phi, psi, X)
+    return {"params": {"m": m, "R": str(dom.radius)},
+            "checks": checks, "pass": all(checks.values())}
+
+
+def _hessian_estimate(ctx: _Context, dom) -> dict:
+    """The pointwise Hessian eigenvalue-sum estimate on random
+    admissible Hessians, and its equality case."""
+    from . import identities as ident, sampling
+    m = dom.m
+    rng = sampling.rng_for(ctx.seed, "hess", m, str(dom.radius))
+    c = dom.curvature
+    failures = 0
+    trials = 20
+    for t in range(trials):
+        eps = Fraction(rng.randint(0, 3), 7) * c
+        H = sampling.random_admissible_hessian(rng, m, c, eps)
+        q = rng.randint(1, m)
+        eta = sampling.random_constant_form(rng, m, q)
+        rep = ident.pointwise_hessian_estimate(H, eta, c, eps)
+        if not rep.passed:
+            failures += 1
+    iso = LinearEndomorphism.diagonal([-c] * m)
+    eta = sampling.random_constant_form(rng, m, min(2, m))
+    iso_rep = ident.pointwise_hessian_estimate(iso, eta, c, Fraction(0))
+    return {"params": {"m": m, "trials": trials},
+            "pass": failures == 0 and iso_rep.equality,
+            "failures": failures,
+            "isotropic_equality": iso_rep.equality}
+
+
+def _quadrature_oracle(ctx: _Context, m) -> dict:
+    """Exact ball integrals against the Monte Carlo oracle."""
     from . import sampling
+    rng = sampling.rng_for(ctx.seed, "quad", m)
+    ok = True
+    worst = 0.0
+    for t in range(ORACLE_DRAWS):
+        dens = sampling.random_density(rng, m, 3, min_exponent=-1)
+        exact = float(integrate_ball(dens, 1))
+        est, err = mc_oracle(dens, 1, 10 ** 5, seed=ctx.seed * 1000 + t)
+        dev = abs(est - exact) / max(err, 1e-30)
+        worst = max(worst, dev)
+        ok = ok and dev <= ORACLE_SIGMA_BOUND
+    return {"params": {"m": m}, "pass": ok, "worst_sigma": worst}
 
-    tol = 0 if cfg.mode == "exact" else FLOAT_TOLERANCE
-    as_form = (lambda w: w) if cfg.mode == "exact" else _float_form
-    as_weight = (lambda w: w) if cfg.mode == "exact" else _float_weight
-    as_field = (lambda F: F) if cfg.mode == "exact" else _float_field
-    cases = []
 
-    def add(key, fn):
-        cases.append((key, fn, None))
-
+def _identity_cases(cfg: RunConfig):
+    # loaded here, before any worker is forked, so that each loads once;
+    # the quadrature oracle draws with numpy
+    import_module("numpy")
+    import_module(".identities", __package__)
+    import_module(".sampling", __package__)
     for m in cfg.dims:
         for R in cfg.radii:
             dom = BallDomain(m, R)
             for p in cfg.degrees_for(m, "identities"):
                 for trial in range(2):
-                    key = f"weighted-reilly/m{m}/p{p}/R{R}/poly/{trial}"
-
-                    def run(key=key, m=m, p=p, dom=dom, trial=trial):
-                        rng = sampling.rng_for(cfg.seed, "reilly", m, p, str(dom.radius), trial)
-                        omega = as_form(sampling.random_form(rng, m, p, 3))
-                        weight = as_weight(WeightFunction.polynomial(
-                            sampling.random_polynomial(rng, m, 3)))
-                        return ident.verify_weighted_reilly(weight, omega, dom, tol).to_dict() | {"id": key}
-                    add(key, run)
-
-                key = f"weighted-reilly/m{m}/p{p}/R{R}/canonical"
-
-                def run(key=key, m=m, p=p, dom=dom):
-                    rng = sampling.rng_for(cfg.seed, "reilly-can", m, p, str(dom.radius))
-                    omega = as_form(sampling.random_form(rng, m, p, 3))
-                    return ident.verify_weighted_reilly(
-                        as_weight(canonical_weight(dom)), omega, dom, tol).to_dict() | {"id": key}
-                add(key, run)
-
+                    yield Case(f"weighted-reilly/m{m}/p{p}/R{R}/poly/{trial}", _reilly_poly,
+                               {"dom": dom, "p": p, "trial": trial})
+                yield Case(f"weighted-reilly/m{m}/p{p}/R{R}/canonical", _reilly_canonical,
+                           {"dom": dom, "p": p})
                 if p <= m - 1:
-                    key = f"stokes/m{m}/p{p}/R{R}"
-
-                    def run(key=key, m=m, p=p, dom=dom):
-                        rng = sampling.rng_for(cfg.seed, "stokes", m, p, str(dom.radius))
-                        phi = as_form(sampling.random_form(rng, m, p, 3))
-                        psi = as_form(sampling.random_form(rng, m, p + 1, 3))
-                        return ident.verify_stokes(phi, psi, dom, tol).to_dict() | {"id": key}
-                    add(key, run)
-
+                    yield Case(f"stokes/m{m}/p{p}/R{R}", _stokes, {"dom": dom, "p": p})
             # specialisations
-            key = f"reilly-unweighted-match/m{m}/R{R}"
-
-            def run(key=key, m=m, dom=dom):
-                rng = sampling.rng_for(cfg.seed, "unweighted", m, str(dom.radius))
-                p = rng.choice(cfg.degrees_for(m, "identities"))
-                omega = as_form(sampling.random_form(rng, m, p, 3))
-                rw = ident.verify_weighted_reilly(as_weight(WeightFunction.one(m)),
-                                                  omega, dom, tol)
-                ru = ident.verify_unweighted_reilly(omega, dom, tol)
-                match = (
-                    ident.agrees(rw.terms["lhs_energy"],
-                                 ru.terms["energy"] - ru.terms["gradient"], tol)
-                    and ident.agrees(rw.terms["codifferential"], ru.terms["codifferential"], tol)
-                    and ident.agrees(rw.terms["shape"], ru.terms["shape"], tol)
-                    and all(ident.agrees(rw.terms[k], 0, tol) for k in
-                            ("contraction", "hessian", "laplacian", "normal_pullback")))
-                return {"id": key, "params": {"m": m, "p": p},
-                        "pass": bool(rw.passed and ru.passed and match),
-                        "residual": str(rw.residual)}
-            add(key, run)
-
-            key = f"reilly-function-match/m{m}/R{R}"
-
-            def run(key=key, m=m, dom=dom):
-                rng = sampling.rng_for(cfg.seed, "function", m, str(dom.radius))
-                u = sampling.random_polynomial(rng, m, 3)
-                weight = canonical_weight(dom)
-                if cfg.mode == "float":
-                    u = _float_poly(u)
-                    weight = _float_weight(weight)
-                rf = ident.verify_function_reilly(weight, u, dom, tol)
-                rw = ident.verify_weighted_reilly(weight, PolyForm.from_function(u).d(),
-                                                  dom, tol)
-                return {"id": key, "params": {"m": m},
-                        "pass": bool(rf.passed and rw.passed),
-                        "residual": str(rf.residual)}
-            add(key, run)
-
+            yield Case(f"reilly-unweighted-match/m{m}/R{R}", _unweighted_match,
+                       {"dom": dom, "degrees": cfg.degrees_for(m, "identities")})
+            yield Case(f"reilly-function-match/m{m}/R{R}", _function_match, {"dom": dom})
             # vector-field identity
             for p in cfg.degrees_for(m, "spectra"):
                 for label in ("random", "euler", "weight-gradient"):
-                    key = f"pohozhaev/m{m}/p{p}/R{R}/{label}"
-
-                    def run(key=key, m=m, p=p, dom=dom, label=label):
-                        rng = sampling.rng_for(cfg.seed, "poh", m, p, str(dom.radius), label)
-                        phi = as_form(sampling.random_form(rng, m, p, 3))
-                        if label == "euler":
-                            F = PolyVectorField.position(m)
-                        elif label == "weight-gradient":
-                            F = PolyVectorField([g.parts.get(0, Polynomial.zero(m))
-                                                 for g in canonical_weight(dom).grad])
-                        else:
-                            F = sampling.random_vector_field(rng, m, 2)
-                        return ident.verify_pohozhaev(as_field(F), phi, dom, tol).to_dict() | {"id": key}
-                    add(key, run)
-
-            # pointwise lemmas
-            key = f"pointwise-lemmas/m{m}/R{R}"
-
-            def run(key=key, m=m, dom=dom):
-                rng = sampling.rng_for(cfg.seed, "pointwise", m, str(dom.radius))
-                checks = {}
-                for p in range(1, m + 1):
-                    w = sampling.random_form(rng, m, p, 2)
-                    F = sampling.random_vector_field(rng, m, 2)
-                    f = sampling.random_polynomial(rng, m, 2)
-                    checks[f"product-rule-p{p}"] = ident.product_rule_residual(F, w)
-                    checks[f"weighted-codifferential-p{p}"] = \
-                        ident.weighted_codifferential_residual(f, w)
-                    if p <= m - 1:
-                        checks[f"hessian-expansion-p{p}"] = \
-                            ident.hessian_expansion_residual(f, w)
-                    checks[f"normal-split-p{p}"] = \
-                        ident.pullback_split_residual(w, dom) == 0
-                    checks[f"splitting-identity-p{p}"] = \
-                        normal_split_residual(w, dom).is_zero()
-                    if p <= m - 1:
-                        checks[f"boundary-adjointness-p{p}"] = \
-                            ident.boundary_adjointness_residual(
-                                sampling.random_form(rng, m, p, 2),
-                                sampling.random_form(rng, m, p + 1, 2), dom) == 0
-                    phi = sampling.random_constant_form(rng, m, p)
-                    psi = sampling.random_constant_form(rng, m, max(p - 1, 0))
-                    X = sampling.random_vector(rng, m)
-                    checks[f"adjunction-p{p}"] = ident.adjunction_residual(phi, psi, X)
-                return {"id": key, "params": {"m": m, "R": str(dom.radius)},
-                        "checks": checks, "pass": all(checks.values())}
-            add(key, run)
-
-            # pointwise Hessian eigenvalue-sum estimate
-            key = f"hessian-estimate/m{m}/R{R}"
-
-            def run(key=key, m=m, dom=dom):
-                rng = sampling.rng_for(cfg.seed, "hess", m, str(dom.radius))
-                c = dom.curvature
-                failures = 0
-                trials = 20
-                for t in range(trials):
-                    eps = Fraction(rng.randint(0, 3), 7) * c
-                    H = sampling.random_admissible_hessian(rng, m, c, eps)
-                    q = rng.randint(1, m)
-                    eta = sampling.random_constant_form(rng, m, q)
-                    rep = ident.pointwise_hessian_estimate(H, eta, c, eps)
-                    if not rep.passed:
-                        failures += 1
-                iso = LinearEndomorphism.diagonal([-c] * m)
-                eta = sampling.random_constant_form(rng, m, min(2, m))
-                iso_rep = ident.pointwise_hessian_estimate(iso, eta, c, Fraction(0))
-                return {"id": key, "params": {"m": m, "trials": trials},
-                        "pass": failures == 0 and iso_rep.equality,
-                        "failures": failures,
-                        "isotropic_equality": iso_rep.equality}
-            add(key, run)
-
-    # quadrature spot checks against the stochastic oracle, which draws
-    # with numpy: loaded here, before any worker is forked, so it loads once
-    import_module("numpy")
+                    yield Case(f"pohozhaev/m{m}/p{p}/R{R}/{label}", _pohozhaev,
+                               {"dom": dom, "p": p, "label": label})
+            yield Case(f"pointwise-lemmas/m{m}/R{R}", _pointwise_lemmas, {"dom": dom})
+            yield Case(f"hessian-estimate/m{m}/R{R}", _hessian_estimate, {"dom": dom})
     for m in cfg.dims:
-        key = f"quadrature-oracle/m{m}"
-
-        def run(key=key, m=m):
-            rng = sampling.rng_for(cfg.seed, "quad", m)
-            ok = True
-            worst = 0.0
-            for t in range(ORACLE_DRAWS):
-                dens = sampling.random_density(rng, m, 3, min_exponent=-1)
-                exact = float(integrate_ball(dens, 1))
-                est, err = mc_oracle(dens, 1, 10 ** 5, seed=cfg.seed * 1000 + t)
-                dev = abs(est - exact) / max(err, 1e-30)
-                worst = max(worst, dev)
-                ok = ok and dev <= ORACLE_SIGMA_BOUND
-            return {"id": key, "params": {"m": m}, "pass": ok,
-                    "worst_sigma": worst}
-        add(key, run)
-    return cases
+        yield Case(f"quadrature-oracle/m{m}", _quadrature_oracle, {"m": m})
 
 
 # ---------------------------------------------------------------------------
-# Spectra suite.
+# Spectra and bounds suites.
 # ---------------------------------------------------------------------------
 
-def _assembler(cache: BasisCache):
-    """``assemble_operator`` memoised per worker process, so the spectra
-    and bounds suites share each ``(op, m, p, l_max, R)`` assembly.  Every
-    case that assembles at one (m, p) carries the group label (m, p),
-    which keeps those cases in one worker (``_partition``): each
-    assembly is computed once per run at any ``--jobs``."""
-    memo: dict = {}
-
-    def assemble(op: str, m: int, p: int, l_max: int, R):
-        key = (op, m, p, l_max, Fraction(R))
-        if key not in memo:
-            memo[key] = assemble_operator(op, m, p, l_max, R, cache)
-        return memo[key]
-    return assemble
+def _spectrum(ctx: _Context, op, m, p, R) -> dict:
+    return ctx.spectrum(op, m, p, R).to_dict() | {"pass": True}
 
 
-def _spectra_cases(cfg: RunConfig, assemble) -> list[tuple]:
-    cases = []
+def _scaling(ctx: _Context, op, m, p, R) -> dict:
+    return scaling_check(ctx.spectrum(op, m, p, 1), ctx.spectrum(op, m, p, R)).to_dict()
+
+
+def _spectra_cases(cfg: RunConfig):
     for m in cfg.dims:
         for p in cfg.degrees_for(m, "spectra"):
             for R in cfg.radii:
                 for op in OPERATORS:
-                    key = f"spectrum/{op}/m{m}/p{p}/R{R}"
-
-                    def run(key=key, op=op, m=m, p=p, R=R):
-                        # assembly raises unless the block certificate holds
-                        _, rep = assemble(op, m, p, cfg.l_max, R)
-                        return rep.to_dict() | {"id": key, "pass": True}
-                    cases.append((key, run, (m, p)))
-
+                    yield Case(f"spectrum/{op}/m{m}/p{p}/R{R}", _spectrum,
+                               {"op": op, "m": m, "p": p, "R": R}, (m, p))
                 if Fraction(R) != 1:
                     for op in OPERATORS:
-                        key = f"scaling/{op}/m{m}/p{p}/R{R}"
-
-                        def run(key=key, op=op, m=m, p=p, R=R):
-                            _, unit = assemble(op, m, p, cfg.l_max, 1)
-                            _, scaled = assemble(op, m, p, cfg.l_max, R)
-                            chk = scaling_check(unit, scaled)
-                            return chk.to_dict() | {"id": key}
-                        cases.append((key, run, (m, p)))
-    return cases
+                        yield Case(f"scaling/{op}/m{m}/p{p}/R{R}", _scaling,
+                                   {"op": op, "m": m, "p": p, "R": R}, (m, p))
 
 
-# ---------------------------------------------------------------------------
-# Bounds suite.
-# ---------------------------------------------------------------------------
+def _bounds(ctx: _Context, m, p, R) -> dict:
+    checks = check_bounds(ctx.spectrum("dtn", m, p, R), ctx.spectrum("dtn-neumann", m, p, R),
+                          ctx.spectrum("hodge-boundary", m, p, R))
+    return {"params": {"m": m, "p": p, "R": str(R)},
+            "checks": [c.to_dict() for c in checks],
+            "pass": all(c.passed for c in checks)}
 
-def _bounds_cases(cfg: RunConfig, cache: BasisCache, assemble) -> list[tuple]:
+
+def _chain(ctx: _Context, kind, p, dom) -> dict:
     from .identities import replay_proof_chain
+    return replay_proof_chain(kind, p, dom, ctx.cache).to_dict()
 
-    cases = []
+
+def _bounds_cases(cfg: RunConfig):
+    # loaded before any worker is forked, as in _identity_cases
+    import_module(".identities", __package__)
     for m in cfg.dims:
-        n = m - 1
         for p in cfg.degrees_for(m, "bounds"):
             for R in cfg.radii:
-                key = f"bounds/m{m}/p{p}/R{R}"
-
-                def run(key=key, m=m, p=p, R=R):
-                    _, d = assemble("dtn", m, p, cfg.l_max, R)
-                    _, t = assemble("dtn-neumann", m, p, cfg.l_max, R)
-                    _, h = assemble("hodge-boundary", m, p, cfg.l_max, R)
-                    checks = check_bounds(d, t, h)
-                    return {"id": key, "params": {"m": m, "p": p, "R": str(R)},
-                            "checks": [c.to_dict() for c in checks],
-                            "pass": all(c.passed for c in checks)}
-                cases.append((key, run, (m, p)))
-
-                dom = BallDomain(m, Fraction(R))
+                yield Case(f"bounds/m{m}/p{p}/R{R}", _bounds, {"m": m, "p": p, "R": R}, (m, p))
+                dom = BallDomain(m, R)
                 kinds = ["sharp-bound"]
-                if p <= n - 1:
+                if p <= m - 2:
                     kinds += ["comparison", "nonsharp"]
                 for kind in kinds:
-                    key = f"chain/{kind}/m{m}/p{p}/R{R}"
-
-                    def run(key=key, kind=kind, p=p, dom=dom):
-                        rep = replay_proof_chain(kind, p, dom, cache)
-                        return rep.to_dict() | {"id": key}
-                    cases.append((key, run, (m, p)))
-    return cases
+                    yield Case(f"chain/{kind}/m{m}/p{p}/R{R}", _chain,
+                               {"kind": kind, "p": p, "dom": dom}, (m, p))
 
 
 # ---------------------------------------------------------------------------
 # Curvature suite.
 # ---------------------------------------------------------------------------
 
-def _curvature_cases(cfg: RunConfig) -> list[tuple]:
+def _flat_chart(ctx: _Context, m, pts) -> dict:
+    import numpy as np
+
+    from . import sampling
+    from .curvature import ChartMetric, bochner_residual, curvature_at, weitzenbock_at
+    flat = ChartMetric.flat(m)
+    ok = True
+    for pt in pts:
+        data = curvature_at(flat, pt)
+        if float(np.max(np.abs(data.riemann))) != 0.0:
+            ok = False
+        for p in range(1, m):
+            if float(np.max(np.abs(weitzenbock_at(flat, pt, p, data)))) != 0.0:
+                ok = False
+    rng = sampling.rng_for(ctx.seed, "curv-flat", m)
+    omega = sampling.random_form(rng, m, 1, 3)
+    rep = bochner_residual(flat, omega, pts[1], h=1e-2)
+    ok = ok and rep.residual <= 1e-10
+    return {"pass": ok, "bochner_residual": rep.residual}
+
+
+def _round_chart(ctx: _Context, m, pts) -> dict:
     import numpy as np
 
     from . import sampling
     from .curvature import (ChartMetric, bochner_residual, curvature_at,
                             gallot_meyer_check, weitzenbock_at)
-    cases = []
+    rs = ChartMetric.round_sphere(m)
+    ok = True
+    w_dev = 0.0
+    for pt in pts:
+        data = curvature_at(rs, pt)
+        for i in range(m):
+            for j in range(i + 1, m):
+                if abs(data.sectional(i, j) - 1.0) > 1e-8:
+                    ok = False
+        for p in range(1, m):
+            W = weitzenbock_at(rs, pt, p, data)
+            dev = float(np.max(np.abs(W - p * (m - p) * np.eye(W.shape[0]))))
+            w_dev = max(w_dev, dev)
+            if dev > 1e-8:
+                ok = False
+            Wdual = weitzenbock_at(rs, pt, m - p, data)
+            spec_dev = float(np.max(np.abs(
+                np.sort(np.linalg.eigvalsh(W)) - np.sort(np.linalg.eigvalsh(Wdual)))))
+            if spec_dev > 1e-8:
+                ok = False
+    rng = sampling.rng_for(ctx.seed, "curv-round", m)
+    omega = sampling.random_form(rng, m, 1, 1)
+    rep = bochner_residual(rs, omega, pts[1], h=1e-3)
+    gm = gallot_meyer_check(rs, 1, 1.0, pts, seed=ctx.seed)
+    ok = ok and rep.order >= 1.9 and gm.passed
+    return {"pass": ok, "weitzenbock_deviation": w_dev,
+            "bochner_order": rep.order, "gallot_meyer_margin": gm.worst_margin}
+
+
+def _curvature_cases(cfg: RunConfig):
+    # loaded before any worker is forked, as in _identity_cases
+    import_module(".curvature", __package__)
+    import_module(".sampling", __package__)
     for m in cfg.dims:
         pts = [[0.0] * m, [0.2] + [-0.1] * (m - 1), [0.15, 0.25] + [0.05] * (m - 2)]
+        yield Case(f"curvature/flat/m{m}", _flat_chart, {"m": m, "pts": pts})
+        yield Case(f"curvature/round/m{m}", _round_chart, {"m": m, "pts": pts})
 
-        key = f"curvature/flat/m{m}"
 
-        def run(key=key, m=m, pts=pts):
-            flat = ChartMetric.flat(m)
-            ok = True
-            worst_r = 0.0
-            for pt in pts:
-                data = curvature_at(flat, pt)
-                if float(np.max(np.abs(data.riemann))) != 0.0:
-                    ok = False
-                for p in range(1, m):
-                    if float(np.max(np.abs(weitzenbock_at(flat, pt, p, data)))) != 0.0:
-                        ok = False
-            rng = sampling.rng_for(cfg.seed, "curv-flat", m)
-            omega = sampling.random_form(rng, m, 1, 3)
-            rep = bochner_residual(flat, omega, pts[1], h=1e-2)
-            worst_r = rep.residual
-            ok = ok and rep.residual <= 1e-10
-            return {"id": key, "pass": ok, "bochner_residual": worst_r}
-        cases.append((key, run, None))
-
-        key = f"curvature/round/m{m}"
-
-        def run(key=key, m=m, pts=pts):
-            rs = ChartMetric.round_sphere(m)
-            ok = True
-            w_dev = 0.0
-            for pt in pts:
-                data = curvature_at(rs, pt)
-                for i in range(m):
-                    for j in range(i + 1, m):
-                        if abs(data.sectional(i, j) - 1.0) > 1e-8:
-                            ok = False
-                for p in range(1, m):
-                    W = weitzenbock_at(rs, pt, p, data)
-                    dev = float(np.max(np.abs(W - p * (m - p) * np.eye(W.shape[0]))))
-                    w_dev = max(w_dev, dev)
-                    if dev > 1e-8:
-                        ok = False
-                    Wdual = weitzenbock_at(rs, pt, m - p, data)
-                    spec_dev = float(np.max(np.abs(
-                        np.sort(np.linalg.eigvalsh(W)) - np.sort(np.linalg.eigvalsh(Wdual)))))
-                    if spec_dev > 1e-8:
-                        ok = False
-            rng = sampling.rng_for(cfg.seed, "curv-round", m)
-            omega = sampling.random_form(rng, m, 1, 1)
-            rep = bochner_residual(rs, omega, pts[1], h=1e-3)
-            gm = gallot_meyer_check(rs, 1, 1.0, pts, seed=cfg.seed)
-            ok = ok and rep.order >= 1.9 and gm.passed
-            return {"id": key, "pass": ok, "weitzenbock_deviation": w_dev,
-                    "bochner_order": rep.order, "gallot_meyer_margin": gm.worst_margin}
-        cases.append((key, run, None))
-    return cases
+CASES = {"identities": _identity_cases, "spectra": _spectra_cases,
+         "bounds": _bounds_cases, "curvature": _curvature_cases}
 
 
 # ---------------------------------------------------------------------------
@@ -575,26 +593,26 @@ def _partition(groups: list, jobs: int) -> list[list[int]]:
     return shares
 
 
-def _run_share(cases: list, share: list[int]) -> list[tuple]:
+def _run_share(ctx: _Context, cases: list[Case], share: list[int]) -> list[tuple]:
     """(index, record, seconds, traceback or None) for each case of the
     share; a crashed case is a failed check with a one-line error, and
     its full traceback rides along."""
     out = []
     for i in share:
-        _, key, run, _ = cases[i]
+        case = cases[i]
         t0 = time.perf_counter()
         tb = None
         try:
-            record = run()
+            record = case.run(ctx, **case.args)
         except Exception as exc:
             import traceback
             tb = traceback.format_exc()
-            record = {"id": key, "pass": False, "error": f"{type(exc).__name__}: {exc}"}
+            record = {"pass": False, "error": f"{type(exc).__name__}: {exc}"}
         out.append((i, record, time.perf_counter() - t0, tb))
     return out
 
 
-def _run_workers(cases: list, shares: list[list[int]]) -> list[tuple]:
+def _run_workers(ctx: _Context, cases: list[Case], shares: list[list[int]]) -> list[tuple]:
     """Every share's ``_run_share`` results.  Worker 0 is this process;
     each other worker is a forked child that pickles its results into a
     pipe and leaves by ``os._exit``, so it never returns into the
@@ -604,7 +622,7 @@ def _run_workers(cases: list, shares: list[list[int]]) -> list[tuple]:
     thread, so the caller must run no other thread holding a lock that
     a case takes."""
     if len(shares) == 1:
-        return _run_share(cases, shares[0])
+        return _run_share(ctx, cases, shares[0])
     # imported only to fork: they add 6 ms to a --jobs 1 run's start-up
     import pickle
     import signal
@@ -620,7 +638,7 @@ def _run_workers(cases: list, shares: list[list[int]]) -> list[tuple]:
                     os.close(read)
                     for _, pipe in children.values():
                         pipe.close()
-                    payload = pickle.dumps(_run_share(cases, shares[worker]))
+                    payload = pickle.dumps(_run_share(ctx, cases, shares[worker]))
                     with os.fdopen(write, "wb") as pipe:
                         pipe.write(payload)
                     code = 0
@@ -628,7 +646,7 @@ def _run_workers(cases: list, shares: list[list[int]]) -> list[tuple]:
                     os._exit(code)
             os.close(write)
             children[pid] = (worker, os.fdopen(read, "rb"))
-        results = _run_share(cases, shares[0])
+        results = _run_share(ctx, cases, shares[0])
         for pid, (worker, pipe) in list(children.items()):
             payload = pipe.read()
             pipe.close()
@@ -639,7 +657,7 @@ def _run_workers(cases: list, shares: list[list[int]]) -> list[tuple]:
                 continue
             exit_ = (f"exited with code {code}" if code > 0
                      else f"was killed by signal {-code}")
-            results += [(i, {"id": cases[i][1], "pass": False,
+            results += [(i, {"pass": False,
                              "error": f"WorkerExit: worker {worker} {exit_} "
                                       f"before reporting its cases"}, 0.0, None)
                         for i in shares[worker]]
@@ -653,28 +671,23 @@ def _run_workers(cases: list, shares: list[list[int]]) -> list[tuple]:
 
 def run_suites(cfg: RunConfig) -> dict:
     cfg.validate()
-    cache = BasisCache(cfg.cache_dir)
-    assemble = _assembler(cache)
-    builders = {
-        "identities": lambda: _identity_cases(cfg),
-        "spectra": lambda: _spectra_cases(cfg, assemble),
-        "bounds": lambda: _bounds_cases(cfg, cache, assemble),
-        "curvature": lambda: _curvature_cases(cfg),
-    }
+    ctx = _Context(cfg)
     selected = [suite for suite in SUITES if suite in cfg.suites]
     # every case of every selected suite, in report order
-    cases = [(suite, *case) for suite in selected for case in builders[suite]()]
-    results = _run_workers(cases, _partition([c[3] for c in cases], cfg.jobs))
+    listed = [(suite, case) for suite in selected for case in CASES[suite](cfg)]
+    cases = [case for _, case in listed]
+    results = _run_workers(ctx, cases, _partition([c.group for c in cases], cfg.jobs))
     suites_out: dict = {suite: {"checks": []} for suite in selected}
     timing: dict = ({suite: 0.0 for suite in selected}
                     | {"cases": {}, "tracebacks": {}, "jobs": cfg.jobs})
     for i, record, seconds, tb in sorted(results, key=lambda res: res[0]):
-        suite, key = cases[i][:2]
-        suites_out[suite]["checks"].append(record)
+        suite, case = listed[i]
+        # the one place a record gets its id, overriding any of its own
+        suites_out[suite]["checks"].append(record | {"id": case.key})
         timing[suite] += seconds
-        timing["cases"][key] = seconds
+        timing["cases"][case.key] = seconds
         if tb is not None:
-            timing["tracebacks"][key] = tb
+            timing["tracebacks"][case.key] = tb
 
     total = sum(len(s["checks"]) for s in suites_out.values())
     passed = sum(1 for s in suites_out.values() for r in s["checks"] if r.get("pass"))
@@ -687,58 +700,44 @@ def run_suites(cfg: RunConfig) -> dict:
     }
 
 
+def _spectra_rows(rec: dict) -> list:
+    return [[rec["operator"], rec["m"], rec["p"], rec["radius"], blk["kind"], blk["l"],
+             ev, blk["dim"], blk["reference"], Fraction(ev) - Fraction(blk["reference"])]
+            for blk in rec.get("blocks", []) for ev in blk["eigenvalues"]]
+
+
+def _bounds_rows(rec: dict) -> list:
+    if "checks" not in rec:
+        return [[rec["id"], "", rec["pass"]]]
+    if isinstance(rec["checks"], list):
+        return [[rec["id"] + "/" + ch["name"], ch["statement"], ch["pass"]]
+                for ch in rec["checks"]]
+    return [[rec["id"] + "/" + name, "", ok] for name, ok in rec["checks"].items()]
+
+
+# suite -> (CSV header, rows of one record), in the order the CSVs are written
+TABLES = {
+    "spectra": (["operator", "m", "p", "R", "block", "l", "eigenvalue",
+                 "multiplicity", "reference", "difference"], _spectra_rows),
+    "identities": (["id", "residual", "pass"],
+                   lambda rec: [[rec["id"], rec.get("residual", ""), rec["pass"]]]),
+    "bounds": (["id", "detail", "pass"], _bounds_rows),
+    "curvature": (["id", "pass"], lambda rec: [[rec["id"], rec["pass"]]]),
+}
+
+
 def emit_tables(report: dict, out_dir: str) -> list[str]:
-    """One CSV per executed suite."""
+    """One CSV per executed suite, ``<suite>.csv``."""
     written = []
-    suites = report["suites"]
-    if "spectra" in suites:
-        path = os.path.join(out_dir, "spectra.csv")
+    for suite, (header, rows_of) in TABLES.items():
+        if suite not in report["suites"]:
+            continue
+        path = os.path.join(out_dir, f"{suite}.csv")
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(["operator", "m", "p", "R", "block", "l", "eigenvalue",
-                        "multiplicity", "reference", "difference"])
-            for rec in suites["spectra"]["checks"]:
-                if "blocks" not in rec:
-                    continue
-                for blk in rec["blocks"]:
-                    ref = Fraction(blk["reference"])
-                    for ev in blk["eigenvalues"]:
-                        w.writerow([rec["operator"], rec["m"], rec["p"],
-                                    rec["radius"], blk["kind"], blk["l"],
-                                    ev, blk["dim"], blk["reference"],
-                                    Fraction(ev) - ref])
-        written.append(path)
-    if "identities" in suites:
-        path = os.path.join(out_dir, "identities.csv")
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["id", "residual", "pass"])
-            for rec in suites["identities"]["checks"]:
-                w.writerow([rec["id"], rec.get("residual", ""), rec["pass"]])
-        written.append(path)
-    if "bounds" in suites:
-        path = os.path.join(out_dir, "bounds.csv")
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["id", "detail", "pass"])
-            for rec in suites["bounds"]["checks"]:
-                if "checks" in rec and isinstance(rec["checks"], list):
-                    for ch in rec["checks"]:
-                        w.writerow([rec["id"] + "/" + ch["name"],
-                                    ch["statement"], ch["pass"]])
-                elif "checks" in rec:
-                    for name, ok in rec["checks"].items():
-                        w.writerow([rec["id"] + "/" + name, "", ok])
-                else:
-                    w.writerow([rec["id"], "", rec["pass"]])
-        written.append(path)
-    if "curvature" in suites:
-        path = os.path.join(out_dir, "curvature.csv")
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["id", "pass"])
-            for rec in suites["curvature"]["checks"]:
-                w.writerow([rec["id"], rec["pass"]])
+            w.writerow(header)
+            for rec in report["suites"][suite]["checks"]:
+                w.writerows(rows_of(rec))
         written.append(path)
     return written
 
@@ -768,15 +767,20 @@ def _open_dir(role: str, make):
 
 
 def _make_run_dir(base: str, seed: int) -> str:
+    """A new directory under ``base``: ``run-<stamp>-seed<N>``, or the
+    first free ``-1``, ``-2``, ... suffix of it.  Each candidate is
+    created by ``os.mkdir``, so two runs racing for one name never share
+    a directory."""
     os.makedirs(base, exist_ok=True)
-    stamp = time.strftime("%Y%m%d-%H%M%S")
-    candidate = os.path.join(base, f"run-{stamp}-seed{seed}")
-    suffix = 0
-    while os.path.exists(candidate):
-        suffix += 1
-        candidate = os.path.join(base, f"run-{stamp}-seed{seed}-{suffix}")
-    os.makedirs(candidate)
-    return candidate
+    name = os.path.join(base, f"run-{time.strftime('%Y%m%d-%H%M%S')}-seed{seed}")
+    candidate, suffix = name, 0
+    while True:
+        try:
+            os.mkdir(candidate)
+            return candidate
+        except FileExistsError:
+            suffix += 1
+            candidate = f"{name}-{suffix}"
 
 
 # ---------------------------------------------------------------------------
@@ -785,12 +789,11 @@ def _make_run_dir(base: str, seed: int) -> str:
 
 SUITE_ALIASES = {"verify": "identities", "spectrum": "spectra",
                  "bounds": "bounds", "curvature": "curvature"}
-CONFIG_KEYS = ("suites", "dims", "degrees", "radii", "lmax", "seed", "mode",
-               "out", "cache", "jobs")
 
 
 def _parse_config_file(path: str) -> dict:
     values: dict = {}
+    lines: dict = {}   # key -> number of the line that gave it
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -803,6 +806,10 @@ def _parse_config_file(path: str) -> dict:
             if key not in CONFIG_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r} "
                                   f"(accepted keys: {', '.join(CONFIG_KEYS)})")
+            if key in lines:
+                raise ConfigError(f"{path}:{lineno}: key {key!r} is given twice, "
+                                  f"on lines {lines[key]} and {lineno}")
+            lines[key] = lineno
             values[key] = val.strip()
     return values
 
@@ -822,16 +829,36 @@ def _parse_fraction_list(text: str) -> list[Fraction]:
     return [_parse_fraction(v) for v in text.replace(",", " ").split()]
 
 
+# (argparse dest, config-file key, RunConfig field, parser, further
+# argparse keywords) of every option but --config; an option given
+# neither way keeps the RunConfig default
+OPTIONS = (
+    ("dim", "dims", "dims", _parse_int_list,
+     {"help": "ambient dimensions, comma separated (default 3)"}),
+    ("degree", "degrees", "degrees", _parse_int_list,
+     {"help": "form degrees p (default: all valid)"}),
+    ("radius", "radii", "radii", _parse_fraction_list,
+     {"help": "ball radii as rationals, e.g. 1,1/2,2"}),
+    ("lmax", "lmax", "l_max", int, {"help": "spectral truncation (default 2)"}),
+    ("seed", "seed", "seed", int, {"help": "random seed"}),
+    ("mode", "mode", "mode", str, {"choices": ("exact", "float")}),
+    ("out", "out", "out_dir", str, {"help": "output directory"}),
+    ("cache", "cache", "cache_dir", str, {"help": "basis cache directory"}),
+    ("jobs", "jobs", "jobs", int,
+     {"help": "worker processes; above 1, forked ones (default 1)"}),
+)
+CONFIG_KEYS = ("suites", *(key for _, key, _, _, _ in OPTIONS))
+
+
 def build_config(args: argparse.Namespace) -> RunConfig:
     file_values = _parse_config_file(args.config) if args.config else {}
-
-    def pick(cli_value, file_key, parser, default):
-        if cli_value is not None:
-            return cli_value
-        if file_key in file_values:
-            return parser(file_values[file_key])
-        return default
-
+    given = {}
+    for dest, key, name, parse, _ in OPTIONS:
+        value = getattr(args, dest)
+        if value is None and key in file_values:
+            value = parse(file_values[key])
+        if value is not None:
+            given[name] = value
     if args.suite != "all":
         if "suites" in file_values:
             raise ConfigError(f"{args.config}: key 'suites' is read by the 'all' "
@@ -841,18 +868,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         suites = file_values["suites"].replace(",", " ").split()
     else:
         suites = list(SUITES)
-    return RunConfig(
-        suites=suites,
-        dims=pick(args.dim, "dims", _parse_int_list, [3]),
-        degrees=pick(args.degree, "degrees", _parse_int_list, None),
-        radii=pick(args.radius, "radii", _parse_fraction_list, [Fraction(1)]),
-        l_max=pick(args.lmax, "lmax", int, 2),
-        seed=pick(args.seed, "seed", int, 7),
-        mode=pick(args.mode, "mode", str, "exact"),
-        out_dir=pick(args.out, "out", str, "runs"),
-        cache_dir=pick(args.cache, "cache", str, None),
-        jobs=pick(args.jobs, "jobs", int, 1),
-    )
+    return RunConfig(suites=suites, **given)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -866,20 +882,8 @@ def build_parser() -> argparse.ArgumentParser:
              "all": "every suite"}
     for name, help_text in names.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--dim", type=_parse_int_list, default=None,
-                       help="ambient dimensions, comma separated (default 3)")
-        p.add_argument("--degree", type=_parse_int_list, default=None,
-                       help="form degrees p (default: all valid)")
-        p.add_argument("--radius", type=_parse_fraction_list, default=None,
-                       help="ball radii as rationals, e.g. 1,1/2,2")
-        p.add_argument("--lmax", type=int, default=None,
-                       help="spectral truncation (default 2)")
-        p.add_argument("--seed", type=int, default=None, help="random seed")
-        p.add_argument("--mode", choices=("exact", "float"), default=None)
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--cache", default=None, help="basis cache directory")
-        p.add_argument("--jobs", type=int, default=None,
-                       help="worker processes; above 1, forked ones (default 1)")
+        for dest, _, _, parse, keywords in OPTIONS:
+            p.add_argument(f"--{dest}", type=parse, default=None, **keywords)
         p.add_argument("--config", default=None, help="key=value config file")
     return parser
 

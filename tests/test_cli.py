@@ -1,11 +1,14 @@
 """Runner behaviour: configs, exit codes, reports, CSVs, determinism."""
 
 import csv
+import hashlib
 import json
 import os
+import pickle
 import signal
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,7 +16,6 @@ import pytest
 from formlab import cli
 from formlab.cli import (ConfigError, RunConfig, build_parser, build_config,
                          emit_tables, main, run_suites)
-from formlab.harmonic import BasisCache
 
 
 def small_config(**kw):
@@ -77,10 +79,26 @@ class TestRunSuites:
         assert report["summary"] == {"total": 43, "passed": 43, "failed": 0}
 
     def test_determinism_across_jobs(self):
-        r1 = run_suites(small_config(jobs=1))
-        r2 = run_suites(small_config(jobs=3))
-        r1.pop("timing"), r2.pop("timing")
-        assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
+        every_suite = dict(suites=list(cli.SUITES), radii=[Fraction(1), Fraction(1, 2)])
+        for kw in ({}, every_suite):
+            r1 = run_suites(small_config(jobs=1, **kw))
+            r2 = run_suites(small_config(jobs=3, **kw))
+            r1.pop("timing"), r2.pop("timing")
+            assert r1["summary"]["failed"] == 0
+            assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
+
+    def test_report_digest(self):
+        # pins every case id, rng context and record field of three
+        # suites; the oracle's records carry floats and are left out
+        report = run_suites(RunConfig(suites=["identities", "spectra", "bounds"],
+                                      dims=[2, 3], radii=[Fraction(1), Fraction(1, 2)],
+                                      l_max=1, seed=7))
+        report.pop("timing")
+        for suite in report["suites"].values():
+            suite["checks"] = [r for r in suite["checks"]
+                               if not r["id"].startswith("quadrature-oracle/")]
+        digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+        assert digest == "3465428232b3fda04242d90e85e15aa8586cdaf36b1d314ea0829cceeb75cb6e"
 
     def test_crash_traceback_kept_under_timing(self, monkeypatch, tmp_path):
         pids = tmp_path / "pids"
@@ -159,11 +177,9 @@ class TestWorkers:
     def test_partition(self):
         cfg = small_config(suites=["identities", "spectra", "bounds"], dims=[3])
         cfg.validate()
-        cache = BasisCache()
-        assemble = cli._assembler(cache)
-        cases = (cli._identity_cases(cfg) + cli._spectra_cases(cfg, assemble)
-                 + cli._bounds_cases(cfg, cache, assemble))
-        groups = [c[2] for c in cases]
+        cases = [c for suite in ("identities", "spectra", "bounds")
+                 for c in cli.CASES[suite](cfg)]
+        groups = [c.group for c in cases]
         assert {(3, 1), (3, 2), None} == set(groups)
         for jobs in (1, 2, 3, 7, 10 ** 6):
             shares = cli._partition(groups, jobs)
@@ -180,6 +196,14 @@ class TestWorkers:
         # round-robin over groups in order of their first case
         assert cli._partition(["a", None, "a", "b", None], 2) == [[0, 2, 3], [1, 4]]
         assert cli._partition([], 4) == [[]]
+
+    def test_cases_pickle(self):
+        cfg = build_config(build_parser().parse_args(
+            ["all", "--dim", "2,3", "--radius", "1,1/2"]))
+        cases = [c for suite in cli.SUITES for c in cli.CASES[suite](cfg)]
+        assert len(cases) == 119
+        assert pickle.loads(pickle.dumps(cases)) == cases
+        assert all(getattr(cli, c.run.__name__) is c.run for c in cases)
 
     def test_shared_cache_across_workers(self, tmp_path):
         # three forked workers build and write overlapping bases into
@@ -237,8 +261,7 @@ class TestQuadratureOracle:
     @staticmethod
     def run_oracle(m, seed):
         cfg = small_config(dims=[m], seed=seed)
-        runs = {key: run for key, run, _ in cli._identity_cases(cfg)}
-        return runs[f"quadrature-oracle/m{m}"]()
+        return cli._quadrature_oracle(cli._Context(cfg), m)
 
     def test_catches_wrong_exact_value(self, monkeypatch):
         true_value = cli.integrate_ball
@@ -454,6 +477,46 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert f"configuration error: {key} is empty" in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("line,message", [
+        ("suites =", "suites is empty"),
+        ("suites = ,", "suites is empty"),
+        ("suites = spectra, bounds, spectra", "suite spectra is given more than once"),
+    ])
+    def test_exit_two_on_empty_or_repeated_suites(self, tmp_path, capsys, no_cases,
+                                                  line, message):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"dims = 2\n{line}\n")
+        out = tmp_path / "out"
+        code = main(["all", "--config", str(path), "--lmax", "1", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"configuration error: {message}" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_exit_two_on_config_key_given_twice(self, tmp_path, capsys, no_cases):
+        path = tmp_path / "run.cfg"
+        path.write_text("seed = 1\ndims = 2\n\nseed = 2\n")
+        out = tmp_path / "out"
+        code = main(["verify", "--config", str(path), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{path}:4: key 'seed' is given twice, on lines 1 and 4" in err
+        assert "Traceback" not in err and not out.exists()
+
+    def test_run_dir_taken_between_check_and_create(self, tmp_path, monkeypatch):
+        # another run creates the first name after this one found it free
+        monkeypatch.setattr(time, "strftime", lambda fmt: "20260101-000000")
+        (tmp_path / "run-20260101-000000-seed3").mkdir()
+        real_exists = os.path.exists
+        monkeypatch.setattr(os.path, "exists", lambda path: (
+            False if str(path).startswith(str(tmp_path)) else real_exists(path)))
+        code = main(["verify", "--dim", "2", "--degree", "1", "--seed", "3",
+                     "--lmax", "1", "--out", str(tmp_path)])
+        assert code == 0
+        assert sorted(os.listdir(tmp_path)) == ["run-20260101-000000-seed3",
+                                                "run-20260101-000000-seed3-1"]
+        assert (tmp_path / "run-20260101-000000-seed3-1" / "report.json").exists()
 
     @pytest.mark.parametrize("argv,named", [
         (["spectrum", "--dim", "3,3"], "dimension 3"),
