@@ -11,11 +11,11 @@ The library layers are, bottom up:
   identities   integral identity checks and proof-chain replays
   harmonic     homogeneous harmonic form spaces by rational elimination
   spectral     boundary operator assembly, exact block-certified spectra
-  curvature    chart-based Weitzenboeck / Bochner / curvature checks
+  curvature    exact chart-based Weitzenboeck / Bochner / curvature checks
   cli          batch runner with reports, CSV tables and exit codes
 
-Every layer but ``curvature`` is exact and loads no numpy; only the
-Monte Carlo oracle imports numpy, when it runs.  The ``identities`` and
+Every layer is exact and loads no numpy; only the Monte Carlo oracle
+imports numpy, when it runs.  The ``identities`` and
 ``curvature`` names below resolve on first access (PEP 562), so
 importing the package, or running a suite that calls neither layer,
 loads neither module.

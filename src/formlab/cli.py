@@ -41,6 +41,16 @@ Schema 2 changed, from schema 1:
     eigenvalue groups compared exactly;
   * spectra.csv "eigenvalue" and "difference": exact rational strings.
 
+Schema 3 changed, from schema 2, curvature records only:
+
+  * "bochner_residual" (flat and round) and round "weitzenbock_deviation":
+    float numbers -> exact rational strings, the largest absolute
+    coefficient of the exact residual or deviation, "0" on a pass;
+  * round "bochner_order" (the convergence order of a finite-difference
+    stencil): removed, since the residual is now exact;
+  * round "gallot_meyer_margin" (a float margin over sampled forms) ->
+    "gallot_meyer", a bool decided by exact PSD tests.
+
 Every check is a ``Case`` record: its key, a module-level function,
 the keyword arguments to call it with and its group label.  ``CASES``
 maps each suite to the generator of its cases.  A case's function gets
@@ -84,7 +94,7 @@ from .polyform import PolyForm, PolyVectorField
 from .quadrature import RadialDensity, integrate_ball, mc_oracle
 from .spectral import OPERATORS, assemble_operator, check_bounds, scaling_check
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 SUITES = ("identities", "spectra", "bounds", "curvature")
 # Float mode: an identity passes when its residual is at most this many
 # (64 eps, ~1.4e-14) times the residual's tracked magnitude
@@ -102,9 +112,6 @@ MAX_SEED = (2 ** 128 - ORACLE_DRAWS) // 1000
 # ~5.7e-7 per draw, so chance failures stay negligible over many draws
 # and seeds, while an exact value off by half lies tens of sigma away.
 ORACLE_SIGMA_BOUND = 5.0
-# The curvature suite covers m = 2..4 only; a larger dimension is a
-# configuration error, never a silently empty suite.
-CURVATURE_MAX_DIM = 4
 
 
 @dataclass
@@ -130,11 +137,6 @@ class RunConfig:
                 raise ConfigError(f"unknown suite {s!r}")
         if any(m < 2 for m in self.dims):
             raise ConfigError("dimensions must be >= 2")
-        too_large = [m for m in self.dims if m > CURVATURE_MAX_DIM]
-        if "curvature" in self.suites and too_large:
-            raise ConfigError(
-                f"the curvature suite covers dimensions 2..{CURVATURE_MAX_DIM}; "
-                f"got dimensions {too_large}")
         if self.l_max < 1:
             raise ConfigError("lmax must be >= 1")
         if self.mode not in ("exact", "float"):
@@ -502,60 +504,49 @@ def _bounds_cases(cfg: RunConfig):
 # Curvature suite.
 # ---------------------------------------------------------------------------
 
-def _flat_chart(ctx: _Context, m, pts) -> dict:
-    import numpy as np
+def _largest(values):
+    """The largest absolute value; 0 when there is none."""
+    return max(map(abs, values), default=0)
 
+
+def _off_scalar(matrix, c):
+    """The largest absolute entry of matrix - c Id."""
+    return _largest(v - c * (i == j) for i, row in enumerate(matrix) for j, v in enumerate(row))
+
+
+def _flat_chart(ctx: _Context, m, pts) -> dict:
     from . import sampling
     from .curvature import ChartMetric, bochner_residual, curvature_at, weitzenbock_at
     flat = ChartMetric.flat(m)
-    ok = True
-    for pt in pts:
-        data = curvature_at(flat, pt)
-        if float(np.max(np.abs(data.riemann))) != 0.0:
-            ok = False
-        for p in range(1, m):
-            if float(np.max(np.abs(weitzenbock_at(flat, pt, p, data)))) != 0.0:
-                ok = False
+    data = [curvature_at(flat, pt) for pt in pts]
+    ok = all(d.has_constant_curvature(0) and all(
+        _off_scalar(weitzenbock_at(flat, d.point, p, d), 0) == 0 for p in range(1, m))
+        for d in data)
     rng = sampling.rng_for(ctx.seed, "curv-flat", m)
     omega = sampling.random_form(rng, m, 1, 3)
-    rep = bochner_residual(flat, omega, pts[1], h=1e-2)
-    ok = ok and rep.residual <= 1e-10
-    return {"pass": ok, "bochner_residual": rep.residual}
+    residual = bochner_residual(flat, omega, pts[1], data[1])
+    return {"pass": ok and residual.is_zero(),
+            "bochner_residual": str(_largest(residual.coeffs.values()))}
 
 
 def _round_chart(ctx: _Context, m, pts) -> dict:
-    import numpy as np
-
     from . import sampling
     from .curvature import (ChartMetric, bochner_residual, curvature_at,
                             gallot_meyer_check, weitzenbock_at)
     rs = ChartMetric.round_sphere(m)
-    ok = True
-    w_dev = 0.0
-    for pt in pts:
-        data = curvature_at(rs, pt)
-        for i in range(m):
-            for j in range(i + 1, m):
-                if abs(data.sectional(i, j) - 1.0) > 1e-8:
-                    ok = False
-        for p in range(1, m):
-            W = weitzenbock_at(rs, pt, p, data)
-            dev = float(np.max(np.abs(W - p * (m - p) * np.eye(W.shape[0]))))
-            w_dev = max(w_dev, dev)
-            if dev > 1e-8:
-                ok = False
-            Wdual = weitzenbock_at(rs, pt, m - p, data)
-            spec_dev = float(np.max(np.abs(
-                np.sort(np.linalg.eigvalsh(W)) - np.sort(np.linalg.eigvalsh(Wdual)))))
-            if spec_dev > 1e-8:
-                ok = False
+    data = [curvature_at(rs, pt) for pt in pts]
+    # W = p(m-p) Id for every p = 1..m-1 also gives W_p and W_{m-p} one
+    # spectrum, as their conjugacy by the Hodge star requires
+    w_dev = max(_off_scalar(weitzenbock_at(rs, d.point, p, d), p * (m - p))
+                for d in data for p in range(1, m))
     rng = sampling.rng_for(ctx.seed, "curv-round", m)
     omega = sampling.random_form(rng, m, 1, 1)
-    rep = bochner_residual(rs, omega, pts[1], h=1e-3)
-    gm = gallot_meyer_check(rs, 1, 1.0, pts, seed=ctx.seed)
-    ok = ok and rep.order >= 1.9 and gm.passed
-    return {"pass": ok, "weitzenbock_deviation": w_dev,
-            "bochner_order": rep.order, "gallot_meyer_margin": gm.worst_margin}
+    residual = bochner_residual(rs, omega, pts[1], data[1])
+    gm = gallot_meyer_check(rs, 1, 1, pts, data)
+    ok = all(d.has_constant_curvature(1) for d in data) and w_dev == 0 \
+        and residual.is_zero() and gm
+    return {"pass": ok, "weitzenbock_deviation": str(w_dev),
+            "bochner_residual": str(_largest(residual.coeffs.values())), "gallot_meyer": gm}
 
 
 def _curvature_cases(cfg: RunConfig):
@@ -563,7 +554,8 @@ def _curvature_cases(cfg: RunConfig):
     import_module(".curvature", __package__)
     import_module(".sampling", __package__)
     for m in cfg.dims:
-        pts = [[0.0] * m, [0.2] + [-0.1] * (m - 1), [0.15, 0.25] + [0.05] * (m - 2)]
+        pts = [[Fraction(0)] * m, [Fraction(1, 5)] + [Fraction(-1, 10)] * (m - 1),
+               [Fraction(3, 20), Fraction(1, 4)] + [Fraction(1, 20)] * (m - 2)]
         yield Case(f"curvature/flat/m{m}", _flat_chart, {"m": m, "pts": pts})
         yield Case(f"curvature/round/m{m}", _round_chart, {"m": m, "pts": pts})
 
@@ -831,21 +823,22 @@ def _parse_fraction_list(text: str) -> list[Fraction]:
 
 # (argparse dest, config-file key, RunConfig field, parser, further
 # argparse keywords) of every option but --config; an option given
-# neither way keeps the RunConfig default
+# neither way keeps the RunConfig default, which a help text states
+# through "{default}"
 OPTIONS = (
     ("dim", "dims", "dims", _parse_int_list,
-     {"help": "ambient dimensions, comma separated (default 3)"}),
+     {"help": "ambient dimensions, comma separated (default {default})"}),
     ("degree", "degrees", "degrees", _parse_int_list,
      {"help": "form degrees p (default: all valid)"}),
     ("radius", "radii", "radii", _parse_fraction_list,
      {"help": "ball radii as rationals, e.g. 1,1/2,2"}),
-    ("lmax", "lmax", "l_max", int, {"help": "spectral truncation (default 2)"}),
+    ("lmax", "lmax", "l_max", int, {"help": "spectral truncation (default {default})"}),
     ("seed", "seed", "seed", int, {"help": "random seed"}),
     ("mode", "mode", "mode", str, {"choices": ("exact", "float")}),
     ("out", "out", "out_dir", str, {"help": "output directory"}),
     ("cache", "cache", "cache_dir", str, {"help": "basis cache directory"}),
     ("jobs", "jobs", "jobs", int,
-     {"help": "worker processes; above 1, forked ones (default 1)"}),
+     {"help": "worker processes; above 1, forked ones (default {default})"}),
 )
 CONFIG_KEYS = ("suites", *(key for _, key, _, _, _ in OPTIONS))
 
@@ -871,6 +864,12 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(suites=suites, **given)
 
 
+def _stated_default(name: str) -> str:
+    """A RunConfig field's default as a help text states it."""
+    value = getattr(RunConfig(suites=[]), name)
+    return ",".join(map(str, value)) if isinstance(value, list) else str(value)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="formlab",
@@ -882,18 +881,20 @@ def build_parser() -> argparse.ArgumentParser:
              "all": "every suite"}
     for name, help_text in names.items():
         p = sub.add_parser(name, help=help_text)
-        for dest, _, _, parse, keywords in OPTIONS:
+        for dest, _, field_name, parse, keywords in OPTIONS:
+            if "help" in keywords:
+                keywords = {**keywords, "help": keywords["help"].format(
+                    default=_stated_default(field_name))}
             p.add_argument(f"--{dest}", type=parse, default=None, **keywords)
         p.add_argument("--config", default=None, help="key=value config file")
     return parser
 
 
 def main(argv=None) -> int:
-    # One OpenBLAS thread unless the user says otherwise: the Monte Carlo
-    # oracle's numpy work is elementwise and the curvature suite's
-    # matrices are at most C(4, 2) = 6 wide, so a thread pool would spin
-    # without paying.  Set before anything here can import numpy; library
-    # imports are unaffected.
+    # One OpenBLAS thread unless the user says otherwise: numpy serves
+    # only the Monte Carlo oracle, whose work is elementwise, so a thread
+    # pool would spin without paying.  Set before anything here can
+    # import numpy; library imports are unaffected.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     try:

@@ -1,488 +1,296 @@
-"""Pointwise curvature checks on coordinate charts.
+"""Exact pointwise curvature checks on coordinate charts.
 
-Christoffel symbols, their first derivatives, and the Riemann tensor
-are evaluated analytically (exact differentiation of the metric's
-entries, floating-point arithmetic).  Only the second-derivative
-composition in the Bochner check uses centred finite differences, so
-the discretisation error is isolated in one place and its order is
-measurable: on a flat chart all stencils cancel identically and the
-residual is pure rounding, on a curved chart the residual decays like
-h^2.
+A chart metric gives the exact 2-jet of g (g, dg and d2g) at a rational
+point.  From it come the Christoffel symbols, their first derivatives
+and the Riemann tensor, all ``Fraction``s in the coordinate frame.  The
+Weitzenboeck term of the Bochner formula is built from the exterior
+layer, and the Bochner formula itself is checked from the jets of a
+polynomial form: its residual must be the zero form.  The Gallot-Meyer
+bound is decided by exact PSD tests.  Nothing is differenced, sampled
+or compared up to a tolerance.
 
-Index conventions: ``riemann[a,b,c,d]`` is <Rm(e_a, e_b) e_c, e_d> in
-the orthonormal frame; on a chart of constant curvature gamma it equals
-gamma * (delta_ad delta_bc - delta_ac delta_bd).
+Index conventions, 0-based, in the coordinate frame:
+
+  christoffel[k][i][j]       Gamma^k_ij
+  christoffel_d[a][k][i][j]  d_a Gamma^k_ij
+  riemann_up[a][b][c][d]     R^d_abc, with R(d_a, d_b) d_c = R^d_abc d_d
+                             and R(X, Y) = [nabla_X, nabla_Y] - nabla_[X,Y]
+  riemann[a][b][c][d]        <R(d_a, d_b) d_c, d_d>; on a chart of
+                             constant curvature gamma it equals
+                             gamma (g_ad g_bc - g_ac g_bd)
+
+A matrix on p-forms has one row per basis form dx^I, in
+``multi_indices`` order: row r holds the coefficients of the image of
+dx^{I_r}.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import permutations, product
+from math import prod
 
-import numpy as np
-
-from .exterior import multi_indices, sort_with_sign
+from .exterior import ConstantForm, LinearEndomorphism, multi_indices, sort_with_sign
+from .linalg import is_positive_definite, is_positive_semidefinite, rref
 from .polynomials import Polynomial
 from .polyform import PolyForm
 
-SYMMETRY_TOL = 1e-10
+HALF = Fraction(1, 2)
 
 
 class ChartMetric:
-    """A Riemannian metric on a coordinate chart with analytic
-    evaluators for g, dg and d2g."""
+    """A Riemannian metric on a coordinate chart.  ``jet(x)`` returns its
+    exact 2-jet at x: g[i][j], dg[k][i][j] = d_k g_ij and
+    d2g[k][l][i][j] = d_k d_l g_ij."""
 
-    def __init__(self, m: int, value, d1, d2, label: str = "custom"):
+    def __init__(self, m: int, jet):
         self.m = m
-        self._value = value
-        self._d1 = d1
-        self._d2 = d2
-        self.label = label
+        self._jet = jet
 
-    def value(self, x: np.ndarray) -> np.ndarray:
-        """g_ij at x, shape (m, m)."""
-        return self._value(np.asarray(x, dtype=float))
+    def jet(self, point):
+        x = [Fraction(v) for v in point]
+        if len(x) != self.m:
+            raise ValueError("point dimension mismatch")
+        return self._jet(x)
 
-    def d1(self, x: np.ndarray) -> np.ndarray:
-        """d_k g_ij at x, shape (m, m, m) indexed [k, i, j]."""
-        return self._d1(np.asarray(x, dtype=float))
-
-    def d2(self, x: np.ndarray) -> np.ndarray:
-        """d_k d_l g_ij at x, shape (m, m, m, m) indexed [k, l, i, j]."""
-        return self._d2(np.asarray(x, dtype=float))
-
-    # -- constructors ----------------------------------------------------
     @classmethod
-    def flat(cls, m: int, scale: float = 1.0) -> "ChartMetric":
-        g = scale * np.eye(m)
-        return cls(m,
-                   lambda x: g.copy(),
-                   lambda x: np.zeros((m, m, m)),
-                   lambda x: np.zeros((m, m, m, m)),
-                   label=f"flat(scale={scale})")
+    def _conformal(cls, m: int, factor) -> "ChartMetric":
+        """phi * delta, where factor(x) gives phi, d_k phi and d_k d_l phi."""
+        def jet(x):
+            phi, d1, d2 = factor(x)
+            scalar = lambda v: [[v if i == j else 0 for j in range(m)] for i in range(m)]
+            return scalar(phi), [scalar(v) for v in d1], [[scalar(v) for v in row] for row in d2]
+        return cls(m, jet)
+
+    @classmethod
+    def flat(cls, m: int, scale=1) -> "ChartMetric":
+        zero = [0] * m
+        return cls._conformal(m, lambda x: (Fraction(scale), zero, [zero] * m))
 
     @classmethod
     def from_polynomials(cls, entries: list[list[Polynomial]]) -> "ChartMetric":
         m = len(entries)
-        for i in range(m):
-            for j in range(m):
-                if entries[i][j] != entries[j][i]:
-                    raise ValueError("metric entries must be symmetric")
-        d1 = [[[entries[i][j].partial(k + 1) for j in range(m)] for i in range(m)]
-              for k in range(m)]
-        d2 = [[[[d1[k][i][j].partial(l + 1) for j in range(m)] for i in range(m)]
-               for l in range(m)] for k in range(m)]
-
-        def val(x):
-            return np.array([[float(entries[i][j].evaluate(list(x)))
-                              for j in range(m)] for i in range(m)])
-
-        def dv(x):
-            return np.array([[[float(d1[k][i][j].evaluate(list(x)))
-                               for j in range(m)] for i in range(m)]
-                             for k in range(m)])
-
-        def d2v(x):
-            return np.array([[[[float(d2[k][l][i][j].evaluate(list(x)))
-                                for j in range(m)] for i in range(m)]
-                              for l in range(m)] for k in range(m)])
-
-        return cls(m, val, dv, d2v, label="polynomial")
+        if any(entries[i][j] != entries[j][i] for i in range(m) for j in range(i)):
+            raise ValueError("metric entries must be symmetric")
+        d1 = [[[e.partial(k + 1) for e in row] for row in entries] for k in range(m)]
+        d2 = [[[[e.partial(l + 1) for e in row] for row in dk] for l in range(m)] for dk in d1]
+        return cls(m, lambda x: (_evaluate(entries, x), _evaluate(d1, x), _evaluate(d2, x)))
 
     @classmethod
     def round_sphere(cls, m: int) -> "ChartMetric":
         """Stereographic chart of the unit round sphere,
         g = 4 delta / (1 + |x|^2)^2, constant sectional curvature one."""
-        eye = np.eye(m)
+        def factor(x):
+            s = 1 + sum(v * v for v in x)
+            return (4 / s ** 2, [-16 * v / s ** 3 for v in x],
+                    [[96 * u * v / s ** 4 - (16 / s ** 3 if k == l else 0)
+                      for l, v in enumerate(x)] for k, u in enumerate(x)])
+        return cls._conformal(m, factor)
 
-        def phi_parts(x):
-            s = 1.0 + float(np.dot(x, x))
-            return s
 
-        def val(x):
-            s = phi_parts(x)
-            return (4.0 / s ** 2) * eye
-
-        def dv(x):
-            s = phi_parts(x)
-            out = np.zeros((m, m, m))
-            for k in range(m):
-                out[k] = (-16.0 * x[k] / s ** 3) * eye
-            return out
-
-        def d2v(x):
-            s = phi_parts(x)
-            out = np.zeros((m, m, m, m))
-            for k in range(m):
-                for l in range(m):
-                    coef = -16.0 * (1.0 if k == l else 0.0) / s ** 3 \
-                        + 96.0 * x[k] * x[l] / s ** 4
-                    out[k, l] = coef * eye
-            return out
-
-        return cls(m, val, dv, d2v, label="round-sphere")
+def _evaluate(polys, x):
+    """Nested lists of polynomials, evaluated at x."""
+    if isinstance(polys, Polynomial):
+        return polys.evaluate(x)
+    return [_evaluate(p, x) for p in polys]
 
 
 @dataclass
 class CurvatureData:
-    point: np.ndarray
-    metric_value: np.ndarray
-    christoffel: np.ndarray        # [k, i, j] = Gamma^k_ij
-    christoffel_d: np.ndarray      # [a, k, i, j] = d_a Gamma^k_ij
-    riemann_coord: np.ndarray      # [a, b, c, d] lowered, coordinate frame
-    frame: np.ndarray              # columns are orthonormal frame vectors
-    riemann: np.ndarray            # [a, b, c, d] in the orthonormal frame
-    symmetry_defect: float
-    bianchi_defect: float
+    """The exact curvature of a chart at a point, indexed as in the
+    module docstring."""
 
-    def ricci(self) -> np.ndarray:
-        """Ric_jk = sum_i R[i, j, k, i] in the orthonormal frame."""
-        return np.einsum("ijki->jk", self.riemann)
+    point: list[Fraction]
+    metric: list[list[Fraction]]
+    inverse: list[list[Fraction]]          # g^ij
+    inverse_d: list                        # [a][i][j] = d_a g^ij
+    christoffel: list
+    christoffel_d: list
+    riemann_up: list
+    riemann: list
 
-    def sectional(self, i: int, j: int) -> float:
-        return float(self.riemann[i, j, j, i])
+    def ricci(self) -> list[list[Fraction]]:
+        """Ric_bc = g^ad R_abcd."""
+        r = range(len(self.metric))
+        return [[sum(self.inverse[a][d] * self.riemann[a][b][c][d] for a in r for d in r)
+                 for c in r] for b in r]
 
+    def sectional(self, i: int, j: int) -> Fraction:
+        g = self.metric
+        return self.riemann[i][j][j][i] / (g[i][i] * g[j][j] - g[i][j] ** 2)
 
-def _christoffel_arrays(metric: ChartMetric, x: np.ndarray):
-    m = metric.m
-    g = metric.value(x)
-    dg = metric.d1(x)
-    d2g = metric.d2(x)
-    ginv = np.linalg.inv(g)
-    # C[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
-    C = np.zeros((m, m, m))
-    for l in range(m):
-        for i in range(m):
-            for j in range(m):
-                C[l, i, j] = dg[i, j, l] + dg[j, i, l] - dg[l, i, j]
-    gamma = 0.5 * np.einsum("kl,lij->kij", ginv, C)
-    dC = np.zeros((m, m, m, m))
-    for a in range(m):
-        for l in range(m):
-            for i in range(m):
-                for j in range(m):
-                    dC[a, l, i, j] = d2g[a, i, j, l] + d2g[a, j, i, l] - d2g[a, l, i, j]
-    # dginv[i, k, l] = d_i (g^{kl}) = - g^{ka} (d_i g_ab) g^{bl}
-    dginv = np.zeros((m, m, m))
-    for i in range(m):
-        dginv[i] = -ginv @ dg[i] @ ginv
-    dgamma = 0.5 * (np.einsum("akl,lij->akij", dginv, C)
-                    + np.einsum("kl,alij->akij", ginv, dC))
-    return g, ginv, gamma, dgamma
+    def has_constant_curvature(self, gamma) -> bool:
+        """Whether R_abcd == gamma (g_ad g_bc - g_ac g_bd), which fixes
+        the sectional curvature of every plane, not only the coordinate
+        planes.  Compared over a < b, c < d: the antisymmetries that
+        ``curvature_at`` asserts give every other entry."""
+        return curvature_operator_matrix(self) == [
+            [gamma * v for v in row] for row in _compound(self.metric, 2)]
 
 
-def christoffels(metric: ChartMetric, x) -> np.ndarray:
-    return _christoffel_arrays(metric, np.asarray(x, dtype=float))[2]
+def _dot(xs, ys):
+    """sum x * y, skipping zero factors: most entries on a conformal chart
+    are 0, and a skipped product costs no ``Fraction`` arithmetic."""
+    return sum(x * y for x, y in zip(xs, ys) if x and y)
+
+
+def _matmul(a, b):
+    return [[_dot(row, col) for col in zip(*b)] for row in a]
+
+
+def _christoffel(ginv, dg, d2g):
+    """d_a g^ij, Gamma^k_ij and d_a Gamma^k_ij, from the doubled
+    first-kind symbols C[i][j][l] = d_i g_jl + d_j g_il - d_l g_ij."""
+    r = range(len(ginv))
+    C = [[[dg[i][j][l] + dg[j][i][l] - dg[l][i][j] for l in r] for j in r] for i in r]
+    dC = [[[[d2g[a][i][j][l] + d2g[a][j][i][l] - d2g[a][l][i][j] for l in r] for j in r]
+           for i in r] for a in r]
+    # d_a g^-1 = -g^-1 (d_a g) g^-1
+    dginv = [[[-v for v in row] for row in _matmul(_matmul(ginv, dg[a]), ginv)] for a in r]
+    gamma = [[[_dot(ginv[k], C[i][j]) * HALF for j in r] for i in r] for k in r]
+    dgamma = [[[[(_dot(dginv[a][k], C[i][j]) + _dot(ginv[k], dC[a][i][j])) * HALF
+                 for j in r] for i in r] for k in r] for a in r]
+    return dginv, gamma, dgamma
 
 
 def curvature_at(metric: ChartMetric, point) -> CurvatureData:
-    """Assemble the curvature tensor and verify its symmetries."""
-    x = np.asarray(point, dtype=float)
-    m = metric.m
-    g, ginv, gamma, dgamma = _christoffel_arrays(metric, x)
-    eigvals = np.linalg.eigvalsh(g)
-    if eigvals.min() <= 0:
+    """The curvature of the chart at a point, exactly.  Raises
+    ``ValueError`` where g is not positive-definite, and
+    ``AssertionError`` where the Riemann tensor breaks one of its
+    symmetries or the first Bianchi identity."""
+    x = [Fraction(v) for v in point]
+    g, dg, d2g = metric.jet(x)
+    if not is_positive_definite(g):
         raise ValueError("metric is not positive-definite at the point")
-    # R^d_{abc} = d_a Gamma^d_bc - d_b Gamma^d_ac
-    #             + Gamma^e_bc Gamma^d_ae - Gamma^e_ac Gamma^d_be
-    up = np.zeros((m, m, m, m))
-    for a in range(m):
-        for b in range(m):
-            for c in range(m):
-                for d in range(m):
-                    val = dgamma[a, d, b, c] - dgamma[b, d, a, c]
-                    for e in range(m):
-                        val += gamma[e, b, c] * gamma[d, a, e] \
-                            - gamma[e, a, c] * gamma[d, b, e]
-                    up[a, b, c, d] = val
-    low = np.einsum("abce,ed->abcd", up, g)
-
-    chol = np.linalg.cholesky(g)
-    frame = np.linalg.inv(chol).T
-    rf = np.einsum("abcd,ai,bj,ck,dl->ijkl", low, frame, frame, frame, frame)
-
-    scale = max(1.0, float(np.max(np.abs(rf))))
-    sym = max(
-        float(np.max(np.abs(rf + np.transpose(rf, (1, 0, 2, 3))))),
-        float(np.max(np.abs(rf + np.transpose(rf, (0, 1, 3, 2))))),
-        float(np.max(np.abs(rf - np.transpose(rf, (2, 3, 0, 1))))),
-    ) / scale
-    bianchi = float(np.max(np.abs(
-        rf + np.transpose(rf, (1, 2, 0, 3)) + np.transpose(rf, (2, 0, 1, 3))))) / scale
-    data = CurvatureData(x, g, gamma, dgamma, low, frame, rf, sym, bianchi)
-    if sym > SYMMETRY_TOL or bianchi > SYMMETRY_TOL:
-        raise AssertionError(
-            f"curvature symmetry defects too large: {sym:.3e}, {bianchi:.3e}")
-    return data
+    m = metric.m
+    r = range(m)
+    ginv = [row[m:] for row in rref([row + [int(i == j) for j in r]
+                                     for i, row in enumerate(g)])[0]]
+    dginv, gamma, dgamma = _christoffel(ginv, dg, d2g)
+    # column[b][c][e] = Gamma^e_bc
+    column = [[[gamma[e][b][c] for e in r] for c in r] for b in r]
+    up = [[[[dgamma[a][d][b][c] - dgamma[b][d][a][c] + _dot(column[b][c], gamma[d][a])
+             - _dot(column[a][c], gamma[d][b]) for d in r] for c in r] for b in r] for a in r]
+    R = [[[[_dot(up[a][b][c], g[d]) for d in r] for c in r] for b in r] for a in r]
+    for a, b, c, d in product(r, repeat=4):
+        if not (R[a][b][c][d] == -R[b][a][c][d] == -R[a][b][d][c] == R[c][d][a][b]
+                and R[a][b][c][d] + R[b][c][a][d] + R[c][a][b][d] == 0):
+            raise AssertionError(
+                f"Riemann tensor breaks a symmetry or the Bianchi identity at {(a, b, c, d)}")
+    return CurvatureData(x, g, ginv, dginv, gamma, dgamma, up, R)
 
 
-def curvature_operator_matrix(data: CurvatureData) -> np.ndarray:
-    """The symmetric operator on two-vectors, entries R[a,b,d,c] over
-    ordered pairs a<b, c<d; gamma * Id on constant-curvature charts."""
-    m = data.riemann.shape[0]
-    pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
-    mat = np.zeros((len(pairs), len(pairs)))
-    for r, (a, b) in enumerate(pairs):
-        for s, (c, d) in enumerate(pairs):
-            mat[r, s] = data.riemann[a, b, d, c]
-    return mat
+def _det(rows) -> Fraction:
+    """Leibniz expansion; the matrices here are at most m x m."""
+    return sum(sort_with_sign(perm)[0] * prod(row[j] for row, j in zip(rows, perm))
+               for perm in permutations(range(len(rows))))
+
+
+def _compound(matrix, p: int) -> list[list[Fraction]]:
+    """The p-th compound: det(matrix[I, J]) over p-subsets I, J."""
+    idx = multi_indices(len(matrix), p)
+    return [[_det([[matrix[i - 1][j - 1] for j in J] for i in I]) for J in idx] for I in idx]
+
+
+def curvature_operator_matrix(data: CurvatureData) -> list[list[Fraction]]:
+    """The curvature operator as a quadratic form on two-vectors, entries
+    R_abdc over pairs a<b, c<d; on a chart of constant curvature gamma
+    it is gamma times the induced metric on two-vectors."""
+    pairs = multi_indices(len(data.metric), 2)
+    return [[data.riemann[a - 1][b - 1][d - 1][c - 1] for c, d in pairs] for a, b in pairs]
+
+
+def _weitzenbock(data: CurvatureData, forms):
+    """W on each form (all of one degree; W = 0 on functions):
+    W = sum_{a,c} dx^a ^ i(g^{c.}) L_ac, where L_ac lifts the matrix
+    R^d_{ace} (rows d) to forms.  L_ac is minus R(d_a, d_c) acting on
+    forms as a derivation, so this is the usual
+    W = -sum e^a ^ i(e_b) R(e_a, e_b), which is g^-1 Ric on 1-forms."""
+    m = len(data.metric)
+    r = range(m)
+    # a pair (a, c) with R(d_a, d_c) = 0 adds nothing
+    terms = [(ConstantForm.basis(m, (a + 1,)), data.inverse[c],
+              LinearEndomorphism([[data.riemann_up[a][c][e][d] for e in r] for d in r]))
+             for a in r for c in r if any(map(any, data.riemann_up[a][c]))]
+    return [sum((dx.wedge(lift.lift(w).interior(v)) for dx, v, lift in terms), w * 0)
+            if w.p else w * 0 for w in forms]
 
 
 def weitzenbock_at(metric: ChartMetric, point, p: int,
-                   data: CurvatureData | None = None) -> np.ndarray:
-    """Matrix of the curvature term of the Bochner formula on p-forms,
-    in the orthonormal frame at the point.
-
-    Definitional double sum: for each argument slot replaced by a frame
-    vector, the induced curvature action on the form is expanded through
-    the frame Riemann tensor.
-    """
-    if data is None:
-        data = curvature_at(metric, point)
-    m = metric.m
-    rf = data.riemann
-    idx = multi_indices(m, p)
-    pos = {I: t for t, I in enumerate(idx)}
-    dim = len(idx)
-    W = np.zeros((dim, dim))
-    if p == 0:
-        return W
-    for t, I in enumerate(idx):
-        for j_slot in range(p):
-            Xj = I[j_slot]
-            for i in range(1, m + 1):
-                base = list(I)
-                base[j_slot] = i
-                for k_slot in range(p):
-                    cur = base[k_slot]
-                    for d in range(1, m + 1):
-                        coeff = rf[i - 1, Xj - 1, cur - 1, d - 1]
-                        if coeff == 0.0:
-                            continue
-                        args = list(base)
-                        args[k_slot] = d
-                        sign, K = sort_with_sign(args)
-                        if sign == 0:
-                            continue
-                        W[t, pos[K]] -= coeff * sign
-    return W
-
-
-# ---------------------------------------------------------------------------
-# Finite-difference Bochner check.
-# ---------------------------------------------------------------------------
-
-def _form_evaluator(omega: PolyForm):
-    idx = multi_indices(omega.m, omega.p)
-    polys = [omega.coeffs.get(I) for I in idx]
-
-    def ev(x):
-        return np.array([float(c.evaluate(list(x))) if c is not None else 0.0
-                         for c in polys])
-
-    return ev
-
-
-def _fd(field, x, k, h):
-    e = np.zeros_like(x)
-    e[k] = h
-    return (field(x + e) - field(x - e)) / (2.0 * h)
-
-
-def _gamma_correct_form(gamma, vals, idx, pos, k, m):
-    """Christoffel correction -sum_slot Gamma^a_{k i_slot} w_{I[slot]->a}."""
-    out = np.zeros(len(idx))
-    for t, I in enumerate(idx):
-        corr = 0.0
-        for slot, isl in enumerate(I):
-            for a in range(1, m + 1):
-                gam = gamma[a - 1, k, isl - 1]
-                if gam == 0.0:
-                    continue
-                sign, K = sort_with_sign(I[:slot] + (a,) + I[slot + 1:])
-                if sign == 0:
-                    continue
-                corr += gam * sign * vals[pos[K]]
-        out[t] = corr
-    return out
-
-
-def _delta_at(metric: ChartMetric, field, p: int, x, h):
-    """Codifferential of a p-form field at x: -g^{kl} i_k (nabla_l .)."""
-    m = metric.m
-    idx = multi_indices(m, p)
-    pos = {I: t for t, I in enumerate(idx)}
-    out_idx = multi_indices(m, p - 1)
-    g = metric.value(x)
-    ginv = np.linalg.inv(g)
-    gamma = christoffels(metric, x)
-    vals = field(x)
-    nabla = np.zeros((m, len(idx)))
-    for k in range(m):
-        nabla[k] = _fd(field, x, k, h) - _gamma_correct_form(gamma, vals, idx, pos, k, m)
-    out = np.zeros(len(out_idx))
-    for t, J in enumerate(out_idx):
-        total = 0.0
-        for k in range(m):
-            for l in range(m):
-                w = ginv[k, l]
-                if w == 0.0:
-                    continue
-                sign, K = sort_with_sign((l + 1,) + J)
-                if sign == 0:
-                    continue
-                total += w * sign * nabla[k][pos[K]]
-        out[t] = -total
-    return out
-
-
-def _d_at(metric: ChartMetric, field, p: int, x, h):
-    """Exterior derivative of a p-form field at x (metric-free)."""
-    m = metric.m
-    idx = multi_indices(m, p)
-    pos = {I: t for t, I in enumerate(idx)}
-    out_idx = multi_indices(m, p + 1)
-    partials = np.array([_fd(field, x, k, h) for k in range(m)])
-    out = np.zeros(len(out_idx))
-    for t, K in enumerate(out_idx):
-        total = 0.0
-        for s in range(p + 1):
-            rest = K[:s] + K[s + 1:]
-            total += (-1) ** s * partials[K[s] - 1][pos[rest]]
-        out[t] = total
-    return out
-
-
-def _rough_laplacian_at(metric: ChartMetric, field, p: int, x, h):
-    """Connection Laplacian nabla* nabla at x, outer derivative by FD."""
-    m = metric.m
-    idx = multi_indices(m, p)
-    pos = {I: t for t, I in enumerate(idx)}
-
-    def first_derivative(y):
-        gamma_y = christoffels(metric, y)
-        vals_y = field(y)
-        rows = np.zeros((m, len(idx)))
-        for l in range(m):
-            rows[l] = _fd(field, y, l, h) - _gamma_correct_form(
-                gamma_y, vals_y, idx, pos, l, m)
-        return rows
-
-    g = metric.value(x)
-    ginv = np.linalg.inv(g)
-    gamma = christoffels(metric, x)
-    T = first_derivative(x)
-    out = np.zeros(len(idx))
-    for k in range(m):
-        ek = np.zeros(m)
-        ek[k] = h
-        fd_T = (first_derivative(x + ek) - first_derivative(x - ek)) / (2.0 * h)
-        for l in range(m):
-            # (nabla_k T)[l] = d_k T[l] - Gamma^a_{kl} T[a] - form-slot terms
-            row = fd_T[l].copy()
-            for a in range(m):
-                gam = gamma[a, k, l]
-                if gam:
-                    row -= gam * T[a]
-            row -= _gamma_correct_form(gamma, T[l], idx, pos, k, m)
-            out -= ginv[k, l] * row
-    return out
-
-
-def _frame_compound(frame: np.ndarray, p: int) -> np.ndarray:
-    """Matrix sending coordinate components to orthonormal-frame
-    components of a p-form."""
-    m = frame.shape[0]
-    idx = multi_indices(m, p)
-    dim = len(idx)
-    out = np.zeros((dim, dim))
-    for r, I in enumerate(idx):
-        for s, J in enumerate(idx):
-            sub = frame[np.ix_([j - 1 for j in J], [i - 1 for i in I])]
-            out[r, s] = np.linalg.det(sub)
-    return out
-
-
-@dataclass
-class BochnerReport:
-    point: np.ndarray
-    h: float
-    residual: float
-    residual_half: float
-
-    @property
-    def order(self) -> float:
-        if self.residual_half == 0:
-            return float("inf")
-        return math.log2(self.residual / self.residual_half)
+                   data: CurvatureData | None = None) -> list[list[Fraction]]:
+    """Matrix of the curvature term W of the Bochner formula on p-forms,
+    in the coordinate frame (rows as in the module docstring)."""
+    data = data if data is not None else curvature_at(metric, point)
+    idx = multi_indices(metric.m, p)
+    images = _weitzenbock(data, [ConstantForm.basis(metric.m, I) for I in idx])
+    return [[w.coeffs.get(J, Fraction(0)) for J in idx] for w in images]
 
 
 def bochner_residual(metric: ChartMetric, omega: PolyForm, point,
-                     h: float = 1e-3) -> BochnerReport:
-    """|Delta w - nabla*nabla w - W w| at the point, all derivative
-    compositions by centred differences with step h (and h/2 for the
-    order estimate)."""
-    if not 1e-4 <= h <= 1e-2:
-        raise ValueError("step size outside [1e-4, 1e-2]")
-    x = np.asarray(point, dtype=float)
-    m, p = metric.m, omega.p
+                     data: CurvatureData | None = None) -> ConstantForm:
+    """Delta w - nabla* nabla w - W w at the point, exactly: the Bochner
+    formula holds there iff this is the zero form.
 
-    def residual_for(step: float) -> float:
-        ev = _form_evaluator(omega)
-        hodge = np.zeros(len(multi_indices(m, p)))
-        if p >= 1:
-            delta_field = lambda y: _delta_at(metric, ev, p, y, step)
-            hodge = hodge + _d_at(metric, delta_field, p - 1, x, step)
-        if p <= m - 1:
-            d_field = lambda y: _d_at(metric, ev, p, y, step)
-            hodge = hodge + _delta_at(metric, d_field, p + 1, x, step)
-        rough = _rough_laplacian_at(metric, ev, p, x, step)
-        data = curvature_at(metric, x)
-        Wmat = weitzenbock_at(metric, x, p, data)
-        comp = _frame_compound(data.frame, p)
-        w_coord = np.linalg.solve(comp, Wmat @ (comp @ ev(x)))
-        resid = hodge - rough - w_coord
-        return float(np.linalg.norm(comp @ resid))
+    Every term comes from the exact jets of w and of the metric:
+    nabla_k w = d_k w - L(Gamma_k) w, where L lifts the rows
+    Gamma^a_{k.} to forms; delta = -g^kl i_k nabla_l; and
+    nabla* nabla w = -g^kl (d_k nabla_l w - L(Gamma_k) nabla_l w
+    - Gamma^a_kl nabla_a w).
+    """
+    data = data if data is not None else curvature_at(metric, point)
+    m, p, x = metric.m, omega.p, data.point
+    r = range(m)
+    ginv, gamma = data.inverse, data.christoffel
+    conn = [LinearEndomorphism([[gamma[a][k][b] for b in r] for a in r]) for k in r]
+    dconn = [[LinearEndomorphism([[data.christoffel_d[j][a][k][b] for b in r] for a in r])
+              for k in r] for j in r]
 
-    return BochnerReport(x, h, residual_for(h), residual_for(h / 2.0))
+    at = lambda f: ConstantForm(m, f.p, {I: c.evaluate(x) for I, c in f.coeffs.items()})
+
+    def nabla(form):
+        """form, d_k form and nabla_k form at x."""
+        f0, f1 = at(form), [at(form.partial(k + 1)) for k in r]
+        return f0, f1, [f1[k] - conn[k].lift(f0) for k in r]
+
+    w0, w1, nab = nabla(omega)
+    # d_j nabla_l w
+    dnab = [[at(omega.partial(j + 1).partial(l + 1)) - dconn[j][l].lift(w0)
+             - conn[l].lift(w1[j]) for l in r] for j in r]
+    rough = w0 * 0
+    for k, l in product(r, r):
+        hess = dnab[k][l] - conn[k].lift(nab[l]) - sum(
+            (nab[a] * gamma[a][k][l] for a in r), w0 * 0)
+        rough -= hess * ginv[k][l]
+    hodge = w0 * 0
+    if p >= 1:
+        # d delta w, with d_j delta w = -sum_l (i(d_j g^{l.}) + i(g^{l.}) d_j) nabla_l w
+        for j in r:
+            ddelta = sum((nab[l].interior(data.inverse_d[j][l])
+                          + dnab[j][l].interior(ginv[l]) for l in r), ConstantForm.zero(m, p - 1))
+            hodge -= ConstantForm.basis(m, (j + 1,)).wedge(ddelta)
+    if p < m:
+        eta_nab = nabla(omega.d())[2]
+        hodge -= sum((eta_nab[l].interior(ginv[l]) for l in r), w0 * 0)
+    return hodge - rough - _weitzenbock(data, [w0])[0]
 
 
-@dataclass
-class GallotMeyerReport:
-    gamma: float
-    points_checked: int
-    forms_checked: int
-    min_curvature_eigenvalue: float
-    worst_margin: float
-    passed: bool
-
-
-def gallot_meyer_check(metric: ChartMetric, p: int, gamma: float,
-                       points, forms_per_point: int = 5, seed: int = 0,
-                       tol: float = 1e-8) -> GallotMeyerReport:
-    """Check <W w, w> >= p(m-p) gamma |w|^2 at sample points, after
-    certifying that the curvature operator is bounded below by gamma."""
-    m = metric.m
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    dim = len(multi_indices(m, p))
-    min_eig = float("inf")
-    worst = float("inf")
-    count = 0
-    for pt in points:
-        data = curvature_at(metric, pt)
-        op = curvature_operator_matrix(data)
-        eigs = np.linalg.eigvalsh(op)
-        min_eig = min(min_eig, float(eigs.min()))
-        if eigs.min() < gamma - tol:
-            return GallotMeyerReport(gamma, len(points), 0, min_eig,
-                                     float("-inf"), False)
-        Wmat = weitzenbock_at(metric, pt, p, data)
-        bound = p * (m - p) * gamma
-        for _ in range(forms_per_point):
-            v = rng.standard_normal(dim)
-            norm = float(v @ v)
-            margin = float(v @ Wmat @ v) - bound * norm
-            worst = min(worst, margin / max(norm, 1e-30))
-            count += 1
-    return GallotMeyerReport(gamma, len(points), count, min_eig, worst,
-                             worst >= -tol)
+def gallot_meyer_check(metric: ChartMetric, p: int, gamma, points,
+                       data: list[CurvatureData] | None = None) -> bool:
+    """Whether, at every point, the curvature operator is at least gamma
+    and W is at least p(m-p) gamma on p-forms, each decided by an exact
+    PSD test: R_abdc - gamma (g_ac g_bd - g_ad g_bc) on two-vectors, and
+    (W - p(m-p) gamma) G_p with G_p[I][J] = det(g^-1[I, J]) the metric on
+    p-forms.  ``data``, when given, is ``curvature_at`` of each point."""
+    m, gamma = metric.m, Fraction(gamma)
+    bound = p * (m - p) * gamma
+    for d in data if data is not None else [curvature_at(metric, pt) for pt in points]:
+        bivector = _compound(d.metric, 2)
+        hypothesis = [[rc - gamma * bv for rc, bv in zip(rows, brows)]
+                      for rows, brows in zip(curvature_operator_matrix(d), bivector)]
+        shifted = [[w - bound * (i == j) for j, w in enumerate(row)]
+                   for i, row in enumerate(weitzenbock_at(metric, d.point, p, d))]
+        excess = _matmul(shifted, _compound(d.inverse, p))
+        if not (is_positive_semidefinite(hypothesis) and is_positive_semidefinite(excess)):
+            return False
+    return True

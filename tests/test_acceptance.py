@@ -9,7 +9,6 @@ import json
 import time
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from densities import pairs_density
@@ -41,7 +40,6 @@ from oracle import certify_eigenvalue, full_stiffness, mat_sub, nullity, scalar_
 SEED = 20240811
 FLOAT_EIGEN_TOL = 1e-8
 RESCALE_TOL = 1e-10
-BOCHNER_ORDER_MIN = 1.9
 MC_SIGMA = 3.0
 MC_SAMPLES = 10 ** 6
 
@@ -321,33 +319,35 @@ def test_criterion_11_quadrature_oracle():
 
 
 def test_criterion_12_curvature_module():
-    """Flat chart exact zeros; round chart scalar curvature term;
-    second-order convergence; curvature-operator lower bound."""
-    pts3 = ([0.0, 0.0, 0.0], [0.2, -0.1, 0.15], [0.3, 0.25, -0.2])
+    """Flat chart exact zeros; round chart constant curvature and scalar
+    curvature term; the Bochner formula exactly; curvature-operator
+    lower bound by exact PSD tests."""
+    F = Fraction
+    pts3 = ([0, 0, 0], [F(1, 5), F(-1, 10), F(3, 20)], [F(3, 10), F(1, 4), F(-1, 5)])
     flat = ChartMetric.flat(3)
     for pt in pts3:
         data = curvature_at(flat, pt)
-        assert float(np.max(np.abs(data.riemann))) == 0.0
+        assert data.has_constant_curvature(0)
         for p in (1, 2):
-            assert float(np.max(np.abs(weitzenbock_at(flat, pt, p, data)))) == 0.0
+            assert not any(map(any, weitzenbock_at(flat, pt, p, data)))
     rng = rng_for(SEED, "c12")
     omega = random_form(rng, 3, 1, 3)
-    flat_rep = bochner_residual(flat, omega, pts3[1], h=1e-2)
-    assert flat_rep.residual <= 1e-10
+    assert bochner_residual(flat, omega, pts3[1]).is_zero()
 
     rs = ChartMetric.round_sphere(3)
     for pt in pts3:
+        data = curvature_at(rs, pt)
+        assert data.has_constant_curvature(1)
         for p in (1, 2):
-            W = weitzenbock_at(rs, pt, p)
-            dev = float(np.max(np.abs(W - p * (3 - p) * np.eye(W.shape[0]))))
-            assert dev <= FLOAT_EIGEN_TOL
+            W = weitzenbock_at(rs, pt, p, data)
+            assert W == [[p * (3 - p) * (i == j) for j in range(3)] for i in range(3)]
     lin = random_form(rng, 3, 1, 1)
-    round_rep = bochner_residual(rs, lin, pts3[1], h=1e-3)
-    assert round_rep.order >= BOCHNER_ORDER_MIN
-    gm = gallot_meyer_check(rs, 1, 1.0, pts3, seed=SEED)
-    assert gm.passed
-    report(f"criterion 12: flat zeros exact, round scalar term within 1e-8, "
-           f"convergence order {round_rep.order:.3f} >= 1.9, curvature bound holds")
+    assert bochner_residual(rs, lin, pts3[1]).is_zero()
+    assert gallot_meyer_check(rs, 1, 1, pts3)
+    assert not gallot_meyer_check(rs, 1, 2, pts3)
+    report("criterion 12: flat zeros, round constant curvature and scalar term "
+           "p(m-p) Id, Bochner residual 0, curvature bound holds at 1 and not at 2, "
+           "all exact")
 
 
 def test_criterion_13_determinism():

@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import pickle
+import re
 import signal
 import subprocess
 import sys
@@ -53,6 +54,20 @@ class TestConfig:
         assert cfg.seed == 5  # flag wins over file
         assert cfg.l_max == 1
 
+    def test_help_states_each_default_of_its_field(self):
+        defaults = RunConfig(suites=[])
+        [subcommands] = [a for a in build_parser()._actions if a.dest == "suite"]
+        for name, sub in subcommands.choices.items():
+            stated = {}
+            for action in sub._actions:
+                found = re.search(r"\(default (\S+)\)", action.help or "")
+                if found:
+                    stated[action.dest] = found.group(1)
+            assert sorted(stated) == ["dim", "jobs", "lmax"], name
+            for dest, _, field, parse, _ in cli.OPTIONS:
+                if dest in stated:
+                    assert parse(stated[dest]) == getattr(defaults, field), (name, dest)
+
     def test_bad_config_line(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("dims 2,3\n")
@@ -98,7 +113,7 @@ class TestRunSuites:
             suite["checks"] = [r for r in suite["checks"]
                                if not r["id"].startswith("quadrature-oracle/")]
         digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
-        assert digest == "3465428232b3fda04242d90e85e15aa8586cdaf36b1d314ea0829cceeb75cb6e"
+        assert digest == "88cdaebc372b1821fef719a474fa5bd78a257fd7d4dc3628e477bb328da1bb00"
 
     def test_crash_traceback_kept_under_timing(self, monkeypatch, tmp_path):
         pids = tmp_path / "pids"
@@ -302,7 +317,7 @@ class TestMainEntry:
         runs = list(tmp_path.iterdir())
         assert len(runs) == 1
         report = json.loads((runs[0] / "report.json").read_text())
-        assert report["schema_version"] == 2
+        assert report["schema_version"] == 3
         assert (runs[0] / "identities.csv").exists()
 
     def test_exit_two_on_bad_degree(self, tmp_path, capsys):
@@ -413,24 +428,18 @@ class TestMainEntry:
         assert proc.returncode == 0
         assert "checks passed" in proc.stdout
 
-    @pytest.mark.parametrize("argv", [["curvature", "--dim", "5"],
-                                      ["all", "--dim", "3,5"]])
-    def test_exit_two_on_curvature_dimension_above_four(self, tmp_path, capsys, argv):
-        code = main(argv + ["--lmax", "1", "--out", str(tmp_path)])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "curvature suite covers dimensions 2..4; got dimensions [5]" in err
-        assert "Traceback" not in err
-        assert not list(tmp_path.iterdir())
-
-    def test_curvature_dimension_checked_for_config_suites(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("suites = spectra, curvature\ndims = 4,6\n")
-        cfg = build_config(build_parser().parse_args(["all", "--config", str(path)]))
-        with pytest.raises(ConfigError, match=r"2\.\.4; got dimensions \[6\]"):
-            cfg.validate()
-        path.write_text("suites = spectra\ndims = 6\n")
-        build_config(build_parser().parse_args(["all", "--config", str(path)])).validate()
+    def test_curvature_suite_runs_above_dimension_four(self, tmp_path, capsys):
+        code = main(["curvature", "--dim", "5,6", "--out", str(tmp_path)])
+        assert code == 0
+        assert "4/4 checks passed" in capsys.readouterr().out
+        [run] = tmp_path.iterdir()
+        checks = json.loads((run / "report.json").read_text())["suites"]["curvature"]["checks"]
+        assert [c["id"] for c in checks] == ["curvature/flat/m5", "curvature/round/m5",
+                                             "curvature/flat/m6", "curvature/round/m6"]
+        for c in checks:
+            assert c["pass"] and c["bochner_residual"] == "0"
+            assert c.get("weitzenbock_deviation", "0") == "0"
+            assert c.get("gallot_meyer", True) is True
 
     @pytest.fixture
     def no_cases(self, monkeypatch):

@@ -91,7 +91,8 @@ SHIFT_THETA = ("import formlab.spectral as sp\n"
     pytest.param("spectrum", SPECTRUM_ABSENT, "", 0, 1, id="spectrum-absent0"),
     pytest.param("bounds", ["numpy", "formlab.curvature"], "", 0, 1, id="bounds-absent1"),
     pytest.param("verify", ["formlab.curvature"], "", 0, 1, id="verify-absent"),
-    pytest.param("curvature", ["formlab.identities"], "", 0, 1, id="curvature-absent"),
+    pytest.param("curvature", ["numpy", "formlab.identities"], "", 0, 1,
+                 id="curvature-absent"),
     pytest.param("spectrum", SPECTRUM_ABSENT, SHIFT_THETA, 1, 1,
                  id="spectrum-failed-certificate"),
     # forked workers, not a pool: at dimensions 2 and 3 the spectrum has
