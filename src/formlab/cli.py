@@ -17,6 +17,8 @@ Report schema (``report.json``):
                      <suite>       the sum of its cases' seconds (a float)
                      "tracebacks"  full traceback of each crashed case by id
                      "jobs"        the --jobs value
+                     "workers"     the summed case seconds of each worker, a
+                                   list indexed by worker
 
 A spectra record carries "operator", "m", "p", "radius", "l_max",
 "eigenvalues" (groups {"value", "multiplicity"}), "blocks" (one row
@@ -66,11 +68,15 @@ put back in list order.
 
 ``--jobs K`` splits the case list into groups (every spectrum, scaling,
 bounds and chain case of one (m, p) is one group, since they share its
-bases and assemblies; every other case is a group of its own) and deals
-the groups round-robin to min(K, groups) workers.  Worker 0 is the
-calling process; the others are ``os.fork`` children, which inherit the
-case list, the run's context and every module loaded while building
-the list.  At ``--jobs 1`` nothing is forked.
+bases and assemblies; every quadrature-oracle case is in one group, so
+that numpy loads in one process; every other case is a group of its
+own) and deals the groups to min(K, groups) workers longest first, by
+the cost estimates of ``CASE_COSTS``, each to the least-loaded worker.
+Worker 0 is the calling process; the others are ``os.fork`` children,
+which inherit the case list, the run's context and every module loaded
+while building the list.  At ``--jobs 1`` nothing is forked.  numpy is
+imported by the first oracle case that runs, so that case's
+``timing.cases`` entry includes the import.
 """
 
 from __future__ import annotations
@@ -112,6 +118,9 @@ MAX_SEED = (2 ** 128 - ORACLE_DRAWS) // 1000
 # ~5.7e-7 per draw, so chance failures stay negligible over many draws
 # and seeds, while an exact value off by half lies tens of sigma away.
 ORACLE_SIGMA_BOUND = 5.0
+# The group label of every quadrature-oracle case: the oracle is the only
+# code that imports numpy, so one worker loads it.
+ORACLE_GROUP = "quadrature-oracle"
 
 
 @dataclass
@@ -210,11 +219,20 @@ class Case:
     """One check: ``run(ctx, **args)`` returns its record, to which the
     runner adds ``"id": key``.  ``run`` is a module-level function, so a
     case pickles.  Cases sharing a ``group`` other than None run in one
-    worker (``_partition``)."""
+    worker, and ``cost`` estimates the case's run time, by which
+    ``_partition`` deals the groups."""
     key: str
     run: Callable[..., dict]
     args: dict
-    group: tuple | None = None
+    group: tuple | str | None = None
+
+    @property
+    def cost(self) -> float:
+        """Estimated milliseconds: ``CASE_COSTS`` of the case's function,
+        scaled to its dimension m (its ``m`` argument or its domain's)."""
+        ms, growth = CASE_COSTS[self.run]
+        m = self.args["dom"].m if "dom" in self.args else self.args["m"]
+        return ms * growth ** (m - 3)
 
 
 def _float_poly(p: Polynomial) -> Polynomial:
@@ -416,8 +434,8 @@ def _quadrature_oracle(ctx: _Context, m) -> dict:
 
 def _identity_cases(cfg: RunConfig):
     # loaded here, before any worker is forked, so that each loads once;
-    # the quadrature oracle draws with numpy
-    import_module("numpy")
+    # numpy is left to mc_oracle, which imports it in the one worker that
+    # runs the oracle's group
     import_module(".identities", __package__)
     import_module(".sampling", __package__)
     for m in cfg.dims:
@@ -443,7 +461,7 @@ def _identity_cases(cfg: RunConfig):
             yield Case(f"pointwise-lemmas/m{m}/R{R}", _pointwise_lemmas, {"dom": dom})
             yield Case(f"hessian-estimate/m{m}/R{R}", _hessian_estimate, {"dom": dom})
     for m in cfg.dims:
-        yield Case(f"quadrature-oracle/m{m}", _quadrature_oracle, {"m": m})
+        yield Case(f"quadrature-oracle/m{m}", _quadrature_oracle, {"m": m}, ORACLE_GROUP)
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +503,7 @@ def _chain(ctx: _Context, kind, p, dom) -> dict:
 
 
 def _bounds_cases(cfg: RunConfig):
-    # loaded before any worker is forked, as in _identity_cases
+    # loaded before any worker is forked, so that it loads once
     import_module(".identities", __package__)
     for m in cfg.dims:
         for p in cfg.degrees_for(m, "bounds"):
@@ -550,7 +568,7 @@ def _round_chart(ctx: _Context, m, pts) -> dict:
 
 
 def _curvature_cases(cfg: RunConfig):
-    # loaded before any worker is forked, as in _identity_cases
+    # loaded before any worker is forked, so that each loads once
     import_module(".curvature", __package__)
     import_module(".sampling", __package__)
     for m in cfg.dims:
@@ -563,26 +581,55 @@ def _curvature_cases(cfg: RunConfig):
 CASES = {"identities": _identity_cases, "spectra": _spectra_cases,
          "bounds": _bounds_cases, "curvature": _curvature_cases}
 
+# Estimated cost of a case by its function: milliseconds at m = 3, and the
+# factor it grows by per step in m (``Case.cost``).  From the medians of 5
+# warm-cache --jobs 1 runs of `all --dim 2,3,4 --lmax 2 --radius 1,1/2`
+# (seed 7, a 2-core x86-64 VM): the mean ``timing.cases`` entry of each
+# function at m = 3, and the square root of its ratio between m = 4 and
+# m = 2.  Only the ratios matter: they decide the deal, never a result.
+CASE_COSTS = {
+    _reilly_poly: (13, 4.0), _reilly_canonical: (9, 2.9), _stokes: (1.6, 2.6),
+    _unweighted_match: (6, 2.8), _function_match: (7, 1.6), _pohozhaev: (2.7, 2.6),
+    _pointwise_lemmas: (14, 4.0), _hessian_estimate: (13, 2.0),
+    _quadrature_oracle: (116, 1.2),
+    _spectrum: (8.7, 3.5), _scaling: (0.05, 1.0), _bounds: (0.13, 1.4), _chain: (2.5, 2.1),
+    _flat_chart: (12, 3.1), _round_chart: (32, 3.1),
+}
+# Milliseconds the oracle's group costs once, whatever its cases: numpy's
+# import (107 by `python -X importtime -c "import numpy"`).
+NUMPY_IMPORT_MS = 107
+
 
 # ---------------------------------------------------------------------------
 # Orchestration.
 # ---------------------------------------------------------------------------
 
-def _partition(groups: list, jobs: int) -> list[list[int]]:
-    """Case indices per worker, from each case's group label.
+def _partition(groups: list, costs: list[float], jobs: int) -> list[list[int]]:
+    """Case indices per worker, from each case's group label and cost.
 
     Cases sharing a label other than None form one group; every other
-    case is a group of its own.  Groups go round-robin, in order of
-    their first case, to min(jobs, number of groups) workers (at least
-    one), so the split depends on the case list alone and worker 0's
-    share is empty only when there is no case."""
-    number: dict = {}
-    slots = [number.setdefault(("case", i) if g is None else ("group", g), len(number))
-             for i, g in enumerate(groups)]
-    shares: list[list[int]] = [[] for _ in range(max(1, min(jobs, len(number))))]
-    for i, slot in enumerate(slots):
-        shares[slot % len(shares)].append(i)
-    return shares
+    case is a group of its own.  A group costs the sum of its cases'
+    costs, plus ``NUMPY_IMPORT_MS`` for the oracle's.  Longest first (ties in order
+    of their first case), each group goes to the least-loaded of
+    min(jobs, number of groups) workers (at least one), an empty worker
+    before a busy one of equal load and otherwise the highest-numbered
+    of equal load.  So the split depends on the case list alone, the
+    heaviest group runs in the last worker, a forked one when there are
+    two or more, and worker 0's share is empty only when there is no
+    case."""
+    members: dict = {}
+    load: dict = {}
+    for i, (g, cost) in enumerate(zip(groups, costs)):
+        label = ("case", i) if g is None else ("group", g)
+        members.setdefault(label, []).append(i)
+        load[label] = load.get(label, NUMPY_IMPORT_MS if g == ORACLE_GROUP else 0) + cost
+    shares: list[list[int]] = [[] for _ in range(max(1, min(jobs, len(members))))]
+    totals = [0.0] * len(shares)
+    for label in sorted(members, key=lambda label: -load[label]):
+        w = min(range(len(shares)), key=lambda w: (totals[w], bool(shares[w]), -w))
+        shares[w] += members[label]
+        totals[w] += load[label]
+    return [sorted(share) for share in shares]
 
 
 def _run_share(ctx: _Context, cases: list[Case], share: list[int]) -> list[tuple]:
@@ -668,16 +715,20 @@ def run_suites(cfg: RunConfig) -> dict:
     # every case of every selected suite, in report order
     listed = [(suite, case) for suite in selected for case in CASES[suite](cfg)]
     cases = [case for _, case in listed]
-    results = _run_workers(ctx, cases, _partition([c.group for c in cases], cfg.jobs))
+    shares = _partition([c.group for c in cases], [c.cost for c in cases], cfg.jobs)
+    results = _run_workers(ctx, cases, shares)
+    worker_of = {i: w for w, share in enumerate(shares) for i in share}
     suites_out: dict = {suite: {"checks": []} for suite in selected}
     timing: dict = ({suite: 0.0 for suite in selected}
-                    | {"cases": {}, "tracebacks": {}, "jobs": cfg.jobs})
+                    | {"cases": {}, "tracebacks": {}, "jobs": cfg.jobs,
+                       "workers": [0.0] * len(shares)})
     for i, record, seconds, tb in sorted(results, key=lambda res: res[0]):
         suite, case = listed[i]
         # the one place a record gets its id, overriding any of its own
         suites_out[suite]["checks"].append(record | {"id": case.key})
         timing[suite] += seconds
         timing["cases"][case.key] = seconds
+        timing["workers"][worker_of[i]] += seconds
         if tb is not None:
             timing["tracebacks"][case.key] = tb
 

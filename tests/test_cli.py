@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from formlab import cli
+from formlab import cli, identities
 from formlab.cli import (ConfigError, RunConfig, build_parser, build_config,
                          emit_tables, main, run_suites)
 
@@ -104,16 +104,19 @@ class TestRunSuites:
 
     def test_report_digest(self):
         # pins every case id, rng context and record field of three
-        # suites; the oracle's records carry floats and are left out
+        # suites; the oracle's records carry floats and are left out, and
+        # the schema version is pinned on its own, so that a schema change
+        # confined to another suite leaves the digest alone
         report = run_suites(RunConfig(suites=["identities", "spectra", "bounds"],
                                       dims=[2, 3], radii=[Fraction(1), Fraction(1, 2)],
                                       l_max=1, seed=7))
-        report.pop("timing")
-        for suite in report["suites"].values():
+        assert report["schema_version"] == 3
+        suites = report["suites"]
+        for suite in suites.values():
             suite["checks"] = [r for r in suite["checks"]
                                if not r["id"].startswith("quadrature-oracle/")]
-        digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
-        assert digest == "88cdaebc372b1821fef719a474fa5bd78a257fd7d4dc3628e477bb328da1bb00"
+        digest = hashlib.sha256(json.dumps(suites, sort_keys=True).encode()).hexdigest()
+        assert digest == "038318b871ba9efb291df1516f1ff3dc4f83f833a6b2cac9b0cdc1f29a4a89d9"
 
     def test_crash_traceback_kept_under_timing(self, monkeypatch, tmp_path):
         pids = tmp_path / "pids"
@@ -126,10 +129,10 @@ class TestRunSuites:
         monkeypatch.setattr("formlab.identities.verify_stokes", boom)
         key = "stokes/m2/p1/R1"
         bodies = []
-        for jobs in (1, 2):
+        for jobs in (1, 3):
             pids.unlink(missing_ok=True)
             report = run_suites(small_config(jobs=jobs))
-            # at --jobs 2 the crashing case runs in a forked worker
+            # at --jobs 3 the crashing case runs in forked worker 1
             (pid,) = map(int, pids.read_text().split())
             assert (pid == os.getpid()) == (jobs == 1)
             rec = next(r for r in report["suites"]["identities"]["checks"]
@@ -153,6 +156,13 @@ class TestRunSuites:
             want = sum(timing["cases"][r["id"]] for r in data["checks"])
             assert float(timing[suite]) == pytest.approx(want)
         assert timing["jobs"] == 2 and timing["tracebacks"] == {}
+
+    def test_timing_per_worker(self):
+        for jobs in (1, 3):
+            timing = run_suites(small_config(jobs=jobs))["timing"]
+            assert len(timing["workers"]) == jobs
+            assert all(seconds > 0 for seconds in timing["workers"])
+            assert sum(timing["workers"]) == pytest.approx(sum(timing["cases"].values()))
 
     def test_seed_changes_report(self):
         r1 = run_suites(small_config(seed=3))
@@ -190,27 +200,40 @@ class TestRunSuites:
 
 class TestWorkers:
     def test_partition(self):
-        cfg = small_config(suites=["identities", "spectra", "bounds"], dims=[3])
+        cfg = small_config(suites=["identities", "spectra", "bounds"], dims=[2, 3])
         cfg.validate()
         cases = [c for suite in ("identities", "spectra", "bounds")
                  for c in cli.CASES[suite](cfg)]
         groups = [c.group for c in cases]
-        assert {(3, 1), (3, 2), None} == set(groups)
+        costs = [c.cost for c in cases]
+        labels = [(2, 1), (3, 1), (3, 2), cli.ORACLE_GROUP]
+        assert set(labels) | {None} == set(groups)
+        assert [c.key for c in cases if c.group == cli.ORACLE_GROUP] == [
+            "quadrature-oracle/m2", "quadrature-oracle/m3"]
         for jobs in (1, 2, 3, 7, 10 ** 6):
-            shares = cli._partition(groups, jobs)
-            assert shares == cli._partition(groups, jobs)
+            shares = cli._partition(groups, costs, jobs)
+            assert shares == cli._partition(groups, costs, jobs)
             assert sorted(i for share in shares for i in share) == list(range(len(cases)))
             assert all(share == sorted(share) for share in shares)
-            # 2 (m, p) groups and one group per identity case
-            assert len(shares) == min(jobs, groups.count(None) + 2)
+            # 3 (m, p) groups, the oracle's and one group per other case
+            assert len(shares) == min(jobs, groups.count(None) + len(labels))
             assert shares[0]
-            for mp in ((3, 1), (3, 2)):
+            for label in labels:
                 owners = {w for w, share in enumerate(shares)
-                          for i in share if groups[i] == mp}
+                          for i in share if groups[i] == label}
                 assert len(owners) == 1
-        # round-robin over groups in order of their first case
-        assert cli._partition(["a", None, "a", "b", None], 2) == [[0, 2, 3], [1, 4]]
-        assert cli._partition([], 4) == [[]]
+            # the oracle's group, the heaviest, runs in a forked worker
+            if jobs > 1:
+                assert not any(groups[i] == cli.ORACLE_GROUP for i in shares[0])
+        # longest first: the heavy case sits alone, the light groups share
+        # the other worker; a tie goes to the highest-numbered worker
+        assert cli._partition(["a", None, "a", "b", None], [1, 5, 1, 1, 1], 2) == [
+            [0, 2, 3, 4], [1]]
+        assert cli._partition(["a", "b"], [1, 1], 2) == [[1], [0]]
+        # the oracle's group is charged numpy's import once
+        assert cli._partition([cli.ORACLE_GROUP, None, cli.ORACLE_GROUP, None],
+                              [1, 100, 1, 1], 2) == [[1, 3], [0, 2]]
+        assert cli._partition([], [], 4) == [[]]
 
     def test_cases_pickle(self):
         cfg = build_config(build_parser().parse_args(
@@ -237,17 +260,28 @@ class TestWorkers:
         assert files[0] == files[1] and all(n.endswith(".json") for n in files[1])
 
     def test_dying_worker_fails_its_share(self, monkeypatch, tmp_path):
-        # every identity case is a group of its own, so worker 1 of 2 runs
-        # the odd-numbered cases, stokes/m2/p1/R1 (case 3) among them
-        monkeypatch.setattr("formlab.identities.verify_stokes",
-                            lambda *args: os._exit(3))
+        # a forked worker that calls verify_stokes dies; at --jobs 3 only
+        # worker 1 runs stokes/m2/p1/R1 (worker 2 runs the oracle)
+        parent = os.getpid()
+        real = identities.verify_stokes
+
+        def die_in_child(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real(*args)
+        monkeypatch.setattr("formlab.identities.verify_stokes", die_in_child)
+        cfg = small_config()
+        cases = list(cli.CASES["identities"](cfg))
+        shares = cli._partition([c.group for c in cases], [c.cost for c in cases], 3)
+        share = [cases[i].key for i in shares[1]]
+        assert "stokes/m2/p1/R1" in share
 
         def hung(*args):
             raise TimeoutError("run did not end after its worker died")
         previous = signal.signal(signal.SIGALRM, hung)
         signal.alarm(120)
         try:
-            code = main(["verify", "--dim", "2", "--lmax", "1", "--jobs", "2",
+            code = main(["verify", "--dim", "2", "--lmax", "1", "--jobs", "3",
                          "--out", str(tmp_path)])
         finally:
             signal.alarm(0)
@@ -259,7 +293,7 @@ class TestWorkers:
         report = json.loads((tmp_path / run_dir / "report.json").read_text())
         checks = report["suites"]["identities"]["checks"]
         failed = [r for r in checks if not r["pass"]]
-        assert [r["id"] for r in checks[1::2]] == [r["id"] for r in failed]
+        assert [r["id"] for r in failed] == share
         assert all(r["error"] == "WorkerExit: worker 1 exited with code 3 "
                                  "before reporting its cases" for r in failed)
         assert report["summary"]["passed"] == len(checks) - len(failed) > 0

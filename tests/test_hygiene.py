@@ -96,8 +96,9 @@ SHIFT_THETA = ("import formlab.spectral as sp\n"
     pytest.param("spectrum", SPECTRUM_ABSENT, SHIFT_THETA, 1, 1,
                  id="spectrum-failed-certificate"),
     # forked workers, not a pool: at dimensions 2 and 3 the spectrum has
-    # three (m, p) groups, so --jobs 2 forks one worker
-    pytest.param("all", ["concurrent.futures"], "", 0, 2, id="all-jobs2"),
+    # three (m, p) groups, so --jobs 2 forks one worker; numpy loads only
+    # in the worker that runs the quadrature oracle, a forked one
+    pytest.param("all", ["concurrent.futures", "numpy"], "", 0, 2, id="all-jobs2"),
     pytest.param("spectrum", SPECTRUM_ABSENT, "", 0, 2, id="spectrum-jobs2"),
 ])
 def test_run_loads_only_its_layers(tmp_path, suite, absent, patch, want, jobs):
