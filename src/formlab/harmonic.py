@@ -3,14 +3,24 @@
 For each ambient dimension m, coefficient degree l and form degree p we
 build:
 
-  * the full monomial space of homogeneous polynomial p-forms,
-  * its subspace of harmonic fields (componentwise harmonic and
-    co-closed; the componentwise Laplacian ``rough_laplacian`` is minus
-    the Hodge Laplacian on flat R^m, so its kernel, row space and the
-    canonical nullspace basis are the same),
-  * the closed subspace (additionally d w = 0), and
-  * the normal-null subspace (additionally i_x w = 0 identically),
-    each restricted from the harmonic fields when it is asked for.
+  * "P", the full monomial space of homogeneous polynomial p-forms;
+  * "H-closed", the closed harmonic fields: one nullspace of the
+    stacked d and delta constraints over the monomial frame.  A form
+    with d w = 0 and delta w = 0 has zero Hodge Laplacian, which on
+    flat R^m is minus the componentwise Laplacian ``rough_laplacian``,
+    so harmonicity needs no constraint rows of its own;
+  * "H-normal-null", the co-closed, componentwise harmonic forms with
+    i_x w = 0 identically: the span of i_x w over w in "H-closed" at
+    (l - 1, p + 1), with the constants at l = p = 0 and nothing else at
+    l = 0 or p = m.  Each i_x w is in the kind: i_x i_x = 0;
+    delta i_x w = -i_x delta w = 0; and (i_x w)_I = sum_j x_j w_jI
+    with every w_jI harmonic, so its Laplacian is
+    2 sum_j d_j w_jI = -2 (delta w)_I = 0.  The span has
+    ``expected_dim`` vectors, so it is the whole kind;
+  * "H", the harmonic fields (componentwise harmonic and co-closed):
+    the span of "H-closed" and "H-normal-null" at the same (m, l, p),
+    both inside it, which has ``expected_dim`` vectors and so is all
+    of it.
 
 The normal-null condition i_x w = 0 as a polynomial form is equivalent
 to the vanishing of the normal contraction on any origin-centred
@@ -19,8 +29,10 @@ inhomogeneous factor |x|^2 - R^2, so vanishing on the sphere forces
 identical vanishing.  This turns a boundary condition into finitely
 many exact linear constraints.
 
-Bases are computed by rational Gaussian elimination with a fixed
-pivoting rule, so repeated runs produce identical bases.  A small disk
+Bases are computed by exact rational Gaussian elimination, and each
+is the one basis of its span in the reduced form of
+``_in_reduced_form``, so any construction of a kind, and every run,
+gives the same basis.  A small disk
 cache stores the results, one JSON document per (m, l, p, kind): schema
 2 holds the monomial frame and the basis vectors, with rationals
 encoded portably as decimal strings (sign carried by the numerator).
@@ -105,21 +117,26 @@ def _form_rows(images: list[PolyForm]) -> list[list[Fraction]]:
     return rows
 
 
-def _restrict(basis: list[PolyForm], operator) -> list[PolyForm]:
-    """Sub-basis of ker(operator) within span(basis), deterministic."""
-    if not basis:
-        return []
-    images = [operator(b) for b in basis]
-    rows = _form_rows(images)
-    null = linalg.nullspace(rows, len(basis))
-    out = []
-    for vec in null:
-        form = PolyForm.zero(basis[0].m, basis[0].p)
-        for c, b in zip(vec, basis):
-            if c:
-                form = form + b * c
-        out.append(form)
-    return out
+def _kernel(m: int, l: int, p: int, operators) -> list[PolyForm]:
+    """Basis of the forms of P_{l,p} that every operator kills: one
+    nullspace of the stacked images of the monomial frame, whose vectors
+    (one per free column, 1 there) are in the reduced form of
+    ``_in_reduced_form``."""
+    frame = _monomial_frame(m, l, p)
+    monomials = monomial_form_basis(m, l, p).basis
+    rows = [row for op in operators for row in _form_rows([op(b) for b in monomials])]
+    return [_vector_to_form(m, p, frame, vec) for vec in linalg.nullspace(rows, len(frame))]
+
+
+def _reduced_span(m: int, l: int, p: int, forms: list[PolyForm]) -> list[PolyForm]:
+    """The basis of span(forms) in the reduced form of
+    ``_in_reduced_form``: the reduced row echelon form of the frame
+    coordinates with the columns reversed, reversed back and taken last
+    row first.  It is unique to the span, so whatever spanning set a
+    kind is built from, the cached basis is the same."""
+    frame = _monomial_frame(m, l, p)
+    red, pivots = linalg.rref([vec[::-1] for vec in _coordinates(frame, forms)])
+    return [_vector_to_form(m, p, frame, vec[::-1]) for vec in reversed(red[:len(pivots)])]
 
 
 def monomial_form_basis(m: int, l: int, p: int) -> FormSpaceBasis:
@@ -131,28 +148,6 @@ def monomial_form_basis(m: int, l: int, p: int) -> FormSpaceBasis:
     for I, e in frame:
         basis.append(PolyForm(m, p, {I: Polynomial(m, {e: 1})}))
     return FormSpaceBasis(m, l, p, "P", basis)
-
-
-def harmonic_field_basis(m: int, l: int, p: int) -> FormSpaceBasis:
-    """Harmonic fields: componentwise harmonic and co-closed."""
-    mono = monomial_form_basis(m, l, p)
-    basis = _restrict(mono.basis, PolyForm.rough_laplacian)
-    if p >= 1:
-        basis = _restrict(basis, lambda w: w.delta())
-    return FormSpaceBasis(m, l, p, "H", basis)
-
-
-def _kind_constraint(kind: str, m: int, p: int):
-    """The operator whose kernel cuts ``kind`` out of the harmonic
-    fields: d for "H-closed" with p <= m-1 and i_x for "H-normal-null"
-    with p >= 1.  None where the constraint is vacuous, since d of an
-    m-form and the normal contraction of a 0-form vanish identically."""
-    if kind == "H-closed" and p <= m - 1:
-        return PolyForm.d
-    if kind == "H-normal-null" and p >= 1:
-        position = PolyVectorField.position(m)
-        return lambda w: w.interior(position)
-    return None
 
 
 def _harmonic_polynomials(m: int, l: int) -> int:
@@ -260,11 +255,10 @@ def _decode_fraction(pair) -> Fraction:
     return Fraction(int(pair[0]), int(pair[1]))
 
 
-def _coordinates(fsb: FormSpaceBasis) -> list[list]:
-    """Each basis form's coefficients in the monomial frame."""
-    frame = _monomial_frame(fsb.m, fsb.l, fsb.p)
+def _coordinates(frame, forms: list[PolyForm]) -> list[list]:
+    """Each form's coefficients in the monomial frame."""
     return [[form.coeffs[I].coefficient(e) if I in form.coeffs else 0 for I, e in frame]
-            for form in fsb.basis]
+            for form in forms]
 
 
 def _in_reduced_form(vectors: list[list]) -> bool:
@@ -289,7 +283,7 @@ def _encode_basis(fsb: FormSpaceBasis) -> dict:
         "m": fsb.m, "l": fsb.l, "p": fsb.p, "kind": fsb.kind,
         "dim": fsb.dim,
         "frame": [[list(I), list(e)] for I, e in frame],
-        "vectors": [[_encode_fraction(c) for c in vec] for vec in _coordinates(fsb)],
+        "vectors": [[_encode_fraction(c) for c in vec] for vec in _coordinates(frame, fsb.basis)],
     }
 
 
@@ -314,9 +308,10 @@ def _in_kind(w: PolyForm, kind: str) -> bool:
     conditions = [w.rough_laplacian()]
     if w.p >= 1:
         conditions.append(w.delta())
-    constraint = _kind_constraint(kind, w.m, w.p)
-    if constraint:
-        conditions.append(constraint(w))
+    if kind == "H-closed" and w.p <= w.m - 1:
+        conditions.append(w.d())
+    if kind == "H-normal-null" and w.p >= 1:
+        conditions.append(w.interior(PolyVectorField.position(w.m)))
     return all(c.is_zero() for c in conditions)
 
 
@@ -332,11 +327,12 @@ class BasisCache:
     schema, for another (m, l, p, kind), with dependent vectors, with a
     form outside its kind or with a vector count other than
     ``expected_dim`` is a miss, rebuilt and rewritten.  A miss computes
-    and stores the requested basis only: "H-closed" and "H-normal-null"
-    are each restricted from their "H" parent on demand.  Misses are
-    resolved under one re-entrant lock (computing a restricted basis
-    asks for its "H" parent), so threads sharing one instance load or
-    compute each basis once.
+    and stores the requested basis and the bases it is built from: the
+    "H-closed" basis at (l - 1, p + 1) for "H-normal-null", and both
+    of those kinds at (l, p) for "H".  Misses are resolved under one
+    re-entrant lock (computing a normal-null basis asks for its closed
+    parent), so threads sharing one instance load or compute each basis
+    once.
     """
 
     def __init__(self, directory: str | None = None):
@@ -381,7 +377,7 @@ class BasisCache:
             # not JSON, not a document, or entries of the wrong shape
             return None
         trusted = (fsb.dim == expected_dim(*key)
-                   and _in_reduced_form(_coordinates(fsb))
+                   and _in_reduced_form(_coordinates(_monomial_frame(*key[:3]), fsb.basis))
                    and all(_in_kind(w, fsb.kind) for w in fsb.basis))
         return fsb if trusted else None
 
@@ -397,14 +393,19 @@ class BasisCache:
 
     def _compute(self, m, l, p, kind) -> FormSpaceBasis:
         if kind == "P":
-            fsb = monomial_form_basis(m, l, p)
-        elif kind == "H":
-            fsb = harmonic_field_basis(m, l, p)
+            basis = monomial_form_basis(m, l, p).basis
+        elif kind == "H-closed":
+            basis = _kernel(m, l, p, [PolyForm.d] * (p < m) + [PolyForm.delta] * (p > 0))
+        elif kind == "H-normal-null" and (l == 0 or p == m):
+            basis = monomial_form_basis(m, l, p).basis if l == p == 0 else []
+        elif kind == "H-normal-null":
+            position = PolyVectorField.position(m)
+            basis = _reduced_span(m, l, p, [w.interior(position) for w in
+                                            self.get(m, l - 1, p + 1, "H-closed").basis])
         else:
-            basis = self.get(m, l, p, "H").basis
-            constraint = _kind_constraint(kind, m, p)
-            fsb = FormSpaceBasis(m, l, p, kind,
-                                 _restrict(basis, constraint) if constraint else list(basis))
+            basis = _reduced_span(m, l, p, self.get(m, l, p, "H-closed").basis
+                                  + self.get(m, l, p, "H-normal-null").basis)
+        fsb = FormSpaceBasis(m, l, p, kind, basis)
         if fsb.dim != expected_dim(m, l, p, kind):
             raise AssertionError(f"basis ({m}, {l}, {p}, {kind}) has {fsb.dim} vectors, "
                                  f"expected {expected_dim(m, l, p, kind)}")

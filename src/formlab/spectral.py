@@ -355,8 +355,9 @@ def _certify_blocks(assembly: OperatorAssembly) -> list[Fraction]:
     G is 0 outside the diagonal blocks by a theorem, so it is built
     block by block (``_gram_block``) and never paired across blocks.  It
     uses the constraints of ``harmonic._in_kind``, which ``BasisCache``
-    checks on every basis it loads and ``harmonic._restrict`` gives on
-    every basis it computes: trial forms are componentwise harmonic and
+    checks on every basis it loads and proves of every basis it
+    computes (the "H-closed" kernel and the "H-normal-null" span, see
+    ``harmonic``): trial forms are componentwise harmonic and
     co-closed, exact ones closed and coexact ones normal-null
     (i_x phi = 0).  On the sphere <J*u, J*v> = <u, v> - R^-2 <i_x u, i_x v>.
 

@@ -8,14 +8,18 @@ block by block; ``full_stiffness`` pairs the stiffness matrix A the
 same way, as assembly did before the pointwise eigenform certificate
 made it redundant; and ``certify_eigenvalue`` takes the exact
 multiplicity of an eigenvalue as the nullity of A - theta G over the
-whole matrix.  The rational ``rank``, ``nullity`` and ``solve`` live
-here with them, since only tests need them.
+whole matrix.  ``reference_bases`` builds the basis kinds by
+restriction from the harmonic fields, as the cache did before each kind
+was built from its own definition.  The rational ``rank``, ``nullity``
+and ``solve`` live here with them, since only tests need them.
 """
 
 from fractions import Fraction
 
 from formlab.ball import boundary_delta_rep, normal_part
-from formlab.linalg import rref
+from formlab.harmonic import FormSpaceBasis, _form_rows, monomial_form_basis
+from formlab.linalg import nullspace, rref
+from formlab.polyform import PolyForm, PolyVectorField
 from formlab.quadrature import integrate_pairs
 
 
@@ -118,3 +122,34 @@ def certify_eigenvalue(assembly, theta, A=None, G=None) -> int:
     A = full_stiffness(assembly) if A is None else A
     G = full_gram(assembly) if G is None else G
     return nullity(mat_sub(A, scalar_mul(Fraction(theta), G)), assembly.dim)
+
+
+def restrict(basis, operator):
+    """Sub-basis of ker(operator) within span(basis): the nullspace of
+    the images, in the coordinates of ``basis``, mapped back."""
+    if not basis:
+        return []
+    null = nullspace(_form_rows([operator(b) for b in basis]), len(basis))
+    out = []
+    for vec in null:
+        form = PolyForm.zero(basis[0].m, basis[0].p)
+        for c, b in zip(vec, basis):
+            if c:
+                form = form + b * c
+        out.append(form)
+    return out
+
+
+def reference_bases(m, l, p):
+    """The "H", "H-closed" and "H-normal-null" bases by a chain of
+    restrictions: the monomials, then ker of the Hodge Laplacian, then
+    ker delta for p >= 1 ("H"), then ker d with p <= m - 1 ("H-closed")
+    and ker i_x with p >= 1 ("H-normal-null")."""
+    harmonic = restrict(monomial_form_basis(m, l, p).basis, PolyForm.laplacian)
+    if p >= 1:
+        harmonic = restrict(harmonic, PolyForm.delta)
+    position = PolyVectorField.position(m)
+    closed = restrict(harmonic, PolyForm.d) if p <= m - 1 else harmonic
+    normal_null = restrict(harmonic, lambda w: w.interior(position)) if p >= 1 else harmonic
+    return {kind: FormSpaceBasis(m, l, p, kind, basis) for kind, basis in
+            (("H", harmonic), ("H-closed", closed), ("H-normal-null", normal_null))}

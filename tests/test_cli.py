@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from formlab import cli, identities
+from formlab import cli, harmonic, identities
 from formlab.cli import (ConfigError, RunConfig, build_parser, build_config,
                          emit_tables, main, run_suites)
 
@@ -353,6 +353,21 @@ class TestMainEntry:
         report = json.loads((runs[0] / "report.json").read_text())
         assert report["schema_version"] == 3
         assert (runs[0] / "identities.csv").exists()
+
+    def test_cold_spectrum_writes_the_bases_it_builds(self, tmp_path, monkeypatch):
+        # the exact blocks are closed fields of degree 0; the coexact
+        # blocks of degree 1 are i_x of the closed fields at p + 1, which
+        # the run builds and stores on the way; no "H" basis is built
+        argv = ["spectrum", "--dim", "4", "--lmax", "1", "--cache", str(tmp_path / "cache")]
+        assert main(argv + ["--out", str(tmp_path / "cold")]) == 0
+        assert sorted(f.name for f in (tmp_path / "cache").iterdir()) == sorted(
+            [f"basis_m4_l0_p{p}_H-closed.json" for p in range(1, 5)]
+            + [f"basis_m4_l1_p{p}_H-normal-null.json" for p in range(1, 4)])
+
+        def no_compute(*args):
+            raise AssertionError("basis computed despite a warm cache")
+        monkeypatch.setattr(harmonic.BasisCache, "_compute", no_compute)
+        assert main(argv + ["--out", str(tmp_path / "warm")]) == 0
 
     def test_exit_two_on_bad_degree(self, tmp_path, capsys):
         code = main(["bounds", "--dim", "3", "--degree", "3",

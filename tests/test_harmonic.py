@@ -11,13 +11,13 @@ import pytest
 from densities import jstar_density
 from formlab import harmonic
 from formlab.ball import BallDomain, boundary_delta_rep, normal_part
-from formlab.harmonic import (KINDS, BasisCache, expected_dim, harmonic_field_basis,
-                              monomial_form_basis, sphere_reduce)
+from formlab.harmonic import (KINDS, BasisCache, expected_dim, monomial_form_basis,
+                              sphere_reduce)
 from formlab.polynomials import Polynomial
 from formlab.polyform import PolyForm, PolyVectorField
 from formlab.quadrature import RadialDensity, integrate_sphere
 from formlab.sampling import random_polynomial, rng_for
-from oracle import rank, solve
+from oracle import rank, reference_bases, solve
 
 
 def binom(n, k):
@@ -55,12 +55,12 @@ class TestMonomialBasis:
 
 
 class TestHarmonicFields:
-    def test_constants_are_harmonic_fields(self):
-        got = harmonic_field_basis(3, 0, 1)
+    def test_constants_are_harmonic_fields(self, cache):
+        got = cache.get(3, 0, 1, "H")
         assert got.dim == 3
 
-    def test_linear_fields_membership(self):
-        got = harmonic_field_basis(3, 1, 1)
+    def test_linear_fields_membership(self, cache):
+        got = cache.get(3, 1, 1, "H")
         x1, x2 = Polynomial.variable(3, 1), Polynomial.variable(3, 2)
         rotation = PolyForm(3, 1, {(1,): x2, (2,): -x1})
         radial = PolyForm(3, 1, {(1,): x1})
@@ -78,30 +78,29 @@ class TestHarmonicFields:
         assert rank(base_rows + [coords(rotation)]) == base_rank
         assert rank(base_rows + [coords(radial)]) == base_rank + 1
 
-    def test_conditions_hold_exactly(self):
+    def test_conditions_hold_exactly(self, cache):
         for m, l, p in ((3, 2, 1), (3, 1, 2), (4, 1, 1)):
-            got = harmonic_field_basis(m, l, p)
+            got = cache.get(m, l, p, "H")
             for b in got.basis:
                 assert b.laplacian().is_zero()
                 assert b.delta().is_zero()
                 if p <= m - 1:
                     assert b.d().laplacian().is_zero()
 
-    @pytest.mark.parametrize("m", (2, 3, 4))
-    def test_rough_laplacian_build_equals_hodge_build(self, m):
-        # the componentwise Laplacian is minus the Hodge Laplacian, so the
-        # restriction has the same row space and the same canonical basis
-        for l in range(4):
+    @pytest.mark.parametrize("m", (2, 3, 4, 5, 6))
+    def test_rough_laplacian_build_equals_hodge_build(self, cache, m):
+        # every kind built from its definition (d and delta, i_x of the
+        # closed fields a degree down, their joint span) holds the same
+        # bytes as the restriction from the kernel of the Hodge Laplacian
+        for l in range(dict(TestExpectedDim.GRID)[m] + 1):
             for p in range(m + 1):
-                hodge = harmonic._restrict(monomial_form_basis(m, l, p).basis,
-                                           PolyForm.laplacian)
-                if p >= 1:
-                    hodge = harmonic._restrict(hodge, PolyForm.delta)
-                assert harmonic_field_basis(m, l, p).basis == hodge
+                for kind, want in reference_bases(m, l, p).items():
+                    assert harmonic._encode_basis(cache.get(m, l, p, kind)) == \
+                        harmonic._encode_basis(want), (m, l, p, kind)
 
     def test_basis_reproducible(self):
-        a = harmonic_field_basis(3, 2, 1)
-        b = harmonic_field_basis(3, 2, 1)
+        a = BasisCache().get(3, 2, 1, "H")
+        b = BasisCache().get(3, 2, 1, "H")
         assert len(a.basis) == len(b.basis)
         for u, v in zip(a.basis, b.basis):
             assert u == v
@@ -347,7 +346,7 @@ class TestCache:
         # the rewritten files are trusted: a fresh cache loads, never computes
         def no_compute(*args):
             raise AssertionError("basis recomputed despite a valid file")
-        monkeypatch.setattr(harmonic, "harmonic_field_basis", no_compute)
+        monkeypatch.setattr(BasisCache, "_compute", no_compute)
         assert BasisCache(str(plant)).get(3, 1, 1, "H-normal-null").basis == \
             want["H-normal-null"].basis
 
@@ -409,12 +408,14 @@ class TestCache:
 
     def test_miss_stores_only_what_it_needs(self, tmp_path):
         BasisCache(str(tmp_path)).get(3, 1, 1, "H-normal-null")
+        # the normal-null fields are i_x of the closed ones a degree down
         assert sorted(f.name for f in tmp_path.iterdir()) == [
-            "basis_m3_l1_p1_H-normal-null.json", "basis_m3_l1_p1_H.json"]
+            "basis_m3_l0_p2_H-closed.json", "basis_m3_l1_p1_H-normal-null.json"]
 
     def test_wrong_computed_dimension_raises(self, monkeypatch):
         monkeypatch.setattr(harmonic, "expected_dim", lambda m, l, p, kind: 0)
-        with pytest.raises(AssertionError, match=r"\(3, 1, 1, H\) has 8 vectors, "
+        # "H" spans the closed and normal-null fields, closed built first
+        with pytest.raises(AssertionError, match=r"\(3, 1, 1, H-closed\) has 5 vectors, "
                                                  "expected 0"):
             BasisCache().get(3, 1, 1, "H")
 
