@@ -110,16 +110,6 @@ class CurvatureData:
     riemann_up: list
     riemann: list
 
-    def ricci(self) -> list[list[Fraction]]:
-        """Ric_bc = g^ad R_abcd."""
-        r = range(len(self.metric))
-        return [[sum(self.inverse[a][d] * self.riemann[a][b][c][d] for a in r for d in r)
-                 for c in r] for b in r]
-
-    def sectional(self, i: int, j: int) -> Fraction:
-        g = self.metric
-        return self.riemann[i][j][j][i] / (g[i][i] * g[j][j] - g[i][j] ** 2)
-
     def has_constant_curvature(self, gamma) -> bool:
         """Whether R_abcd == gamma (g_ad g_bc - g_ac g_bd), which fixes
         the sectional curvature of every plane, not only the coordinate

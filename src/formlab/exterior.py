@@ -264,10 +264,6 @@ class LinearEndomorphism:
         self.entries = rows
 
     @classmethod
-    def identity(cls, m: int) -> "LinearEndomorphism":
-        return cls([[Fraction(int(i == j)) for j in range(m)] for i in range(m)])
-
-    @classmethod
     def diagonal(cls, diag) -> "LinearEndomorphism":
         d = list(diag)
         m = len(d)

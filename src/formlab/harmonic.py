@@ -1,9 +1,8 @@
 """Homogeneous polynomial form spaces by exact linear algebra.
 
 For each ambient dimension m, coefficient degree l and form degree p we
-build:
+build the two kinds of harmonic fields that the spectral blocks use:
 
-  * "P", the full monomial space of homogeneous polynomial p-forms;
   * "H-closed", the closed harmonic fields: one nullspace of the
     stacked d and delta constraints over the monomial frame.  A form
     with d w = 0 and delta w = 0 has zero Hodge Laplacian, which on
@@ -16,11 +15,7 @@ build:
     delta i_x w = -i_x delta w = 0; and (i_x w)_I = sum_j x_j w_jI
     with every w_jI harmonic, so its Laplacian is
     2 sum_j d_j w_jI = -2 (delta w)_I = 0.  The span has
-    ``expected_dim`` vectors, so it is the whole kind;
-  * "H", the harmonic fields (componentwise harmonic and co-closed):
-    the span of "H-closed" and "H-normal-null" at the same (m, l, p),
-    both inside it, which has ``expected_dim`` vectors and so is all
-    of it.
+    ``expected_dim`` vectors, so it is the whole kind.
 
 The normal-null condition i_x w = 0 as a polynomial form is equivalent
 to the vanishing of the normal contraction on any origin-centred
@@ -62,7 +57,7 @@ from .exterior import multi_indices
 from .polynomials import Polynomial, monomial_exponents
 from .polyform import PolyForm, PolyVectorField
 
-KINDS = ("P", "H", "H-closed", "H-normal-null")
+KINDS = ("H-closed", "H-normal-null")
 SCHEMA = 2
 
 
@@ -177,7 +172,6 @@ def expected_dim(m: int, l: int, p: int, kind: str) -> int:
     """The dimension of the (m, l, p, kind) basis in closed form, by
     exact integer arithmetic and no elimination.  With n = m - 1:
 
-      * "P": C(m, p) C(l + m - 1, m - 1);
       * "H-normal-null": the harmonic polynomials of degree l at p = 0;
         0 at l = 0 or p = m; at p = m - 1, 1 for l = 1 and 0 otherwise;
         else Weyl's so(m) dimension of the highest weight (l, 1^q),
@@ -186,18 +180,11 @@ def expected_dim(m: int, l: int, p: int, kind: str) -> int:
       * "H-closed": 1 at l = 0 and 0 otherwise for p = 0 or p = m, the
         harmonic polynomials of degree l + 1 at p = 1, and else the
         "H-normal-null" dimension at (l + 1, p - 1), onto which i_x
-        maps the closed fields one to one;
-      * "H": 1 at l = p = 0, else "H-closed" plus "H-normal-null".
+        maps the closed fields one to one.
 
     The weights are those of the eigenforms of the Laplacian on S^n
     (Ikeda-Taniguchi, Osaka J. Math. 15, 1978).
     """
-    if kind == "P":
-        return math.comb(m, p) * math.comb(l + m - 1, m - 1)
-    if kind == "H":
-        if l + p == 0:
-            return 1
-        return expected_dim(m, l, p, "H-closed") + expected_dim(m, l, p, "H-normal-null")
     if kind == "H-closed":
         if p in (0, m):
             return int(l == 0)
@@ -300,11 +287,9 @@ def _decode_basis(doc: dict) -> FormSpaceBasis:
 
 def _in_kind(w: PolyForm, kind: str) -> bool:
     """Whether w satisfies the constraints that define ``kind``, each an
-    exact polynomial identity: componentwise harmonic unless "P",
-    co-closed for p >= 1, closed for "H-closed" with p <= m-1 and
+    exact polynomial identity: componentwise harmonic, co-closed for
+    p >= 1, closed for "H-closed" with p <= m-1 and
     i_x w = 0 for "H-normal-null" with p >= 1."""
-    if kind == "P":
-        return True
     conditions = [w.rough_laplacian()]
     if w.p >= 1:
         conditions.append(w.delta())
@@ -327,12 +312,11 @@ class BasisCache:
     schema, for another (m, l, p, kind), with dependent vectors, with a
     form outside its kind or with a vector count other than
     ``expected_dim`` is a miss, rebuilt and rewritten.  A miss computes
-    and stores the requested basis and the bases it is built from: the
-    "H-closed" basis at (l - 1, p + 1) for "H-normal-null", and both
-    of those kinds at (l, p) for "H".  Misses are resolved under one
-    re-entrant lock (computing a normal-null basis asks for its closed
-    parent), so threads sharing one instance load or compute each basis
-    once.
+    and stores the requested basis and the one it is built from, the
+    "H-closed" basis at (l - 1, p + 1) for "H-normal-null".  Misses are
+    resolved under one re-entrant lock (computing a normal-null basis
+    asks for its closed parent), so threads sharing one instance load or
+    compute each basis once.
     """
 
     def __init__(self, directory: str | None = None):
@@ -392,19 +376,14 @@ class BasisCache:
         os.replace(tmp, path)
 
     def _compute(self, m, l, p, kind) -> FormSpaceBasis:
-        if kind == "P":
-            basis = monomial_form_basis(m, l, p).basis
-        elif kind == "H-closed":
+        if kind == "H-closed":
             basis = _kernel(m, l, p, [PolyForm.d] * (p < m) + [PolyForm.delta] * (p > 0))
-        elif kind == "H-normal-null" and (l == 0 or p == m):
+        elif l == 0 or p == m:
             basis = monomial_form_basis(m, l, p).basis if l == p == 0 else []
-        elif kind == "H-normal-null":
+        else:
             position = PolyVectorField.position(m)
             basis = _reduced_span(m, l, p, [w.interior(position) for w in
                                             self.get(m, l - 1, p + 1, "H-closed").basis])
-        else:
-            basis = _reduced_span(m, l, p, self.get(m, l, p, "H-closed").basis
-                                  + self.get(m, l, p, "H-normal-null").basis)
         fsb = FormSpaceBasis(m, l, p, kind, basis)
         if fsb.dim != expected_dim(m, l, p, kind):
             raise AssertionError(f"basis ({m}, {l}, {p}, {kind}) has {fsb.dim} vectors, "

@@ -67,10 +67,6 @@ class PolyForm:
     def from_function(cls, f: Polynomial) -> "PolyForm":
         return cls(f.m, 0, {(): f})
 
-    @classmethod
-    def volume(cls, m: int) -> "PolyForm":
-        return cls.basis(m, tuple(range(1, m + 1)))
-
     # -- linear structure ----------------------------------------------
     def _check_mate(self, other: "PolyForm"):
         if self.m != other.m:
@@ -108,14 +104,6 @@ class PolyForm:
     def coefficient(self, I) -> Polynomial:
         return self.coeffs.get(tuple(I), Polynomial.zero(self.m))
 
-    def homogeneous_parts(self) -> dict[int, "PolyForm"]:
-        """Split by coefficient degree."""
-        parts: dict[int, dict] = {}
-        for I, c in self.coeffs.items():
-            for d, cd in c.homogeneous_parts().items():
-                parts.setdefault(d, {})[I] = cd
-        return {d: PolyForm(self.m, self.p, cs) for d, cs in sorted(parts.items())}
-
     # -- calculus --------------------------------------------------------
     def d(self) -> "PolyForm":
         """Exterior derivative."""
@@ -139,9 +127,6 @@ class PolyForm:
         """Componentwise d/dx_k (the flat covariant derivative along e_k)."""
         return PolyForm._of(self.m, self.p,
                             {I: c.partial(k) for I, c in self.coeffs.items()})
-
-    def covariant_gradient(self) -> tuple["PolyForm", ...]:
-        return tuple(self.partial(k) for k in range(1, self.m + 1))
 
     def delta(self) -> "PolyForm":
         """Codifferential, -sum_k i_{e_k} (d/dx_k)."""

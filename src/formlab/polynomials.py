@@ -190,12 +190,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def homogeneous_parts(self) -> dict[int, "Polynomial"]:
-        parts: dict[int, dict] = {}
-        for e, c in self.terms.items():
-            parts.setdefault(sum(e), {})[e] = c
-        return {d: Polynomial(self.m, t) for d, t in sorted(parts.items())}
-
     def coefficient(self, expo: Exponents):
         return self.terms.get(tuple(expo), 0)
 

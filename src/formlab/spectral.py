@@ -15,27 +15,28 @@ trial spaces:
 Trial spaces are the pullbacks of the normal-null harmonic blocks
 (co-exact on the sphere) and, where the operator acts on them, the
 closed blocks.  The Gram matrix G of boundary pairings
-int_S <J*u, J*v> is exact and built block by block from Fischer
-products of the coefficients (``_gram_block``), with no integral
-evaluated; it is 0 between blocks by a theorem, proved in
-``_certify_blocks``.  No extension is solved for.  A coexact trial
-form is its own extension: it is harmonic, co-closed and normal-null,
-and ``BasisCache`` checks these constraints of every basis it loads
-from disk.  The ``dtn-neumann`` extension of a closed datum is a closed
-formula (``_neumann_extension``, after Raulot-Savo), and each one is
-checked exactly to be harmonic, to pull back to the datum and to have
-no normal part on the sphere.
+int_S <J*u, J*v> is 0 between blocks by a theorem, proved in
+``_certify_blocks``, so each block holds only its own exact G_b, built
+from Fischer products of the coefficients (``_gram_block``) with no
+integral evaluated, and no full matrix is built.  No extension is
+solved for.  A coexact trial form is its own extension: it is
+harmonic, co-closed and normal-null, and ``BasisCache`` checks these
+constraints of every basis it loads from disk.  The ``dtn-neumann``
+extension of a closed datum is a closed formula
+(``_neumann_extension``, after Raulot-Savo), and each one is checked
+exactly to be harmonic, to pull back to the datum and to have no
+normal part on the sphere.
 
 The spectrum is exact and certified block by block, pointwise: every
 trial form phi of a block is an eigenform, J*(T phi) = theta_b J* phi
 on the sphere with theta_b the closed-form ball eigenvalue, decided
 exactly by polynomial identities, and each G_b is positive definite by
-an exact LDL^T test.  The stiffness matrix A is then Theta G, so it is
-never paired, and the eigenvalues are theta_b with multiplicity dim_b,
-as ``Fraction``s, with no floating eigensolve.  A failure raises
-``CertificateError`` naming the block, the trial form and the
-condition.  The bound and scaling checks decide on these exact spectra
-with ==, <= and <.
+an exact LDL^T test.  The stiffness pairing on block b is then
+theta_b G_b, so it is never paired, and the eigenvalues are theta_b
+with multiplicity dim_b, as ``Fraction``s, with no floating
+eigensolve.  A failure raises ``CertificateError`` naming the block,
+the trial form and the condition.  The bound and scaling checks
+decide on these exact spectra with ==, <= and <.
 """
 
 from __future__ import annotations
@@ -157,50 +158,28 @@ class Block:
     l: int             # spectral label: coexact blocks use degree l, exact blocks degree l-1
     basis: list[PolyForm]
     extensions: list[PolyForm]
+    G: list[list[Fraction]]  # int_S <J*u, J*v> over the basis (``_gram_block``)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    @property
-    def degree(self) -> int:
-        """The coefficient degree of the block's trial forms."""
-        return self.l if self.kind == "coexact" else self.l - 1
-
 
 @dataclass
 class OperatorAssembly:
+    """The trial blocks of one operator on one ball, each with its own
+    Gram matrix G_b.  G is 0 between blocks (``_certify_blocks``), so
+    no full matrix is built."""
     operator: str
     domain: BallDomain
     p: int
     l_max: int
     blocks: list[Block]
-    G: list[list[Fraction]]
-
-    @property
-    def dim(self) -> int:
-        return len(self.G)
 
     def theta(self, blk: Block) -> Fraction:
         """The closed-form ball eigenvalue of a block."""
         return ball_reference_eigenvalue(self.operator, blk.kind, self.domain.m,
                                          self.p, blk.l, self.domain.radius)
-
-    @property
-    def A(self) -> list[list[Fraction]]:
-        """The stiffness matrix int_S <J*(T u), J*v>.  The certificate
-        proves it equal to Theta G, Theta the diagonal of the block
-        eigenvalues, so it is read off G and never paired."""
-        row_theta = [self.theta(blk) for blk in self.blocks for _ in blk.basis]
-        return [[t * g for g in row] for t, row in zip(row_theta, self.G)]
-
-    def block_slices(self):
-        out = []
-        start = 0
-        for blk in self.blocks:
-            out.append((blk, slice(start, start + blk.dim)))
-            start += blk.dim
-        return out
 
 
 @dataclass
@@ -286,42 +265,34 @@ def _build_blocks(operator: str, m: int, p: int, l_max: int,
     include_exact = operator in ("dtn-neumann", "hodge-boundary")
     for l in range(1, l_max + 1):
         if include_exact:
-            closed = cache.get(m, l - 1, p, "H-closed")
-            if closed.dim:
+            closed = list(cache.get(m, l - 1, p, "H-closed").basis)
+            if closed:
                 if operator == "dtn-neumann":
-                    exts = [_neumann_extension(w, l - 1, domain) for w in closed.basis]
+                    exts = [_neumann_extension(w, l - 1, domain) for w in closed]
                 else:
-                    exts = list(closed.basis)
-                blocks.append(Block("exact", l, list(closed.basis), exts))
-        coexact = cache.get(m, l, p, "H-normal-null")
-        if coexact.dim:
-            blocks.append(Block("coexact", l, list(coexact.basis),
-                                list(coexact.basis)))
+                    exts = closed
+                blocks.append(Block("exact", l, closed, exts,
+                                    _gram_block(closed, l - 1, domain)))
+        coexact = list(cache.get(m, l, p, "H-normal-null").basis)
+        if coexact:
+            blocks.append(Block("coexact", l, coexact, coexact,
+                                _gram_block(coexact, l, domain)))
     return blocks
 
 
 def assemble_operator(operator: str, m: int, p: int, l_max: int, radius,
                       cache: BasisCache | None = None) -> tuple[OperatorAssembly, SpectrumReport]:
-    """Pair the exact Gram matrix, then read the spectrum off the exact
-    block certificate (``_certify_blocks``)."""
+    """Pair each block's exact Gram matrix, then read the spectrum off
+    the exact block certificate (``_certify_blocks``)."""
     if operator not in OPERATORS:
         raise ValueError(f"unknown operator {operator!r}")
     if not 1 <= p <= m - 1:
         raise ValueError("form degree out of range for boundary spectra")
     cache = cache or BasisCache()
     domain = BallDomain(m, Fraction(radius))
-    blocks = _build_blocks(operator, m, p, l_max, domain, cache)
-    # G is 0 off the diagonal blocks; _certify_blocks gives the proof
-    n = sum(blk.dim for blk in blocks)
-    G = [[Fraction(0)] * n for _ in range(n)]
-    start = 0
-    for blk in blocks:
-        for i, row in enumerate(_gram_block(blk.basis, blk.degree, domain), start):
-            G[i][start:start + blk.dim] = row
-        start += blk.dim
-    assembly = OperatorAssembly(operator, domain, p, l_max, blocks, G)
-    report = _solve_assembly(assembly)
-    return assembly, report
+    assembly = OperatorAssembly(operator, domain, p, l_max,
+                                _build_blocks(operator, m, p, l_max, domain, cache))
+    return assembly, _solve_assembly(assembly)
 
 
 class CertificateError(AssertionError):
@@ -352,14 +323,15 @@ def _certify_blocks(assembly: OperatorAssembly) -> list[Fraction]:
         reduces to 0 modulo |x|^2 - R^2;
       * G_b passes the exact LDL^T positive-definiteness test.
 
-    G is 0 outside the diagonal blocks by a theorem, so it is built
-    block by block (``_gram_block``) and never paired across blocks.  It
-    uses the constraints of ``harmonic._in_kind``, which ``BasisCache``
-    checks on every basis it loads and proves of every basis it
-    computes (the "H-closed" kernel and the "H-normal-null" span, see
-    ``harmonic``): trial forms are componentwise harmonic and
-    co-closed, exact ones closed and coexact ones normal-null
-    (i_x phi = 0).  On the sphere <J*u, J*v> = <u, v> - R^-2 <i_x u, i_x v>.
+    G is 0 outside the diagonal blocks by a theorem, so each block holds
+    only its own G_b (``_gram_block``), and nothing is paired across
+    blocks.  The theorem uses the constraints of ``harmonic._in_kind``,
+    which ``BasisCache`` checks on every basis it loads and proves of
+    every basis it computes (the "H-closed" kernel and the
+    "H-normal-null" span, see ``harmonic``): trial forms are
+    componentwise harmonic and co-closed, exact ones closed and coexact
+    ones normal-null (i_x phi = 0).  On the sphere
+    <J*u, J*v> = <u, v> - R^-2 <i_x u, i_x v>.
 
       * Blocks of different coefficient degrees k != k' are orthogonal:
         the coefficients of u, v and of i_x u, i_x v are harmonic
@@ -374,31 +346,29 @@ def _certify_blocks(assembly: OperatorAssembly) -> list[Fraction]:
         i_x is the adjoint of d for the Fischer product, so
         <u, v>_F = <i_x u, i_x v>_F / (p + k) = 0.
 
-    The pointwise identity gives A_ij = int_S <J*(T phi_i), J* phi_j>
-    = theta_b(i) G_ij, through Green's formula on the closed sphere for
-    the boundary Hodge Laplacian, so A = Theta G and the spectrum is
-    exactly theta_b with multiplicity dim_b over the blocks.  A failure
-    raises ``CertificateError`` naming the operator, the block, the
-    trial form where one fails, and the condition."""
+    The pointwise identity gives int_S <J*(T phi_i), J* phi_j>
+    = theta_b G_b,ij on each block, through Green's formula on the
+    closed sphere for the boundary Hodge Laplacian, so the spectrum is
+    exactly theta_b with multiplicity dim_b over the blocks.  Rows are
+    numbered across the blocks in order.  A failure raises
+    ``CertificateError`` naming the operator, the block and its rows,
+    the trial form where one fails, and the condition."""
     dom = assembly.domain
-
-    def fail(blk: Block, sl: slice, condition: str):
-        raise CertificateError(
-            f"{assembly.operator} at m={dom.m}, p={assembly.p}, R={dom.radius}: "
-            f"block {blk.kind} l={blk.l} (rows {sl.start}..{sl.stop - 1}): {condition}")
-
     thetas = []
-    for blk, sl in assembly.block_slices():
-        rows = range(sl.start, sl.stop)
+    start = 0
+    for blk in assembly.blocks:
         theta = assembly.theta(blk)
-        for i, w, ext in zip(rows, blk.basis, blk.extensions):
+        where = (f"{assembly.operator} at m={dom.m}, p={assembly.p}, R={dom.radius}: "
+                 f"block {blk.kind} l={blk.l} (rows {start}..{start + blk.dim - 1}): ")
+        for i, (w, ext) in enumerate(zip(blk.basis, blk.extensions), start):
             image = _operator_image(assembly.operator, w, ext, dom)
             if not _pullback_vanishes(image - w * theta, dom):
-                fail(blk, sl, f"trial form {i} is not an eigenform: "
-                              f"J*(T phi) != theta_b J* phi with theta_b = {theta}")
-        if not linalg.is_positive_definite([assembly.G[i][sl] for i in rows]):
-            fail(blk, sl, "G_b fails the exact LDL^T positive-definiteness test")
+                raise CertificateError(where + f"trial form {i} is not an eigenform: "
+                                       f"J*(T phi) != theta_b J* phi with theta_b = {theta}")
+        if not linalg.is_positive_definite(blk.G):
+            raise CertificateError(where + "G_b fails the exact LDL^T positive-definiteness test")
         thetas.append(theta)
+        start += blk.dim
     return thetas
 
 
@@ -406,7 +376,7 @@ def _solve_assembly(assembly: OperatorAssembly) -> SpectrumReport:
     """The exact spectrum read off the block certificate."""
     multiplicity: dict[Fraction, int] = {}
     rows = []
-    for (blk, _), theta in zip(assembly.block_slices(), _certify_blocks(assembly)):
+    for blk, theta in zip(assembly.blocks, _certify_blocks(assembly)):
         multiplicity[theta] = multiplicity.get(theta, 0) + blk.dim
         rows.append({"kind": blk.kind, "l": blk.l, "dim": blk.dim,
                      "eigenvalues": [theta] * blk.dim, "reference": str(theta)})

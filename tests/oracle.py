@@ -6,18 +6,25 @@ forms, with or without the pullback, by sphere moments.
 blocks too, as assembly did before G was built from Fischer products
 block by block; ``full_stiffness`` pairs the stiffness matrix A the
 same way, as assembly did before the pointwise eigenform certificate
-made it redundant; and ``certify_eigenvalue`` takes the exact
-multiplicity of an eigenvalue as the nullity of A - theta G over the
-whole matrix.  ``reference_bases`` builds the basis kinds by
-restriction from the harmonic fields, as the cache did before each kind
-was built from its own definition.  The rational ``rank``, ``nullity``
-and ``solve`` live here with them, since only tests need them.
+made it redundant; ``block_gram`` and ``block_stiffness`` lay out the
+assembly's own blocks G_b and theta_b G_b as the full block-diagonal
+matrices, for comparison with those two; and ``certify_eigenvalue``
+takes the exact multiplicity of an eigenvalue as the nullity of
+A - theta G over the whole matrix.  ``reference_bases`` builds the
+harmonic fields "H" and the two cached kinds by restriction, as the
+cache did before each kind was built from its own definition, and
+``harmonic_fields`` gives "H" as the span of the two cached kinds, as
+the cache built it before it stopped caching "H".  The rational
+``rank``, ``nullity`` and ``solve`` live here with them, since only
+tests need them.
 """
 
 from fractions import Fraction
+from functools import cache
 
 from formlab.ball import boundary_delta_rep, normal_part
-from formlab.harmonic import FormSpaceBasis, _form_rows, monomial_form_basis
+from formlab.harmonic import (KINDS, FormSpaceBasis, _form_rows, _reduced_span,
+                              monomial_form_basis)
 from formlab.linalg import nullspace, rref
 from formlab.polyform import PolyForm, PolyVectorField
 from formlab.quadrature import integrate_pairs
@@ -116,12 +123,32 @@ def full_gram(assembly):
     return sphere_matrix(reps, reps, assembly.domain)
 
 
+def block_gram(assembly):
+    """The full Gram matrix laid out from the assembly's blocks: each G_b
+    on the diagonal, 0 between blocks."""
+    n = sum(blk.dim for blk in assembly.blocks)
+    G = [[Fraction(0)] * n for _ in range(n)]
+    start = 0
+    for blk in assembly.blocks:
+        for i, row in enumerate(blk.G, start):
+            G[i][start:start + blk.dim] = row
+        start += blk.dim
+    return G
+
+
+def block_stiffness(assembly):
+    """Theta G, Theta the diagonal of the block eigenvalues theta_b: the
+    stiffness matrix as the block certificate proves it to be."""
+    thetas = [assembly.theta(blk) for blk in assembly.blocks for _ in blk.basis]
+    return [[t * g for g in row] for t, row in zip(thetas, block_gram(assembly))]
+
+
 def certify_eigenvalue(assembly, theta, A=None, G=None) -> int:
     """Exact multiplicity of theta: the nullity of A - theta G over Q,
     with A and G the fully paired matrices unless given."""
     A = full_stiffness(assembly) if A is None else A
     G = full_gram(assembly) if G is None else G
-    return nullity(mat_sub(A, scalar_mul(Fraction(theta), G)), assembly.dim)
+    return nullity(mat_sub(A, scalar_mul(Fraction(theta), G)), len(G))
 
 
 def restrict(basis, operator):
@@ -140,6 +167,7 @@ def restrict(basis, operator):
     return out
 
 
+@cache
 def reference_bases(m, l, p):
     """The "H", "H-closed" and "H-normal-null" bases by a chain of
     restrictions: the monomials, then ker of the Hodge Laplacian, then
@@ -153,3 +181,14 @@ def reference_bases(m, l, p):
     normal_null = restrict(harmonic, lambda w: w.interior(position)) if p >= 1 else harmonic
     return {kind: FormSpaceBasis(m, l, p, kind, basis) for kind, basis in
             (("H", harmonic), ("H-closed", closed), ("H-normal-null", normal_null))}
+
+
+@cache
+def harmonic_fields(basis_cache, m, l, p):
+    """The harmonic fields of (m, l, p), componentwise harmonic and
+    co-closed: the span of ``basis_cache``'s "H-closed" and
+    "H-normal-null" bases, in the reduced form of
+    ``harmonic._reduced_span``.  Both kinds are the constants at
+    l = p = 0, and the span takes them once."""
+    forms = [w for kind in KINDS for w in basis_cache.get(m, l, p, kind).basis]
+    return _reduced_span(m, l, p, forms)

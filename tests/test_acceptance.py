@@ -35,7 +35,8 @@ from formlab.sampling import (random_admissible_hessian, random_constant_form,
                               random_density, random_form, random_polynomial,
                               random_vector, random_vector_field, rng_for)
 from formlab.spectral import assemble_operator
-from oracle import certify_eigenvalue, full_stiffness, mat_sub, nullity, scalar_mul
+from oracle import (block_gram, certify_eigenvalue, full_stiffness, mat_sub, nullity,
+                    scalar_mul)
 
 SEED = 20240811
 FLOAT_EIGEN_TOL = 1e-8
@@ -212,11 +213,11 @@ def test_criterion_07_boundary_laplacian_and_comparison(spectra_m3):
             for v in b["eigenvalues"]:
                 assert abs(v - 2.0) <= FLOAT_EIGEN_TOL
     # co-closed certification: nullity of A - 2G on the coexact blocks
-    sub = [sl for blk, sl in asm.block_slices() if blk.kind == "coexact"]
-    keep = [i for s in sub for i in range(s.start, s.stop)]
-    A_full = full_stiffness(asm)
+    row_kinds = [blk.kind for blk in asm.blocks for _ in blk.basis]
+    keep = [i for i, kind in enumerate(row_kinds) if kind == "coexact"]
+    A_full, G_full = full_stiffness(asm), block_gram(asm)
     A = [[A_full[i][j] for j in keep] for i in keep]
-    G = [[asm.G[i][j] for j in keep] for i in keep]
+    G = [[G_full[i][j] for j in keep] for i in keep]
     shifted = mat_sub(A, scalar_mul(Fraction(2), G))
     assert nullity(shifted, len(keep)) == 3
 

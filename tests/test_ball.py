@@ -13,6 +13,7 @@ from formlab.polynomials import Polynomial
 from formlab.polyform import PolyForm, PolyVectorField
 from formlab.quadrature import RadialDensity, integrate_sphere
 from formlab.sampling import random_form, random_polynomial, rng_for
+from forms import volume
 
 DOM3 = BallDomain(3, Fraction(1))
 
@@ -86,7 +87,7 @@ class TestBoundaryInner:
         assert trace_norm_sq(PolyForm.basis(3, (1,)), DOM3) == Fraction(2, 3)
 
     def test_volume_pullback_full_measure(self):
-        rep = PolyForm.volume(3).interior(PolyVectorField.position(3))
+        rep = volume(3).interior(PolyVectorField.position(3))
         assert trace_norm_sq(rep, DOM3) == 1  # |S^2| after normalisation
 
     def test_orthogonal_representatives(self):

@@ -10,7 +10,7 @@ from fractions import Fraction
 from formlab import linalg
 from formlab.cli import _float_form
 from formlab.exterior import multi_indices
-from formlab.harmonic import BasisCache
+from formlab.harmonic import KINDS, BasisCache
 from formlab.identities import TrackedFloat
 from formlab.polynomials import Polynomial
 from formlab.polyform import PolyForm, PolyVectorField
@@ -116,11 +116,11 @@ class TestFloatCoefficients:
 
 class TestCacheRoundTrip:
     def test_disk_load_gives_canonical_coefficients(self, tmp_path):
-        built = BasisCache(str(tmp_path)).get(3, 2, 1, "H")
-        loaded = BasisCache(str(tmp_path)).get(3, 2, 1, "H")
-        assert loaded.basis == built.basis
-        coeffs = [c for form in loaded.basis for poly in form.coeffs.values()
-                  for c in poly.terms.values()]
+        built = [BasisCache(str(tmp_path)).get(3, 2, 1, kind).basis for kind in KINDS]
+        loaded = [BasisCache(str(tmp_path)).get(3, 2, 1, kind).basis for kind in KINDS]
+        assert loaded == built
+        coeffs = [c for basis in loaded for form in basis
+                  for poly in form.coeffs.values() for c in poly.terms.values()]
         assert coeffs and all(is_canonical(c) for c in coeffs)
         assert any(type(c) is int for c in coeffs)
 

@@ -17,6 +17,7 @@ from formlab.harmonic import BasisCache
 from formlab.identities import verify_pohozhaev, verify_stokes, verify_weighted_reilly
 from formlab.sampling import random_form, random_polynomial, random_vector_field, rng_for
 from formlab.spectral import assemble_operator
+from oracle import block_gram, block_stiffness, harmonic_fields
 
 HALF = BallDomain(3, Fraction(1, 2))
 SEED = 7
@@ -26,17 +27,20 @@ def _digest(obj) -> str:
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
 
 
-def _basis_rows(m, l, p, kind):
-    fsb = BasisCache().get(m, l, p, kind)
+def _form_rows(forms):
     return [sorted([list(I), list(e), str(c)]
                    for I, poly in form.coeffs.items() for e, c in poly.terms.items())
-            for form in fsb.basis]
+            for form in forms]
+
+
+def _basis_rows(m, l, p, kind):
+    return _form_rows(BasisCache().get(m, l, p, kind).basis)
 
 
 def _assembly(op, m=3, p=1, l_max=2, radius=Fraction(1, 2)):
     assembly, _ = assemble_operator(op, m, p, l_max, radius, BasisCache())
-    return {"G": [[str(v) for v in row] for row in assembly.G],
-            "A": [[str(v) for v in row] for row in assembly.A]}
+    return {"G": [[str(v) for v in row] for row in block_gram(assembly)],
+            "A": [[str(v) for v in row] for row in block_stiffness(assembly)]}
 
 
 def _reilly_terms():
@@ -72,7 +76,8 @@ def _pohozhaev_terms():
 ARTEFACTS = {
     "basis-3-1-1-H-normal-null": lambda: _basis_rows(3, 1, 1, "H-normal-null"),
     "basis-3-0-2-H-closed": lambda: _basis_rows(3, 0, 2, "H-closed"),
-    "basis-4-1-2-H": lambda: _basis_rows(4, 1, 2, "H"),
+    # the harmonic fields "H": the reduced span of the two cached kinds
+    "basis-4-1-2-H": lambda: _form_rows(harmonic_fields(BasisCache(), 4, 1, 2)),
     "assembly-dtn": lambda: _assembly("dtn"),
     "assembly-dtn-neumann": lambda: _assembly("dtn-neumann"),
     "assembly-hodge-boundary": lambda: _assembly("hodge-boundary"),

@@ -17,7 +17,7 @@ from formlab.polynomials import Polynomial
 from formlab.polyform import PolyForm, PolyVectorField
 from formlab.quadrature import RadialDensity, integrate_sphere
 from formlab.sampling import random_polynomial, rng_for
-from oracle import rank, reference_bases, solve
+from oracle import harmonic_fields, rank, reference_bases, solve
 
 
 def binom(n, k):
@@ -56,16 +56,15 @@ class TestMonomialBasis:
 
 class TestHarmonicFields:
     def test_constants_are_harmonic_fields(self, cache):
-        got = cache.get(3, 0, 1, "H")
-        assert got.dim == 3
+        assert len(harmonic_fields(cache, 3, 0, 1)) == 3
 
     def test_linear_fields_membership(self, cache):
-        got = cache.get(3, 1, 1, "H")
+        basis = harmonic_fields(cache, 3, 1, 1)
         x1, x2 = Polynomial.variable(3, 1), Polynomial.variable(3, 2)
         rotation = PolyForm(3, 1, {(1,): x2, (2,): -x1})
         radial = PolyForm(3, 1, {(1,): x1})
         # membership via rank: adding the candidate must not raise rank
-        frame = [(I, e) for b in got.basis for I in b.coeffs
+        frame = [(I, e) for b in basis for I in b.coeffs
                  for e in b.coeffs[I].terms]
         frame = sorted(set(frame))
 
@@ -73,15 +72,14 @@ class TestHarmonicFields:
             return [Fraction(form.coeffs[I].coefficient(e))
                     if I in form.coeffs else Fraction(0) for I, e in frame]
 
-        base_rows = [coords(b) for b in got.basis]
+        base_rows = [coords(b) for b in basis]
         base_rank = rank(base_rows)
         assert rank(base_rows + [coords(rotation)]) == base_rank
         assert rank(base_rows + [coords(radial)]) == base_rank + 1
 
     def test_conditions_hold_exactly(self, cache):
         for m, l, p in ((3, 2, 1), (3, 1, 2), (4, 1, 1)):
-            got = cache.get(m, l, p, "H")
-            for b in got.basis:
+            for b in harmonic_fields(cache, m, l, p):
                 assert b.laplacian().is_zero()
                 assert b.delta().is_zero()
                 if p <= m - 1:
@@ -90,20 +88,34 @@ class TestHarmonicFields:
     @pytest.mark.parametrize("m", (2, 3, 4, 5, 6))
     def test_rough_laplacian_build_equals_hodge_build(self, cache, m):
         # every kind built from its definition (d and delta, i_x of the
-        # closed fields a degree down, their joint span) holds the same
-        # bytes as the restriction from the kernel of the Hodge Laplacian
+        # closed fields a degree down) holds the same bytes as the
+        # restriction from the kernel of the Hodge Laplacian
         for l in range(dict(TestExpectedDim.GRID)[m] + 1):
             for p in range(m + 1):
-                for kind, want in reference_bases(m, l, p).items():
+                want = reference_bases(m, l, p)
+                for kind in KINDS:
                     assert harmonic._encode_basis(cache.get(m, l, p, kind)) == \
-                        harmonic._encode_basis(want), (m, l, p, kind)
+                        harmonic._encode_basis(want[kind]), (m, l, p, kind)
+
+    @pytest.mark.parametrize("m", (2, 3, 4, 5, 6))
+    def test_kinds_span_the_harmonic_fields(self, cache, m):
+        # the closed and the normal-null fields are independent of each
+        # other, except for the constants, which are both at l = p = 0,
+        # and together they span all harmonic co-closed fields: the
+        # reduced basis is unique to its span
+        for l in range(dict(TestExpectedDim.GRID)[m] + 1):
+            for p in range(m + 1):
+                span = harmonic_fields(cache, m, l, p)
+                dims = sum(expected_dim(m, l, p, kind) for kind in KINDS)
+                assert len(span) == dims - (l + p == 0), (m, l, p)
+                H = reference_bases(m, l, p)["H"].basis
+                assert span == harmonic._reduced_span(m, l, p, H), (m, l, p)
 
     def test_basis_reproducible(self):
-        a = BasisCache().get(3, 2, 1, "H")
-        b = BasisCache().get(3, 2, 1, "H")
-        assert len(a.basis) == len(b.basis)
-        for u, v in zip(a.basis, b.basis):
-            assert u == v
+        for kind in KINDS:
+            a = BasisCache().get(3, 2, 1, kind)
+            b = BasisCache().get(3, 2, 1, kind)
+            assert a.basis and a.basis == b.basis
 
 
 class TestSplit:
@@ -132,7 +144,7 @@ class TestSplit:
         # i_x w = 0 identically iff the boundary normal part has zero
         # L2 norm on the sphere (rank comparison over the H basis)
         dom = BallDomain(3, Fraction(1))
-        h = cache.get(3, 2, 1, "H")
+        h = reference_bases(3, 2, 1)["H"]
         normal_null = cache.get(3, 2, 1, "H-normal-null")
         integral_null = []
         for b in h.basis:
@@ -161,11 +173,12 @@ class TestExpectedDim:
 
     @pytest.mark.parametrize("m", range(2, 9))
     def test_low_degrees_in_closed_form(self, m):
-        # constant closed p-forms are all constant p-forms; normal-null
-        # fields of degree 1 are the i_x of constant (p+1)-forms
+        # constant closed p-forms are all constant p-forms, and no
+        # constant p-form with p >= 1 is normal-null; normal-null fields
+        # of degree 1 are the i_x of constant (p+1)-forms
         for p in range(m + 1):
             assert expected_dim(m, 0, p, "H-closed") == binom(m, p)
-            assert expected_dim(m, 0, p, "H") == binom(m, p)
+            assert expected_dim(m, 0, p, "H-normal-null") == int(p == 0)
             assert expected_dim(m, 1, p, "H-normal-null") == binom(m, p + 1)
 
     def test_weyl_dimensions(self):
@@ -259,8 +272,8 @@ class TestCache:
 
     def test_document_format(self, tmp_path):
         cache = BasisCache(str(tmp_path))
-        cache.get(2, 1, 1, "H")
-        path = tmp_path / "basis_m2_l1_p1_H.json"
+        cache.get(2, 1, 1, "H-normal-null")
+        path = tmp_path / "basis_m2_l1_p1_H-normal-null.json"
         doc = json.loads(path.read_text())
         assert doc["schema"] == 2
         assert doc["dim"] == len(doc["vectors"])
@@ -269,7 +282,7 @@ class TestCache:
                 int(num), int(den)  # decimal strings
 
     def test_concurrent_misses_load_once(self, tmp_path, monkeypatch):
-        BasisCache(str(tmp_path)).get(3, 1, 1, "H")
+        BasisCache(str(tmp_path)).get(3, 1, 1, "H-normal-null")
         loads = []
         real = harmonic._decode_basis
 
@@ -284,7 +297,7 @@ class TestCache:
 
         def worker():
             barrier.wait(timeout=10)
-            got.append(cache.get(3, 1, 1, "H"))
+            got.append(cache.get(3, 1, 1, "H-normal-null"))
         threads = [threading.Thread(target=worker) for _ in range(2)]
         for t in threads:
             t.start()
@@ -292,7 +305,7 @@ class TestCache:
             t.join(timeout=30)
         assert not any(t.is_alive() for t in threads)
         assert len(got) == 2 and got[0] is got[1]
-        assert loads == ["H"]
+        assert loads == ["H-normal-null"]
 
     @pytest.mark.parametrize("damage", ["truncated", "zero-denominator", "short-vector"])
     def test_malformed_file_is_rebuilt(self, tmp_path, damage):
@@ -319,8 +332,7 @@ class TestCache:
     def test_stale_and_mismatched_files_are_rebuilt(self, tmp_path, monkeypatch):
         ref_dir, plant = tmp_path / "ref", tmp_path / "plant"
         ref = BasisCache(str(ref_dir))
-        want = {kind: ref.get(3, 1, 1, kind) for kind in ("H", "H-normal-null")}
-        ref.get(3, 1, 1, "H-closed")
+        want = {kind: ref.get(3, 1, 1, kind) for kind in KINDS}
 
         def doc(directory, kind):
             return json.loads((directory / f"basis_m3_l1_p1_{kind}.json").read_text())
@@ -331,13 +343,13 @@ class TestCache:
         stale["gram"] = [[["1", "1"]] * stale["dim"]] * stale["dim"]
         stale["vectors"][0][0] = ["7", "1"]
         # a valid schema-2 document filed under another kind's name
-        mismatched = doc(ref_dir, "H-closed")
+        mismatched = doc(ref_dir, "H-normal-null")
         plant.mkdir()
         (plant / "basis_m3_l1_p1_H-normal-null.json").write_text(json.dumps(stale))
-        (plant / "basis_m3_l1_p1_H.json").write_text(json.dumps(mismatched))
+        (plant / "basis_m3_l1_p1_H-closed.json").write_text(json.dumps(mismatched))
 
         cache = BasisCache(str(plant))
-        for kind in ("H", "H-normal-null"):
+        for kind in KINDS:
             got = cache.get(3, 1, 1, kind)
             assert got.kind == kind and got.basis == want[kind].basis
             assert doc(plant, kind) == doc(ref_dir, kind)
@@ -350,14 +362,14 @@ class TestCache:
         assert BasisCache(str(plant)).get(3, 1, 1, "H-normal-null").basis == \
             want["H-normal-null"].basis
 
-    @pytest.mark.parametrize("kind", ["H", "H-closed", "H-normal-null"])
+    @pytest.mark.parametrize("kind", KINDS)
     def test_tampered_vector_entry_is_rebuilt(self, tmp_path, kind):
         ref_dir, plant = tmp_path / "ref", tmp_path / "plant"
         want = BasisCache(str(ref_dir)).get(3, 1, 2, kind)
         name = f"basis_m3_l1_p2_{kind}.json"
         computed = json.loads((ref_dir / name).read_text())
         # add 1 to the first vector's entry at x_j dx_I with j in I: every
-        # kind but "P" rejects it, since delta(x_j dx_I) = -i_{e_j} dx_I != 0
+        # kind rejects it, since delta(x_j dx_I) = -i_{e_j} dx_I != 0
         tampered = json.loads((ref_dir / name).read_text())
         k = next(i for i, (I, e) in enumerate(tampered["frame"])
                  if any(e[j - 1] for j in I))
@@ -369,7 +381,7 @@ class TestCache:
         assert got.basis == want.basis
         assert json.loads((plant / name).read_text()) == computed
 
-    @pytest.mark.parametrize("kind", ["H", "H-closed", "H-normal-null"])
+    @pytest.mark.parametrize("kind", KINDS)
     def test_dependent_vector_is_rebuilt(self, tmp_path, kind):
         # one extra vector, the sum of the first two: every form still
         # satisfies the constraints of its kind, but the basis is dependent
@@ -389,7 +401,7 @@ class TestCache:
         assert got.basis == want.basis
         assert json.loads((plant / name).read_text()) == computed
 
-    @pytest.mark.parametrize("kind", ["H", "H-closed", "H-normal-null"])
+    @pytest.mark.parametrize("kind", KINDS)
     def test_deleted_vector_is_rebuilt(self, tmp_path, kind):
         # the last vector dropped and dim lowered: what is left is still
         # independent forms of the kind, but too few to span it
@@ -414,10 +426,9 @@ class TestCache:
 
     def test_wrong_computed_dimension_raises(self, monkeypatch):
         monkeypatch.setattr(harmonic, "expected_dim", lambda m, l, p, kind: 0)
-        # "H" spans the closed and normal-null fields, closed built first
         with pytest.raises(AssertionError, match=r"\(3, 1, 1, H-closed\) has 5 vectors, "
                                                  "expected 0"):
-            BasisCache().get(3, 1, 1, "H")
+            BasisCache().get(3, 1, 1, "H-closed")
 
     def test_reduced_form_decides_independence(self):
         assert harmonic._in_reduced_form([[0, 1, 0], [3, 0, 1]])
@@ -431,12 +442,14 @@ class TestCache:
 
     def test_memoisation(self):
         cache = BasisCache()
-        a = cache.get(3, 1, 1, "H")
-        assert cache.get(3, 1, 1, "H") is a
+        a = cache.get(3, 1, 1, "H-normal-null")
+        assert cache.get(3, 1, 1, "H-normal-null") is a
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            BasisCache().get(3, 1, 1, "bogus")
+        # "H" and "P" are not cached: no program path reads them
+        for kind in ("bogus", "H", "P"):
+            with pytest.raises(ValueError):
+                BasisCache().get(3, 1, 1, kind)
 
 
 def test_gram_matrices_have_full_rank(cache):

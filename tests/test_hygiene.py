@@ -1,6 +1,7 @@
 """Library surface hygiene: every exported name resolves, no module
-under ``src/formlab`` imports a name it never uses or re-exports, and a
-run loads only the layers its suite calls."""
+under ``src/formlab`` imports a name it never uses or re-exports, every
+function the library defines is called in it or exported, and a run
+loads only the layers its suite calls."""
 
 import ast
 import subprocess
@@ -77,6 +78,46 @@ def test_no_unused_imports(path):
 def test_checker_flags_an_unused_import():
     tree = ast.parse("import os\nfrom .x import a, b as c\n__all__ = ['a']\n")
     assert set(_imported_names(tree)) - _used_names(tree) == {"os", "c"}
+
+
+# functions kept in the library though nothing in it calls them
+UNREFERENCED_ALLOWED = {
+    # the README lists polynomial charts as a library feature
+    "from_polynomials",
+}
+
+
+def _unreferenced_functions(trees: dict[str, ast.Module], exported) -> list[str]:
+    """``module:line:name`` of every function or method, dunders aside,
+    whose name no ``Name`` or ``Attribute`` in any of the modules reads
+    and that is not exported."""
+    referenced = set(exported)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    return [f"{module}:{node.lineno}:{node.name}"
+            for module, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))
+            and node.name not in referenced]
+
+
+def test_every_function_is_referenced_or_exported():
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    unreferenced = [where for where in _unreferenced_functions(trees, formlab.__all__)
+                    if where.rsplit(":", 1)[1] not in UNREFERENCED_ALLOWED]
+    assert not unreferenced, f"defined but never called nor exported: {unreferenced}"
+
+
+def test_checker_flags_an_unreferenced_function():
+    tree = ast.parse("def a(): b()\ndef b(): pass\ndef c(): pass\n"
+                     "def d(): pass\nclass K:\n    def __len__(self): return 0\n"
+                     "    def e(self): self.a\n")
+    assert _unreferenced_functions({"m.py": tree}, ["d"]) == ["m.py:3:c", "m.py:7:e"]
 
 
 SPECTRUM_ABSENT = ["numpy", "formlab.identities", "formlab.sampling",

@@ -21,6 +21,7 @@ from formlab.quadrature import RadialDensity, integrate_ball, integrate_sphere
 from formlab.sampling import (random_admissible_hessian, random_constant_form,
                               random_form, random_polynomial,
                               random_vector_field, rng_for)
+from forms import covariant_gradient
 
 DOM3 = BallDomain(3, Fraction(1))
 
@@ -129,7 +130,7 @@ def product_reilly_terms(weight, omega, domain):
     n, c = domain.boundary_dim, domain.curvature
     delta_sq = omega.delta().norm_sq() if p >= 1 else Polynomial.zero(m)
     d_sq = omega.d().norm_sq() if p <= m - 1 else Polynomial.zero(m)
-    grad_sq = sum((g.norm_sq() for g in omega.covariant_gradient()), Polynomial.zero(m))
+    grad_sq = sum((g.norm_sq() for g in covariant_gradient(omega)), Polynomial.zero(m))
     lhs_density = weight.f * (delta_sq + d_sq - grad_sq)
 
     contraction = RadialDensity.zero(m)

@@ -15,6 +15,7 @@ from formlab import linalg, spectral
 from formlab.ball import BallDomain, inner_pairs, jstar_pairs, normal_part
 from formlab.harmonic import BasisCache
 from formlab.exterior import multi_indices
+from formlab.identities import replay_proof_chain
 from formlab.polyform import PolyForm, PolyVectorField
 from formlab.polynomials import Polynomial
 from formlab.quadrature import integrate_ball, integrate_pairs, integrate_sphere
@@ -22,8 +23,9 @@ from formlab.sampling import rng_for
 from formlab.spectral import (CertificateError, _neumann_extension, _neumann_failures,
                               assemble_operator, ball_reference_eigenvalue,
                               check_bounds, scaling_check)
-from oracle import (certify_eigenvalue, full_gram, full_stiffness, rank, solve,
-                    sphere_matrix)
+from forms import volume
+from oracle import (block_gram, block_stiffness, certify_eigenvalue, full_gram,
+                    full_stiffness, harmonic_fields, rank, solve, sphere_matrix)
 
 
 def binom(n, k):
@@ -41,7 +43,7 @@ EXTENSION_KINDS = ("harmonic-coclosed", "harmonic-neumann")
 def _trial_space(m, p, degree, cache):
     """Harmonic p-fields of coefficient degree <= degree (homogeneous
     blocks stack); at p = 0, the harmonic scalars."""
-    return [w for l in range(degree + 1) for w in cache.get(m, l, p, "H").basis]
+    return [w for l in range(degree + 1) for w in harmonic_fields(cache, m, l, p)]
 
 
 def lsq_extend_block(kind, domain, data, degree, cache, max_degree=None):
@@ -191,7 +193,7 @@ class TestExtension:
         data = cache.get(m, l, p, "H-closed").basis
         degree = l + 2
         trial = [PolyForm(m, p, {I: s.coeffs[()]}) for k in range(degree + 1)
-                 for I in multi_indices(m, p) for s in cache.get(m, k, 0, "H").basis]
+                 for I in multi_indices(m, p) for s in harmonic_fields(cache, m, k, 0)]
         B = sphere_matrix(trial, data, dom)
         X = solve(sphere_matrix(trial, trial, dom, pullback=False), B)
         block = lsq_extend_block("harmonic-neumann", dom, data, degree, cache)
@@ -347,7 +349,7 @@ class TestBallSpectra:
         assert abs(rep.first_positive() - 3.0) < 1e-8
         block = cache.get(3, 1, 2, "H-normal-null")
         assert block.dim == 1
-        vol_trace = PolyForm.volume(3).interior(PolyVectorField.position(3))
+        vol_trace = volume(3).interior(PolyVectorField.position(3))
         dom = BallDomain(3, Fraction(1))
         from formlab.quadrature import RadialDensity
         b = block.basis[0]
@@ -392,13 +394,12 @@ class TestBallSpectra:
 class TestAssemblyInvariants:
     def test_stiffness_symmetric_exactly(self, d3, t3):
         for asm, _ in (d3, t3):
-            for i in range(asm.dim):
-                for j in range(asm.dim):
-                    assert asm.A[i][j] == asm.A[j][i]
+            A = block_stiffness(asm)
+            assert A == [list(col) for col in zip(*A)]
 
     def test_gram_full_rank(self, d3):
-        asm, _ = d3
-        assert rank([list(r) for r in asm.G]) == asm.dim
+        G = block_gram(d3[0])
+        assert rank(G) == len(G)
 
     def test_eigenvalues_nonnegative(self, d3, t3, h3):
         for _, rep in (d3, t3, h3):
@@ -494,6 +495,18 @@ class TestBounds:
         with pytest.raises(ValueError, match="coexact l=1 block"):
             check_bounds(dtn, t3[1], h3[1])
 
+    @pytest.mark.parametrize("m, p", [(5, 2), (6, 3)])
+    def test_bounds_and_chains_past_m4(self, cache, m, p):
+        # (5, 2) is the first middle degree with p >= 2: the comparison
+        # factor (n - p)c is 2c there
+        reports = [assemble_operator(op, m, p, 2, 1, cache)[1] for op in spectral.OPERATORS]
+        checks = check_bounds(*reports)
+        assert "hodge-comparison" in {c.name for c in checks}
+        assert all(c.passed for c in checks), [c.to_dict() for c in checks]
+        for kind in ("sharp-bound", "comparison", "nonsharp"):
+            chain = replay_proof_chain(kind, p, BallDomain(m, Fraction(1)), cache)
+            assert chain.passed, (kind, chain.checks)
+
     def test_rescaled_balls(self, cache):
         for c in (Fraction(1, 2), Fraction(1), Fraction(3)):
             R = 1 / c
@@ -538,12 +551,6 @@ FULL_MATRIX_CASES = [(2, 1, 3, Fraction(2, 3)), (3, 1, 2, Fraction(1)),
 class TestBlockCertificate:
     """The exact block certificate behind every reported spectrum."""
 
-    @staticmethod
-    def edited_copy(asm, edit):
-        bad = copy.deepcopy(asm)
-        edit(bad, [sl for _, sl in bad.block_slices()])
-        return bad
-
     def test_shifted_reference_names_the_block(self, d3, monkeypatch):
         real = spectral.ball_reference_eigenvalue
 
@@ -551,7 +558,8 @@ class TestBlockCertificate:
             theta = real(op, kind, m, p, l, R)
             return theta + 1 if (kind, l) == ("coexact", 2) else theta
         monkeypatch.setattr(spectral, "ball_reference_eigenvalue", shifted)
-        _, sl = d3[0].block_slices()[1]
+        first, second = d3[0].blocks[:2]
+        sl = slice(first.dim, first.dim + second.dim)
         with pytest.raises(CertificateError) as err:
             spectral._solve_assembly(d3[0])
         assert str(err.value) == (
@@ -572,13 +580,12 @@ class TestBlockCertificate:
             spectral._solve_assembly(t3[0])
 
     def test_singular_gram_block_names_the_block(self, h3):
-        def duplicate(asm, slices):
-            i, j = slices[1].start, slices[1].start + 1
-            for row in asm.G:
-                row[j] = row[i]
-            asm.G[j] = list(asm.G[i])
-        bad = self.edited_copy(h3[0], duplicate)
+        # the second trial form of block 1 made a copy of the first
+        bad = copy.deepcopy(h3[0])
         blk = bad.blocks[1]
+        for row in blk.G:
+            row[1] = row[0]
+        blk.G[1] = list(blk.G[0])
         with pytest.raises(CertificateError,
                            match=f"block {blk.kind} l={blk.l} .*G_b fails the exact "
                                  "LDL\\^T positive-definiteness test"):
@@ -622,10 +629,10 @@ class TestBlockCertificate:
             asm, rep = assemble_operator(op, m, p, l_max, R, cache)
             # Theta G, never paired, equals the stiffness matrix paired in full
             A, G = full_stiffness(asm), full_gram(asm)
-            assert asm.A == A
+            assert block_stiffness(asm) == A
             groups = {str(g.value): g.multiplicity for g in rep.eigenvalues}
             assert rep.certified == groups
-            assert sum(groups.values()) == asm.dim
+            assert sum(groups.values()) == len(G)
             for g in rep.eigenvalues:
                 assert isinstance(g.value, Fraction)
                 assert certify_eigenvalue(asm, g.value, A, G) == g.multiplicity
@@ -636,7 +643,7 @@ class TestBlockCertificate:
         # entry by entry from sphere moments
         for op in spectral.OPERATORS:
             asm, _ = assemble_operator(op, m, p, l_max, R, cache)
-            assert asm.G == full_gram(asm)
+            assert block_gram(asm) == full_gram(asm)
 
 
 class TestNumpyFree:
