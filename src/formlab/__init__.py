@@ -15,21 +15,21 @@ The library layers are, bottom up:
   cli          batch runner with reports, CSV tables and exit codes
 
 Every layer is exact and loads no numpy; only the Monte Carlo oracle
-imports numpy, when it runs.  The ``identities`` and
-``curvature`` names below resolve on first access (PEP 562), so
-importing the package, or running a suite that calls neither layer,
-loads neither module.
-"""
+imports numpy, when it runs.  Every public name below resolves on first
+access (PEP 562), through ``_LAZY_MODULES``, so importing the package
+loads no layer, and a run loads only the layers its suites call:
 
-from .exterior import ConstantForm, LinearEndomorphism, MultiIndex, multi_indices
-from .polynomials import Polynomial
-from .polyform import PolyForm, PolyVectorField, gradient_action
-from .quadrature import (ExactScalar, RadialDensity, integrate_ball,
-                         integrate_sphere, mc_oracle, sphere_average)
-from .ball import BallDomain, WeightFunction, canonical_weight, normal_part
-from .harmonic import BasisCache, FormSpaceBasis, sphere_reduce
-from .spectral import (CertificateError, SpectrumReport, assemble_operator,
-                       ball_reference_eigenvalue, check_bounds, scaling_check)
+  spectrum   exterior, polynomials, polyform, ball, linalg, harmonic and
+             spectral; no quadrature and no numpy
+  bounds     those, and identities and quadrature for the proof-chain
+             replays, which integrate; no numpy
+  verify     those, and sampling; numpy in the worker that runs the
+             Monte Carlo oracle
+  curvature  the spectrum layers, which ``cli`` imports, and curvature,
+             sampling and quadrature (which sampling imports); no numpy
+
+No run loads ``dataclasses``: the records are plain classes.
+"""
 
 __version__ = "0.1.0"
 
@@ -49,8 +49,17 @@ __all__ = [
     "verify_weighted_reilly", "weitzenbock_at",
 ]
 
-# Names resolved on first access (PEP 562), by the module defining them.
+# Every name of __all__, by the module defining it.
 _LAZY_MODULES = {
+    "exterior": ("ConstantForm", "LinearEndomorphism", "MultiIndex", "multi_indices"),
+    "polynomials": ("Polynomial",),
+    "polyform": ("PolyForm", "PolyVectorField", "gradient_action"),
+    "quadrature": ("ExactScalar", "RadialDensity", "integrate_ball", "integrate_sphere",
+                   "mc_oracle", "sphere_average"),
+    "ball": ("BallDomain", "WeightFunction", "canonical_weight", "normal_part"),
+    "harmonic": ("BasisCache", "FormSpaceBasis", "sphere_reduce"),
+    "spectral": ("CertificateError", "SpectrumReport", "assemble_operator",
+                 "ball_reference_eigenvalue", "check_bounds", "scaling_check"),
     "identities": ("IdentityReport", "pointwise_hessian_estimate",
                    "replay_proof_chain", "verify_function_reilly",
                    "verify_pohozhaev", "verify_stokes",

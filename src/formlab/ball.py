@@ -22,28 +22,39 @@ against the tangential differential.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .polynomials import Polynomial
 from .polyform import PolyForm, PolyVectorField
-from .quadrature import ExactScalar, RadialDensity, integrate_pairs
 
 
-@dataclass(frozen=True)
 class BallDomain:
-    """The solid ball of radius R in R^m with its boundary sphere."""
+    """The solid ball of radius R in R^m with its boundary sphere.
 
-    m: int
-    radius: Fraction
+    Immutable, and equal and hashed by ``(m, radius)``."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "radius", Fraction(self.radius))
-        if self.m < 2:
+    def __init__(self, m: int, radius):
+        radius = Fraction(radius)
+        if m < 2:
             raise ValueError("need ambient dimension >= 2")
-        if self.radius <= 0:
+        if radius <= 0:
             raise ValueError("radius must be positive")
+        vars(self).update(m=m, radius=radius)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name!r}: BallDomain is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not BallDomain:
+            return NotImplemented
+        return (self.m, self.radius) == (other.m, other.radius)
+
+    def __hash__(self):
+        return hash((self.m, self.radius))
+
+    def __repr__(self):
+        return f"BallDomain(m={self.m!r}, radius={self.radius!r})"
 
     @property
     def curvature(self) -> Fraction:
@@ -109,6 +120,7 @@ def normal_split_residual(omega: PolyForm, domain: BallDomain) -> ExactScalar:
 
     d^S(i_N w) + i_N dw - J*(grad_N w) + S^[p](J* w) = 0.
     """
+    from .quadrature import ExactScalar, integrate_pairs
     if omega.p == 0:
         raise ValueError("needs degree >= 1")
     normal = domain.normal_field()
@@ -152,19 +164,21 @@ def b_term_alternate_pairs(omega: PolyForm, domain: BallDomain) -> list[tuple]:
         + jstar_pairs(dual, dual, domain, (domain.m - q) * c)
 
 
-@dataclass(frozen=True)
 class WeightFunction:
     """A scalar weight with precomputed first and second derivatives.
 
     ``lap`` stores the non-negative-convention Laplacian, i.e. minus the
-    trace of the Hessian.
+    trace of the Hessian.  ``f``, ``grad``, ``hess`` and ``lap`` hold
+    ``quadrature.RadialDensity`` values; the functions that build them
+    import quadrature when called, so that a run using ball only for its
+    boundary calculus (a spectrum run) loads no quadrature.
     """
 
-    kind: str
-    f: RadialDensity
-    grad: tuple[RadialDensity, ...]
-    hess: tuple[tuple[RadialDensity, ...], ...]
-    lap: RadialDensity
+    __slots__ = ("kind", "f", "grad", "hess", "lap")
+
+    def __init__(self, kind: str, f: RadialDensity, grad: tuple[RadialDensity, ...],
+                 hess: tuple[tuple[RadialDensity, ...], ...], lap: RadialDensity):
+        self.kind, self.f, self.grad, self.hess, self.lap = kind, f, grad, hess, lap
 
     @property
     def m(self) -> int:
@@ -172,6 +186,7 @@ class WeightFunction:
 
     @classmethod
     def from_density(cls, kind: str, f: RadialDensity) -> "WeightFunction":
+        from .quadrature import RadialDensity
         m = f.m
         grad = tuple(f.partial(k) for k in range(1, m + 1))
         hess = tuple(tuple(grad[a].partial(l + 1) for l in range(m))
@@ -183,15 +198,18 @@ class WeightFunction:
 
     @classmethod
     def polynomial(cls, poly: Polynomial) -> "WeightFunction":
+        from .quadrature import RadialDensity
         return cls.from_density("polynomial", RadialDensity(poly.m, {0: poly}))
 
     @classmethod
     def one(cls, m: int) -> "WeightFunction":
+        from .quadrature import RadialDensity
         return cls.from_density("polynomial",
                                 RadialDensity.constant(m, 1))
 
     def normal_derivative(self, domain: BallDomain) -> RadialDensity:
         """f_N = <grad f, N> with the inner normal, as a density on Sigma."""
+        from .quadrature import RadialDensity
         normal = domain.normal_field()
         out = RadialDensity.zero(self.m)
         for k in range(self.m):
@@ -220,6 +238,7 @@ def canonical_weight(domain: BallDomain) -> WeightFunction:
     (R^2 - r^2)/(2R): it vanishes on Sigma, has unit inner-normal
     derivative there, and its Hessian is exactly -(1/R) Id.
     """
+    from .quadrature import RadialDensity
     m = domain.m
     R = domain.radius
     poly = (Polynomial.constant(m, R * R) - Polynomial.radius_squared(m)) * Fraction(1, 2) * (1 / R)

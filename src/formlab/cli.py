@@ -77,6 +77,18 @@ which inherit the case list, the run's context and every module loaded
 while building the list.  At ``--jobs 1`` nothing is forked.  numpy is
 imported by the first oracle case that runs, so that case's
 ``timing.cases`` entry includes the import.
+
+A run loads only the layers its suites call.  This module imports
+``spectral`` and the layers below it (``ball``, ``harmonic``,
+``linalg``, ``polyform``, ``polynomials``, ``exterior``), which is all a
+``spectrum`` run loads: no ``quadrature`` and no numpy.  Each other
+suite's case generator imports what its cases call before any worker is
+forked: ``bounds`` loads ``identities``, and with it ``quadrature``,
+for its proof-chain replays; ``verify`` loads ``identities`` and
+``sampling``; ``curvature`` loads ``curvature`` and ``sampling``.  Of
+the cases, only the quadrature oracle and the float-mode weights call
+``quadrature`` themselves, and they import it where they call it.  No
+run loads ``dataclasses``.
 """
 
 from __future__ import annotations
@@ -88,7 +100,6 @@ import os
 import sys
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import import_module
 
@@ -97,7 +108,6 @@ from .exterior import LinearEndomorphism
 from .harmonic import BasisCache
 from .polynomials import Polynomial
 from .polyform import PolyForm, PolyVectorField
-from .quadrature import RadialDensity, integrate_ball, mc_oracle
 from .spectral import OPERATORS, assemble_operator, check_bounds, scaling_check
 
 SCHEMA_VERSION = 3
@@ -123,18 +133,24 @@ ORACLE_SIGMA_BOUND = 5.0
 ORACLE_GROUP = "quadrature-oracle"
 
 
-@dataclass
 class RunConfig:
-    suites: list[str]
-    dims: list[int] = field(default_factory=lambda: [3])
-    degrees: list[int] | None = None
-    radii: list[Fraction] = field(default_factory=lambda: [Fraction(1)])
-    l_max: int = 2
-    seed: int = 7
-    mode: str = "exact"
-    out_dir: str = "runs"
-    cache_dir: str | None = None
-    jobs: int = 1
+    """One run's settings.  Each default is stated here alone: the help
+    texts read it (``_stated_default``), and ``dims`` and ``radii``
+    default to a fresh list per instance."""
+
+    __slots__ = ("suites", "dims", "degrees", "radii", "l_max", "seed", "mode",
+                 "out_dir", "cache_dir", "jobs")
+
+    def __init__(self, suites: list[str], dims: list[int] | None = None,
+                 degrees: list[int] | None = None, radii: list[Fraction] | None = None,
+                 l_max: int = 2, seed: int = 7, mode: str = "exact", out_dir: str = "runs",
+                 cache_dir: str | None = None, jobs: int = 1):
+        self.suites = suites
+        self.dims = [3] if dims is None else dims
+        self.degrees = degrees
+        self.radii = [Fraction(1)] if radii is None else radii
+        self.l_max, self.seed, self.mode = l_max, seed, mode
+        self.out_dir, self.cache_dir, self.jobs = out_dir, cache_dir, jobs
 
     def validate(self) -> None:
         for key, values in (("suites", self.suites), ("dims", self.dims),
@@ -214,17 +230,31 @@ class ConfigError(Exception):
 # Cases and the context they run in.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Case:
     """One check: ``run(ctx, **args)`` returns its record, to which the
     runner adds ``"id": key``.  ``run`` is a module-level function, so a
     case pickles.  Cases sharing a ``group`` other than None run in one
     worker, and ``cost`` estimates the case's run time, by which
-    ``_partition`` deals the groups."""
-    key: str
-    run: Callable[..., dict]
-    args: dict
-    group: tuple | str | None = None
+    ``_partition`` deals the groups.  A case is immutable, and equal to
+    another with the same four fields."""
+
+    __slots__ = ("key", "run", "args", "group")
+
+    def __init__(self, key: str, run: Callable[..., dict], args: dict,
+                 group: tuple | str | None = None):
+        for name, value in zip(self.__slots__, (key, run, args, group)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name!r}: Case is immutable")
+
+    def __reduce__(self):
+        return Case, (self.key, self.run, self.args, self.group)
+
+    def __eq__(self, other):
+        if type(other) is not Case:
+            return NotImplemented
+        return self.__reduce__() == other.__reduce__()
 
     @property
     def cost(self) -> float:
@@ -245,6 +275,7 @@ def _float_form(w: PolyForm) -> PolyForm:
 
 
 def _float_weight(w: WeightFunction) -> WeightFunction:
+    from .quadrature import RadialDensity
     parts = {j: _float_poly(poly) for j, poly in w.f.parts.items()}
     return WeightFunction.from_density(w.kind, RadialDensity(w.m, parts))
 
@@ -419,6 +450,7 @@ def _hessian_estimate(ctx: _Context, dom) -> dict:
 def _quadrature_oracle(ctx: _Context, m) -> dict:
     """Exact ball integrals against the Monte Carlo oracle."""
     from . import sampling
+    from .quadrature import integrate_ball, mc_oracle
     rng = sampling.rng_for(ctx.seed, "quad", m)
     ok = True
     worst = 0.0
@@ -857,19 +889,25 @@ def _parse_config_file(path: str) -> dict:
     return values
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(v) for v in text.replace(",", " ").split()]
-
-
-def _parse_fraction(text: str) -> Fraction:
+def _parse_value(parse, text: str, what: str):
+    """``parse(text)``; a bad value raises ``ArgumentTypeError`` naming
+    it, which argparse prints after the option and ``build_config``
+    after the config key."""
     try:
-        return Fraction(text)
+        return parse(text)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not {what}") from None
+
+
+def _parse_int_list(text: str) -> list[int]:
+    return [_parse_value(int, v, "an integer") for v in text.replace(",", " ").split()]
 
 
 def _parse_fraction_list(text: str) -> list[Fraction]:
-    return [_parse_fraction(v) for v in text.replace(",", " ").split()]
+    return [_parse_value(Fraction, v, "a rational number")
+            for v in text.replace(",", " ").split()]
 
 
 # (argparse dest, config-file key, RunConfig field, parser, further
@@ -900,7 +938,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     for dest, key, name, parse, _ in OPTIONS:
         value = getattr(args, dest)
         if value is None and key in file_values:
-            value = parse(file_values[key])
+            try:
+                value = parse(file_values[key])
+            except argparse.ArgumentTypeError as exc:
+                raise ConfigError(f"{args.config}: {key}: {exc}") from None
         if value is not None:
             given[name] = value
     if args.suite != "all":

@@ -26,7 +26,6 @@ dx^{I_r}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 from math import prod
@@ -96,19 +95,20 @@ def _evaluate(polys, x):
     return [_evaluate(p, x) for p in polys]
 
 
-@dataclass
 class CurvatureData:
     """The exact curvature of a chart at a point, indexed as in the
-    module docstring."""
+    module docstring: ``inverse`` is g^ij and ``inverse_d[a][i][j]`` is
+    d_a g^ij."""
 
-    point: list[Fraction]
-    metric: list[list[Fraction]]
-    inverse: list[list[Fraction]]          # g^ij
-    inverse_d: list                        # [a][i][j] = d_a g^ij
-    christoffel: list
-    christoffel_d: list
-    riemann_up: list
-    riemann: list
+    __slots__ = ("point", "metric", "inverse", "inverse_d", "christoffel",
+                 "christoffel_d", "riemann_up", "riemann")
+
+    def __init__(self, point: list[Fraction], metric: list[list[Fraction]],
+                 inverse: list[list[Fraction]], inverse_d: list, christoffel: list,
+                 christoffel_d: list, riemann_up: list, riemann: list):
+        self.point, self.metric, self.inverse, self.inverse_d = point, metric, inverse, inverse_d
+        self.christoffel, self.christoffel_d = christoffel, christoffel_d
+        self.riemann_up, self.riemann = riemann_up, riemann
 
     def has_constant_curvature(self, gamma) -> bool:
         """Whether R_abcd == gamma (g_ad g_bc - g_ac g_bd), which fixes

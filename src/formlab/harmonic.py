@@ -49,7 +49,6 @@ import math
 import os
 import tempfile
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -61,13 +60,11 @@ KINDS = ("H-closed", "H-normal-null")
 SCHEMA = 2
 
 
-@dataclass
 class FormSpaceBasis:
-    m: int
-    l: int
-    p: int
-    kind: str
-    basis: list[PolyForm]
+    __slots__ = ("m", "l", "p", "kind", "basis")
+
+    def __init__(self, m: int, l: int, p: int, kind: str, basis: list[PolyForm]):
+        self.m, self.l, self.p, self.kind, self.basis = m, l, p, kind, basis
 
     @property
     def dim(self) -> int:

@@ -17,7 +17,6 @@ product polynomial is built just to be integrated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Real
 
@@ -30,15 +29,13 @@ from .ball import (BallDomain, WeightFunction, b_term_alternate_pairs,
                    normal_part)
 
 
-@dataclass
 class IdentityReport:
-    identity_id: str
-    params: dict
-    terms: dict[str, Fraction]
-    lhs: Fraction
-    rhs: Fraction
-    residual: Fraction
-    passed: bool
+    __slots__ = ("identity_id", "params", "terms", "lhs", "rhs", "residual", "passed")
+
+    def __init__(self, identity_id: str, params: dict, terms: dict[str, Fraction],
+                 lhs: Fraction, rhs: Fraction, residual: Fraction, passed: bool):
+        self.identity_id, self.params, self.terms = identity_id, params, terms
+        self.lhs, self.rhs, self.residual, self.passed = lhs, rhs, residual, passed
 
     def to_dict(self) -> dict:
         return {
@@ -399,12 +396,12 @@ def boundary_adjointness_residual(alpha: PolyForm, beta: PolyForm,
 # Pointwise Hessian eigenvalue-sum estimate.
 # ---------------------------------------------------------------------------
 
-@dataclass
 class HessianEstimateReport:
-    admissible: bool
-    margin: Fraction
-    equality: bool
-    passed: bool
+    __slots__ = ("admissible", "margin", "equality", "passed")
+
+    def __init__(self, admissible: bool, margin: Fraction, equality: bool, passed: bool):
+        self.admissible, self.margin, self.equality, self.passed = \
+            admissible, margin, equality, passed
 
 
 def pointwise_hessian_estimate(hess: LinearEndomorphism, eta: ConstantForm,
@@ -436,12 +433,12 @@ def pointwise_hessian_estimate(hess: LinearEndomorphism, eta: ConstantForm,
 # Replay of the eigenvalue-bound derivations on the ball.
 # ---------------------------------------------------------------------------
 
-@dataclass
 class ChainReport:
-    kind: str
-    params: dict
-    checks: dict[str, bool]
-    details: dict[str, str]
+    __slots__ = ("kind", "params", "checks", "details")
+
+    def __init__(self, kind: str, params: dict, checks: dict[str, bool],
+                 details: dict[str, str]):
+        self.kind, self.params, self.checks, self.details = kind, params, checks, details
 
     @property
     def passed(self) -> bool:

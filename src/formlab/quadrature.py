@@ -30,7 +30,6 @@ so the exact layers never load it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import add
@@ -82,12 +81,23 @@ def unit_sphere_measure(m: int) -> float:
     return 2.0 * math.pi ** (m / 2.0) / math.gamma(m / 2.0)
 
 
-@dataclass(frozen=True)
 class ExactScalar:
-    """A rational multiple of |S^{m-1}(1)|."""
+    """A rational multiple of |S^{m-1}(1)|; immutable, and equal to
+    another with the same ``coeff`` and ``m``."""
 
-    coeff: Fraction
-    m: int
+    __slots__ = ("coeff", "m")
+
+    def __init__(self, coeff: Fraction, m: int):
+        object.__setattr__(self, "coeff", coeff)
+        object.__setattr__(self, "m", m)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name!r}: ExactScalar is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not ExactScalar:
+            return NotImplemented
+        return (self.coeff, self.m) == (other.coeff, other.m)
 
     def _mate(self, other: "ExactScalar"):
         if self.m != other.m:

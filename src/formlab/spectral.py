@@ -42,7 +42,6 @@ decide on these exact spectra with ==, <= and <.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
@@ -152,29 +151,34 @@ def _neumann_extension(phi: PolyForm, k: int, domain: BallDomain) -> PolyForm:
 # Operator assembly.
 # ---------------------------------------------------------------------------
 
-@dataclass
 class Block:
-    kind: str          # "coexact" (normal-null pullback) or "exact" (closed pullback)
-    l: int             # spectral label: coexact blocks use degree l, exact blocks degree l-1
-    basis: list[PolyForm]
-    extensions: list[PolyForm]
-    G: list[list[Fraction]]  # int_S <J*u, J*v> over the basis (``_gram_block``)
+    """One trial block: its kind, "coexact" (normal-null pullback) or
+    "exact" (closed pullback); its spectral label l (coexact blocks use
+    degree l, exact blocks degree l-1); its basis with the extension of
+    each form; and G, int_S <J*u, J*v> over the basis (``_gram_block``)."""
+
+    __slots__ = ("kind", "l", "basis", "extensions", "G")
+
+    def __init__(self, kind: str, l: int, basis: list[PolyForm],
+                 extensions: list[PolyForm], G: list[list[Fraction]]):
+        self.kind, self.l, self.basis, self.extensions, self.G = kind, l, basis, extensions, G
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
 
-@dataclass
 class OperatorAssembly:
     """The trial blocks of one operator on one ball, each with its own
     Gram matrix G_b.  G is 0 between blocks (``_certify_blocks``), so
     no full matrix is built."""
-    operator: str
-    domain: BallDomain
-    p: int
-    l_max: int
-    blocks: list[Block]
+
+    __slots__ = ("operator", "domain", "p", "l_max", "blocks")
+
+    def __init__(self, operator: str, domain: BallDomain, p: int, l_max: int,
+                 blocks: list[Block]):
+        self.operator, self.domain, self.p, self.l_max, self.blocks = \
+            operator, domain, p, l_max, blocks
 
     def theta(self, blk: Block) -> Fraction:
         """The closed-form ball eigenvalue of a block."""
@@ -182,22 +186,22 @@ class OperatorAssembly:
                                          self.p, blk.l, self.domain.radius)
 
 
-@dataclass
 class EigenvalueGroup:
-    value: Fraction
-    multiplicity: int
+    __slots__ = ("value", "multiplicity")
+
+    def __init__(self, value: Fraction, multiplicity: int):
+        self.value, self.multiplicity = value, multiplicity
 
 
-@dataclass
 class SpectrumReport:
-    operator: str
-    m: int
-    p: int
-    radius: Fraction
-    l_max: int
-    eigenvalues: list[EigenvalueGroup]
-    blocks: list[dict]
-    certified: dict[str, int] = field(default_factory=dict)
+    __slots__ = ("operator", "m", "p", "radius", "l_max", "eigenvalues", "blocks",
+                 "certified")
+
+    def __init__(self, operator: str, m: int, p: int, radius: Fraction, l_max: int,
+                 eigenvalues: list[EigenvalueGroup], blocks: list[dict],
+                 certified: dict[str, int]):
+        self.operator, self.m, self.p, self.radius, self.l_max = operator, m, p, radius, l_max
+        self.eigenvalues, self.blocks, self.certified = eigenvalues, blocks, certified
 
     def first_positive(self) -> Fraction:
         for g in self.eigenvalues:
@@ -391,12 +395,11 @@ def _solve_assembly(assembly: OperatorAssembly) -> SpectrumReport:
 # Bound checks and scaling.
 # ---------------------------------------------------------------------------
 
-@dataclass
 class BoundCheck:
-    name: str
-    statement: str
-    passed: bool
-    details: dict
+    __slots__ = ("name", "statement", "passed", "details")
+
+    def __init__(self, name: str, statement: str, passed: bool, details: dict):
+        self.name, self.statement, self.passed, self.details = name, statement, passed, details
 
     def to_dict(self) -> dict:
         return {"name": self.name, "statement": self.statement,

@@ -14,7 +14,8 @@ from fractions import Fraction
 
 import pytest
 
-from formlab import cli, harmonic, identities
+from formlab import cli, harmonic, identities, quadrature
+from formlab.ball import BallDomain
 from formlab.cli import (ConfigError, RunConfig, build_parser, build_config,
                          emit_tables, main, run_suites)
 
@@ -82,6 +83,15 @@ class TestRunSuites:
         report = run_suites(small_config())
         assert report["summary"]["failed"] == 0
         assert report["summary"]["total"] > 0
+
+    def test_identity_suite_exact_at_m5(self):
+        report = run_suites(small_config(dims=[5], degrees=[2], radii=[Fraction(1, 2)],
+                                         seed=7))
+        checks = report["suites"]["identities"]["checks"]
+        assert report["summary"] == {"total": 12, "passed": 12, "failed": 0}
+        # every record but the pointwise lemmas, the Hessian estimate and
+        # the oracle carries its exact residual
+        assert [c["residual"] for c in checks if "residual" in c] == ["0"] * 9
 
     def test_float_mode(self):
         report = run_suites(small_config(mode="float"))
@@ -235,6 +245,13 @@ class TestWorkers:
                               [1, 100, 1, 1], 2) == [[1, 3], [0, 2]]
         assert cli._partition([], [], 4) == [[]]
 
+    def test_records_are_immutable(self):
+        for record, name in ((BallDomain(3, 1), "radius"),
+                             (quadrature.ExactScalar(Fraction(1), 3), "coeff"),
+                             (cli.Case("k", cli._stokes, {}), "group")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name))
+
     def test_cases_pickle(self):
         cfg = build_config(build_parser().parse_args(
             ["all", "--dim", "2,3", "--radius", "1,1/2"]))
@@ -313,8 +330,8 @@ class TestQuadratureOracle:
         return cli._quadrature_oracle(cli._Context(cfg), m)
 
     def test_catches_wrong_exact_value(self, monkeypatch):
-        true_value = cli.integrate_ball
-        monkeypatch.setattr(cli, "integrate_ball",
+        true_value = quadrature.integrate_ball
+        monkeypatch.setattr(quadrature, "integrate_ball",
                             lambda dens, R: 1.5 * float(true_value(dens, R)))
         assert not self.run_oracle(3, 7)["pass"]
 
@@ -495,6 +512,30 @@ class TestMainEntry:
         def run_suites(*args):
             raise AssertionError("cases ran despite a configuration error")
         monkeypatch.setattr(cli, "run_suites", run_suites)
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("flag,key,value,message", [
+        pytest.param("--dim", "dims", "3,x", "'x' is not an integer", id="dim"),
+        pytest.param("--degree", "degrees", "1 2.5", "'2.5' is not an integer", id="degree"),
+        pytest.param("--radius", "radii", "1,x", "'x' is not a rational number", id="radius"),
+        pytest.param("--radius", "radii", "1/0", "zero denominator in '1/0'",
+                     id="radius-zero"),
+    ])
+    def test_exit_two_on_bad_list_value(self, tmp_path, capsys, no_cases, source,
+                                        flag, key, value, message):
+        argv = ["verify", "--out", str(tmp_path / "out")]
+        if source == "flag":
+            argv += [flag, value]
+            want = f"argument {flag}: {message}"
+        else:
+            path = tmp_path / "run.cfg"
+            path.write_text(f"{key} = {value}\n")
+            argv += ["--config", str(path)]
+            want = f"configuration error: {path}: {key}: {message}"
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert want in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_exit_two_on_unusable_out(self, tmp_path, capsys, no_cases):
         blocker = tmp_path / "file"

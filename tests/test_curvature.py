@@ -1,6 +1,6 @@
 """Chart-based curvature, Weitzenboeck and Bochner checks, all exact."""
 
-import dataclasses
+import copy
 from fractions import Fraction as F
 from itertools import product
 
@@ -254,7 +254,8 @@ class TestMutants:
         omega = random_form(rng_for(85, "mutant"), 3, 1, 1)
         assert bochner_residual(rs, omega, point(3), data).is_zero()
         zero = lambda t: [zero(v) for v in t] if isinstance(t, list) else 0
-        dropped = dataclasses.replace(data, christoffel_d=zero(data.christoffel_d))
+        dropped = copy.copy(data)
+        dropped.christoffel_d = zero(data.christoffel_d)
         assert not bochner_residual(rs, omega, point(3), dropped).is_zero()
 
 

@@ -1,6 +1,7 @@
-"""Library surface hygiene: every exported name resolves, no module
-under ``src/formlab`` imports a name it never uses or re-exports, every
-function the library defines is called in it or exported, and a run
+"""Library surface hygiene: every exported name resolves; no module
+under ``src/formlab`` imports a name it never uses or re-exports, or
+imports ``dataclasses``; every function the library defines is called
+in it or exported; importing the package loads no layer; and a run
 loads only the layers its suite calls."""
 
 import ast
@@ -19,6 +20,15 @@ def test_every_exported_name_resolves():
     missing = [name for name in formlab.__all__ if not hasattr(formlab, name)]
     assert not missing
     assert len(set(formlab.__all__)) == len(formlab.__all__)
+    assert sorted(formlab.__all__) == sorted(formlab._LAZY)
+
+
+def test_package_import_loads_no_layer():
+    child = ("import sys\nimport formlab\n"
+             "print(sorted(m for m in sys.modules if m.startswith('formlab.')))\n")
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -75,6 +85,18 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name}: imported but never used: {unused}"
 
 
+def test_no_module_imports_dataclasses():
+    # a dataclass costs the import of dataclasses (with inspect, ast and
+    # dis) and the exec of its generated methods at every start-up
+    found = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if (isinstance(node, ast.Import) and any(
+                 alias.name.split(".")[0] == "dataclasses" for alias in node.names))
+             or (isinstance(node, ast.ImportFrom) and node.level == 0
+                 and node.module.split(".")[0] == "dataclasses")]
+    assert not found, f"dataclasses imported at {found}"
+
+
 def test_checker_flags_an_unused_import():
     tree = ast.parse("import os\nfrom .x import a, b as c\n__all__ = ['a']\n")
     assert set(_imported_names(tree)) - _used_names(tree) == {"os", "c"}
@@ -121,7 +143,11 @@ def test_checker_flags_an_unreferenced_function():
 
 
 SPECTRUM_ABSENT = ["numpy", "formlab.identities", "formlab.sampling",
-                   "formlab.curvature", "concurrent.futures"]
+                   "formlab.curvature", "formlab.quadrature", "concurrent.futures",
+                   "dataclasses"]
+# the proof-chain replays of the bounds suite integrate, so it loads
+# identities and quadrature
+BOUNDS_ABSENT = ["numpy", "formlab.sampling", "formlab.curvature", "dataclasses"]
 # a block eigenvalue off by one fails the spectral certificate
 SHIFT_THETA = ("import formlab.spectral as sp\n"
                "real = sp.ball_reference_eigenvalue\n"
@@ -130,27 +156,31 @@ SHIFT_THETA = ("import formlab.spectral as sp\n"
 
 @pytest.mark.parametrize("suite,absent,patch,want,jobs", [
     pytest.param("spectrum", SPECTRUM_ABSENT, "", 0, 1, id="spectrum-absent0"),
-    pytest.param("bounds", ["numpy", "formlab.curvature"], "", 0, 1, id="bounds-absent1"),
-    pytest.param("verify", ["formlab.curvature"], "", 0, 1, id="verify-absent"),
-    pytest.param("curvature", ["numpy", "formlab.identities"], "", 0, 1,
+    pytest.param("bounds", BOUNDS_ABSENT, "", 0, 1, id="bounds-absent1"),
+    pytest.param("verify", ["formlab.curvature", "dataclasses"], "", 0, 1, id="verify-absent"),
+    pytest.param("curvature", ["numpy", "formlab.identities", "dataclasses"], "", 0, 1,
                  id="curvature-absent"),
     pytest.param("spectrum", SPECTRUM_ABSENT, SHIFT_THETA, 1, 1,
                  id="spectrum-failed-certificate"),
     # forked workers, not a pool: at dimensions 2 and 3 the spectrum has
     # three (m, p) groups, so --jobs 2 forks one worker; numpy loads only
     # in the worker that runs the quadrature oracle, a forked one
-    pytest.param("all", ["concurrent.futures", "numpy"], "", 0, 2, id="all-jobs2"),
+    pytest.param("all", ["concurrent.futures", "numpy", "dataclasses"], "", 0, 2,
+                 id="all-jobs2"),
     pytest.param("spectrum", SPECTRUM_ABSENT, "", 0, 2, id="spectrum-jobs2"),
+    pytest.param("bounds", BOUNDS_ABSENT, "", 0, 2, id="bounds-jobs2"),
 ])
 def test_run_loads_only_its_layers(tmp_path, suite, absent, patch, want, jobs):
+    # only modules that the interpreter had not loaded before formlab count
     dims = "2" if jobs == 1 else "2,3"
     child = ("import sys\n"
+             "before = set(sys.modules)\n"
              + patch +
              "from formlab.cli import main\n"
              f"code = main([{suite!r}, '--dim', {dims!r}, '--lmax', '1', "
              f"'--jobs', '{jobs}', '--out', {str(tmp_path)!r}])\n"
              f"assert code == {want}, code\n"
-             f"print(sorted(m for m in {absent!r} if m in sys.modules))\n")
+             f"print(sorted(m for m in {absent!r} if m in sys.modules and m not in before))\n")
     proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
