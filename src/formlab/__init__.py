@@ -33,23 +33,7 @@ No run loads ``dataclasses``: the records are plain classes.
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BallDomain", "BasisCache", "CertificateError",
-    "ChartMetric", "ConstantForm", "ExactScalar",
-    "FormSpaceBasis", "IdentityReport", "LinearEndomorphism", "MultiIndex",
-    "PolyForm", "PolyVectorField", "Polynomial", "RadialDensity",
-    "SpectrumReport", "WeightFunction",
-    "assemble_operator", "ball_reference_eigenvalue", "bochner_residual",
-    "canonical_weight", "check_bounds", "curvature_at",
-    "gallot_meyer_check", "gradient_action", "integrate_ball",
-    "integrate_sphere", "mc_oracle", "multi_indices", "normal_part",
-    "pointwise_hessian_estimate", "replay_proof_chain", "scaling_check",
-    "sphere_average", "sphere_reduce", "verify_function_reilly",
-    "verify_pohozhaev", "verify_stokes", "verify_unweighted_reilly",
-    "verify_weighted_reilly", "weitzenbock_at",
-]
-
-# Every name of __all__, by the module defining it.
+# Every public name, by the module defining it.
 _LAZY_MODULES = {
     "exterior": ("ConstantForm", "LinearEndomorphism", "MultiIndex", "multi_indices"),
     "polynomials": ("Polynomial",),
@@ -68,6 +52,7 @@ _LAZY_MODULES = {
                   "gallot_meyer_check", "weitzenbock_at"),
 }
 _LAZY = {name: module for module, names in _LAZY_MODULES.items() for name in names}
+__all__ = sorted(_LAZY)
 
 
 def __getattr__(name):

@@ -24,7 +24,9 @@ comparisons with no transcendental arithmetic.
 
 Floating point enters only in ``mc_oracle``, the Monte Carlo cross-check,
 and in ``RadialDensity.evaluate_float``; they import numpy when called,
-so the exact layers never load it.
+so the exact layers never load it.  The oracle draws its samples in
+chunks of ``MC_DRAW_CHUNK``, which fixes every estimate, and evaluates
+them in blocks of ``MC_BLOCK`` rows, which only bounds its working set.
 """
 
 from __future__ import annotations
@@ -37,6 +39,14 @@ from operator import add
 from .polynomials import Polynomial
 
 MIN_RADIAL_EXPONENT = -3
+
+# Samples per draw of the Monte Carlo oracle's generator: each chunk
+# draws its normals and then its uniforms, so changing this changes
+# every estimate.
+MC_DRAW_CHUNK = 200_000
+# Rows the oracle evaluates at once.  It bounds the working set only and
+# moves no bit of any estimate.
+MC_BLOCK = 8192
 
 
 def double_factorial(n: int) -> int:
@@ -239,21 +249,30 @@ class RadialDensity:
 
     # -- evaluation --------------------------------------------------------
     def evaluate_float(self, points):
-        """Evaluate at an (N, m) numpy array of points."""
+        """Evaluate at an (N, m) numpy array of points.
+
+        Each power ``x_i ** e`` is computed once per call; every monomial
+        is ``float(c)`` times its factors in exponent order, and the terms
+        are summed in ``sorted_terms`` order, so the result does not
+        depend on how the points are split into calls."""
         import numpy as np
         n = points.shape[0]
         out = np.zeros(n)
-        r = np.sqrt(np.sum(points * points, axis=1))
+        if any(j != 0 for j in self.parts):
+            r = np.sqrt(np.sum(points * points, axis=1))
+        powers = {}
         for j, poly in sorted(self.parts.items()):
             vals = np.zeros(n)
             for expo, c in poly.sorted_terms():
                 mono = np.full(n, float(c))
                 for i, e in enumerate(expo):
                     if e:
-                        mono = mono * points[:, i] ** e
+                        if (i, e) not in powers:
+                            powers[i, e] = points[:, i] ** e
+                        mono *= powers[i, e]
                 vals += mono
             if j:
-                vals = vals * r ** j
+                vals *= r ** j
             out += vals
         return out
 
@@ -281,6 +300,11 @@ def _parity(expo: tuple) -> int:
     return sum(1 << i for i, e in enumerate(expo) if e & 1)
 
 
+def _check_radius(radius) -> None:
+    if radius <= 0:
+        raise ValueError(f"radius must be positive, got {radius}")
+
+
 def integrate_pairs(pairs, radius, weight=1, region: str = "sphere") -> Fraction:
     """``integrate_<region>(weight * sum_k s_k a_k b_k, radius).coeff``
     without building a product: ``pairs`` holds the triples
@@ -296,9 +320,11 @@ def integrate_pairs(pairs, radius, weight=1, region: str = "sphere") -> Fraction
     exponent has a parity class that no weight term shares averages to
     zero and is skipped before its product is formed.  On the ball a
     nonzero sum meeting a weight term with ``power <= 0`` is rejected
-    as ``integrate_ball`` rejects it."""
+    as ``integrate_ball`` rejects it.  A radius ``<= 0`` is rejected in
+    either region."""
     if region not in ("ball", "sphere"):
         raise ValueError(f"unknown region {region!r}")
+    _check_radius(radius)
     pairs = [(s, a, b) for s, a, b in pairs if s and a and b]
     if not pairs:
         return Fraction(0)
@@ -363,34 +389,47 @@ def mc_oracle(density: RadialDensity, radius, samples: int, seed: int,
     """Monte Carlo estimate (value, standard error) of the integral.
 
     Counter-based Philox generator keyed by the seed, so estimates are
-    reproducible across platforms and independent of call order.
+    reproducible across platforms and independent of call order.  The
+    samples are drawn in chunks of ``MC_DRAW_CHUNK``, each one call for
+    its normals and then one for its radial uniforms; that schedule fixes
+    the estimate.  Each chunk is then evaluated in blocks of ``MC_BLOCK``
+    rows, which only bounds the working set: every row is computed the
+    same way in any block, so the estimate is the same bits.
     """
     if samples < 10 ** 4:
         raise ValueError("need at least 1e4 samples")
     if region not in ("ball", "sphere"):
         raise ValueError(f"unknown region {region!r}")
+    _check_radius(radius)
     import numpy as np
     m = density.m
     R = float(radius)
     rng = np.random.Generator(np.random.Philox(key=seed))
     out = np.empty(samples)
-    done = 0
-    chunk = 200_000
-    while done < samples:
-        n = min(chunk, samples - done)
-        g = rng.standard_normal((n, m))
-        norms = np.linalg.norm(g, axis=1)
-        dirs = g / norms[:, None]
-        if region == "sphere":
-            pts = R * dirs
-        else:
-            u = rng.random(n)
-            pts = R * u[:, None] ** (1.0 / m) * dirs
-        out[done:done + n] = density.evaluate_float(pts)
-        done += n
+    for done in range(0, samples, MC_DRAW_CHUNK):
+        _evaluate_chunk(density, R, region, rng, out[done:done + MC_DRAW_CHUNK])
     measure = unit_sphere_measure(m) * R ** (m - 1)
     if region == "ball":
         measure = unit_sphere_measure(m) * R ** m / m
     mean = float(np.mean(out))
     std = float(np.std(out, ddof=1)) / math.sqrt(samples)
     return measure * mean, measure * std
+
+
+def _evaluate_chunk(density: RadialDensity, R: float, region: str, rng, out) -> None:
+    """Draw ``len(out)`` samples and write the density's values into ``out``,
+    ``MC_BLOCK`` rows at a time.  The draws are freed on return, before the
+    next chunk is drawn."""
+    import numpy as np
+    m = density.m
+    n = len(out)
+    g = rng.standard_normal((n, m))
+    u = rng.random(n) if region == "ball" else None
+    for lo in range(0, n, MC_BLOCK):
+        pts = g[lo:lo + MC_BLOCK]
+        pts /= np.linalg.norm(pts, axis=1)[:, None]
+        if u is None:
+            pts *= R
+        else:
+            pts *= R * u[lo:lo + MC_BLOCK, None] ** (1.0 / m)
+        out[lo:lo + MC_BLOCK] = density.evaluate_float(pts)

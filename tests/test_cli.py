@@ -84,8 +84,9 @@ class TestRunSuites:
         assert report["summary"]["failed"] == 0
         assert report["summary"]["total"] > 0
 
-    def test_identity_suite_exact_at_m5(self):
-        report = run_suites(small_config(dims=[5], degrees=[2], radii=[Fraction(1, 2)],
+    @pytest.mark.parametrize("m", [5, 6])
+    def test_identity_suite_exact_past_m4(self, m):
+        report = run_suites(small_config(dims=[m], degrees=[2], radii=[Fraction(1, 2)],
                                          seed=7))
         checks = report["suites"]["identities"]["checks"]
         assert report["summary"] == {"total": 12, "passed": 12, "failed": 0}

@@ -21,6 +21,8 @@ def test_every_exported_name_resolves():
     assert not missing
     assert len(set(formlab.__all__)) == len(formlab.__all__)
     assert sorted(formlab.__all__) == sorted(formlab._LAZY)
+    # a name listed under two modules would resolve through only one
+    assert sum(map(len, formlab._LAZY_MODULES.values())) == len(formlab._LAZY)
 
 
 def test_package_import_loads_no_layer():
@@ -61,7 +63,8 @@ def _annotation_names(node) -> set[str]:
 
 def _used_names(tree: ast.Module) -> set[str]:
     """Names read anywhere in the module, in annotations, or listed in
-    ``__all__`` (re-exported)."""
+    an ``__all__`` list or tuple literal (re-exported); an ``__all__``
+    built by an expression re-exports no name the checker can see."""
     used = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -70,8 +73,8 @@ def _used_names(tree: ast.Module) -> set[str]:
             used |= _annotation_names(node.annotation)
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
             used |= _annotation_names(node.returns)
-        elif isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+        elif isinstance(node, ast.Assign) and isinstance(node.value, (ast.List, ast.Tuple)) \
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
             used |= {elt.value for elt in node.value.elts}
     return used
 
@@ -100,6 +103,9 @@ def test_no_module_imports_dataclasses():
 def test_checker_flags_an_unused_import():
     tree = ast.parse("import os\nfrom .x import a, b as c\n__all__ = ['a']\n")
     assert set(_imported_names(tree)) - _used_names(tree) == {"os", "c"}
+    # an __all__ that is not a literal lists nothing the checker can read
+    tree = ast.parse("from .x import a, b\n_T = {'b': 1}\n__all__ = sorted(_T)\n")
+    assert set(_imported_names(tree)) - _used_names(tree) == {"a", "b"}
 
 
 # functions kept in the library though nothing in it calls them

@@ -1,16 +1,18 @@
 """Exact sphere/ball moments against closed values and the MC oracle."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from densities import whole_array_mc_oracle
 from formlab.polynomials import Polynomial
-from formlab.quadrature import (ExactScalar, RadialDensity, integrate_ball,
-                                integrate_pairs, integrate_sphere, mc_oracle,
-                                sphere_average, unit_sphere_measure)
+from formlab.quadrature import (MC_BLOCK, MC_DRAW_CHUNK, ExactScalar, RadialDensity,
+                                integrate_ball, integrate_pairs, integrate_sphere,
+                                mc_oracle, sphere_average, unit_sphere_measure)
 from formlab.sampling import random_density, random_polynomial, rng_for
 
 
@@ -248,6 +250,56 @@ class TestMonteCarloOracle:
     def test_sample_floor(self):
         with pytest.raises(ValueError):
             mc_oracle(RadialDensity.constant(3, 1), 1, 100, seed=1)
+
+    @staticmethod
+    def three_part_density(m, region, tag):
+        # an r^0 part and two others, so that r and several powers of
+        # each coordinate are taken
+        rng = rng_for(29, tag, m, region)
+        low = -1 if region == "ball" else -3
+        return RadialDensity(m, {j: random_polynomial(rng, m, 3, density=0.3)
+                                 for j in (low, 0, 1)})
+
+    @pytest.mark.parametrize("region", ["ball", "sphere"])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_same_bits_as_whole_array_evaluation(self, m, region):
+        # 10^5 + 7 samples end in a partial block, and 250 000 take two
+        # draw chunks
+        assert (10 ** 5 + 7) % MC_BLOCK and 250_000 > MC_DRAW_CHUNK
+        dens = self.three_part_density(m, region, "blocks")
+        for samples in (10 ** 4, 10 ** 5 + 7, 250_000):
+            for R in (Fraction(1), Fraction(7, 3)):
+                seed = 1000 * m + samples % 1000
+                assert mc_oracle(dens, R, samples, seed, region) == \
+                    whole_array_mc_oracle(dens, R, samples, seed, region)
+
+    def test_working_set_is_bounded(self):
+        # numpy reports its buffers to tracemalloc; the bound holds the
+        # draws (normals and uniforms) and the values of all n samples,
+        # and 2 MB for the blocks
+        m, n = 3, 10 ** 5
+        dens = self.three_part_density(m, "ball", "memory")
+        mc_oracle(dens, 1, 10 ** 4, seed=1)  # numpy and its modules load here
+        tracemalloc.start()
+        try:
+            mc_oracle(dens, 1, n, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * (m + 2) + 2 * 2 ** 20
+
+    @pytest.mark.parametrize("radius", [-1, 0, Fraction(-1, 2), -0.5])
+    def test_non_positive_radius_rejected(self, radius):
+        dens = RadialDensity.constant(3, 1)
+        with pytest.raises(ValueError, match="radius"):
+            mc_oracle(dens, radius, 10 ** 4, seed=1)
+        with pytest.raises(ValueError, match="radius"):
+            integrate_ball(dens, radius)
+        with pytest.raises(ValueError, match="radius"):
+            integrate_sphere(dens, radius)
+        one = Polynomial.one(3)
+        with pytest.raises(ValueError, match="radius"):
+            integrate_pairs([(1, one, one)], radius)
 
 
 class TestRadialDensityAlgebra:
