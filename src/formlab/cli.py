@@ -68,7 +68,9 @@ put back in list order.
 
 ``--jobs K`` splits the case list into groups (every spectrum, scaling,
 bounds and chain case of one (m, p) is one group, since they share its
-bases and assemblies; every quadrature-oracle case is in one group, so
+bases, its trial blocks (each built once per (m, p, R), with its Gram
+block, and shared by the three operators) and its spectra; every
+quadrature-oracle case is in one group, so
 that numpy loads in one process; every other case is a group of its
 own) and deals the groups to min(K, groups) workers longest first, by
 the cost estimates of ``CASE_COSTS``, each to the least-loaded worker.
@@ -308,10 +310,14 @@ class _Context:
     def spectrum(self, op: str, m: int, p: int, R):
         """``assemble_operator``'s report, memoised per worker process, so
         the spectra and bounds suites share each ``(op, m, p, R)``
-        assembly.  Every case that assembles at one (m, p) carries the
-        group label (m, p), which keeps those cases in one worker
-        (``_partition``): each assembly is computed once per run at any
-        ``--jobs``.  Assembly raises unless the block certificate holds."""
+        assembly, and the three operators at one (m, p, R) share its trial
+        blocks through the cache: each distinct block and its G_b is built
+        once, and each coexact form is checked once for both
+        Dirichlet-to-Neumann maps.  Every case that assembles at one
+        (m, p) carries the group label (m, p), which keeps those cases in
+        one worker (``_partition``): each assembly is computed once per
+        run at any ``--jobs``.  Assembly raises unless the block
+        certificate holds."""
         key = (op, m, p, Fraction(R))
         if key not in self._spectra:
             _, self._spectra[key] = assemble_operator(op, m, p, self.l_max, R, self.cache)

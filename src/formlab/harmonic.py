@@ -322,6 +322,9 @@ class BasisCache:
             os.makedirs(directory, exist_ok=True)
         self._memo: dict[tuple, FormSpaceBasis] = {}
         self._lock = threading.RLock()
+        # the trial blocks that ``spectral`` builds on these bases, kept
+        # here so that they live exactly as long as the bases they read
+        self.trial_blocks: dict = {}
 
     def _path(self, m, l, p, kind) -> str | None:
         if not self.directory:

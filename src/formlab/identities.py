@@ -467,6 +467,11 @@ def replay_proof_chain(kind: str, p: int, domain: BallDomain,
 
     kind "nonsharp": the unweighted identity chain giving the strict
     half bound, including the two-term shape expression for B.
+
+    The "eigenvalue-product" and "strict-half-bound" checks read each
+    trial form's own quotient sigma_phi = int_S <J*(-i_N dphi), J*phi> /
+    int_S |J*phi|^2, so a block that is not the first eigenform block
+    fails them; ``details["sigma"]`` is the expected value (p+1)c.
     """
     from .ball import canonical_weight
     from .harmonic import BasisCache
@@ -499,6 +504,9 @@ def replay_proof_chain(kind: str, p: int, domain: BallDomain,
         d_sq = inner_pairs(dphi, dphi)
         jstar_d_int = integrate_pairs(jstar_pairs(dphi, dphi, domain), R)
         phi_trace_sq = integrate_pairs(jstar_pairs(phi, phi, domain), R)
+        if kind != "sharp-bound":
+            # the Dirichlet-to-Neumann quotient of phi, its own extension
+            sigma_phi = integrate_pairs(jstar_pairs(i_n_dphi, phi, domain, -1), R) / phi_trace_sq
 
         if kind == "sharp-bound":
             hess_int = _hessian_int(weight, dphi, dphi, R)
@@ -528,7 +536,7 @@ def replay_proof_chain(kind: str, p: int, domain: BallDomain,
                    + integrate_pairs(_gradient_pairs(dphi), R, weight.f, "ball"))
             checks[f"comparison-identity{tag}"] = jstar_d_int == rhs
             lam = (1 + p) * (n - p) * c * c
-            checks[f"eigenvalue-product{tag}"] = sigma * (n - p) * c == lam
+            checks[f"eigenvalue-product{tag}"] = sigma_phi * (n - p) * c == lam
 
         else:  # nonsharp
             grad_sq = integrate_pairs(_gradient_pairs(dphi), R, region="ball")
@@ -542,7 +550,7 @@ def replay_proof_chain(kind: str, p: int, domain: BallDomain,
             checks[f"adjoint-step{tag}"] = step1 == step2 and step2 == jstar_d_int
             balt = integrate_pairs(b_term_alternate_pairs(dphi, domain), R)
             checks[f"shape-expression{tag}"] = bint == balt
-            checks[f"strict-half-bound{tag}"] = sigma > (p + 1) * c / 2
+            checks[f"strict-half-bound{tag}"] = sigma_phi > (p + 1) * c / 2
 
     details["sigma"] = str(sigma)
     details["block_dim"] = str(block.dim)

@@ -14,14 +14,17 @@ trial spaces:
 
 Trial spaces are the pullbacks of the normal-null harmonic blocks
 (co-exact on the sphere) and, where the operator acts on them, the
-closed blocks.  The Gram matrix G of boundary pairings
-int_S <J*u, J*v> is 0 between blocks by a theorem, proved in
-``_certify_blocks``, so each block holds only its own exact G_b, built
-from Fischer products of the coefficients (``_gram_block``) with no
-integral evaluated, and no full matrix is built.  No extension is
-solved for.  A coexact trial form is its own extension: it is
-harmonic, co-closed and normal-null, and ``BasisCache`` checks these
-constraints of every basis it loads from disk.  The ``dtn-neumann``
+closed blocks.  The three operators on one ball share one trial space:
+each block is built once per basis cache (``_block``) and every
+operator assembled on that cache reads it.  The Gram matrix G of
+boundary pairings int_S <J*u, J*v> is 0 between blocks by a theorem,
+proved in ``_certify_blocks``, so each block holds only its own exact
+G_b, a scalar multiple of the Fischer Gram matrix of its coefficients
+(``_gram_block``) with no integral evaluated, and no full matrix is
+built.  No extension is solved for.  A coexact trial form is its own
+extension: it is harmonic, co-closed and normal-null, and
+``BasisCache`` checks these constraints of every basis it loads from
+disk.  The ``dtn-neumann``
 extension of a closed datum is a closed formula
 (``_neumann_extension``, after Raulot-Savo), and each one is checked
 exactly to be harmonic, to pull back to the datum and to have no
@@ -65,31 +68,35 @@ def _fischer(u: PolyForm, v: PolyForm) -> Fraction:
                 for a, c in f.terms.items()), Fraction(0))
 
 
-def _gram_block(forms: list[PolyForm], k: int, domain: BallDomain) -> list[list[Fraction]]:
-    """Exact symmetric matrix of int_S <J*u, J*v> over harmonic,
-    co-closed p-forms whose coefficients are homogeneous of degree k:
+def _gram_block(kind: str, forms: list[PolyForm], k: int,
+                domain: BallDomain) -> list[list[Fraction]]:
+    """Exact symmetric matrix of int_S <J*u, J*v> over one block of
+    harmonic, co-closed p-forms whose coefficients are homogeneous of
+    degree k: s_b F_b, with F_b the Fischer Gram matrix <u_i, u_j>_F and
 
-        R^(m-1+2k) (<u, v>_F / P(m, k) - <i_x u, i_x v>_F / P(m, k+1)),
+        s_b = R^(m-1+2k) / P(m, k)                  (coexact block),
+        s_b = R^(m-1+2k) (m+k-p) / P(m, k+1)        (exact block),
 
-    with P(m, k) = m (m+2) ... (m+2k-2).  On the sphere <J*u, J*v> is
+    P(m, k) = m (m+2) ... (m+2k-2).  On the sphere <J*u, J*v> is
     <u, v> - R^-2 <i_x u, i_x v>; the coefficients of u are harmonic of
     degree k and, as u is co-closed, those of i_x u are harmonic of
     degree k+1; and for harmonic f, g homogeneous of degree j the mean of
     f g over the unit sphere is <f, g>_F / P(m, j) (Stein-Weiss, Fourier
-    Analysis on Euclidean Spaces, ch. IV).  Integrals are in units of
-    |S^{m-1}(1)|, so a degree-2j integrand over the radius-R sphere
-    carries R^(m-1+2j)."""
+    Analysis on Euclidean Spaces, ch. IV).  So the mean of <J*u, J*v>
+    over the unit sphere is <u, v>_F / P(m, k) - <i_x u, i_x v>_F /
+    P(m, k+1).  Its second term is 0 on a coexact (normal-null) block,
+    and (p + k) <u, v>_F / P(m, k+1) on an exact (closed) one
+    (``_certify_blocks``), which with P(m, k+1) = (m + 2k) P(m, k) leaves
+    s_b.  Integrals are in units of |S^{m-1}(1)|, so a degree-2k
+    integrand over the radius-R sphere carries R^(m-1+2k)."""
     m, R = domain.m, domain.radius
-    x = PolyVectorField.position(m)
-    normals = [u.interior(x) for u in forms]
-    P_k = math.prod(range(m, m + 2 * k, 2))
-    P_k1 = P_k * (m + 2 * k)
-    scale = R ** (m - 1 + 2 * k)
+    scale = R ** (m - 1 + 2 * k) / math.prod(range(m, m + 2 * k, 2))
+    if kind == "exact":
+        scale *= Fraction(m + k - forms[0].p, m + 2 * k)
     out = [[Fraction(0)] * len(forms) for _ in forms]
-    for i, (u, iu) in enumerate(zip(forms, normals)):
+    for i, u in enumerate(forms):
         for j in range(i, len(forms)):
-            out[i][j] = out[j][i] = scale * (_fischer(u, forms[j]) / P_k
-                                             - _fischer(iu, normals[j]) / P_k1)
+            out[i][j] = out[j][i] = scale * _fischer(u, forms[j])
     return out
 
 
@@ -152,20 +159,35 @@ def _neumann_extension(phi: PolyForm, k: int, domain: BallDomain) -> PolyForm:
 # ---------------------------------------------------------------------------
 
 class Block:
-    """One trial block: its kind, "coexact" (normal-null pullback) or
-    "exact" (closed pullback); its spectral label l (coexact blocks use
-    degree l, exact blocks degree l-1); its basis with the extension of
-    each form; and G, int_S <J*u, J*v> over the basis (``_gram_block``)."""
+    """One trial block of a ball: its kind, "coexact" (normal-null
+    pullback) or "exact" (closed pullback); its spectral label l
+    (coexact blocks use degree l, exact blocks degree l-1); its basis;
+    G, int_S <J*u, J*v> over the basis (``_gram_block``); and the
+    eigenform checks its basis has passed (``_certify_blocks``)."""
 
-    __slots__ = ("kind", "l", "basis", "extensions", "G")
+    __slots__ = ("kind", "l", "basis", "G", "proved")
 
-    def __init__(self, kind: str, l: int, basis: list[PolyForm],
-                 extensions: list[PolyForm], G: list[list[Fraction]]):
-        self.kind, self.l, self.basis, self.extensions, self.G = kind, l, basis, extensions, G
+    def __init__(self, kind: str, l: int, basis: list[PolyForm], G: list[list[Fraction]]):
+        self.kind, self.l, self.basis, self.G = kind, l, basis, G
+        self.proved: set[tuple] = set()
 
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+
+def _block(kind: str, l: int, p: int, domain: BallDomain, cache: BasisCache) -> Block | None:
+    """The trial block (kind, l) of p-forms on the ball, built once per
+    cache and kept in its ``trial_blocks``, so that every operator
+    assembled on the cache shares the block, its G_b and the eigenform
+    checks it has passed; None when its basis is empty."""
+    key = (domain.m, p, domain.radius, kind, l)
+    if key not in cache.trial_blocks:
+        k, basis_kind = (l, "H-normal-null") if kind == "coexact" else (l - 1, "H-closed")
+        basis = list(cache.get(domain.m, k, p, basis_kind).basis)
+        cache.trial_blocks[key] = (Block(kind, l, basis, _gram_block(kind, basis, k, domain))
+                                   if basis else None)
+    return cache.trial_blocks[key]
 
 
 class OperatorAssembly:
@@ -184,6 +206,15 @@ class OperatorAssembly:
         """The closed-form ball eigenvalue of a block."""
         return ball_reference_eigenvalue(self.operator, blk.kind, self.domain.m,
                                          self.p, blk.l, self.domain.radius)
+
+    def extension(self, blk: Block, w: PolyForm) -> PolyForm:
+        """The extension of the trial form w of block blk: the closed
+        formula of ``_neumann_extension`` on an exact block of
+        ``dtn-neumann``, else w itself, which is harmonic and co-closed,
+        and normal-null on a coexact block."""
+        if self.operator == "dtn-neumann" and blk.kind == "exact":
+            return _neumann_extension(w, blk.l - 1, self.domain)
+        return w
 
 
 class EigenvalueGroup:
@@ -263,39 +294,24 @@ def ball_reference_eigenvalue(operator: str, block_kind: str, m: int, p: int,
     raise ValueError(f"unknown operator {operator!r}")
 
 
-def _build_blocks(operator: str, m: int, p: int, l_max: int,
-                  domain: BallDomain, cache: BasisCache) -> list[Block]:
-    blocks: list[Block] = []
-    include_exact = operator in ("dtn-neumann", "hodge-boundary")
-    for l in range(1, l_max + 1):
-        if include_exact:
-            closed = list(cache.get(m, l - 1, p, "H-closed").basis)
-            if closed:
-                if operator == "dtn-neumann":
-                    exts = [_neumann_extension(w, l - 1, domain) for w in closed]
-                else:
-                    exts = closed
-                blocks.append(Block("exact", l, closed, exts,
-                                    _gram_block(closed, l - 1, domain)))
-        coexact = list(cache.get(m, l, p, "H-normal-null").basis)
-        if coexact:
-            blocks.append(Block("coexact", l, coexact, coexact,
-                                _gram_block(coexact, l, domain)))
-    return blocks
-
-
 def assemble_operator(operator: str, m: int, p: int, l_max: int, radius,
                       cache: BasisCache | None = None) -> tuple[OperatorAssembly, SpectrumReport]:
-    """Pair each block's exact Gram matrix, then read the spectrum off
-    the exact block certificate (``_certify_blocks``)."""
+    """The operator's trial blocks l = 1..l_max, for each l the exact
+    block (not for ``dtn``) and then the coexact one, and the spectrum
+    read off the exact block certificate (``_certify_blocks``).  Every
+    operator assembled on one cache shares each block (``_block``): its
+    G_b is built once, and the eigenform check the two
+    Dirichlet-to-Neumann maps have in common runs once."""
     if operator not in OPERATORS:
         raise ValueError(f"unknown operator {operator!r}")
     if not 1 <= p <= m - 1:
         raise ValueError("form degree out of range for boundary spectra")
     cache = cache or BasisCache()
     domain = BallDomain(m, Fraction(radius))
-    assembly = OperatorAssembly(operator, domain, p, l_max,
-                                _build_blocks(operator, m, p, l_max, domain, cache))
+    kinds = ("coexact",) if operator == "dtn" else ("exact", "coexact")
+    blocks = [blk for l in range(1, l_max + 1) for kind in kinds
+              if (blk := _block(kind, l, p, domain, cache))]
+    assembly = OperatorAssembly(operator, domain, p, l_max, blocks)
     return assembly, _solve_assembly(assembly)
 
 
@@ -329,12 +345,12 @@ def _certify_blocks(assembly: OperatorAssembly) -> list[Fraction]:
 
     G is 0 outside the diagonal blocks by a theorem, so each block holds
     only its own G_b (``_gram_block``), and nothing is paired across
-    blocks.  The theorem uses the constraints of ``harmonic._in_kind``,
-    which ``BasisCache`` checks on every basis it loads and proves of
-    every basis it computes (the "H-closed" kernel and the
-    "H-normal-null" span, see ``harmonic``): trial forms are
-    componentwise harmonic and co-closed, exact ones closed and coexact
-    ones normal-null (i_x phi = 0).  On the sphere
+    blocks.  The theorem, and the scale s_b of G_b, use the constraints
+    of ``harmonic._in_kind``, which ``BasisCache`` checks on every basis
+    it loads and proves of every basis it computes (the "H-closed"
+    kernel and the "H-normal-null" span, see ``harmonic``): trial forms
+    are componentwise harmonic and co-closed, exact ones closed and
+    coexact ones normal-null (i_x phi = 0).  On the sphere
     <J*u, J*v> = <u, v> - R^-2 <i_x u, i_x v>.
 
       * Blocks of different coefficient degrees k != k' are orthogonal:
@@ -342,13 +358,18 @@ def _certify_blocks(assembly: OperatorAssembly) -> list[Fraction]:
         polynomials, homogeneous of different degrees, and spherical
         harmonics of different degrees are orthogonal on every sphere
         (Stein-Weiss, Fourier Analysis on Euclidean Spaces, ch. IV).
+      * A closed u of degree k is d(i_x u) / (p + k), since d i_x + i_x d
+        is p + k on homogeneous p-forms of degree k, and i_x is the
+        adjoint of d for the Fischer product, so for every v of degree k
+        <u, v>_F = <i_x u, i_x v>_F / (p + k).
       * The one pair of blocks that shares a degree is the exact block
         l = k+1 and the coexact block l = k.  There i_x v = 0, and the
         mean of <u, v> over the sphere is <u, v>_F / P(m, k) as in
-        ``_gram_block``.  The closed u is d(i_x u) / (p + k), since
-        d i_x + i_x d is p + k on homogeneous p-forms of degree k, and
-        i_x is the adjoint of d for the Fischer product, so
-        <u, v>_F = <i_x u, i_x v>_F / (p + k) = 0.
+        ``_gram_block``, which the item above makes 0.
+      * Within a block, i_x u = 0 on a coexact one, and
+        <i_x u, i_x v>_F = (p + k) <u, v>_F on an exact one, by the same
+        item: so G_b = s_b F_b (``_gram_block``).  As m + k - p > 0,
+        G_b is positive definite exactly when F_b is.
 
     The pointwise identity gives int_S <J*(T phi_i), J* phi_j>
     = theta_b G_b,ij on each block, through Green's formula on the
@@ -356,19 +377,28 @@ def _certify_blocks(assembly: OperatorAssembly) -> list[Fraction]:
     exactly theta_b with multiplicity dim_b over the blocks.  Rows are
     numbered across the blocks in order.  A failure raises
     ``CertificateError`` naming the operator, the block and its rows,
-    the trial form where one fails, and the condition."""
-    dom = assembly.domain
+    the trial form where one fails, and the condition.
+
+    A block records each eigenform check it passes, by operator image
+    and theta_b, and runs none twice.  The two Dirichlet-to-Neumann maps
+    share their check on a coexact block: the same forms, each its own
+    extension under both, the same image -i_N d phi and the same
+    theta_b = (p + l)/R."""
+    dom, op = assembly.domain, assembly.operator
     thetas = []
     start = 0
     for blk in assembly.blocks:
         theta = assembly.theta(blk)
-        where = (f"{assembly.operator} at m={dom.m}, p={assembly.p}, R={dom.radius}: "
+        where = (f"{op} at m={dom.m}, p={assembly.p}, R={dom.radius}: "
                  f"block {blk.kind} l={blk.l} (rows {start}..{start + blk.dim - 1}): ")
-        for i, (w, ext) in enumerate(zip(blk.basis, blk.extensions), start):
-            image = _operator_image(assembly.operator, w, ext, dom)
-            if not _pullback_vanishes(image - w * theta, dom):
-                raise CertificateError(where + f"trial form {i} is not an eigenform: "
-                                       f"J*(T phi) != theta_b J* phi with theta_b = {theta}")
+        proof = ("dtn" if blk.kind == "coexact" and op != "hodge-boundary" else op, theta)
+        if proof not in blk.proved:
+            for i, w in enumerate(blk.basis, start):
+                image = _operator_image(op, w, assembly.extension(blk, w), dom)
+                if not _pullback_vanishes(image - w * theta, dom):
+                    raise CertificateError(where + f"trial form {i} is not an eigenform: "
+                                           f"J*(T phi) != theta_b J* phi with theta_b = {theta}")
+            blk.proved.add(proof)
         if not linalg.is_positive_definite(blk.G):
             raise CertificateError(where + "G_b fails the exact LDL^T positive-definiteness test")
         thetas.append(theta)
@@ -467,18 +497,17 @@ def check_bounds(dtn: SpectrumReport, dtn_neumann: SpectrumReport,
     return out
 
 
-def scaling_check(report_unit: SpectrumReport, report_scaled: SpectrumReport) -> BoundCheck:
+def scaling_check(report: SpectrumReport, scaled: SpectrumReport) -> BoundCheck:
     """Eigenvalues scale exactly like 1/R (order-one operators) or 1/R^2
-    (boundary Laplacian) when the ball is rescaled from radius one."""
-    if (report_unit.operator != report_scaled.operator
-            or report_unit.m != report_scaled.m
-            or report_unit.p != report_scaled.p
-            or report_unit.l_max != report_scaled.l_max):
+    (boundary Laplacian) when the ball is rescaled from the radius of
+    report to the radius of scaled."""
+    if (report.operator != scaled.operator or report.m != scaled.m
+            or report.p != scaled.p or report.l_max != scaled.l_max):
         raise ValueError("reports are not comparable")
-    power = 2 if report_unit.operator == "hodge-boundary" else 1
-    ratio = Fraction(report_scaled.radius) ** power
-    expected = [(g.value / ratio, g.multiplicity) for g in report_unit.eigenvalues]
-    got = [(g.value, g.multiplicity) for g in report_scaled.eigenvalues]
+    power = 2 if report.operator == "hodge-boundary" else 1
+    ratio = (Fraction(scaled.radius) / Fraction(report.radius)) ** power
+    expected = [(g.value / ratio, g.multiplicity) for g in report.eigenvalues]
+    got = [(g.value, g.multiplicity) for g in scaled.eigenvalues]
     return BoundCheck("radius-scaling",
                       f"eigenvalues scale like 1/R^{power}",
                       expected == got, {"groups": len(got)})

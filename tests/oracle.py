@@ -109,8 +109,8 @@ def full_stiffness(assembly):
             d_reps = [w.d() for w in reps]
             A = mat_add(A, sphere_matrix(d_reps, d_reps, dom))
         return A
-    traced = [-normal_part(ext.d(), dom)
-              for blk in assembly.blocks for ext in blk.extensions]
+    traced = [-normal_part(assembly.extension(blk, w).d(), dom)
+              for blk in assembly.blocks for w in blk.basis]
     A = sphere_matrix(traced, reps, dom)
     assert A == [list(col) for col in zip(*A)], "stiffness matrix not symmetric"
     return A

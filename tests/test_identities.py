@@ -364,6 +364,73 @@ class TestProofChains:
             replay_proof_chain("comparison", 2, DOM3, cache)
 
 
+class _SwappedBlockCache:
+    """A basis cache whose answer to the chains' one request, the first
+    eigenform block (m, 1, p, "H-normal-null"), is another basis."""
+
+    def __init__(self, basis, m, p):
+        self.basis, self.request = basis, (m, 1, p, "H-normal-null")
+
+    def get(self, m, l, p, kind):
+        assert (m, l, p, kind) == self.request
+        return self.basis
+
+
+class TestProofChainNegativeControls:
+    """Each chain check that reads the trial forms fails on a block that
+    is not the first eigenform block."""
+
+    @staticmethod
+    def _failed(kind, p, dom, basis, names):
+        """Whether the named checks fail on every form of basis."""
+        rep = replay_proof_chain(kind, p, dom, _SwappedBlockCache(basis, dom.m, p))
+        assert rep.details["sigma"] == str((p + 1) / dom.radius)
+        return not any(rep.checks[f"{name}[{i}]"] for i in range(basis.dim) for name in names)
+
+    @pytest.mark.parametrize("m, p, R", [(3, 1, Fraction(1)), (4, 2, Fraction(7, 3))])
+    def test_second_coexact_block(self, cache, m, p, R):
+        # l = 2: sigma_phi = (p+2)c, d phi is not parallel, and the normal
+        # trace is (p+2)c J* phi, not (p+1)c J* phi
+        dom = BallDomain(m, R)
+        block = cache.get(m, 2, p, "H-normal-null")
+        assert self._failed("sharp-bound", p, dom, block,
+                            ["parallel-differential", "normal-trace-proportional"])
+        assert self._failed("comparison", p, dom, block, ["eigenvalue-product"])
+
+    @pytest.mark.parametrize("m, p, R", [(3, 1, Fraction(1)), (4, 2, Fraction(7, 3))])
+    def test_closed_block(self, cache, m, p, R):
+        # closed degree-1 fields: d phi = 0, so sigma_phi = 0
+        dom = BallDomain(m, R)
+        block = cache.get(m, 1, p, "H-closed")
+        assert block.dim
+        assert self._failed("nonsharp", p, dom, block, ["strict-half-bound"])
+        assert self._failed("comparison", p, dom, block, ["eigenvalue-product"])
+
+
+class TestIdentityNegativeControl:
+    """The exact and the float decision of an identity record fail when
+    one term is mis-scaled."""
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_doubled_shape_term_fails(self, monkeypatch, p, mode):
+        rng = rng_for(62, "doubled-shape", p)
+        omega = random_form(rng, 3, p, 3)
+        weight = WeightFunction.polynomial(random_polynomial(rng, 3, 3))
+        tolerance = 0
+        if mode == "float":
+            omega, weight, tolerance = _float_form(omega), _float_weight(weight), FLOAT_TOLERANCE
+        assert verify_weighted_reilly(weight, omega, DOM3, tolerance).passed
+        real = identities.b_term_pairs
+
+        def doubled(form, domain):
+            return [(2 * s, a, b) for s, a, b in real(form, domain)]
+        monkeypatch.setattr(identities, "b_term_pairs", doubled)
+        rep = verify_weighted_reilly(weight, omega, DOM3, tolerance)
+        assert not rep.passed
+        assert rep.residual != 0
+
+
 # ---------------------------------------------------------------------------
 # Property tests: exact residuals over drawn dimensions, degrees and radii.
 # ---------------------------------------------------------------------------

@@ -507,6 +507,34 @@ class TestBounds:
             chain = replay_proof_chain(kind, p, BallDomain(m, Fraction(1)), cache)
             assert chain.passed, (kind, chain.checks)
 
+    # Negative controls: real reports, each edited so that the check it
+    # targets must fail.
+    @staticmethod
+    def _failing(dtn, neumann, hodge):
+        return {c.name for c in check_bounds(dtn, neumann, hodge) if not c.passed}
+
+    def test_moved_sigma_1_fails_the_sharp_bound(self, d3, t3, h3):
+        dtn = copy.deepcopy(d3[1])
+        dtn.eigenvalues[0].value = Fraction(5, 2)
+        assert self._failing(dtn, t3[1], h3[1]) == {"first-eigenvalue-lower-bound",
+                                                     "hodge-comparison"}
+
+    def test_lowered_coexact_lambda_fails_the_comparison(self, d3, t3, h3):
+        hodge = copy.deepcopy(h3[1])
+        row = next(r for r in hodge.blocks if (r["kind"], r["l"]) == ("coexact", 1))
+        row["eigenvalues"][0] -= 1
+        assert self._failing(d3[1], t3[1], hodge) == {"hodge-comparison"}
+
+    def test_nu_1_above_sigma_1_fails_the_ordering(self, d3, t3, h3):
+        neumann = copy.deepcopy(t3[1])
+        neumann.eigenvalues[0].value = d3[1].first_positive() + 1
+        assert self._failing(d3[1], neumann, h3[1]) == {"operator-ordering"}
+
+    def test_sigma_1_at_half_the_bound_fails_the_strict_bound(self, d3, t3, h3):
+        dtn = copy.deepcopy(d3[1])
+        dtn.eigenvalues[0].value = Fraction(1)   # (p+1)c/2 at p = 1, c = 1
+        assert "strict-half-bound" in self._failing(dtn, t3[1], h3[1])
+
     def test_rescaled_balls(self, cache):
         for c in (Fraction(1, 2), Fraction(1), Fraction(3)):
             R = 1 / c
@@ -525,6 +553,21 @@ class TestScaling:
         _, scaled = assemble_operator("hodge-boundary", 3, 1, 2, 2, cache)
         assert abs(scaled.first_positive() - 0.5) < 1e-10
         assert scaling_check(h3[1], scaled).passed
+
+    @pytest.mark.parametrize("op", ["dtn", "hodge-boundary"])
+    def test_first_report_off_the_unit_ball(self, cache, op):
+        # the ratio is between the two radii, not from radius one
+        _, r2 = assemble_operator(op, 3, 1, 2, 2, cache)
+        _, r4 = assemble_operator(op, 3, 1, 2, 4, cache)
+        assert scaling_check(r2, r2).passed
+        assert scaling_check(r2, r4).passed
+        assert scaling_check(r4, r2).passed
+
+    def test_moved_eigenvalue_fails(self, cache, d3):
+        _, scaled = assemble_operator("dtn", 3, 1, 2, 2, cache)
+        scaled = copy.deepcopy(scaled)
+        scaled.eigenvalues[1].value += Fraction(1, 5)
+        assert not scaling_check(d3[1], scaled).passed
 
     def test_mismatched_reports_rejected(self, d3, h3):
         with pytest.raises(ValueError):
@@ -545,7 +588,8 @@ class TestReferenceFormulas:
 
 
 FULL_MATRIX_CASES = [(2, 1, 3, Fraction(2, 3)), (3, 1, 2, Fraction(1)),
-                     (3, 2, 2, Fraction(1, 2)), (4, 2, 2, Fraction(1))]
+                     (3, 2, 2, Fraction(1, 2)), (4, 2, 2, Fraction(1)),
+                     (4, 1, 2, Fraction(7, 3)), (5, 2, 1, Fraction(7, 3))]
 
 
 class TestBlockCertificate:
