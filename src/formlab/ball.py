@@ -10,8 +10,12 @@ pullback inner product is computed through the pointwise splitting
     <J* a, J* b> = <a, b> - <i_N a, i_N b>   on Sigma,
 
 which keeps every boundary computation inside polynomial arithmetic.
-Pairings are returned as the pair lists that
-``quadrature.integrate_pairs`` integrates without building a product.
+Pairings are returned as pair lists, which ``BallDomain.interior`` and
+``BallDomain.boundary`` integrate without building a product; the
+identity checks integrate only through these two methods, so the domain
+is the one module that knows how to integrate over itself.  They import
+``quadrature`` when called, so that a run using ball only for its
+boundary calculus (a spectrum run) loads no quadrature.
 The tangential codifferential is assembled from ambient data through
 
     delta^S (J* w) = J*(delta w) + i_N(grad_N w) + S^[p-1](i_N w) - nH i_N w,
@@ -75,6 +79,18 @@ class BallDomain:
         per domain)."""
         return self._normal
 
+    def interior(self, pairs, weight=1) -> Fraction:
+        """int over the ball of weight * sum_k s_k a_k b_k, for the pair
+        list ``pairs`` of triples (s_k, a_k, b_k)
+        (``quadrature.integrate_pairs``)."""
+        from .quadrature import integrate_pairs
+        return integrate_pairs(pairs, self.radius, weight, "ball")
+
+    def boundary(self, pairs, weight=1) -> Fraction:
+        """int over Sigma of weight * sum_k s_k a_k b_k, as ``interior``."""
+        from .quadrature import integrate_pairs
+        return integrate_pairs(pairs, self.radius, weight, "sphere")
+
 
 def normal_part(omega: PolyForm, domain: BallDomain) -> PolyForm:
     """Ambient representative of i_N omega (degree drops by one)."""
@@ -120,7 +136,7 @@ def normal_split_residual(omega: PolyForm, domain: BallDomain) -> ExactScalar:
 
     d^S(i_N w) + i_N dw - J*(grad_N w) + S^[p](J* w) = 0.
     """
-    from .quadrature import ExactScalar, integrate_pairs
+    from .quadrature import ExactScalar
     if omega.p == 0:
         raise ValueError("needs degree >= 1")
     normal = domain.normal_field()
@@ -129,8 +145,7 @@ def normal_split_residual(omega: PolyForm, domain: BallDomain) -> ExactScalar:
         rep = rep + omega.d().interior(normal)
     rep = rep - omega.deriv_along(normal)
     rep = rep + omega * (omega.p * domain.curvature)
-    return ExactScalar(integrate_pairs(jstar_pairs(rep, rep, domain), domain.radius),
-                       domain.m)
+    return ExactScalar(domain.boundary(jstar_pairs(rep, rep, domain)), domain.m)
 
 
 def b_term_pairs(omega: PolyForm, domain: BallDomain) -> list[tuple]:

@@ -10,9 +10,12 @@ rounding can contribute however much the terms cancel.
 
 The weighted integration-by-parts identity is organised term by term so
 that a failure names the offending term.  Each term is integrated from
-its pairings (``quadrature.integrate_pairs``): the coefficient products
-of the paired forms are contracted against weighted moments, and no
-product polynomial is built just to be integrated.
+its pairings through the domain, ``domain.interior`` over the ball and
+``domain.boundary`` over its sphere, the one place that knows the
+domain's radius and region: the coefficient products of the paired
+forms are contracted against weighted moments, and no product
+polynomial is built just to be integrated.  The shape operator enters
+only through ``domain.curvature``.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from numbers import Real
 from .exterior import ConstantForm, LinearEndomorphism
 from .polynomials import Polynomial
 from .polyform import PolyForm, PolyVectorField, gradient_action, hessian_matrix
-from .quadrature import integrate_pairs
 from .ball import (BallDomain, WeightFunction, b_term_alternate_pairs,
                    b_term_pairs, boundary_delta_rep, inner_pairs, jstar_pairs,
                    normal_part)
@@ -121,9 +123,10 @@ def _gradient_pairs(omega: PolyForm, scale=1) -> list[tuple]:
     return pairs
 
 
-def _hessian_int(weight: WeightFunction, a: PolyForm, b: PolyForm, R) -> Fraction:
+def _hessian_int(weight: WeightFunction, a: PolyForm, b: PolyForm,
+                 domain: BallDomain) -> Fraction:
     """int over the ball of <a, Hess-lift b>, one contraction per entry."""
-    return sum((integrate_pairs(pairs, R, entry, "ball")
+    return sum((domain.interior(pairs, entry)
                 for entry, pairs in weight.hessian_pairs(a, b)), Fraction(0))
 
 
@@ -136,12 +139,11 @@ def verify_stokes(phi: PolyForm, psi: PolyForm, domain: BallDomain,
     """int <d phi, psi> = int <phi, delta psi> - int_S <J* phi, i_N psi>."""
     if psi.p != phi.p + 1:
         raise ValueError("need deg(psi) = deg(phi) + 1")
-    R = domain.radius
-    lhs = integrate_pairs(inner_pairs(phi.d(), psi), R, region="ball")
-    interior = integrate_pairs(inner_pairs(phi, psi.delta()), R, region="ball")
-    boundary = integrate_pairs(jstar_pairs(phi, normal_part(psi, domain), domain), R)
+    lhs = domain.interior(inner_pairs(phi.d(), psi))
+    interior = domain.interior(inner_pairs(phi, psi.delta()))
+    boundary = domain.boundary(jstar_pairs(phi, normal_part(psi, domain), domain))
     terms = {"interior": interior, "boundary": -boundary}
-    return _report("stokes", {"m": domain.m, "p": phi.p, "R": R},
+    return _report("stokes", {"m": domain.m, "p": phi.p, "R": domain.radius},
                    terms, lhs, interior - boundary, tolerance)
 
 
@@ -166,7 +168,7 @@ def weighted_reilly_terms(weight: WeightFunction, omega: PolyForm,
     The curvature term of the ambient identity vanishes on flat space
     and is not listed.
     """
-    m, p, R = domain.m, omega.p, domain.radius
+    m, p = domain.m, omega.p
     if omega.m != m or weight.m != m:
         raise ValueError("dimension mismatch")
 
@@ -185,23 +187,22 @@ def weighted_reilly_terms(weight: WeightFunction, omega: PolyForm,
                 continue
             comps = [Polynomial.zero(m)] * m
             comps[k - 1] = Polynomial.one(m)
-            contraction += integrate_pairs(inner_pairs(omega, dw.interior(comps), -2),
-                                           R, gk, "ball")
+            contraction += domain.interior(inner_pairs(omega, dw.interior(comps), -2), gk)
 
     if p >= 1:
         i_n = normal_part(omega, domain)
-        codiff = integrate_pairs(inner_pairs(boundary_delta_rep(omega, domain), i_n, 2),
-                                 R, weight.f)
-        shape = integrate_pairs(b_term_pairs(omega, domain), R, weight.f)
+        codiff = domain.boundary(inner_pairs(boundary_delta_rep(omega, domain), i_n, 2),
+                                 weight.f)
+        shape = domain.boundary(b_term_pairs(omega, domain), weight.f)
     else:
         codiff = shape = Fraction(0)
 
     return {
-        "lhs_energy": integrate_pairs(energy, R, weight.f, "ball"),
+        "lhs_energy": domain.interior(energy, weight.f),
         "contraction": contraction,
-        "hessian": _hessian_int(weight, omega, omega, R),
-        "laplacian": integrate_pairs(inner_pairs(omega, omega), R, weight.lap, "ball"),
-        "normal_pullback": integrate_pairs(jstar_pairs(omega, omega, domain, -1), R,
+        "hessian": _hessian_int(weight, omega, omega, domain),
+        "laplacian": domain.interior(inner_pairs(omega, omega), weight.lap),
+        "normal_pullback": domain.boundary(jstar_pairs(omega, omega, domain, -1),
                                            weight.normal_derivative(domain)),
         "codifferential": codiff,
         "shape": shape,
@@ -229,22 +230,21 @@ def verify_unweighted_reilly(omega: PolyForm, domain: BallDomain,
     int (|dw|^2 + |delta w|^2) = int |grad w|^2
         + 2 int_S <delta^S(J*w), i_N w> + int_S B(w,w).
     """
-    m, p, R = domain.m, omega.p, domain.radius
+    m, p = domain.m, omega.p
     energy = inner_pairs(omega.d(), omega.d()) if p <= m - 1 else []
     if p >= 1:
         energy += inner_pairs(omega.delta(), omega.delta())
-    lhs = integrate_pairs(energy, R, region="ball")
-    grad = integrate_pairs(_gradient_pairs(omega), R, region="ball")
+    lhs = domain.interior(energy)
+    grad = domain.interior(_gradient_pairs(omega))
     if p >= 1:
         i_n = normal_part(omega, domain)
-        codiff = 2 * integrate_pairs(
-            inner_pairs(boundary_delta_rep(omega, domain), i_n), R)
-        shape = integrate_pairs(b_term_pairs(omega, domain), R)
+        codiff = 2 * domain.boundary(inner_pairs(boundary_delta_rep(omega, domain), i_n))
+        shape = domain.boundary(b_term_pairs(omega, domain))
     else:
         codiff = Fraction(0)
         shape = Fraction(0)
     terms = {"energy": lhs, "gradient": grad, "codifferential": codiff, "shape": shape}
-    return _report("unweighted-reilly", {"m": m, "p": p, "R": R},
+    return _report("unweighted-reilly", {"m": m, "p": p, "R": domain.radius},
                    terms, lhs, grad + codiff + shape, tolerance)
 
 
@@ -259,7 +259,7 @@ def verify_function_reilly(weight: WeightFunction, u: Polynomial,
 
     with the ambient Ricci term absent on flat space.
     """
-    m, R = domain.m, domain.radius
+    m = domain.m
     n = domain.boundary_dim
     c = domain.curvature
     du = PolyForm.from_function(u).d()
@@ -269,24 +269,23 @@ def verify_function_reilly(weight: WeightFunction, u: Polynomial,
         for l in range(1, m + 1):
             e = u.partial(a).partial(l)
             energy.append((-1, e, e))
-    lhs = integrate_pairs(energy, R, weight.f, "ball")
+    lhs = domain.interior(energy, weight.f)
 
     u_n = normal_part(du, domain).coefficient(())
     lap_s_u = boundary_delta_rep(du, domain).coefficient(())
-    boundary_main = integrate_pairs(
-        [(2, u_n, lap_s_u), (n * c, u_n, u_n)] + jstar_pairs(du, du, domain, c),
-        R, weight.f)
-    boundary_fn = integrate_pairs(jstar_pairs(du, du, domain), R,
+    boundary_main = domain.boundary(
+        [(2, u_n, lap_s_u), (n * c, u_n, u_n)] + jstar_pairs(du, du, domain, c), weight.f)
+    boundary_fn = domain.boundary(jstar_pairs(du, du, domain),
                                   weight.normal_derivative(domain))
-    hess_term = _hessian_int(weight, du, du, R)
-    lap_term = integrate_pairs(inner_pairs(du, du), R, weight.lap, "ball")
+    hess_term = _hessian_int(weight, du, du, domain)
+    lap_term = domain.interior(inner_pairs(du, du), weight.lap)
 
     terms = {"lhs_energy": lhs, "boundary_main": boundary_main,
              "boundary_fn": -boundary_fn, "hessian": hess_term,
              "laplacian": lap_term}
     rhs = boundary_main - boundary_fn + hess_term + lap_term
     return _report("function-reilly",
-                   {"m": m, "R": R, "weight": weight.kind},
+                   {"m": m, "R": domain.radius, "weight": weight.kind},
                    terms, lhs, rhs, tolerance)
 
 
@@ -301,28 +300,27 @@ def verify_pohozhaev(F: PolyVectorField, phi: PolyForm, domain: BallDomain,
         + 2 int_S <J* i_F d phi, i_N d phi>
         + 2 int <nabla F (d phi), d phi>.
     """
-    m, R = domain.m, domain.radius
+    m = domain.m
     if phi.p > m - 1:
         raise ValueError("d phi needs deg(phi) <= m-1")
     dphi = phi.d()
     d_sq = inner_pairs(dphi, dphi)
-    lhs = integrate_pairs(d_sq, R, F.divergence(), "ball")
+    lhs = domain.interior(d_sq, F.divergence())
 
-    flux = integrate_pairs(d_sq, R, F.dot(domain.normal_field()))
+    flux = domain.boundary(d_sq, F.dot(domain.normal_field()))
     if dphi.p >= 1:
         i_f = dphi.interior(F)
-        contraction = integrate_pairs(inner_pairs(i_f, dphi.delta()), R, region="ball")
-        boundary_pair = integrate_pairs(
-            jstar_pairs(i_f, normal_part(dphi, domain), domain), R)
+        contraction = domain.interior(inner_pairs(i_f, dphi.delta()))
+        boundary_pair = domain.boundary(jstar_pairs(i_f, normal_part(dphi, domain), domain))
     else:
         contraction = Fraction(0)
         boundary_pair = Fraction(0)
-    jac = integrate_pairs(inner_pairs(gradient_action(F, dphi), dphi), R, region="ball")
+    jac = domain.interior(inner_pairs(gradient_action(F, dphi), dphi))
 
     terms = {"flux": -flux, "contraction": -2 * contraction,
              "boundary_pair": 2 * boundary_pair, "jacobian": 2 * jac}
     rhs = -flux - 2 * contraction + 2 * boundary_pair + 2 * jac
-    return _report("pohozhaev", {"m": m, "p": phi.p, "R": R},
+    return _report("pohozhaev", {"m": m, "p": phi.p, "R": domain.radius},
                    terms, lhs, rhs, tolerance)
 
 
@@ -378,7 +376,7 @@ def pullback_split_residual(omega: PolyForm, domain: BallDomain) -> Fraction:
     i_n = normal_part(omega, domain)
     pairs = (inner_pairs(omega, omega) + jstar_pairs(omega, omega, domain, -1)
              + inner_pairs(i_n, i_n, -1))
-    return integrate_pairs(pairs, domain.radius)
+    return domain.boundary(pairs)
 
 
 def boundary_adjointness_residual(alpha: PolyForm, beta: PolyForm,
@@ -386,9 +384,8 @@ def boundary_adjointness_residual(alpha: PolyForm, beta: PolyForm,
     """int_S <d^S J*a, J*b> - int_S <J*a, delta^S J*b>, exact."""
     if beta.p != alpha.p + 1:
         raise ValueError("need deg(beta) = deg(alpha) + 1")
-    R = domain.radius
-    lhs = integrate_pairs(jstar_pairs(alpha.d(), beta, domain), R)
-    rhs = integrate_pairs(jstar_pairs(alpha, boundary_delta_rep(beta, domain), domain), R)
+    lhs = domain.boundary(jstar_pairs(alpha.d(), beta, domain))
+    rhs = domain.boundary(jstar_pairs(alpha, boundary_delta_rep(beta, domain), domain))
     return lhs - rhs
 
 
@@ -479,7 +476,7 @@ def replay_proof_chain(kind: str, p: int, domain: BallDomain,
     if kind not in ("sharp-bound", "comparison", "nonsharp"):
         raise ValueError(f"unknown chain kind {kind!r}")
     cache = cache or BasisCache()
-    m, R = domain.m, domain.radius
+    m = domain.m
     n = domain.boundary_dim
     c = domain.curvature
     if kind in ("comparison", "nonsharp") and p > n - 1:
@@ -502,56 +499,55 @@ def replay_proof_chain(kind: str, p: int, domain: BallDomain,
         dphi = phi.d()
         i_n_dphi = normal_part(dphi, domain)
         d_sq = inner_pairs(dphi, dphi)
-        jstar_d_int = integrate_pairs(jstar_pairs(dphi, dphi, domain), R)
-        phi_trace_sq = integrate_pairs(jstar_pairs(phi, phi, domain), R)
+        jstar_d_int = domain.boundary(jstar_pairs(dphi, dphi, domain))
+        phi_trace_sq = domain.boundary(jstar_pairs(phi, phi, domain))
         if kind != "sharp-bound":
             # the Dirichlet-to-Neumann quotient of phi, its own extension
-            sigma_phi = integrate_pairs(jstar_pairs(i_n_dphi, phi, domain, -1), R) / phi_trace_sq
+            sigma_phi = domain.boundary(jstar_pairs(i_n_dphi, phi, domain, -1)) / phi_trace_sq
 
         if kind == "sharp-bound":
-            hess_int = _hessian_int(weight, dphi, dphi, R)
-            lap_int = integrate_pairs(d_sq, R, weight.lap, "ball")
-            grad_int = integrate_pairs(_gradient_pairs(dphi), R, weight.f, "ball")
-            normal_int = integrate_pairs(inner_pairs(i_n_dphi, i_n_dphi), R)
+            hess_int = _hessian_int(weight, dphi, dphi, domain)
+            lap_int = domain.interior(d_sq, weight.lap)
+            grad_int = domain.interior(_gradient_pairs(dphi), weight.f)
+            normal_int = domain.boundary(inner_pairs(i_n_dphi, i_n_dphi))
             checks[f"weighted-identity{tag}"] = jstar_d_int == hess_int + lap_int + grad_int
             checks[f"vector-field-identity{tag}"] = (
                 lap_int + 2 * hess_int == jstar_d_int - normal_int)
             checks[f"summed-identity{tag}"] = normal_int == -hess_int + grad_int
             checks[f"normal-trace-energy{tag}"] = (
                 normal_int == sigma ** 2 * phi_trace_sq)
-            checks[f"interior-energy{tag}"] = (
-                integrate_pairs(d_sq, R, region="ball") == sigma * phi_trace_sq)
+            checks[f"interior-energy{tag}"] = domain.interior(d_sq) == sigma * phi_trace_sq
             checks[f"parallel-differential{tag}"] = all(
                 dphi.partial(k).is_zero() for k in range(1, m + 1))
             rigid = -i_n_dphi - phi * sigma
-            checks[f"normal-trace-proportional{tag}"] = integrate_pairs(
-                jstar_pairs(rigid, rigid, domain), R) == 0
+            checks[f"normal-trace-proportional{tag}"] = domain.boundary(
+                jstar_pairs(rigid, rigid, domain)) == 0
 
         elif kind == "comparison":
             norm_sq = dphi.norm_sq()
             pointwise = (norm_sq * lap_f + dphi.inner(dphi.lift_by(hess_f))
                          - norm_sq * ((n - p) * c))
             checks[f"pointwise-sum{tag}"] = not pointwise
-            rhs = ((n - p) * c * integrate_pairs(d_sq, R, region="ball")
-                   + integrate_pairs(_gradient_pairs(dphi), R, weight.f, "ball"))
+            rhs = ((n - p) * c * domain.interior(d_sq)
+                   + domain.interior(_gradient_pairs(dphi), weight.f))
             checks[f"comparison-identity{tag}"] = jstar_d_int == rhs
             lam = (1 + p) * (n - p) * c * c
             checks[f"eigenvalue-product{tag}"] = sigma_phi * (n - p) * c == lam
 
         else:  # nonsharp
-            grad_sq = integrate_pairs(_gradient_pairs(dphi), R, region="ball")
+            grad_sq = domain.interior(_gradient_pairs(dphi))
             ds_rep = boundary_delta_rep(dphi, domain)
-            pair = integrate_pairs(inner_pairs(ds_rep, i_n_dphi), R)
-            bint = integrate_pairs(b_term_pairs(dphi, domain), R)
+            pair = domain.boundary(inner_pairs(ds_rep, i_n_dphi))
+            bint = domain.boundary(b_term_pairs(dphi, domain))
             checks[f"unweighted-identity{tag}"] = grad_sq + 2 * pair + bint == 0
-            step1 = integrate_pairs(jstar_pairs(ds_rep, phi, domain), R)
+            step1 = domain.boundary(jstar_pairs(ds_rep, phi, domain))
             checks[f"trace-substitution{tag}"] = pair == -sigma * step1
-            step2 = integrate_pairs(jstar_pairs(dphi, phi.d(), domain), R)
+            step2 = domain.boundary(jstar_pairs(dphi, phi.d(), domain))
             checks[f"adjoint-step{tag}"] = step1 == step2 and step2 == jstar_d_int
-            balt = integrate_pairs(b_term_alternate_pairs(dphi, domain), R)
+            balt = domain.boundary(b_term_alternate_pairs(dphi, domain))
             checks[f"shape-expression{tag}"] = bint == balt
             checks[f"strict-half-bound{tag}"] = sigma_phi > (p + 1) * c / 2
 
     details["sigma"] = str(sigma)
     details["block_dim"] = str(block.dim)
-    return ChainReport(kind, {"m": m, "p": p, "R": R}, checks, details)
+    return ChainReport(kind, {"m": m, "p": p, "R": domain.radius}, checks, details)

@@ -13,7 +13,8 @@ building a product.  It sums the coefficient products per exponent and
 contracts each sum against the weight's terms and the sphere moments,
 which one table memoises as exponents are first met.  The identity
 checks integrate their pointwise inner products this way, term by term,
-and the spectral layer its boundary pairings.  ``integrate_sphere`` and
+through their domain (``ball.BallDomain.interior`` and ``boundary``,
+which supply the radius and the region).  ``integrate_sphere`` and
 ``integrate_ball`` integrate a density (or a plain ``Polynomial``, its
 r^0 part) as the weight of the single pair 1 * 1.
 

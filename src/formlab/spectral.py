@@ -162,13 +162,16 @@ class Block:
     """One trial block of a ball: its kind, "coexact" (normal-null
     pullback) or "exact" (closed pullback); its spectral label l
     (coexact blocks use degree l, exact blocks degree l-1); its basis;
-    G, int_S <J*u, J*v> over the basis (``_gram_block``); and the
-    eigenform checks its basis has passed (``_certify_blocks``)."""
+    G, int_S <J*u, J*v> over the basis (``_gram_block``); whether G
+    passes the exact LDL^T positive-definiteness test, decided once when
+    the block is built; and the eigenform checks its basis has passed
+    (``_certify_blocks``)."""
 
-    __slots__ = ("kind", "l", "basis", "G", "proved")
+    __slots__ = ("kind", "l", "basis", "G", "definite", "proved")
 
     def __init__(self, kind: str, l: int, basis: list[PolyForm], G: list[list[Fraction]]):
         self.kind, self.l, self.basis, self.G = kind, l, basis, G
+        self.definite = linalg.is_positive_definite(G)
         self.proved: set[tuple] = set()
 
     @property
@@ -179,8 +182,9 @@ class Block:
 def _block(kind: str, l: int, p: int, domain: BallDomain, cache: BasisCache) -> Block | None:
     """The trial block (kind, l) of p-forms on the ball, built once per
     cache and kept in its ``trial_blocks``, so that every operator
-    assembled on the cache shares the block, its G_b and the eigenform
-    checks it has passed; None when its basis is empty."""
+    assembled on the cache shares the block, its G_b, the LDL^T test of
+    G_b and the eigenform checks it has passed; None when its basis is
+    empty."""
     key = (domain.m, p, domain.radius, kind, l)
     if key not in cache.trial_blocks:
         k, basis_kind = (l, "H-normal-null") if kind == "coexact" else (l - 1, "H-closed")
@@ -379,8 +383,9 @@ def _certify_blocks(assembly: OperatorAssembly) -> list[Fraction]:
     ``CertificateError`` naming the operator, the block and its rows,
     the trial form where one fails, and the condition.
 
-    A block records each eigenform check it passes, by operator image
-    and theta_b, and runs none twice.  The two Dirichlet-to-Neumann maps
+    A block decides its LDL^T test once, when it is built, and records
+    each eigenform check it passes, by operator image and theta_b, and
+    runs none twice.  The two Dirichlet-to-Neumann maps
     share their check on a coexact block: the same forms, each its own
     extension under both, the same image -i_N d phi and the same
     theta_b = (p + l)/R."""
@@ -399,7 +404,7 @@ def _certify_blocks(assembly: OperatorAssembly) -> list[Fraction]:
                     raise CertificateError(where + f"trial form {i} is not an eigenform: "
                                            f"J*(T phi) != theta_b J* phi with theta_b = {theta}")
             blk.proved.add(proof)
-        if not linalg.is_positive_definite(blk.G):
+        if not blk.definite:
             raise CertificateError(where + "G_b fails the exact LDL^T positive-definiteness test")
         thetas.append(theta)
         start += blk.dim

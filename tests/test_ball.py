@@ -11,8 +11,10 @@ from formlab.ball import (BallDomain, WeightFunction, b_term_alternate_pairs,
                           normal_part, normal_split_residual)
 from formlab.polynomials import Polynomial
 from formlab.polyform import PolyForm, PolyVectorField
-from formlab.quadrature import RadialDensity, integrate_sphere
-from formlab.sampling import random_form, random_polynomial, rng_for
+from formlab.cli import _float_poly
+from formlab.identities import TrackedFloat
+from formlab.quadrature import RadialDensity, integrate_pairs, integrate_sphere
+from formlab.sampling import random_density, random_form, random_polynomial, rng_for
 from forms import volume
 
 DOM3 = BallDomain(3, Fraction(1))
@@ -61,6 +63,39 @@ class TestNormalField:
         assert dom.normal_field() is dom.normal_field()
         assert dom == twin and hash(dom) == hash(twin)
         assert repr(dom) == "BallDomain(m=3, radius=Fraction(2, 1))"
+
+
+class TestIntegrationSeam:
+    """``interior`` and ``boundary`` are ``integrate_pairs`` with the
+    domain's radius and region, bit for bit."""
+
+    @staticmethod
+    def _case(rng, mode):
+        pairs = [(rng.choice([1, -2, Fraction(3, 4)]), random_polynomial(rng, 3, 3),
+                  random_polynomial(rng, 3, 3)) for _ in range(4)]
+        density = random_density(rng, 3, 2, min_exponent=-1)
+        weights = [random_polynomial(rng, 3, 2), density, Fraction(5, 3)]
+        if mode == "float":
+            pairs = [(s, _float_poly(a), _float_poly(b)) for s, a, b in pairs]
+            weights = [_float_poly(weights[0]),
+                       RadialDensity(3, {j: _float_poly(P) for j, P in density.parts.items()}),
+                       TrackedFloat(5 / 3)]
+        return pairs, weights
+
+    @pytest.mark.parametrize("R", [1, Fraction(1, 2), Fraction(7, 3)])
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_equals_integrate_pairs(self, R, mode):
+        dom = BallDomain(3, R)
+        pairs, weights = self._case(rng_for(70, "seam", str(R), mode), mode)
+        for weight in weights:
+            for got, region in ((dom.interior(pairs, weight), "ball"),
+                                (dom.boundary(pairs, weight), "sphere")):
+                want = integrate_pairs(pairs, R, weight, region)
+                assert type(got) is type(want) and got == want, (region, weight)
+                assert getattr(got, "magnitude", None) == getattr(want, "magnitude", None)
+                assert got != 0
+        assert dom.interior(pairs) == integrate_pairs(pairs, R, 1, "ball")
+        assert dom.boundary(pairs) == integrate_pairs(pairs, R)
 
 
 class TestNormalContraction:

@@ -205,26 +205,33 @@ class TestRunSuites:
     def test_one_gram_block_and_one_dtn_check_per_block(self, monkeypatch, m, l_max,
                                                         grams, images):
         # the three operators at one (m, p, R) share its trial blocks: one
-        # G_b per distinct block, and one eigenform check of each coexact
-        # form for both Dirichlet-to-Neumann maps (15 G_b builds and 61
-        # images at m=4, lmax 1, and 17 and 59 at m=3, lmax 2, when each
-        # operator built its own)
-        from formlab import spectral
-        counts = {"gram": [], "image": 0}
+        # G_b and one LDL^T test of it per distinct block, and one
+        # eigenform check of each coexact form for both Dirichlet-to-Neumann
+        # maps (15 G_b builds, 15 LDL^T tests and 61 images at m=4, lmax 1,
+        # and 17, 17 and 59 at m=3, lmax 2, when each operator built its own)
+        from formlab import linalg, spectral
+        counts = {"gram": [], "ldl": [], "image": 0}
         real_gram, real_image = spectral._gram_block, spectral._operator_image
+        real_ldl = linalg.is_positive_definite
 
         def gram(kind, forms, k, domain):
             counts["gram"].append((domain.m, forms[0].p, domain.radius, kind, k))
             return real_gram(kind, forms, k, domain)
 
+        def ldl(G):
+            counts["ldl"].append(id(G))
+            return real_ldl(G)
+
         def image(*args):
             counts["image"] += 1
             return real_image(*args)
         monkeypatch.setattr(spectral, "_gram_block", gram)
+        monkeypatch.setattr(linalg, "is_positive_definite", ldl)
         monkeypatch.setattr(spectral, "_operator_image", image)
         report = run_suites(small_config(suites=["spectra", "bounds"], dims=[m], l_max=l_max))
         assert report["summary"]["failed"] == 0
         assert len(counts["gram"]) == len(set(counts["gram"])) == grams
+        assert len(counts["ldl"]) == len(set(counts["ldl"])) == grams
         assert counts["image"] == images
 
     def test_bounds_suite(self, tmp_path):
@@ -348,6 +355,63 @@ class TestWorkers:
         assert code == 2
         assert capsys.readouterr().err.startswith("configuration error: ")
         assert not os.listdir(tmp_path)
+
+
+class TestCaseDecisions:
+    """Each identity case's ``pass`` fails on an input where one of its
+    checks must fail, in float mode too where the case takes the run's
+    tolerance."""
+
+    @staticmethod
+    def run_case(case, mode="exact", **kw):
+        ctx = cli._Context(small_config(dims=[3], mode=mode))
+        return case(ctx, BallDomain(3, 1), **kw)
+
+    def test_pointwise_lemmas_fail_with_a_wrong_product_rule(self, monkeypatch):
+        assert self.run_case(cli._pointwise_lemmas)["pass"]
+        real = identities.gradient_action
+        monkeypatch.setattr(identities, "gradient_action", lambda F, w: real(F, w) * 2)
+        record = self.run_case(cli._pointwise_lemmas)
+        assert not record["pass"]
+        assert sorted(k for k, ok in record["checks"].items() if not ok) == \
+            ["product-rule-p1", "product-rule-p2", "product-rule-p3"]
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_function_match_fails_with_a_wrong_hessian_term(self, monkeypatch, mode):
+        # the case's canonical weight vanishes on the sphere, so a wrong
+        # f-weighted boundary term would go unseen; the Hessian term is
+        # -c int |grad u|^2
+        assert self.run_case(cli._function_match, mode)["pass"]
+        real = identities._hessian_int
+        monkeypatch.setattr(identities, "_hessian_int", lambda *args: real(*args) * 2)
+        record = self.run_case(cli._function_match, mode)
+        assert not record["pass"]
+        assert Fraction(record["residual"]) != 0
+
+    def test_hessian_estimate_fails_on_inadmissible_hessians(self, monkeypatch):
+        from formlab import sampling
+        from formlab.exterior import LinearEndomorphism
+        assert self.run_case(cli._hessian_estimate)["pass"]
+        # Hess = 0 breaks -Hess >= (c - eps) Id, as eps < c in every trial
+        monkeypatch.setattr(sampling, "random_admissible_hessian",
+                            lambda rng, m, c, eps: LinearEndomorphism.diagonal([0] * m))
+        record = self.run_case(cli._hessian_estimate)
+        assert not record["pass"]
+        assert record["failures"] == record["params"]["trials"]
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_unweighted_match_fails_term_by_term(self, monkeypatch, mode):
+        # at weight 2 both identities still hold, and only the term-by-term
+        # match of the weighted formula against the unweighted one fails
+        from formlab.ball import WeightFunction
+        from formlab.polynomials import Polynomial
+        assert self.run_case(cli._unweighted_match, mode, degrees=[1, 2])["pass"]
+        monkeypatch.setattr(WeightFunction, "one", classmethod(
+            lambda cls, m: cls.polynomial(Polynomial.constant(m, 2))))
+        record = self.run_case(cli._unweighted_match, mode, degrees=[1, 2])
+        assert not record["pass"]
+        if mode == "exact":
+            assert record["residual"] == "0"
 
 
 class TestQuadratureOracle:

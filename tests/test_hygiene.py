@@ -1,8 +1,10 @@
 """Library surface hygiene: every exported name resolves; no module
 under ``src/formlab`` imports a name it never uses or re-exports, or
-imports ``dataclasses``; every function the library defines is called
-in it or exported; importing the package loads no layer; and a run
-loads only the layers its suite calls."""
+imports ``dataclasses``; only ``quadrature`` and ``ball`` name
+``integrate_pairs``, and ``identities`` imports nothing from
+``quadrature``; every function the library defines is called in it or
+exported; importing the package loads no layer; and a run loads only
+the layers its suite calls."""
 
 import ast
 import subprocess
@@ -106,6 +108,43 @@ def test_checker_flags_an_unused_import():
     # an __all__ that is not a literal lists nothing the checker can read
     tree = ast.parse("from .x import a, b\n_T = {'b': 1}\n__all__ = sorted(_T)\n")
     assert set(_imported_names(tree)) - _used_names(tree) == {"a", "b"}
+
+
+def _names_and_quadrature_imports(tree: ast.Module) -> tuple[set[str], list[int]]:
+    """Every identifier a module names (``Name``, ``Attribute`` and
+    imported names), and the lines of its imports from ``quadrature``."""
+    names, lines = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names |= {alias.name for alias in node.names}
+            if (node.module or "").split(".")[-1] == "quadrature" or any(
+                    alias.name == "quadrature" for alias in node.names):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+            lines += [node.lineno for alias in node.names
+                      if alias.name.split(".")[-1] == "quadrature"]
+    return names, lines
+
+
+def test_identities_integrate_through_the_domain():
+    # the domain is the one place that knows how to integrate over itself
+    found = {path.name: _names_and_quadrature_imports(ast.parse(path.read_text()))
+             for path in sorted(SRC.glob("*.py"))}
+    assert sorted(name for name, (names, _) in found.items()
+                  if "integrate_pairs" in names) == ["ball.py", "quadrature.py"]
+    assert found["identities.py"][1] == []
+
+
+def test_checker_flags_integration_outside_the_domain():
+    names, lines = _names_and_quadrature_imports(ast.parse(
+        "from .quadrature import integrate_pairs\nfrom . import quadrature as q\n"
+        "import formlab.quadrature\nq.integrate_pairs([], 1)\n"))
+    assert "integrate_pairs" in names and lines == [1, 2, 3]
 
 
 # functions kept in the library though nothing in it calls them

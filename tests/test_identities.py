@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from formlab import ball, identities
+from formlab import ball, cli, identities
 from formlab.ball import (BallDomain, WeightFunction, boundary_delta_rep,
                           canonical_weight, normal_part)
 from formlab.cli import FLOAT_TOLERANCE, _float_form, _float_weight
@@ -301,6 +301,12 @@ class TestHessianEstimate:
         assert rep.passed and rep.equality and rep.margin == 0
 
     def test_randomized_admissible(self):
+        """No input makes a mutant that passes a margin below 0 fail:
+        ``pointwise_hessian_estimate`` with ``passed = True`` for every
+        admissible Hessian is equivalent to it on correct code, since
+        margin >= 0 is the theorem for admissible Hessians.  So this
+        decision has no negative control; an inadmissible Hessian fails
+        (``test_precondition_violation_reported``)."""
         rng = rng_for(53, "hess")
         c = Fraction(1)
         for _ in range(30):
@@ -407,9 +413,24 @@ class TestProofChainNegativeControls:
         assert self._failed("comparison", p, dom, block, ["eigenvalue-product"])
 
 
+def _in_mode(mode, *objects):
+    """The objects with ``TrackedFloat`` coefficients in float mode, and
+    the mode's tolerance."""
+    if mode == "exact":
+        return (*objects, 0)
+    return (*(cli._FLOAT[type(o)](o) for o in objects), FLOAT_TOLERANCE)
+
+
+def _doubled(monkeypatch, module, name):
+    """Replace module.name by twice its value."""
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: real(*args) * 2)
+
+
 class TestIdentityNegativeControl:
-    """The exact and the float decision of an identity record fail when
-    one term is mis-scaled."""
+    """Each identity decision fails when one term is mis-scaled: the
+    exact decision and, where the verifier takes a tolerance, the float
+    one.  Each check first passes on the same input."""
 
     @pytest.mark.parametrize("p", [1, 2])
     @pytest.mark.parametrize("mode", ["exact", "float"])
@@ -429,6 +450,81 @@ class TestIdentityNegativeControl:
         rep = verify_weighted_reilly(weight, omega, DOM3, tolerance)
         assert not rep.passed
         assert rep.residual != 0
+
+    @staticmethod
+    def _fails(verify, monkeypatch, module, name, *args):
+        """verify(*args) passes, then fails with a nonzero residual once
+        module.name returns twice its value."""
+        assert verify(*args).passed
+        _doubled(monkeypatch, module, name)
+        rep = verify(*args)
+        assert not rep.passed
+        assert rep.residual != 0
+
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_doubled_boundary_integral_fails_stokes(self, monkeypatch, p, mode):
+        # Stokes' one sphere integral, doubled through the domain's seam
+        rng = rng_for(63, "stokes-boundary", p)
+        phi, psi, tolerance = _in_mode(mode, random_form(rng, 3, p, 3),
+                                       random_form(rng, 3, p + 1, 3))
+        self._fails(verify_stokes, monkeypatch, BallDomain, "boundary",
+                    phi, psi, DOM3, tolerance)
+
+    @pytest.mark.parametrize("p", [0, 1])
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_doubled_jacobian_fails_pohozhaev(self, monkeypatch, p, mode):
+        rng = rng_for(64, "poh-jacobian", p)
+        F, phi, tolerance = _in_mode(mode, random_vector_field(rng, 3, 2),
+                                     random_form(rng, 3, p, 3))
+        self._fails(verify_pohozhaev, monkeypatch, identities, "gradient_action",
+                    F, phi, DOM3, tolerance)
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_doubled_boundary_laplacian_fails_function_reilly(self, monkeypatch, mode):
+        # lap^S u, read from the boundary codifferential of du
+        rng = rng_for(65, "fn-boundary")
+        weight, u, tolerance = _in_mode(
+            mode, WeightFunction.polynomial(random_polynomial(rng, 3, 2)),
+            random_polynomial(rng, 3, 3))
+        self._fails(verify_function_reilly, monkeypatch, identities, "boundary_delta_rep",
+                    weight, u, DOM3, tolerance)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_doubled_shape_term_fails_unweighted_reilly(self, monkeypatch, p, mode):
+        rng = rng_for(66, "unweighted-shape", p)
+        omega, tolerance = _in_mode(mode, random_form(rng, 3, p, 3))
+        assert verify_unweighted_reilly(omega, DOM3, tolerance).passed
+        real = identities.b_term_pairs
+        monkeypatch.setattr(identities, "b_term_pairs", lambda form, domain: [
+            (2 * s, a, b) for s, a, b in real(form, domain)])
+        rep = verify_unweighted_reilly(omega, DOM3, tolerance)
+        assert not rep.passed
+        assert rep.residual != 0
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_doubled_gradient_action_fails_product_rule(self, monkeypatch, p):
+        rng = rng_for(67, "product-rule", p)
+        F, w = random_vector_field(rng, 3, 2), random_form(rng, 3, p, 2)
+        assert identities.product_rule_residual(F, w)
+        _doubled(monkeypatch, identities, "gradient_action")
+        assert not identities.product_rule_residual(F, w)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_doubled_normal_part_fails_pullback_split(self, monkeypatch, p):
+        w = random_form(rng_for(68, "split", p), 3, p, 2)
+        assert identities.pullback_split_residual(w, DOM3) == 0
+        _doubled(monkeypatch, identities, "normal_part")
+        assert identities.pullback_split_residual(w, DOM3) != 0
+
+    @pytest.mark.parametrize("p", [0, 1])
+    def test_doubled_boundary_codifferential_fails_adjointness(self, monkeypatch, p):
+        rng = rng_for(69, "adjoint", p)
+        alpha, beta = random_form(rng, 3, p, 2), random_form(rng, 3, p + 1, 2)
+        assert identities.boundary_adjointness_residual(alpha, beta, DOM3) == 0
+        _doubled(monkeypatch, identities, "boundary_delta_rep")
+        assert identities.boundary_adjointness_residual(alpha, beta, DOM3) != 0
 
 
 # ---------------------------------------------------------------------------

@@ -623,17 +623,35 @@ class TestBlockCertificate:
                                  "an eigenform: .* theta_b = 10/3$"):
             spectral._solve_assembly(t3[0])
 
-    def test_singular_gram_block_names_the_block(self, h3):
-        # the second trial form of block 1 made a copy of the first
-        bad = copy.deepcopy(h3[0])
-        blk = bad.blocks[1]
-        for row in blk.G:
-            row[1] = row[0]
-        blk.G[1] = list(blk.G[0])
-        with pytest.raises(CertificateError,
-                           match=f"block {blk.kind} l={blk.l} .*G_b fails the exact "
-                                 "LDL\\^T positive-definiteness test"):
-            spectral._solve_assembly(bad)
+    def test_singular_gram_block_names_the_block(self, monkeypatch):
+        # the coexact l=1 block built with its second trial form's row and
+        # column of G_b a copy of the first's: each operator that lists the
+        # block fails in its own words, on one LDL^T decision
+        real_gram, real_ldl = spectral._gram_block, linalg.is_positive_definite
+        decided = []
+
+        def gram(kind, forms, k, domain):
+            G = real_gram(kind, forms, k, domain)
+            if (kind, k) == ("coexact", 1):
+                for row in G:
+                    row[1] = row[0]
+                G[1] = list(G[0])
+            return G
+
+        def ldl(G):
+            decided.append(G)
+            return real_ldl(G)
+        monkeypatch.setattr(spectral, "_gram_block", gram)
+        monkeypatch.setattr(linalg, "is_positive_definite", ldl)
+        cache = BasisCache()
+        for op, rows in (("dtn", "0..2"), ("hodge-boundary", "3..5"), ("dtn-neumann", "3..5")):
+            with pytest.raises(CertificateError,
+                               match=f"^{op} at m=3, p=1, R=1: block coexact l=1 "
+                                     f"\\(rows {rows}\\): G_b fails the exact "
+                                     "LDL\\^T positive-definiteness test$"):
+                assemble_operator(op, 3, 1, 1, 1, cache)
+        # the coexact l=1 block, then the exact one
+        assert len(decided) == 2
 
     def test_wrong_neumann_coefficient_names_the_form(self, monkeypatch):
         # a -> (p+k+1)/(m+2k) with the extension's own checks bypassed:
