@@ -38,8 +38,8 @@ _LAZY_MODULES = {
     "exterior": ("ConstantForm", "LinearEndomorphism", "MultiIndex", "multi_indices"),
     "polynomials": ("Polynomial",),
     "polyform": ("PolyForm", "PolyVectorField", "gradient_action"),
-    "quadrature": ("ExactScalar", "RadialDensity", "integrate_ball", "integrate_sphere",
-                   "mc_oracle", "sphere_average"),
+    "quadrature": ("RadialDensity", "integrate_ball", "integrate_sphere", "mc_oracle",
+                   "sphere_average"),
     "ball": ("BallDomain", "WeightFunction", "canonical_weight", "normal_part"),
     "harmonic": ("BasisCache", "FormSpaceBasis", "sphere_reduce"),
     "spectral": ("CertificateError", "SpectrumReport", "assemble_operator",

@@ -131,12 +131,15 @@ def boundary_delta_rep(omega: PolyForm, domain: BallDomain) -> PolyForm:
     return rep
 
 
-def normal_split_residual(omega: PolyForm, domain: BallDomain) -> ExactScalar:
+def normal_split_residual(omega: PolyForm, domain: BallDomain) -> Fraction:
     """Exact L^2(Sigma) residual of the splitting identity
 
-    d^S(i_N w) + i_N dw - J*(grad_N w) + S^[p](J* w) = 0.
+    d^S(i_N w) + i_N dw - J*(grad_N w) + S^[p](J* w) = 0,
+
+    a ``Fraction`` in units of |S^{m-1}(1)|, as every integral of
+    ``quadrature`` is; the identity holds when it is 0, so no caller
+    converts it to a float.
     """
-    from .quadrature import ExactScalar
     if omega.p == 0:
         raise ValueError("needs degree >= 1")
     normal = domain.normal_field()
@@ -145,7 +148,7 @@ def normal_split_residual(omega: PolyForm, domain: BallDomain) -> ExactScalar:
         rep = rep + omega.d().interior(normal)
     rep = rep - omega.deriv_along(normal)
     rep = rep + omega * (omega.p * domain.curvature)
-    return ExactScalar(domain.boundary(jstar_pairs(rep, rep, domain)), domain.m)
+    return domain.boundary(jstar_pairs(rep, rep, domain))
 
 
 def b_term_pairs(omega: PolyForm, domain: BallDomain) -> list[tuple]:

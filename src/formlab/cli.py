@@ -414,7 +414,7 @@ def _pointwise_lemmas(ctx: _Context, dom) -> dict:
         if p <= m - 1:
             checks[f"hessian-expansion-p{p}"] = ident.hessian_expansion_residual(f, w)
         checks[f"normal-split-p{p}"] = ident.pullback_split_residual(w, dom) == 0
-        checks[f"splitting-identity-p{p}"] = normal_split_residual(w, dom).is_zero()
+        checks[f"splitting-identity-p{p}"] = normal_split_residual(w, dom) == 0
         if p <= m - 1:
             checks[f"boundary-adjointness-p{p}"] = ident.boundary_adjointness_residual(
                 sampling.random_form(rng, m, p, 2),
@@ -454,15 +454,16 @@ def _hessian_estimate(ctx: _Context, dom) -> dict:
 
 
 def _quadrature_oracle(ctx: _Context, m) -> dict:
-    """Exact ball integrals against the Monte Carlo oracle."""
+    """Exact ball integrals, scaled from units of |S^{m-1}(1)| to
+    absolute values, against the Monte Carlo oracle."""
     from . import sampling
-    from .quadrature import integrate_ball, mc_oracle
+    from .quadrature import integrate_ball, mc_oracle, unit_sphere_measure
     rng = sampling.rng_for(ctx.seed, "quad", m)
     ok = True
     worst = 0.0
     for t in range(ORACLE_DRAWS):
         dens = sampling.random_density(rng, m, 3, min_exponent=-1)
-        exact = float(integrate_ball(dens, 1))
+        exact = float(integrate_ball(dens, 1)) * unit_sphere_measure(m)
         est, err = mc_oracle(dens, 1, 10 ** 5, seed=ctx.seed * 1000 + t)
         dev = abs(est - exact) / max(err, 1e-30)
         worst = max(worst, dev)

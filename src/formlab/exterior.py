@@ -7,9 +7,13 @@ the Euclidean metric.  The orientation convention is lexicographic:
 the permutation ``(I, I^c)`` of ``(1, ..., m)``.
 
 The low-level helpers (`wedge_terms`, `interior_terms`, ...) operate on
-plain coefficient dicts and are agnostic about the coefficient ring, so
-the polynomial-coefficient forms in :mod:`formlab.polyform` reuse them
-verbatim.
+plain coefficient dicts and are agnostic about the coefficient ring.
+`FormBody` is the one class body built on them: validation, the linear
+structure, equality, `wedge`, `interior`, `star`, `inner`, `norm_sq`,
+`lift_by` and repr.  `ConstantForm` (scalar coefficients, here) and
+`formlab.polyform.PolyForm` (polynomial coefficients, which adds the
+calculus) each subclass it and supply only how a scalar becomes a
+coefficient and the zero that `inner` starts from.
 """
 
 from __future__ import annotations
@@ -143,13 +147,18 @@ def lift_terms(rows, a: dict, m: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Constant-coefficient forms.
+# Forms: one class body for every coefficient ring.
 # ---------------------------------------------------------------------------
 
-class ConstantForm:
-    """A p-form with constant (scalar) coefficients.
+class FormBody:
+    """The class body of a p-form over R^m, whatever its coefficient ring.
 
-    Immutable by convention; every operation returns a new form.
+    ``coeffs`` maps sorted multi-indices to nonzero coefficients.  A
+    subclass fixes the ring through two static methods: ``_coerce(m, c)``
+    turns a scalar into a coefficient, and ``_zero(m)`` is the zero that
+    ``inner`` starts from.  Immutable by convention; every operation
+    returns a new form of the same class, and a form equals only forms of
+    its own class.
     """
 
     __slots__ = ("m", "p", "coeffs")
@@ -166,45 +175,59 @@ class ConstantForm:
                 if len(I) != p or any(not 1 <= i <= m for i in I) \
                         or any(I[t] >= I[t + 1] for t in range(len(I) - 1)):
                     raise ValueError(f"bad multi-index {I} for (m={m}, p={p})")
+                c = self._coerce(m, c)
                 if c:
                     clean[I] = c
         self.coeffs = clean
 
     @classmethod
-    def basis(cls, m: int, I) -> "ConstantForm":
+    def _of(cls, m: int, p: int, coeffs: dict):
+        """Private constructor for results of the operations below, whose
+        multi-indices are sorted and of length p and whose coefficients
+        are in the ring by construction: drops zero coefficients without
+        checking the indices again."""
+        self = object.__new__(cls)
+        self.m = m
+        self.p = p
+        self.coeffs = {I: c for I, c in coeffs.items() if c}
+        return self
+
+    @classmethod
+    def zero(cls, m: int, p: int):
+        return cls(m, p)
+
+    @classmethod
+    def basis(cls, m: int, I):
+        """dx_I with coefficient one."""
         I = tuple(I)
         return cls(m, len(I), {I: Fraction(1)})
 
-    @classmethod
-    def zero(cls, m: int, p: int) -> "ConstantForm":
-        return cls(m, p)
-
-    def _check_mate(self, other: "ConstantForm"):
+    def _check_mate(self, other: "FormBody"):
         if self.m != other.m:
             raise ValueError("ambient dimension mismatch")
 
-    def __add__(self, other: "ConstantForm") -> "ConstantForm":
+    def __add__(self, other: "FormBody"):
         self._check_mate(other)
         if self.p != other.p:
             raise ValueError("degree mismatch")
         coeffs = dict(self.coeffs)
         for I, c in other.coeffs.items():
-            coeffs[I] = coeffs.get(I, 0) + c
-        return ConstantForm(self.m, self.p, coeffs)
+            coeffs[I] = coeffs[I] + c if I in coeffs else c
+        return self._of(self.m, self.p, coeffs)
 
-    def __sub__(self, other: "ConstantForm") -> "ConstantForm":
+    def __sub__(self, other: "FormBody"):
         return self + (-other)
 
-    def __neg__(self) -> "ConstantForm":
-        return ConstantForm(self.m, self.p, {I: -c for I, c in self.coeffs.items()})
+    def __neg__(self):
+        return self._of(self.m, self.p, {I: -c for I, c in self.coeffs.items()})
 
-    def __mul__(self, s) -> "ConstantForm":
-        return ConstantForm(self.m, self.p, {I: c * s for I, c in self.coeffs.items()})
+    def __mul__(self, s):
+        return self._of(self.m, self.p, {I: c * s for I, c in self.coeffs.items()})
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        return (isinstance(other, ConstantForm) and self.m == other.m
+        return (type(other) is type(self) and self.m == other.m
                 and self.p == other.p and self.coeffs == other.coeffs)
 
     __hash__ = None
@@ -212,33 +235,42 @@ class ConstantForm:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def wedge(self, other: "ConstantForm") -> "ConstantForm":
+    def wedge(self, other: "FormBody"):
         self._check_mate(other)
         if self.p + other.p > self.m:
             raise ValueError("wedge degree exceeds ambient dimension")
-        return ConstantForm(self.m, self.p + other.p,
-                            wedge_terms(self.coeffs, other.coeffs))
+        return self._of(self.m, self.p + other.p, wedge_terms(self.coeffs, other.coeffs))
 
-    def interior(self, vector) -> "ConstantForm":
-        """i_X for a constant vector X given by its m components."""
+    def interior(self, vector):
+        """i_X for the vector X given by its m components (scalars or
+        ring elements, in any iterable, a vector field included)."""
         if self.p == 0:
             raise ValueError("interior product needs degree >= 1")
-        if len(vector) != self.m:
+        comps = tuple(self._coerce(self.m, c) for c in vector)
+        if len(comps) != self.m:
             raise ValueError("vector dimension mismatch")
-        return ConstantForm(self.m, self.p - 1,
-                            interior_terms(tuple(vector), self.coeffs))
+        return self._of(self.m, self.p - 1, interior_terms(comps, self.coeffs))
 
-    def star(self) -> "ConstantForm":
-        return ConstantForm(self.m, self.m - self.p, star_terms(self.coeffs, self.m))
+    def star(self):
+        return self._of(self.m, self.m - self.p, star_terms(self.coeffs, self.m))
 
-    def inner(self, other: "ConstantForm"):
+    def inner(self, other: "FormBody"):
+        """Pointwise inner product, in the coefficient ring."""
         self._check_mate(other)
         if self.p != other.p:
             raise ValueError("degree mismatch")
-        return inner_terms(self.coeffs, other.coeffs, Fraction(0))
+        return inner_terms(self.coeffs, other.coeffs, self._zero(self.m))
 
     def norm_sq(self):
         return self.inner(self)
+
+    def lift_by(self, rows):
+        """Apply the p-form lift of the (1,1) tensor with entries
+        ``rows[i-1][j-1]`` (scalars or ring elements); 0 on 0-forms."""
+        if self.p == 0:
+            return self.zero(self.m, 0)
+        rows = [[self._coerce(self.m, e) for e in row] for row in rows]
+        return self._of(self.m, self.p, lift_terms(rows, self.coeffs, self.m))
 
     def __repr__(self):
         if not self.coeffs:
@@ -246,8 +278,22 @@ class ConstantForm:
         bits = []
         for I in sorted(self.coeffs):
             name = "^".join(f"dx{i}" for i in I) or "1"
-            bits.append(f"{self.coeffs[I]}*{name}")
+            bits.append(f"({self.coeffs[I]})*{name}")
         return " + ".join(bits)
+
+
+class ConstantForm(FormBody):
+    """A p-form with constant (scalar) coefficients, stored as given."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _coerce(m: int, c):
+        return c
+
+    @staticmethod
+    def _zero(m: int) -> Fraction:
+        return Fraction(0)
 
 
 class LinearEndomorphism:
@@ -277,7 +323,4 @@ class LinearEndomorphism:
         """The degree-p lift; by convention the lift on 0-forms is 0."""
         if form.m != self.m:
             raise ValueError("ambient dimension mismatch")
-        if form.p == 0:
-            return ConstantForm.zero(self.m, 0)
-        return ConstantForm(self.m, form.p,
-                            lift_terms(self.entries, form.coeffs, self.m))
+        return form.lift_by(self.entries)

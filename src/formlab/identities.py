@@ -21,7 +21,9 @@ only through ``domain.curvature``.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from numbers import Real
+from operator import add
 
 from .exterior import ConstantForm, LinearEndomorphism
 from .polynomials import Polynomial
@@ -109,7 +111,15 @@ def agrees(a, b, tolerance=0) -> bool:
     return abs(diff) <= tolerance * _magnitude(diff)
 
 
-def _report(identity_id, params, terms, lhs, rhs, tolerance=0) -> IdentityReport:
+def _report(identity_id, params, lhs, terms, tolerance=0, lhs_key=None) -> IdentityReport:
+    """The report of ``lhs == rhs``, where rhs is the sum of ``terms`` in
+    dict order, so no reported term can be left out of the residual.
+    The sum starts from the first term, not from 0, which would turn a
+    float -0.0 into 0.0.  ``lhs_key`` names lhs when the identity lists
+    it first among its terms."""
+    rhs = reduce(add, terms.values())
+    if lhs_key is not None:
+        terms = {lhs_key: lhs, **terms}
     return IdentityReport(identity_id, params, terms, lhs, rhs, lhs - rhs,
                           agrees(lhs, rhs, tolerance))
 
@@ -142,9 +152,8 @@ def verify_stokes(phi: PolyForm, psi: PolyForm, domain: BallDomain,
     lhs = domain.interior(inner_pairs(phi.d(), psi))
     interior = domain.interior(inner_pairs(phi, psi.delta()))
     boundary = domain.boundary(jstar_pairs(phi, normal_part(psi, domain), domain))
-    terms = {"interior": interior, "boundary": -boundary}
     return _report("stokes", {"m": domain.m, "p": phi.p, "R": domain.radius},
-                   terms, lhs, interior - boundary, tolerance)
+                   lhs, {"interior": interior, "boundary": -boundary}, tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -213,14 +222,12 @@ def verify_weighted_reilly(weight: WeightFunction, omega: PolyForm,
                            domain: BallDomain, tolerance=0) -> IdentityReport:
     """Weighted identity: interior energy against Hessian, Laplacian and
     boundary terms; exact residual must vanish."""
-    terms = weighted_reilly_terms(weight, omega, domain)
-    lhs = terms["lhs_energy"]
-    rhs = (terms["contraction"] + terms["hessian"] + terms["laplacian"]
-           + terms["normal_pullback"] + terms["codifferential"] + terms["shape"])
+    terms = dict(weighted_reilly_terms(weight, omega, domain))
+    lhs = terms.pop("lhs_energy")
     return _report("weighted-reilly",
                    {"m": domain.m, "p": omega.p, "R": domain.radius,
                     "weight": weight.kind},
-                   terms, lhs, rhs, tolerance)
+                   lhs, terms, tolerance, "lhs_energy")
 
 
 def verify_unweighted_reilly(omega: PolyForm, domain: BallDomain,
@@ -243,9 +250,9 @@ def verify_unweighted_reilly(omega: PolyForm, domain: BallDomain,
     else:
         codiff = Fraction(0)
         shape = Fraction(0)
-    terms = {"energy": lhs, "gradient": grad, "codifferential": codiff, "shape": shape}
-    return _report("unweighted-reilly", {"m": m, "p": p, "R": domain.radius},
-                   terms, lhs, grad + codiff + shape, tolerance)
+    return _report("unweighted-reilly", {"m": m, "p": p, "R": domain.radius}, lhs,
+                   {"gradient": grad, "codifferential": codiff, "shape": shape},
+                   tolerance, "energy")
 
 
 def verify_function_reilly(weight: WeightFunction, u: Polynomial,
@@ -280,13 +287,11 @@ def verify_function_reilly(weight: WeightFunction, u: Polynomial,
     hess_term = _hessian_int(weight, du, du, domain)
     lap_term = domain.interior(inner_pairs(du, du), weight.lap)
 
-    terms = {"lhs_energy": lhs, "boundary_main": boundary_main,
-             "boundary_fn": -boundary_fn, "hessian": hess_term,
-             "laplacian": lap_term}
-    rhs = boundary_main - boundary_fn + hess_term + lap_term
+    terms = {"boundary_main": boundary_main, "boundary_fn": -boundary_fn,
+             "hessian": hess_term, "laplacian": lap_term}
     return _report("function-reilly",
                    {"m": m, "R": domain.radius, "weight": weight.kind},
-                   terms, lhs, rhs, tolerance)
+                   lhs, terms, tolerance, "lhs_energy")
 
 
 # ---------------------------------------------------------------------------
@@ -319,9 +324,8 @@ def verify_pohozhaev(F: PolyVectorField, phi: PolyForm, domain: BallDomain,
 
     terms = {"flux": -flux, "contraction": -2 * contraction,
              "boundary_pair": 2 * boundary_pair, "jacobian": 2 * jac}
-    rhs = -flux - 2 * contraction + 2 * boundary_pair + 2 * jac
     return _report("pohozhaev", {"m": m, "p": phi.p, "R": domain.radius},
-                   terms, lhs, rhs, tolerance)
+                   lhs, terms, tolerance)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,16 @@
 """Differential forms on R^m with polynomial coefficients.
 
-The flat-space calculus: exterior derivative, codifferential, Hodge
-Laplacian and componentwise (rough) Laplacian, componentwise covariant
-gradient, interior product with a polynomial vector field, directional
-derivative, and the lift of a vector field's Jacobian to p-forms.
+``PolyForm`` has the class body of ``exterior.ConstantForm``,
+``exterior.FormBody``: validation, the linear structure, equality,
+``wedge``, ``interior``, ``star``, ``inner``, ``norm_sq``, ``lift_by``
+and repr.  Its coefficients are polynomials, a scalar given as one
+becomes a constant polynomial, and ``inner`` starts from the zero
+polynomial.  This module adds the flat-space calculus: exterior
+derivative, codifferential, Hodge Laplacian and componentwise (rough)
+Laplacian, componentwise partial derivatives, directional derivative,
+and the lift of a vector field's Jacobian to p-forms.  A
+``PolyVectorField`` iterates over its components, so it is the vector
+that ``interior`` contracts with.
 
 Sign conventions: the codifferential is ``delta = -sum_k i_{e_k} d/dx_k``
 so the Hodge Laplacian ``d delta + delta d`` is non-negative and acts on
@@ -12,94 +19,30 @@ functions as minus the sum of second derivatives.
 
 from __future__ import annotations
 
-from .exterior import (inner_terms, interior_terms, lift_terms, star_terms,
-                       wedge_index, wedge_terms)
+from .exterior import FormBody, interior_terms, wedge_index
 from .polynomials import Polynomial
 
 
-class PolyForm:
-    """A p-form whose coefficients are polynomials in x_1..x_m."""
+class PolyForm(FormBody):
+    """A p-form whose coefficients are polynomials in x_1..x_m.
 
-    __slots__ = ("m", "p", "coeffs")
+    The linear structure, products, ``star``, ``inner`` and ``lift_by``
+    are ``exterior.FormBody``'s; a scalar coefficient becomes a constant
+    polynomial, and ``inner`` returns a polynomial density."""
 
-    def __init__(self, m: int, p: int, coeffs=None):
-        if not 0 <= p <= m:
-            raise ValueError(f"degree {p} out of range for m={m}")
-        self.m = m
-        self.p = p
-        clean = {}
-        if coeffs:
-            for I, c in coeffs.items():
-                I = tuple(I)
-                if len(I) != p or any(not 1 <= i <= m for i in I) \
-                        or any(I[t] >= I[t + 1] for t in range(len(I) - 1)):
-                    raise ValueError(f"bad multi-index {I} for (m={m}, p={p})")
-                if not isinstance(c, Polynomial):
-                    c = Polynomial.constant(m, c)
-                if c:
-                    clean[I] = c
-        self.coeffs = clean
+    __slots__ = ()
 
-    @classmethod
-    def _of(cls, m: int, p: int, coeffs: dict) -> "PolyForm":
-        """Private constructor for results of the calculus below, whose
-        multi-indices are sorted and of length p and whose coefficients
-        are Polynomials by construction: drops zero coefficients without
-        checking the indices again."""
-        self = object.__new__(cls)
-        self.m = m
-        self.p = p
-        self.coeffs = {I: c for I, c in coeffs.items() if c}
-        return self
+    @staticmethod
+    def _coerce(m: int, c) -> Polynomial:
+        return c if isinstance(c, Polynomial) else Polynomial.constant(m, c)
 
-    # -- constructors --------------------------------------------------
-    @classmethod
-    def zero(cls, m: int, p: int) -> "PolyForm":
-        return cls(m, p)
-
-    @classmethod
-    def basis(cls, m: int, I, coeff=None) -> "PolyForm":
-        I = tuple(I)
-        c = coeff if coeff is not None else Polynomial.one(m)
-        return cls(m, len(I), {I: c})
+    @staticmethod
+    def _zero(m: int) -> Polynomial:
+        return Polynomial.zero(m)
 
     @classmethod
     def from_function(cls, f: Polynomial) -> "PolyForm":
         return cls(f.m, 0, {(): f})
-
-    # -- linear structure ----------------------------------------------
-    def _check_mate(self, other: "PolyForm"):
-        if self.m != other.m:
-            raise ValueError("ambient dimension mismatch")
-
-    def __add__(self, other: "PolyForm") -> "PolyForm":
-        self._check_mate(other)
-        if self.p != other.p:
-            raise ValueError("degree mismatch")
-        coeffs = dict(self.coeffs)
-        for I, c in other.coeffs.items():
-            coeffs[I] = coeffs[I] + c if I in coeffs else c
-        return PolyForm._of(self.m, self.p, coeffs)
-
-    def __sub__(self, other: "PolyForm") -> "PolyForm":
-        return self + (-other)
-
-    def __neg__(self) -> "PolyForm":
-        return PolyForm._of(self.m, self.p, {I: -c for I, c in self.coeffs.items()})
-
-    def __mul__(self, s) -> "PolyForm":
-        return PolyForm._of(self.m, self.p, {I: c * s for I, c in self.coeffs.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return (isinstance(other, PolyForm) and self.m == other.m
-                and self.p == other.p and self.coeffs == other.coeffs)
-
-    __hash__ = None
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def coefficient(self, I) -> Polynomial:
         return self.coeffs.get(tuple(I), Polynomial.zero(self.m))
@@ -164,17 +107,6 @@ class PolyForm:
             out[I] = Polynomial._of(self.m, terms)
         return PolyForm._of(self.m, self.p, out)
 
-    def interior(self, field) -> "PolyForm":
-        """Interior product with a PolyVectorField or component sequence."""
-        if self.p == 0:
-            raise ValueError("interior product needs degree >= 1")
-        comps = field.components if isinstance(field, PolyVectorField) else tuple(field)
-        if len(comps) != self.m:
-            raise ValueError("vector dimension mismatch")
-        comps = tuple(c if isinstance(c, Polynomial) else Polynomial.constant(self.m, c)
-                      for c in comps)
-        return PolyForm._of(self.m, self.p - 1, interior_terms(comps, self.coeffs))
-
     def deriv_along(self, field: "PolyVectorField") -> "PolyForm":
         """Directional derivative sum_k F_k d/dx_k applied componentwise."""
         out = PolyForm.zero(self.m, self.p)
@@ -184,44 +116,6 @@ class PolyForm:
                 continue
             out = out + self.partial(k) * Fk
         return out
-
-    def wedge(self, other: "PolyForm") -> "PolyForm":
-        self._check_mate(other)
-        if self.p + other.p > self.m:
-            raise ValueError("wedge degree exceeds ambient dimension")
-        return PolyForm._of(self.m, self.p + other.p,
-                            wedge_terms(self.coeffs, other.coeffs))
-
-    def star(self) -> "PolyForm":
-        return PolyForm(self.m, self.m - self.p, star_terms(self.coeffs, self.m))
-
-    def inner(self, other: "PolyForm") -> Polynomial:
-        """Pointwise inner product as a polynomial density."""
-        self._check_mate(other)
-        if self.p != other.p:
-            raise ValueError("degree mismatch")
-        return inner_terms(self.coeffs, other.coeffs, Polynomial.zero(self.m))
-
-    def norm_sq(self) -> Polynomial:
-        return self.inner(self)
-
-    def lift_by(self, rows) -> "PolyForm":
-        """Apply the p-form lift of the (1,1) tensor with entries
-        ``rows[i-1][j-1]`` (polynomial or scalar); 0 on 0-forms."""
-        if self.p == 0:
-            return PolyForm.zero(self.m, 0)
-        ring_rows = [[e if isinstance(e, Polynomial) else Polynomial.constant(self.m, e)
-                      for e in row] for row in rows]
-        return PolyForm(self.m, self.p, lift_terms(ring_rows, self.coeffs, self.m))
-
-    def __repr__(self):
-        if not self.coeffs:
-            return f"0 (p={self.p})"
-        bits = []
-        for I in sorted(self.coeffs):
-            name = "^".join(f"dx{i}" for i in I) or "1"
-            bits.append(f"({self.coeffs[I]!r})*{name}")
-        return " + ".join(bits)
 
 
 class PolyVectorField:
@@ -255,6 +149,9 @@ class PolyVectorField:
     @classmethod
     def from_gradient(cls, f: Polynomial) -> "PolyVectorField":
         return cls([f.partial(k) for k in range(1, f.m + 1)])
+
+    def __iter__(self):
+        return iter(self.components)
 
     def __mul__(self, s) -> "PolyVectorField":
         return PolyVectorField([c * s for c in self.components])

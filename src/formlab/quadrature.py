@@ -18,10 +18,13 @@ which supply the radius and the region).  ``integrate_sphere`` and
 ``integrate_ball`` integrate a density (or a plain ``Polynomial``, its
 r^0 part) as the weight of the single pair 1 * 1.
 
-All integrals are returned as exact rational multiples of the measure
-of the unit sphere ``|S^{m-1}(1)|``, which is carried as an uncancelled
-symbolic unit.  Identity residuals therefore reduce to rational
-comparisons with no transcendental arithmetic.
+Every integral is a plain ``Fraction`` in units of ``|S^{m-1}(1)|``,
+the measure of the unit sphere: the integral divided by that measure.
+The unit is never multiplied in, so identity residuals are rational
+comparisons with no transcendental arithmetic.  The one float
+conversion is the caller's: the quadrature-oracle case of ``cli``
+multiplies ``float(integrate_ball(...))`` by ``unit_sphere_measure(m)``
+before comparing with ``mc_oracle``, whose estimates are absolute.
 
 Floating point enters only in ``mc_oracle``, the Monte Carlo cross-check,
 and in ``RadialDensity.evaluate_float``; they import numpy when called,
@@ -90,55 +93,6 @@ def _moment(expo: tuple, m: int) -> Fraction:
 
 def unit_sphere_measure(m: int) -> float:
     return 2.0 * math.pi ** (m / 2.0) / math.gamma(m / 2.0)
-
-
-class ExactScalar:
-    """A rational multiple of |S^{m-1}(1)|; immutable, and equal to
-    another with the same ``coeff`` and ``m``."""
-
-    __slots__ = ("coeff", "m")
-
-    def __init__(self, coeff: Fraction, m: int):
-        object.__setattr__(self, "coeff", coeff)
-        object.__setattr__(self, "m", m)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign {name!r}: ExactScalar is immutable")
-
-    def __eq__(self, other):
-        if type(other) is not ExactScalar:
-            return NotImplemented
-        return (self.coeff, self.m) == (other.coeff, other.m)
-
-    def _mate(self, other: "ExactScalar"):
-        if self.m != other.m:
-            raise ValueError("cannot combine scalars of different ambient dimension")
-
-    def __add__(self, other: "ExactScalar") -> "ExactScalar":
-        self._mate(other)
-        return ExactScalar(self.coeff + other.coeff, self.m)
-
-    def __sub__(self, other: "ExactScalar") -> "ExactScalar":
-        self._mate(other)
-        return ExactScalar(self.coeff - other.coeff, self.m)
-
-    def __neg__(self) -> "ExactScalar":
-        return ExactScalar(-self.coeff, self.m)
-
-    def __mul__(self, s) -> "ExactScalar":
-        return ExactScalar(self.coeff * s, self.m)
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return self.coeff == 0
-
-    def __float__(self) -> float:
-        return float(self.coeff) * unit_sphere_measure(self.m)
-
-    @classmethod
-    def zero(cls, m: int) -> "ExactScalar":
-        return cls(Fraction(0), m)
 
 
 class RadialDensity:
@@ -307,8 +261,8 @@ def _check_radius(radius) -> None:
 
 
 def integrate_pairs(pairs, radius, weight=1, region: str = "sphere") -> Fraction:
-    """``integrate_<region>(weight * sum_k s_k a_k b_k, radius).coeff``
-    without building a product: ``pairs`` holds the triples
+    """``integrate_<region>(weight * sum_k s_k a_k b_k, radius)`` without
+    building a product: ``pairs`` holds the triples
     ``(s_k, a_k, b_k)`` (a scalar and two polynomials), and ``weight`` is
     a ``RadialDensity``, a ``Polynomial`` or a scalar.
 
@@ -373,16 +327,18 @@ def integrate_pairs(pairs, radius, weight=1, region: str = "sphere") -> Fraction
     return sum((c * R ** power for power, c in by_power.items()), Fraction(0))
 
 
-def integrate_sphere(density: RadialDensity | Polynomial, radius) -> ExactScalar:
-    """Exact integral over the sphere of the given radius."""
+def integrate_sphere(density: RadialDensity | Polynomial, radius) -> Fraction:
+    """Exact integral over the sphere of the given radius, in units of
+    |S^{m-1}(1)|."""
     one = Polynomial.one(density.m)
-    return ExactScalar(integrate_pairs(((1, one, one),), radius, density), density.m)
+    return integrate_pairs(((1, one, one),), radius, density)
 
 
-def integrate_ball(density: RadialDensity | Polynomial, radius) -> ExactScalar:
-    """Exact integral over the solid ball of the given radius."""
+def integrate_ball(density: RadialDensity | Polynomial, radius) -> Fraction:
+    """Exact integral over the solid ball of the given radius, in units
+    of |S^{m-1}(1)|."""
     one = Polynomial.one(density.m)
-    return ExactScalar(integrate_pairs(((1, one, one),), radius, density, "ball"), density.m)
+    return integrate_pairs(((1, one, one),), radius, density, "ball")
 
 
 def mc_oracle(density: RadialDensity, radius, samples: int, seed: int,

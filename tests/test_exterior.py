@@ -3,9 +3,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from formlab.exterior import (ConstantForm, LinearEndomorphism, multi_indices,
                               sort_with_sign, star_index)
+from formlab.polyform import PolyForm
+from formlab.polynomials import Polynomial
 from formlab.sampling import (random_constant_form, random_vector, rng_for)
 
 
@@ -188,3 +192,69 @@ def test_star_index_partition():
     sign, comp = star_index((1, 3), 4)
     assert comp == (2, 4)
     assert sign in (-1, 1)
+
+
+# ---------------------------------------------------------------------------
+# ConstantForm and PolyForm share one class body (exterior.FormBody).
+# ---------------------------------------------------------------------------
+
+_SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def _form_pairs(draw):
+    """(m, a, b, c, s, X, T): constant forms a, b of one degree p and c of
+    a degree that wedges with a, all at m = 2..4, a scalar s, a vector X
+    and a matrix T, with small rational entries."""
+    m = draw(st.integers(2, 4))
+    p = draw(st.integers(0, m))
+    q = draw(st.integers(0, m - p))
+
+    def form(deg):
+        idx = multi_indices(m, deg)
+        return ConstantForm(m, deg, dict(zip(idx, draw(st.lists(
+            _SMALL, min_size=len(idx), max_size=len(idx))))))
+
+    vec = st.lists(_SMALL, min_size=m, max_size=m)
+    return (m, form(p), form(p), form(q), draw(_SMALL), draw(vec),
+            [draw(vec) for _ in range(m)])
+
+
+def _as_poly(form: ConstantForm) -> PolyForm:
+    return PolyForm(form.m, form.p, form.coeffs)
+
+
+class TestSharedFormBody:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(case=_form_pairs())
+    def test_constant_and_polynomial_forms_agree(self, case):
+        m, a, b, c, s, X, T = case
+        pa, pb, pc = _as_poly(a), _as_poly(b), _as_poly(c)
+        assert pa + pb == _as_poly(a + b)
+        assert pa - pb == _as_poly(a - b)
+        assert -pa == _as_poly(-a)
+        assert pa * s == _as_poly(a * s) == s * pa
+        assert pa.wedge(pc) == _as_poly(a.wedge(c))
+        assert pa.star() == _as_poly(a.star())
+        assert pa.inner(pb) == Polynomial.constant(m, a.inner(b))
+        assert pa.norm_sq() == Polynomial.constant(m, a.norm_sq())
+        assert pa.lift_by(T) == _as_poly(LinearEndomorphism(T).lift(a))
+        assert pa.is_zero() == a.is_zero()
+        if a.p >= 1:
+            assert pa.interior(X) == _as_poly(a.interior(X))
+
+    @pytest.mark.parametrize("coeffs", [{}, {(1,): Fraction(1)}, {(2,): Fraction(-1, 2)}])
+    def test_constant_form_never_equals_polynomial_form(self, coeffs):
+        const, poly = ConstantForm(3, 1, coeffs), PolyForm(3, 1, coeffs)
+        assert const != poly and poly != const
+        assert const == ConstantForm(3, 1, coeffs) and poly == PolyForm(3, 1, coeffs)
+        assert type(const + const) is ConstantForm and type(poly + poly) is PolyForm
+
+    @pytest.mark.parametrize("cls", [ConstantForm, PolyForm])
+    def test_constructors_reject_bad_indices_and_degrees(self, cls):
+        for p, I in ((1, (4,)), (1, (0,)), (2, (2, 1)), (2, (1, 1)), (2, (1,))):
+            with pytest.raises(ValueError, match="bad multi-index"):
+                cls(3, p, {I: 1})
+        for p in (-1, 4):
+            with pytest.raises(ValueError, match="out of range"):
+                cls(3, p)

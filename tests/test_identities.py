@@ -161,14 +161,14 @@ def product_reilly_terms(weight, omega, domain):
     else:
         codiff = shape = RadialDensity.zero(m)
     return {
-        "lhs_energy": integrate_ball(lhs_density, R).coeff,
-        "contraction": integrate_ball(contraction, R).coeff,
-        "hessian": integrate_ball(hessian, R).coeff,
-        "laplacian": integrate_ball(weight.lap * omega.norm_sq(), R).coeff,
+        "lhs_energy": integrate_ball(lhs_density, R),
+        "contraction": integrate_ball(contraction, R),
+        "hessian": integrate_ball(hessian, R),
+        "laplacian": integrate_ball(weight.lap * omega.norm_sq(), R),
         "normal_pullback": integrate_sphere(
-            weight.normal_derivative(domain) * jstar_sq * (-1), R).coeff,
-        "codifferential": integrate_sphere(codiff, R).coeff,
-        "shape": integrate_sphere(shape, R).coeff,
+            weight.normal_derivative(domain) * jstar_sq * (-1), R),
+        "codifferential": integrate_sphere(codiff, R),
+        "shape": integrate_sphere(shape, R),
     }
 
 
@@ -263,7 +263,7 @@ class TestPohozhaev:
         assert rep.passed
         from formlab.quadrature import RadialDensity, integrate_ball
         d_sq = integrate_ball(
-            RadialDensity.from_polynomial(phi.d().norm_sq()), 1).coeff
+            RadialDensity.from_polynomial(phi.d().norm_sq()), 1)
         assert rep.lhs == m * d_sq
         assert rep.terms["jacobian"] == 2 * (phi.p + 1) * d_sq
 

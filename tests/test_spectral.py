@@ -61,7 +61,7 @@ def lsq_extend_block(kind, domain, data, degree, cache, max_degree=None):
     m, p, R = domain.m, data[0].p, domain.radius
     if max_degree is None:
         max_degree = degree + 4
-    consts = [integrate_sphere(jstar_density(datum, datum, domain), R).coeff
+    consts = [integrate_sphere(jstar_density(datum, datum, domain), R)
               for datum in data]
     while True:
         if kind == "harmonic-neumann":
@@ -109,9 +109,9 @@ def rayleigh_quotient(ext, domain, include_codifferential):
         num = num + ext.d().norm_sq()
     if include_codifferential and ext.p >= 1:
         num = num + ext.delta().norm_sq()
-    den = integrate_sphere(jstar_density(ext, ext, domain), R).coeff
+    den = integrate_sphere(jstar_density(ext, ext, domain), R)
     assert den != 0, "trial form has zero boundary trace"
-    return integrate_ball(num, R).coeff / den
+    return integrate_ball(num, R) / den
 
 
 def neumann_misfit(ext, datum, domain):
@@ -165,7 +165,7 @@ class TestExtension:
         trace = ext.interior(PolyVectorField.position(3))
         from formlab.quadrature import RadialDensity
         assert integrate_sphere(
-            RadialDensity.from_polynomial(trace.norm_sq()), 1).coeff == 0
+            RadialDensity.from_polynomial(trace.norm_sq()), 1) == 0
 
     def test_escalation_reports_insufficient_degree(self, cache):
         dom = BallDomain(3, Fraction(1))
@@ -200,7 +200,7 @@ class TestExtension:
         assert len(block) == len(data)
         for k, (datum, (ext, misfit)) in enumerate(zip(data, block)):
             want = sum((t * x[k] for x, t in zip(X, trial) if x[k]), PolyForm.zero(m, p))
-            const = integrate_sphere(jstar_density(datum, datum, dom), 1).coeff
+            const = integrate_sphere(jstar_density(datum, datum, dom), 1)
             assert misfit == const - sum(x[k] * b[k] for x, b in zip(X, B)) == 0
             assert not ext.is_zero() and (ext - want).is_zero()
 
@@ -355,11 +355,11 @@ class TestBallSpectra:
         b = block.basis[0]
         # proportional on the boundary: Cauchy-Schwarz equality
         bb = integrate_sphere(RadialDensity.from_polynomial(
-            jstar_density(b, b, dom)), 1).coeff
+            jstar_density(b, b, dom)), 1)
         vv = integrate_sphere(RadialDensity.from_polynomial(
-            jstar_density(vol_trace, vol_trace, dom)), 1).coeff
+            jstar_density(vol_trace, vol_trace, dom)), 1)
         bv = integrate_sphere(RadialDensity.from_polynomial(
-            jstar_density(b, vol_trace, dom)), 1).coeff
+            jstar_density(b, vol_trace, dom)), 1)
         assert bv * bv == bb * vv
 
     def test_neumann_variant_blocks(self, t3):
@@ -440,7 +440,7 @@ class TestAssemblyInvariants:
             for w in cache.get(3, l, 1, "H-normal-null").basis:
                 rep = boundary_delta_rep(w, dom)
                 assert integrate_sphere(RadialDensity.from_polynomial(
-                    jstar_density(rep, rep, dom)), 1).coeff == 0
+                    jstar_density(rep, rep, dom)), 1) == 0
 
     def test_invalid_operator_and_degree(self, cache):
         with pytest.raises(ValueError):
@@ -476,7 +476,7 @@ class TestSphereMatrix:
         for pullback, pair in ((True, lambda u, v: jstar_density(u, v, dom)),
                                (False, PolyForm.inner)):
             for rs, cs in ((rows, rows), (rows, cols)):
-                want = [[integrate_sphere(pair(u, v), R).coeff for v in cs]
+                want = [[integrate_sphere(pair(u, v), R) for v in cs]
                         for u in rs]
                 assert sphere_matrix(rs, cs, dom, pullback) == want
 
@@ -531,9 +531,14 @@ class TestBounds:
         assert self._failing(d3[1], neumann, h3[1]) == {"operator-ordering"}
 
     def test_sigma_1_at_half_the_bound_fails_the_strict_bound(self, d3, t3, h3):
+        # sigma_1 <= (p+1)c/2 breaks the sharp bound and the comparison's
+        # equality too; nu_1 is lowered with it so that the ordering holds
         dtn = copy.deepcopy(d3[1])
         dtn.eigenvalues[0].value = Fraction(1)   # (p+1)c/2 at p = 1, c = 1
-        assert "strict-half-bound" in self._failing(dtn, t3[1], h3[1])
+        neumann = copy.deepcopy(t3[1])
+        neumann.eigenvalues[0].value = Fraction(1)
+        assert self._failing(dtn, neumann, h3[1]) == {
+            "first-eigenvalue-lower-bound", "hodge-comparison", "strict-half-bound"}
 
     def test_rescaled_balls(self, cache):
         for c in (Fraction(1, 2), Fraction(1), Fraction(3)):
@@ -567,6 +572,12 @@ class TestScaling:
         _, scaled = assemble_operator("dtn", 3, 1, 2, 2, cache)
         scaled = copy.deepcopy(scaled)
         scaled.eigenvalues[1].value += Fraction(1, 5)
+        assert not scaling_check(d3[1], scaled).passed
+
+    def test_changed_multiplicity_fails(self, cache, d3):
+        _, scaled = assemble_operator("dtn", 3, 1, 2, 2, cache)
+        scaled = copy.deepcopy(scaled)
+        scaled.eigenvalues[0].multiplicity += 1
         assert not scaling_check(d3[1], scaled).passed
 
     def test_mismatched_reports_rejected(self, d3, h3):
