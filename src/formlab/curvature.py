@@ -155,8 +155,9 @@ def curvature_at(metric: ChartMetric, point) -> CurvatureData:
         raise ValueError("metric is not positive-definite at the point")
     m = metric.m
     r = range(m)
-    ginv = [row[m:] for row in rref([row + [int(i == j) for j in r]
-                                     for i, row in enumerate(g)])[0]]
+    # the reduced form of (g | 1) is (1 | g^-1)
+    ginv = [[row.get(m + j, 0) for j in r] for row in
+            rref([{**dict(enumerate(row)), m + i: 1} for i, row in enumerate(g)]).values()]
     dginv, gamma, dgamma = _christoffel(ginv, dg, d2g)
     # column[b][c][e] = Gamma^e_bc
     column = [[[gamma[e][b][c] for e in r] for c in r] for b in r]

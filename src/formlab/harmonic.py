@@ -24,10 +24,11 @@ inhomogeneous factor |x|^2 - R^2, so vanishing on the sphere forces
 identical vanishing.  This turns a boundary condition into finitely
 many exact linear constraints.
 
-Bases are computed by exact rational Gaussian elimination, and each
-is the one basis of its span in the reduced form of
-``_in_reduced_form``, so any construction of a kind, and every run,
-gives the same basis.  A small disk
+Bases are computed by the sparse exact elimination of ``linalg``, on
+rows and coordinates read straight off the forms' terms, and each is
+the one basis of its span in the reduced form of ``_in_reduced_form``:
+the reduced row echelon form is unique, so any construction of a kind,
+any order of its rows, and every run give the same basis.  A small disk
 cache stores the results, one JSON document per (m, l, p, kind): schema
 2 holds the monomial frame and the basis vectors, with rationals
 encoded portably as decimal strings (sign carried by the numerator).
@@ -76,37 +77,27 @@ def _monomial_frame(m: int, l: int, p: int):
     return [(I, e) for I in multi_indices(m, p) for e in monomial_exponents(m, l)]
 
 
-def _vector_to_form(m: int, p: int, frame, vec) -> PolyForm:
+def _vector_to_form(m: int, p: int, frame, vec: dict) -> PolyForm:
+    """The form with the nonzero coordinates ``vec``, {frame index:
+    coefficient}, built in frame order."""
     coeffs: dict = {}
-    for (I, e), c in zip(frame, vec):
-        if not c:
-            continue
-        poly = coeffs.get(I)
-        add = Polynomial(m, {e: c})
-        coeffs[I] = add if poly is None else poly + add
-    return PolyForm(m, p, coeffs)
+    for i in sorted(vec):
+        I, e = frame[i]
+        coeffs.setdefault(I, {})[e] = vec[i]
+    return PolyForm(m, p, {I: Polynomial._of(m, terms) for I, terms in coeffs.items()})
 
 
-def _form_rows(images: list[PolyForm]) -> list[list[Fraction]]:
-    """Stack form-valued images of basis vectors into constraint rows.
-
-    Row order is fixed by sorting the occurring (multi-index, exponent)
-    coordinates, so elimination is deterministic.
-    """
-    coords: set = set()
-    for form in images:
+def _form_rows(images: list[PolyForm]) -> list[dict]:
+    """The sparse constraint rows {image index: coefficient} of form-valued
+    images of basis vectors, one row per occurring (multi-index,
+    exponent) coordinate.  The reduced form of the rows is unique, so
+    their order does not matter."""
+    rows: dict = {}
+    for j, form in enumerate(images):
         for I, poly in form.coeffs.items():
-            for e in poly.terms:
-                coords.add((I, e))
-    coord_list = sorted(coords)
-    rows = []
-    for I, e in coord_list:
-        row = []
-        for img in images:
-            poly = img.coeffs.get(I)
-            row.append(poly.coefficient(e) if poly is not None else 0)
-        rows.append(row)
-    return rows
+            for e, c in poly.terms.items():
+                rows.setdefault((I, e), {})[j] = c
+    return list(rows.values())
 
 
 def _kernel(m: int, l: int, p: int, operators) -> list[PolyForm]:
@@ -127,8 +118,11 @@ def _reduced_span(m: int, l: int, p: int, forms: list[PolyForm]) -> list[PolyFor
     row first.  It is unique to the span, so whatever spanning set a
     kind is built from, the cached basis is the same."""
     frame = _monomial_frame(m, l, p)
-    red, pivots = linalg.rref([vec[::-1] for vec in _coordinates(frame, forms)])
-    return [_vector_to_form(m, p, frame, vec[::-1]) for vec in reversed(red[:len(pivots)])]
+    last = len(frame) - 1
+    reduced = linalg.rref([{last - i: c for i, c in vec.items()}
+                           for vec in _coordinates(frame, forms)])
+    return [_vector_to_form(m, p, frame, {last - i: c for i, c in row.items()})
+            for row in reversed(reduced.values())]
 
 
 def monomial_form_basis(m: int, l: int, p: int) -> FormSpaceBasis:
@@ -239,22 +233,24 @@ def _decode_fraction(pair) -> Fraction:
     return Fraction(int(pair[0]), int(pair[1]))
 
 
-def _coordinates(frame, forms: list[PolyForm]) -> list[list]:
-    """Each form's coefficients in the monomial frame."""
-    return [[form.coeffs[I].coefficient(e) if I in form.coeffs else 0 for I, e in frame]
+def _coordinates(frame, forms: list[PolyForm]) -> list[dict]:
+    """Each form's nonzero coefficients in the monomial frame, as
+    {frame index: coefficient}."""
+    index = {key: i for i, key in enumerate(frame)}
+    return [{index[I, e]: c for I, poly in form.coeffs.items() for e, c in poly.terms.items()}
             for form in forms]
 
 
-def _in_reduced_form(vectors: list[list]) -> bool:
-    """Whether the vectors are in reduced form by their last nonzero
-    coordinate: those coordinates strictly increase, each vector is 1
-    there and every other vector is 0 there.  Such vectors are linearly
-    independent, which this decides in O(k N), with no elimination.
-    Every basis ``BasisCache`` computes has this form."""
+def _in_reduced_form(vectors: list[dict]) -> bool:
+    """Whether the sparse vectors are in reduced form by their last
+    nonzero coordinate: those coordinates strictly increase, each vector
+    is 1 there and every other vector is 0 there.  Such vectors are
+    linearly independent, which this decides in O(k N), with no
+    elimination.  Every basis ``BasisCache`` computes has this form."""
     last = -1
     for vec in vectors:
-        lead = max((i for i, c in enumerate(vec) if c), default=-1)
-        if lead <= last or vec[lead] != 1 or sum(1 for v in vectors if v[lead]) != 1:
+        lead = max(vec, default=-1)
+        if lead <= last or vec[lead] != 1 or sum(1 for v in vectors if lead in v) != 1:
             return False
         last = lead
     return True
@@ -267,7 +263,8 @@ def _encode_basis(fsb: FormSpaceBasis) -> dict:
         "m": fsb.m, "l": fsb.l, "p": fsb.p, "kind": fsb.kind,
         "dim": fsb.dim,
         "frame": [[list(I), list(e)] for I, e in frame],
-        "vectors": [[_encode_fraction(c) for c in vec] for vec in _coordinates(frame, fsb.basis)],
+        "vectors": [[_encode_fraction(vec.get(i, 0)) for i in range(len(frame))]
+                    for vec in _coordinates(frame, fsb.basis)],
     }
 
 
@@ -277,7 +274,8 @@ def _decode_basis(doc: dict) -> FormSpaceBasis:
     if frame != _monomial_frame(m, l, p) or any(len(vec) != len(frame)
                                                 for vec in doc["vectors"]):
         raise ValueError("basis document does not fit its monomial frame")
-    basis = [_vector_to_form(m, p, frame, [_decode_fraction(v) for v in vec])
+    basis = [_vector_to_form(m, p, frame, {i: c for i, c in enumerate(map(_decode_fraction, vec))
+                                           if c})
              for vec in doc["vectors"]]
     return FormSpaceBasis(m, l, p, doc["kind"], basis)
 

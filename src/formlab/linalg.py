@@ -1,14 +1,17 @@
-"""Dense exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
-Everything here works on plain lists of lists of exact rationals in the
-canonical form of ``polynomials``: ``int`` where the denominator is 1,
-``fractions.Fraction`` otherwise, mixed freely.  Every division is by a
-pivot promoted to ``Fraction`` first, so int input gives the same exact
-results as the equal ``Fraction`` input (``int / int`` would be a float).
-Sizes are small (a few hundred at most), so the emphasis is on
-determinism and exactness rather than speed: pivoting always picks the
-largest entry by absolute value, breaking ties by the smallest row
-index, which makes every nullspace basis reproducible across runs.
+Entries are exact rationals in the canonical form of ``polynomials``:
+``int`` where the denominator is 1, ``fractions.Fraction`` otherwise,
+mixed freely.  Every division is by a pivot promoted to ``Fraction``
+first, so int input gives the same exact results as the equal
+``Fraction`` input (``int / int`` would be a float).
+
+Elimination works on sparse rows, ``{column: value}`` dicts that hold
+only the nonzero entries, since the constraint rows of ``harmonic`` are
+mostly zeros.  The reduced row echelon form of a matrix is unique, so
+``rref`` returns the same rows whatever order they come in and whatever
+pivots it meets on the way, and so does ``nullspace``.  The positive
+(semi)definiteness tests eliminate dense symmetric matrices (LDL^T).
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 Matrix = list[list[Fraction]]
-Vector = list[Fraction]
+Row = dict[int, Fraction]
 
 
 def _copy(rows: Matrix) -> Matrix:
@@ -28,59 +31,54 @@ def _exact(pivot):
     return Fraction(pivot) if isinstance(pivot, int) else pivot
 
 
-def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and pivot column list."""
-    a = _copy(rows)
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        best = None
-        best_abs = None
-        for i in range(r, nrows):
-            v = a[i][c]
-            if v != 0:
-                av = abs(v)
-                if best is None or av > best_abs:
-                    best, best_abs = i, av
-        if best is None:
-            continue
-        a[r], a[best] = a[best], a[r]
-        piv = _exact(a[r][c])
-        a[r] = [v / piv for v in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    return a, pivots
+def _subtract(row: Row, f, pivot_row: Row) -> None:
+    """row -= f * pivot_row in place, dropping the entries it zeroes."""
+    for j, x in pivot_row.items():
+        v = row.get(j, 0) - f * x
+        if v:
+            row[j] = v
+        else:
+            del row[j]
 
 
-def nullspace(rows: Matrix, ncols: int | None = None) -> list[Vector]:
-    """Basis of the right nullspace, one vector per free column.
+def rref(rows: list[Row]) -> dict[int, Row]:
+    """The reduced row echelon form of the sparse rows, as {pivot column:
+    row} in increasing pivot order, its zero rows left out.
 
-    Free variables are set to 1 one at a time in increasing column
-    order, so the output basis is canonical.
+    The rows are reduced one at a time against the pivots found so far.
+    What is left of a row, unless it is zero, gives a new pivot at its
+    smallest column: the row is scaled to 1 there and that column is
+    eliminated from the earlier rows.
     """
-    if not rows:
-        n = ncols if ncols is not None else 0
-        return [[Fraction(int(i == j)) for i in range(n)] for j in range(n)]
-    n = len(rows[0])
-    red, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(n) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(v)
-    return basis
+    reduced: dict[int, Row] = {}
+    for row in rows:
+        row = {c: v for c, v in row.items() if v}
+        for c in [c for c in row if c in reduced]:
+            _subtract(row, row[c], reduced[c])
+        if not row:
+            continue
+        pivot = min(row)
+        scale = 1 / _exact(row[pivot])
+        row = {c: v * scale for c, v in row.items()}
+        for other in reduced.values():
+            if pivot in other:
+                _subtract(other, other[pivot], row)
+        reduced[pivot] = row
+    return dict(sorted(reduced.items()))
+
+
+def nullspace(rows: list[Row], ncols: int) -> list[Row]:
+    """Basis of the right nullspace of the sparse rows over ``ncols``
+    columns, one sparse vector per free column in increasing order: 1 at
+    its free column, minus that column's entries of the reduced rows at
+    their pivots, and 0 at every other free column."""
+    reduced = rref(rows)
+    basis = {c: {c: 1} for c in range(ncols) if c not in reduced}
+    for pivot, row in reduced.items():
+        for c, v in row.items():
+            if c != pivot:
+                basis[c][pivot] = -v
+    return list(basis.values())
 
 
 def is_positive_semidefinite(a: Matrix) -> bool:

@@ -14,9 +14,11 @@ A - theta G over the whole matrix.  ``reference_bases`` builds the
 harmonic fields "H" and the two cached kinds by restriction, as the
 cache did before each kind was built from its own definition, and
 ``harmonic_fields`` gives "H" as the span of the two cached kinds, as
-the cache built it before it stopped caching "H".  The rational
-``rank``, ``nullity`` and ``solve`` live here with them, since only
-tests need them.
+the cache built it before it stopped caching "H".  ``dense_rref`` and
+``dense_nullspace`` are the dense elimination ``linalg`` did before it
+went sparse, with its largest-entry pivot search: the reference for the
+sparse one.  The rational ``rank``, ``nullity`` and ``solve`` are built
+on it here, since only tests need them.
 """
 
 from fractions import Fraction
@@ -25,7 +27,7 @@ from functools import cache
 from formlab.ball import boundary_delta_rep, normal_part
 from formlab.harmonic import (KINDS, FormSpaceBasis, _form_rows, _reduced_span,
                               monomial_form_basis)
-from formlab.linalg import nullspace, rref
+from formlab.linalg import nullspace
 from formlab.polyform import PolyForm, PolyVectorField
 from formlab.quadrature import integrate_pairs
 
@@ -55,10 +57,57 @@ def sphere_matrix(rows, cols, domain, pullback=True):
              for b in col_parts] for a in row_parts]
 
 
+def dense_rref(rows):
+    """Reduced row echelon form and pivot column list of a dense matrix,
+    pivoting on the largest entry by absolute value, ties to the
+    smallest row index."""
+    a = [list(r) for r in rows]
+    nrows = len(a)
+    ncols = len(a[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r >= nrows:
+            break
+        best = None
+        best_abs = None
+        for i in range(r, nrows):
+            v = a[i][c]
+            if v != 0:
+                av = abs(v)
+                if best is None or av > best_abs:
+                    best, best_abs = i, av
+        if best is None:
+            continue
+        a[r], a[best] = a[best], a[r]
+        piv = Fraction(a[r][c])
+        a[r] = [v / piv for v in a[r]]
+        for i in range(nrows):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+def dense_nullspace(rows, ncols):
+    """Basis of the right nullspace of a dense matrix, one vector per
+    free column in increasing order, with that free variable 1 and the
+    others 0."""
+    red, pivots = dense_rref(rows)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc]
+        basis.append(v)
+    return basis
+
+
 def rank(rows) -> int:
-    if not rows:
-        return 0
-    return len(rref(rows)[1])
+    return len(dense_rref(rows)[1])
 
 
 def nullity(rows, ncols: int) -> int:
@@ -72,7 +121,7 @@ def solve(rows, rhs):
     Free variables are set to zero.
     """
     aug = [list(r) + list(b) for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
+    red, pivots = dense_rref(aug)
     n = len(rows[0]) if rows else 0
     if any(pc >= n for pc in pivots):
         return None
@@ -160,9 +209,8 @@ def restrict(basis, operator):
     out = []
     for vec in null:
         form = PolyForm.zero(basis[0].m, basis[0].p)
-        for c, b in zip(vec, basis):
-            if c:
-                form = form + b * c
+        for i, c in vec.items():
+            form = form + basis[i] * c
         out.append(form)
     return out
 

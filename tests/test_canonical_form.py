@@ -7,6 +7,9 @@ through untouched.  Linear algebra on int input must stay exact.
 
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from formlab import linalg
 from formlab.cli import _float_form
 from formlab.exterior import multi_indices
@@ -15,7 +18,7 @@ from formlab.identities import TrackedFloat
 from formlab.polynomials import Polynomial
 from formlab.polyform import PolyForm, PolyVectorField
 from formlab.sampling import random_form, random_polynomial, rng_for
-from oracle import rank, solve
+from oracle import dense_nullspace, dense_rref, rank, solve
 
 
 def is_canonical(c) -> bool:
@@ -141,18 +144,23 @@ class TestLinalgExactness:
     def assert_no_floats(rows):
         assert not any(isinstance(v, float) for row in rows for v in row)
 
+    @staticmethod
+    def sparse(rows):
+        return [{j: v for j, v in enumerate(row) if v} for row in rows]
+
     def test_rref_nullspace_rank(self):
         for rows in self.INT_CASES:
-            red, pivots = linalg.rref(rows)
-            self.assert_no_floats(red)
-            assert (red, pivots) == linalg.rref(self.exact(rows))
-            null = linalg.nullspace(rows)
-            self.assert_no_floats(null)
-            assert null == linalg.nullspace(self.exact(rows))
+            n = len(rows[0])
+            red = linalg.rref(self.sparse(rows))
+            self.assert_no_floats(row.values() for row in red.values())
+            assert red == linalg.rref(self.sparse(self.exact(rows)))
+            null = linalg.nullspace(self.sparse(rows), n)
+            self.assert_no_floats(vec.values() for vec in null)
+            assert null == linalg.nullspace(self.sparse(self.exact(rows)), n)
             assert rank(rows) == rank(self.exact(rows))
-        assert linalg.rref([[2, 1], [1, 1]])[0] == [[1, 0], [0, 1]]
-        assert linalg.nullspace([[3, 1, 1]]) == [[Fraction(-1, 3), 1, 0],
-                                                 [Fraction(-1, 3), 0, 1]]
+        assert linalg.rref(self.sparse([[2, 1], [1, 1]])) == {0: {0: 1}, 1: {1: 1}}
+        assert linalg.nullspace(self.sparse([[3, 1, 1]]), 3) == [{0: Fraction(-1, 3), 1: 1},
+                                                                 {0: Fraction(-1, 3), 2: 1}]
 
     def test_solve(self):
         rows, rhs = [[2, 1], [1, 3]], [[1, 0], [0, 1]]
@@ -167,3 +175,58 @@ class TestLinalgExactness:
         assert linalg.is_positive_semidefinite(gram)
         assert linalg.is_positive_semidefinite(self.exact(gram))
         assert not linalg.is_positive_semidefinite([[1, 2], [2, 1]])
+
+
+_ENTRY = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=5))
+
+
+@st.composite
+def _sparse_matrices(draw):
+    """Mostly-zero rational matrices, int and Fraction entries mixed, often
+    rank-deficient: zero rows, repeated rows and combinations of earlier
+    rows are mixed in, and there may be no rows at all."""
+    ncols = draw(st.integers(1, 7))
+    entry = st.one_of(st.just(0), st.just(0), _ENTRY)
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=6))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["zero", "repeat", "combination"]))
+        if kind == "zero" or not rows:
+            rows.append([0] * ncols)
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = (1, 0) if kind == "repeat" else (draw(_ENTRY), draw(_ENTRY))
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+    return ncols, draw(st.permutations(rows))
+
+
+class TestSparseElimination:
+    """The sparse ``linalg.rref`` and ``nullspace`` against the dense
+    reference elimination of ``tests/oracle.py``."""
+
+    @staticmethod
+    def dense(vectors, ncols):
+        return [[vec.get(j, 0) for j in range(ncols)] for vec in vectors]
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(case=_sparse_matrices(), data=st.data())
+    def test_equals_the_dense_reference(self, case, data):
+        ncols, rows = case
+        sparse = TestLinalgExactness.sparse(rows)
+        red = linalg.rref(sparse)
+        want, pivots = dense_rref(rows)
+        assert list(red) == pivots
+        assert self.dense(red.values(), ncols) == want[:len(pivots)]
+        null = linalg.nullspace(sparse, ncols)
+        assert self.dense(null, ncols) == dense_nullspace(rows, ncols)
+        assert all(v for vec in [*red.values(), *null] for v in vec.values())
+        # the reduced form is unique, so the order of the rows is immaterial
+        shuffled = data.draw(st.permutations(sparse))
+        assert linalg.rref(shuffled) == red
+        assert linalg.nullspace(shuffled, ncols) == null
+
+    def test_edge_cases(self):
+        assert linalg.rref([]) == {}
+        assert linalg.nullspace([], 2) == [{0: 1}, {1: 1}]
+        assert linalg.rref([{}, {0: 0, 1: 0}]) == {}
+        assert linalg.rref([{1: 2, 2: 4}, {1: 1, 2: 2}]) == {1: {1: 1, 2: 2}}
+        assert linalg.nullspace([{1: 2, 2: 4}, {1: 1, 2: 2}], 3) == [{0: 1}, {2: 1, 1: -2}]

@@ -387,6 +387,19 @@ class TestCaseDecisions:
         assert not record["pass"]
         assert Fraction(record["residual"]) != 0
 
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_function_match_fails_with_a_wrong_boundary_laplacian(self, monkeypatch, mode):
+        # the boundary Laplacian enters only f-weighted boundary terms,
+        # which the canonical weight hides and the polynomial weight shows
+        from formlab import ball
+        assert self.run_case(cli._function_match, mode)["pass"]
+        real = ball.boundary_delta_rep
+        monkeypatch.setattr(identities, "boundary_delta_rep",
+                            lambda omega, domain: real(omega, domain) * 2)
+        record = self.run_case(cli._function_match, mode)
+        assert not record["pass"]
+        assert Fraction(record["residual"]) != 0
+
     def test_hessian_estimate_fails_on_inadmissible_hessians(self, monkeypatch):
         from formlab import sampling
         from formlab.exterior import LinearEndomorphism

@@ -431,14 +431,16 @@ class TestCache:
             BasisCache().get(3, 1, 1, "H-closed")
 
     def test_reduced_form_decides_independence(self):
-        assert harmonic._in_reduced_form([[0, 1, 0], [3, 0, 1]])
+        def sparse(vectors):
+            return [{i: c for i, c in enumerate(vec) if c} for vec in vectors]
+        assert harmonic._in_reduced_form(sparse([[0, 1, 0], [3, 0, 1]]))
         assert harmonic._in_reduced_form([])
         for vectors in ([[1, 0], [1, 0]],          # leads not increasing
                         [[0, 1], [1, 0]],
                         [[0, 2, 0], [0, 0, 1]],    # lead entry not 1
                         [[0, 1, 1], [0, 0, 1]],    # lead shared with an earlier vector
                         [[0, 0], [1, 0]]):         # a zero vector
-            assert not harmonic._in_reduced_form(vectors), vectors
+            assert not harmonic._in_reduced_form(sparse(vectors)), vectors
 
     def test_memoisation(self):
         cache = BasisCache()

@@ -3,8 +3,8 @@ under ``src/formlab`` imports a name it never uses or re-exports, or
 imports ``dataclasses``; only ``quadrature`` and ``ball`` name
 ``integrate_pairs``, and ``identities`` imports nothing from
 ``quadrature``; every function the library defines is called in it or
-exported; importing the package loads no layer; and a run loads only
-the layers its suite calls."""
+exported; importing the package loads no layer; a run loads only the
+layers its suite calls; and the README's layout names every module."""
 
 import ast
 import subprocess
@@ -229,3 +229,17 @@ def test_run_loads_only_its_layers(tmp_path, suite, absent, patch, want, jobs):
     proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def _layout_modules(readme: str) -> set[str]:
+    """The ``*.py`` names listed under ``src/formlab/`` in the README's
+    layout block."""
+    block = readme.split("## Layout", 1)[1].split("```")[1]
+    return {line.split()[0] for line in block.splitlines()
+            if line.startswith("  ") and line.split()[0].endswith(".py")}
+
+
+def test_readme_layout_names_every_module():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    modules = {path.name for path in SRC.glob("*.py")} - {"__init__.py"}
+    assert modules - _layout_modules(readme) == set()
