@@ -22,6 +22,11 @@ The tangential codifferential is assembled from ambient data through
 
 whose correctness is certified independently by an adjointness test
 against the tangential differential.
+
+Weights are polynomials: ``WeightFunction`` holds f, its gradient, its
+Hessian and its Laplacian as ``Polynomial``s, and its normal derivative
+on a domain is one too, so the domain's two integrals take each of them
+as their weight.
 """
 
 from __future__ import annotations
@@ -183,56 +188,34 @@ def b_term_alternate_pairs(omega: PolyForm, domain: BallDomain) -> list[tuple]:
 
 
 class WeightFunction:
-    """A scalar weight with precomputed first and second derivatives.
-
-    ``lap`` stores the non-negative-convention Laplacian, i.e. minus the
-    trace of the Hessian.  ``f``, ``grad``, ``hess`` and ``lap`` hold
-    ``quadrature.RadialDensity`` values; the functions that build them
-    import quadrature when called, so that a run using ball only for its
-    boundary calculus (a spectrum run) loads no quadrature.
-    """
+    """A polynomial weight f with its derivatives, all ``Polynomial``s
+    computed from f on construction: ``grad`` (the partials of f),
+    ``hess`` (the matrix of second partials) and ``lap``, the
+    non-negative-convention Laplacian, i.e. minus the trace of the
+    Hessian.  ``kind`` names the weight in identity reports."""
 
     __slots__ = ("kind", "f", "grad", "hess", "lap")
 
-    def __init__(self, kind: str, f: RadialDensity, grad: tuple[RadialDensity, ...],
-                 hess: tuple[tuple[RadialDensity, ...], ...], lap: RadialDensity):
-        self.kind, self.f, self.grad, self.hess, self.lap = kind, f, grad, hess, lap
+    def __init__(self, kind: str, f: Polynomial):
+        m = f.m
+        self.kind, self.f = kind, f
+        self.grad = tuple(f.partial(k) for k in range(1, m + 1))
+        self.hess = tuple(tuple(g.partial(l) for l in range(1, m + 1)) for g in self.grad)
+        self.lap = -self.hess[0][0]
+        for k in range(1, m):
+            self.lap = self.lap - self.hess[k][k]
 
     @property
     def m(self) -> int:
         return self.f.m
 
     @classmethod
-    def from_density(cls, kind: str, f: RadialDensity) -> "WeightFunction":
-        from .quadrature import RadialDensity
-        m = f.m
-        grad = tuple(f.partial(k) for k in range(1, m + 1))
-        hess = tuple(tuple(grad[a].partial(l + 1) for l in range(m))
-                     for a in range(m))
-        lap = RadialDensity.zero(m)
-        for k in range(m):
-            lap = lap - hess[k][k]
-        return cls(kind, f, grad, hess, lap)
-
-    @classmethod
     def polynomial(cls, poly: Polynomial) -> "WeightFunction":
-        from .quadrature import RadialDensity
-        return cls.from_density("polynomial", RadialDensity(poly.m, {0: poly}))
+        return cls("polynomial", poly)
 
-    @classmethod
-    def one(cls, m: int) -> "WeightFunction":
-        from .quadrature import RadialDensity
-        return cls.from_density("polynomial",
-                                RadialDensity.constant(m, 1))
-
-    def normal_derivative(self, domain: BallDomain) -> RadialDensity:
-        """f_N = <grad f, N> with the inner normal, as a density on Sigma."""
-        from .quadrature import RadialDensity
-        normal = domain.normal_field()
-        out = RadialDensity.zero(self.m)
-        for k in range(self.m):
-            out = out + self.grad[k] * normal.components[k]
-        return out
+    def normal_derivative(self, domain: BallDomain) -> Polynomial:
+        """f_N = <grad f, N> with the inner normal, as a polynomial on Sigma."""
+        return PolyVectorField(self.grad).dot(domain.normal_field())
 
     def hessian_pairs(self, a: PolyForm, b: PolyForm):
         """``(H_ij, terms of <a, E_ij-lift b>)`` for each nonzero Hessian
@@ -256,8 +239,7 @@ def canonical_weight(domain: BallDomain) -> WeightFunction:
     (R^2 - r^2)/(2R): it vanishes on Sigma, has unit inner-normal
     derivative there, and its Hessian is exactly -(1/R) Id.
     """
-    from .quadrature import RadialDensity
     m = domain.m
     R = domain.radius
     poly = (Polynomial.constant(m, R * R) - Polynomial.radius_squared(m)) * Fraction(1, 2) * (1 / R)
-    return WeightFunction.from_density("canonical-distance", RadialDensity(m, {0: poly}))
+    return WeightFunction("canonical-distance", poly)

@@ -88,9 +88,8 @@ suite's case generator imports what its cases call before any worker is
 forked: ``bounds`` loads ``identities``, and with it ``quadrature``,
 for its proof-chain replays; ``verify`` loads ``identities`` and
 ``sampling``; ``curvature`` loads ``curvature`` and ``sampling``.  Of
-the cases, only the quadrature oracle and the float-mode weights call
-``quadrature`` themselves, and they import it where they call it.  No
-run loads ``dataclasses``.
+the cases, only the quadrature oracle calls ``quadrature`` itself, and
+it imports it where it calls it.  No run loads ``dataclasses``.
 """
 
 from __future__ import annotations
@@ -277,9 +276,7 @@ def _float_form(w: PolyForm) -> PolyForm:
 
 
 def _float_weight(w: WeightFunction) -> WeightFunction:
-    from .quadrature import RadialDensity
-    parts = {j: _float_poly(poly) for j, poly in w.f.parts.items()}
-    return WeightFunction.from_density(w.kind, RadialDensity(w.m, parts))
+    return WeightFunction(w.kind, _float_poly(w.f))
 
 
 def _float_field(F: PolyVectorField) -> PolyVectorField:
@@ -360,7 +357,8 @@ def _unweighted_match(ctx: _Context, dom, degrees) -> dict:
     rng = sampling.rng_for(ctx.seed, "unweighted", m, str(dom.radius))
     p = rng.choice(degrees)
     omega = ctx.num(sampling.random_form(rng, m, p, 3))
-    rw = ident.verify_weighted_reilly(ctx.num(WeightFunction.one(m)), omega, dom, ctx.tol)
+    weight = ctx.num(WeightFunction.polynomial(Polynomial.one(m)))
+    rw = ident.verify_weighted_reilly(weight, omega, dom, ctx.tol)
     ru = ident.verify_unweighted_reilly(omega, dom, ctx.tol)
     match = (
         ident.agrees(rw.terms["lhs_energy"], ru.terms["energy"] - ru.terms["gradient"], ctx.tol)
@@ -401,8 +399,7 @@ def _pohozhaev(ctx: _Context, dom, p, label) -> dict:
     if label == "euler":
         F = PolyVectorField.position(m)
     elif label == "weight-gradient":
-        F = PolyVectorField([g.parts.get(0, Polynomial.zero(m))
-                             for g in canonical_weight(dom).grad])
+        F = PolyVectorField(canonical_weight(dom).grad)
     else:
         F = sampling.random_vector_field(rng, m, 2)
     return ident.verify_pohozhaev(ctx.num(F), phi, dom, ctx.tol).to_dict()

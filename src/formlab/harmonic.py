@@ -49,7 +49,6 @@ import json
 import math
 import os
 import tempfile
-import threading
 from fractions import Fraction
 
 from . import linalg
@@ -308,10 +307,9 @@ class BasisCache:
     form outside its kind or with a vector count other than
     ``expected_dim`` is a miss, rebuilt and rewritten.  A miss computes
     and stores the requested basis and the one it is built from, the
-    "H-closed" basis at (l - 1, p + 1) for "H-normal-null".  Misses are
-    resolved under one re-entrant lock (computing a normal-null basis
-    asks for its closed parent), so threads sharing one instance load or
-    compute each basis once.
+    "H-closed" basis at (l - 1, p + 1) for "H-normal-null".  An instance
+    is not shared between threads: no run starts any, and each forked
+    worker holds its own.
     """
 
     def __init__(self, directory: str | None = None):
@@ -319,7 +317,6 @@ class BasisCache:
         if directory:
             os.makedirs(directory, exist_ok=True)
         self._memo: dict[tuple, FormSpaceBasis] = {}
-        self._lock = threading.RLock()
         # the trial blocks that ``spectral`` builds on these bases, kept
         # here so that they live exactly as long as the bases they read
         self.trial_blocks: dict = {}
@@ -333,16 +330,13 @@ class BasisCache:
         if kind not in KINDS:
             raise ValueError(f"unknown basis kind {kind!r}")
         key = (m, l, p, kind)
-        if key in self._memo:
-            return self._memo[key]
-        with self._lock:
-            if key not in self._memo:
-                fsb = self._load(key)
-                if fsb is None:
-                    fsb = self._compute(m, l, p, kind)
-                    self._store(fsb)
-                self._memo[key] = fsb
-            return self._memo[key]
+        if key not in self._memo:
+            fsb = self._load(key)
+            if fsb is None:
+                fsb = self._compute(m, l, p, kind)
+                self._store(fsb)
+            self._memo[key] = fsb
+        return self._memo[key]
 
     def _load(self, key: tuple) -> FormSpaceBasis | None:
         path = self._path(*key)

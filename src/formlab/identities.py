@@ -491,9 +491,8 @@ def replay_proof_chain(kind: str, p: int, domain: BallDomain,
     weight = canonical_weight(domain)
     sigma = (p + 1) * c
     if kind == "comparison":
-        f = weight.f.parts[0]   # the canonical weight is a polynomial
-        hess_f = hessian_matrix(f)
-        lap_f = PolyForm.from_function(f).laplacian().coefficient(())
+        hess_f = hessian_matrix(weight.f)
+        lap_f = PolyForm.from_function(weight.f).laplacian().coefficient(())
 
     checks: dict[str, bool] = {}
     details: dict[str, str] = {}

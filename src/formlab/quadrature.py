@@ -1,9 +1,10 @@
 """Exact integration over spheres and balls centred at the origin.
 
-Integrands are *radial densities*: finite sums ``sum_j r^j P_j(x)`` with
-integer exponents ``j >= -3`` and polynomial ``P_j``.  This class is
-closed under products and partial derivatives and covers every
-integrand produced by the identity checks.
+Radial densities are finite sums ``sum_j r^j P_j(x)`` with integer
+exponents ``j >= -3`` and polynomial ``P_j``.  They are the integrands
+of the Monte Carlo cross-check, which draws them at random
+(``sampling.random_density``), odd radial exponents included.  The
+identity checks weight their integrals by polynomials.
 
 Every integral goes through one exact moment contraction,
 ``integrate_pairs``: it integrates ``w * sum_k s_k a_k b_k`` over the
@@ -130,79 +131,6 @@ class RadialDensity:
                     folded[j] = poly
         self.parts = folded
 
-    # -- constructors ----------------------------------------------------
-    @classmethod
-    def zero(cls, m: int) -> "RadialDensity":
-        return cls(m)
-
-    @classmethod
-    def from_polynomial(cls, poly: Polynomial) -> "RadialDensity":
-        return cls(poly.m, {0: poly})
-
-    @classmethod
-    def constant(cls, m: int, c) -> "RadialDensity":
-        return cls(m, {0: Polynomial.constant(m, c)})
-
-    # -- algebra -----------------------------------------------------------
-    def _coerce(self, other) -> "RadialDensity":
-        if isinstance(other, RadialDensity):
-            if other.m != self.m:
-                raise ValueError("dimension mismatch")
-            return other
-        if isinstance(other, Polynomial):
-            return RadialDensity.from_polynomial(other)
-        return RadialDensity.constant(self.m, other)
-
-    def __add__(self, other) -> "RadialDensity":
-        other = self._coerce(other)
-        parts = dict(self.parts)
-        for j, poly in other.parts.items():
-            parts[j] = parts[j] + poly if j in parts else poly
-        return RadialDensity(self.m, parts)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RadialDensity":
-        return RadialDensity(self.m, {j: -p for j, p in self.parts.items()})
-
-    def __sub__(self, other) -> "RadialDensity":
-        return self + (-self._coerce(other))
-
-    def __mul__(self, other) -> "RadialDensity":
-        if not isinstance(other, RadialDensity):
-            if isinstance(other, Polynomial):
-                other = RadialDensity.from_polynomial(other)
-            else:
-                return RadialDensity(self.m, {j: p * other for j, p in self.parts.items()})
-        if other.m != self.m:
-            raise ValueError("dimension mismatch")
-        parts: dict[int, Polynomial] = {}
-        for j1, p1 in self.parts.items():
-            for j2, p2 in other.parts.items():
-                j = j1 + j2
-                prod = p1 * p2
-                parts[j] = parts[j] + prod if j in parts else prod
-        return RadialDensity(self.m, parts)
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return not self.parts
-
-    def partial(self, k: int) -> "RadialDensity":
-        """d/dx_k, using d(r^j)/dx_k = j r^{j-2} x_k."""
-        parts: dict[int, Polynomial] = {}
-        xk = Polynomial.variable(self.m, k)
-        for j, poly in self.parts.items():
-            dp = poly.partial(k)
-            if dp:
-                parts[j] = parts[j] + dp if j in parts else dp
-            if j:
-                shifted = poly * xk * j
-                parts[j - 2] = parts[j - 2] + shifted if j - 2 in parts else shifted
-        return RadialDensity(self.m, parts)
-
-    # -- evaluation --------------------------------------------------------
     def evaluate_float(self, points):
         """Evaluate at an (N, m) numpy array of points.
 

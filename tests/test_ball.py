@@ -9,8 +9,8 @@ from densities import jstar_density, pairs_density
 from formlab.ball import (BallDomain, WeightFunction, b_term_alternate_pairs,
                           b_term_pairs, boundary_delta_rep, canonical_weight,
                           normal_part, normal_split_residual)
-from formlab.polynomials import Polynomial
-from formlab.polyform import PolyForm, PolyVectorField
+from formlab.polynomials import Polynomial, monomial_exponents
+from formlab.polyform import PolyForm, PolyVectorField, hessian_matrix
 from formlab.cli import _float_poly
 from formlab.identities import TrackedFloat
 from formlab.quadrature import RadialDensity, integrate_pairs, integrate_sphere
@@ -25,8 +25,6 @@ def x(k, m=3):
 
 
 def sphere_int(density, dom):
-    if isinstance(density, Polynomial):
-        density = RadialDensity.from_polynomial(density)
     return integrate_sphere(density, dom.radius)
 
 
@@ -239,7 +237,7 @@ class TestNormalSplitIdentity:
 class TestCanonicalWeight:
     def test_center_value(self):
         wf = canonical_weight(DOM3)
-        assert wf.f.parts[0].evaluate([0, 0, 0]) == Fraction(1, 2)
+        assert wf.f.evaluate([0, 0, 0]) == Fraction(1, 2)
 
     def test_vanishes_on_boundary(self):
         wf = canonical_weight(DOM3)
@@ -251,7 +249,7 @@ class TestCanonicalWeight:
             dom = BallDomain(3, R)
             wf = canonical_weight(dom)
             fn = wf.normal_derivative(dom)
-            dev = (fn - RadialDensity.constant(3, 1))
+            dev = fn - 1
             assert integrate_sphere(dev * dev, R) == 0
 
     def test_hessian_is_isotropic(self):
@@ -260,13 +258,11 @@ class TestCanonicalWeight:
         c = dom.curvature
         for a in range(3):
             for l in range(3):
-                expected = RadialDensity.constant(3, -c) if a == l \
-                    else RadialDensity.zero(3)
-                assert (wf.hess[a][l] - expected).is_zero()
+                assert wf.hess[a][l] == (-c if a == l else 0)
 
     def test_laplacian(self):
         wf = canonical_weight(DOM3)
-        assert (wf.lap - RadialDensity.constant(3, 3)).is_zero()
+        assert wf.lap == 3
 
     def test_center_value_from_depth(self):
         # f(0) = rho_max - c rho_max^2 / 2 with rho_max = R
@@ -274,17 +270,38 @@ class TestCanonicalWeight:
             dom = BallDomain(2, R)
             wf = canonical_weight(dom)
             c = dom.curvature
-            assert wf.f.parts[0].evaluate([0, 0]) == R - c * R * R / 2
+            assert wf.f.evaluate([0, 0]) == R - c * R * R / 2
 
 
 class TestWeightFunction:
     def test_polynomial_weight_derivatives(self):
         f = x(1) * x(2) + x(3) * x(3)
         wf = WeightFunction.polynomial(f)
-        assert (wf.grad[0] - RadialDensity.from_polynomial(x(2))).is_zero()
-        assert (wf.lap - RadialDensity.constant(3, -2)).is_zero()
+        assert wf.grad[0] == x(2)
+        assert wf.lap == -2
 
     def test_constant_one(self):
-        wf = WeightFunction.one(3)
+        wf = WeightFunction.polynomial(Polynomial.one(3))
         assert all(g.is_zero() for g in wf.grad)
         assert wf.lap.is_zero()
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_derivatives_match_the_form_calculus(self, m):
+        rng = rng_for(37, "weight-derivatives", m)
+        for _ in range(5):
+            f = random_polynomial(rng, m, 4)
+            wf = WeightFunction.polynomial(f)
+            assert wf.lap == PolyForm.from_function(f).laplacian().coefficient(())
+            assert [list(row) for row in wf.hess] == hessian_matrix(f)
+
+    @pytest.mark.parametrize("R", [1, Fraction(1, 2), Fraction(7, 3)])
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_normal_derivative_of_homogeneous_weight(self, m, R):
+        # Euler's identity: <grad f, -x/R> = -(k/R) f for f homogeneous of degree k
+        rng = rng_for(38, "euler", m, str(R))
+        dom = BallDomain(m, R)
+        for k in range(4):
+            terms = {e: rng.randint(1, 3) for e in monomial_exponents(m, k)
+                     if rng.random() < 0.5} or {monomial_exponents(m, k)[0]: 1}
+            f = Polynomial(m, terms)
+            assert WeightFunction.polynomial(f).normal_derivative(dom) == f * (-k / dom.radius)

@@ -416,10 +416,9 @@ class TestCaseDecisions:
         # at weight 2 both identities still hold, and only the term-by-term
         # match of the weighted formula against the unweighted one fails
         from formlab.ball import WeightFunction
-        from formlab.polynomials import Polynomial
         assert self.run_case(cli._unweighted_match, mode, degrees=[1, 2])["pass"]
-        monkeypatch.setattr(WeightFunction, "one", classmethod(
-            lambda cls, m: cls.polynomial(Polynomial.constant(m, 2))))
+        monkeypatch.setattr(WeightFunction, "polynomial", classmethod(
+            lambda cls, f: cls("polynomial", f * 2)))
         record = self.run_case(cli._unweighted_match, mode, degrees=[1, 2])
         assert not record["pass"]
         if mode == "exact":

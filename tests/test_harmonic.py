@@ -2,8 +2,6 @@
 
 import json
 import math
-import threading
-import time
 from fractions import Fraction
 
 import pytest
@@ -15,7 +13,7 @@ from formlab.harmonic import (KINDS, BasisCache, expected_dim, monomial_form_bas
                               sphere_reduce)
 from formlab.polynomials import Polynomial
 from formlab.polyform import PolyForm, PolyVectorField
-from formlab.quadrature import RadialDensity, integrate_sphere
+from formlab.quadrature import integrate_sphere
 from formlab.sampling import random_polynomial, rng_for
 from oracle import harmonic_fields, rank, reference_bases, solve
 
@@ -149,8 +147,7 @@ class TestSplit:
         integral_null = []
         for b in h.basis:
             i_n = normal_part(b, dom)
-            val = integrate_sphere(
-                RadialDensity.from_polynomial(i_n.norm_sq()), 1)
+            val = integrate_sphere(i_n.norm_sq(), 1)
             if val == 0:
                 integral_null.append(b)
         assert len(integral_null) <= normal_null.dim
@@ -204,8 +201,7 @@ class TestCodifferentialIsomorphism:
         coord_rows = []
         for b in src.basis:
             img = boundary_delta_rep(b, dom)
-            rhs = [integrate_sphere(RadialDensity.from_polynomial(
-                jstar_density(img, t, dom)), 1) for t in tgt.basis]
+            rhs = [integrate_sphere(jstar_density(img, t, dom), 1) for t in tgt.basis]
             sol = solve(sphere_gram(tgt.basis, m), [[v] for v in rhs])
             assert sol is not None
             coords = [row[0] for row in sol]
@@ -214,8 +210,7 @@ class TestCodifferentialIsomorphism:
             for c, t in zip(coords, tgt.basis):
                 recon = recon + t * c
             diff = img - recon
-            assert integrate_sphere(RadialDensity.from_polynomial(
-                jstar_density(diff, diff, dom)), 1) == 0
+            assert integrate_sphere(jstar_density(diff, diff, dom), 1) == 0
             coord_rows.append(coords)
         assert rank(coord_rows) == src.dim
 
@@ -280,32 +275,6 @@ class TestCache:
         for vec in doc["vectors"]:
             for num, den in vec:
                 int(num), int(den)  # decimal strings
-
-    def test_concurrent_misses_load_once(self, tmp_path, monkeypatch):
-        BasisCache(str(tmp_path)).get(3, 1, 1, "H-normal-null")
-        loads = []
-        real = harmonic._decode_basis
-
-        def slow_decode(doc):
-            loads.append(doc["kind"])
-            time.sleep(0.05)  # yield, so the other thread reaches its lookup
-            return real(doc)
-        monkeypatch.setattr(harmonic, "_decode_basis", slow_decode)
-        cache = BasisCache(str(tmp_path))
-        barrier = threading.Barrier(2)
-        got = []
-
-        def worker():
-            barrier.wait(timeout=10)
-            got.append(cache.get(3, 1, 1, "H-normal-null"))
-        threads = [threading.Thread(target=worker) for _ in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-        assert not any(t.is_alive() for t in threads)
-        assert len(got) == 2 and got[0] is got[1]
-        assert loads == ["H-normal-null"]
 
     @pytest.mark.parametrize("damage", ["truncated", "zero-denominator", "short-vector"])
     def test_malformed_file_is_rebuilt(self, tmp_path, damage):

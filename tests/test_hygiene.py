@@ -2,7 +2,9 @@
 under ``src/formlab`` imports a name it never uses or re-exports, or
 imports ``dataclasses``; only ``quadrature`` and ``ball`` name
 ``integrate_pairs``, and ``identities`` imports nothing from
-``quadrature``; every function the library defines is called in it or
+``quadrature``; ``ball`` and ``cli`` import ``quadrature`` only where
+they integrate, and only ``quadrature`` and ``sampling`` name
+``RadialDensity``; every function the library defines is called in it or
 exported; importing the package loads no layer; a run loads only the
 layers its suite calls; and the README's layout names every module."""
 
@@ -145,6 +147,56 @@ def test_checker_flags_integration_outside_the_domain():
         "from .quadrature import integrate_pairs\nfrom . import quadrature as q\n"
         "import formlab.quadrature\nq.integrate_pairs([], 1)\n"))
     assert "integrate_pairs" in names and lines == [1, 2, 3]
+
+
+def _scope_of_lines(tree: ast.Module, lines) -> list[str]:
+    """The dotted name of the innermost class or function around each
+    line, ``"<module>"`` at the top level."""
+    def scopes(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{prefix}{child.name}"
+                yield child.lineno, child.end_lineno, name
+                yield from scopes(child, name + ".")
+            else:
+                yield from scopes(child, prefix)
+    spans = list(scopes(tree, ""))
+    return [max(((lo, name) for lo, hi, name in spans if lo <= line <= hi),
+                default=(0, "<module>"))[1] for line in lines]
+
+
+# Where each module may import quadrature: a spectrum run loads ball and
+# cli but no quadrature, and only the domain's integrals and the Monte
+# Carlo oracle integrate.
+QUADRATURE_IMPORT_SCOPES = {
+    "ball.py": {"BallDomain.interior", "BallDomain.boundary"},
+    "cli.py": {"_quadrature_oracle"},
+}
+
+
+@pytest.mark.parametrize("module", sorted(QUADRATURE_IMPORT_SCOPES))
+def test_quadrature_imported_only_where_it_integrates(module):
+    tree = ast.parse((SRC / module).read_text())
+    _, lines = _names_and_quadrature_imports(tree)
+    scopes = _scope_of_lines(tree, lines)
+    assert set(scopes) <= QUADRATURE_IMPORT_SCOPES[module], dict(zip(lines, scopes))
+
+
+def test_radial_densities_stay_in_quadrature_and_sampling():
+    # weights are polynomials; a radial density is only the oracle's integrand
+    naming = [path.name for path in sorted(SRC.glob("*.py"))
+              if "RadialDensity" in _names_and_quadrature_imports(
+                  ast.parse(path.read_text()))[0]]
+    assert naming == ["quadrature.py", "sampling.py"]
+
+
+def test_checker_finds_the_scope_of_an_import():
+    tree = ast.parse("from .quadrature import a\nclass C:\n    def f(self):\n"
+                     "        from .quadrature import b\n\n"
+                     "def g():\n    from . import quadrature\n")
+    _, lines = _names_and_quadrature_imports(tree)
+    assert dict(zip(lines, _scope_of_lines(tree, lines))) == \
+        {1: "<module>", 4: "C.f", 7: "g"}
 
 
 # functions kept in the library though nothing in it calls them

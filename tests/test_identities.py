@@ -17,7 +17,7 @@ from formlab.identities import (pointwise_hessian_estimate, replay_proof_chain,
                                 verify_weighted_reilly, weighted_reilly_terms)
 from formlab.polynomials import Polynomial
 from formlab.polyform import PolyForm, PolyVectorField
-from formlab.quadrature import RadialDensity, integrate_ball, integrate_sphere
+from formlab.quadrature import integrate_ball, integrate_sphere
 from formlab.sampling import (random_admissible_hessian, random_constant_form,
                               random_form, random_polynomial,
                               random_vector_field, rng_for)
@@ -88,7 +88,8 @@ class TestWeightedReilly:
             dom = BallDomain(m, Fraction(1))
             for p in range(1, m + 1):
                 omega = random_form(rng, m, p, 3)
-                rw = verify_weighted_reilly(WeightFunction.one(m), omega, dom)
+                weight = WeightFunction.polynomial(Polynomial.one(m))
+                rw = verify_weighted_reilly(weight, omega, dom)
                 ru = verify_unweighted_reilly(omega, dom)
                 assert rw.passed and ru.passed
                 # weight-derivative terms vanish identically
@@ -122,8 +123,7 @@ class TestWeightedReilly:
 
 def product_reilly_terms(weight, omega, domain):
     """The weighted identity's terms computed the direct way: each
-    integrand is built as a density (products of polynomials and radial
-    densities) and then integrated.  The oracle for the moment
+    integrand is built as a polynomial and then integrated.  The oracle for the moment
     contraction of ``weighted_reilly_terms``; it shares none of the
     library's pair builders."""
     m, p, R = domain.m, omega.p, domain.radius
@@ -133,7 +133,7 @@ def product_reilly_terms(weight, omega, domain):
     grad_sq = sum((g.norm_sq() for g in covariant_gradient(omega)), Polynomial.zero(m))
     lhs_density = weight.f * (delta_sq + d_sq - grad_sq)
 
-    contraction = RadialDensity.zero(m)
+    contraction = Polynomial.zero(m)
     if p <= m - 1:
         dw = omega.d()
         for k in range(1, m + 1):
@@ -144,7 +144,7 @@ def product_reilly_terms(weight, omega, domain):
                 contraction = contraction + weight.grad[k - 1] * pairing
     contraction = contraction * (-2)
 
-    hessian = RadialDensity.zero(m)
+    hessian = Polynomial.zero(m)
     for i in range(m):
         for j in range(m):
             unit = [[Polynomial.zero(m)] * m for _ in range(m)]
@@ -159,14 +159,13 @@ def product_reilly_terms(weight, omega, domain):
         b_form = (p * c) * jstar_sq + (n * c) * i_n_sq - ((p - 1) * c) * i_n_sq
         shape = weight.f * b_form
     else:
-        codiff = shape = RadialDensity.zero(m)
+        codiff = shape = Polynomial.zero(m)
     return {
         "lhs_energy": integrate_ball(lhs_density, R),
         "contraction": integrate_ball(contraction, R),
         "hessian": integrate_ball(hessian, R),
         "laplacian": integrate_ball(weight.lap * omega.norm_sq(), R),
-        "normal_pullback": integrate_sphere(
-            weight.normal_derivative(domain) * jstar_sq * (-1), R),
+        "normal_pullback": integrate_sphere(weight.normal_derivative(domain) * jstar_sq * (-1), R),
         "codifferential": integrate_sphere(codiff, R),
         "shape": integrate_sphere(shape, R),
     }
@@ -178,19 +177,15 @@ class TestMomentContraction:
         rng = rng_for(60, "oracle", m)
         radii = (Fraction(1), Fraction(1, 2), Fraction(7, 3))
         for p in range(0, m + 1):
-            for kind in ("polynomial", "canonical", "unit", "radial"):
+            for kind in ("polynomial", "canonical", "unit"):
                 dom = BallDomain(m, radii[(p + len(kind)) % 3])
                 omega = random_form(rng, m, p, 3 if m < 4 else 2)
                 if kind == "polynomial":
                     weight = WeightFunction.polynomial(random_polynomial(rng, m, 3))
                 elif kind == "canonical":
                     weight = canonical_weight(dom)
-                elif kind == "unit":
-                    weight = WeightFunction.one(m)
-                else:  # r times a polynomial, plus a polynomial
-                    weight = WeightFunction.from_density("radial", RadialDensity(
-                        m, {1: random_polynomial(rng, m, 1),
-                            0: random_polynomial(rng, m, 2)}))
+                else:
+                    weight = WeightFunction.polynomial(Polynomial.one(m))
                 got = weighted_reilly_terms(weight, omega, dom)
                 assert got == product_reilly_terms(weight, omega, dom), (m, p, kind)
 
@@ -231,7 +226,7 @@ class TestFloatTolerance:
 
 class TestFunctionReilly:
     def test_linear_function(self):
-        rep = verify_function_reilly(WeightFunction.one(3), x(1), DOM3)
+        rep = verify_function_reilly(WeightFunction.polynomial(Polynomial.one(3)), x(1), DOM3)
         assert rep.passed
         assert rep.lhs == 0  # second-order terms vanish for linear u
 
@@ -261,9 +256,8 @@ class TestPohozhaev:
         phi = random_form(rng, m, 1, 3)
         rep = verify_pohozhaev(PolyVectorField.position(m), phi, DOM3)
         assert rep.passed
-        from formlab.quadrature import RadialDensity, integrate_ball
-        d_sq = integrate_ball(
-            RadialDensity.from_polynomial(phi.d().norm_sq()), 1)
+        from formlab.quadrature import integrate_ball
+        d_sq = integrate_ball(phi.d().norm_sq(), 1)
         assert rep.lhs == m * d_sq
         assert rep.terms["jacobian"] == 2 * (phi.p + 1) * d_sq
 
@@ -271,8 +265,7 @@ class TestPohozhaev:
         rng = rng_for(49, "poh-weight")
         for m in (2, 3, 4):
             dom = BallDomain(m, Fraction(1))
-            grad = canonical_weight(dom).grad
-            F = PolyVectorField([g.parts.get(0, Polynomial.zero(m)) for g in grad])
+            F = PolyVectorField(canonical_weight(dom).grad)
             phi = random_form(rng, m, min(1, m - 1), 3)
             assert verify_pohozhaev(F, phi, dom).passed
 
@@ -359,7 +352,7 @@ class TestProofChains:
         real = ball.canonical_weight
 
         def doubled(dom):
-            return WeightFunction.from_density("doubled", real(dom).f * 2)
+            return WeightFunction("doubled", real(dom).f * 2)
         monkeypatch.setattr(ball, "canonical_weight", doubled)
         for R in (Fraction(1), Fraction(1, 2), Fraction(7, 3)):
             checks = replay_proof_chain("comparison", p, BallDomain(m, R), cache).checks

@@ -163,9 +163,7 @@ class TestExtension:
         assert misfit == 0
         assert rayleigh_quotient(ext, dom, True) == Fraction(5, 3)
         trace = ext.interior(PolyVectorField.position(3))
-        from formlab.quadrature import RadialDensity
-        assert integrate_sphere(
-            RadialDensity.from_polynomial(trace.norm_sq()), 1) == 0
+        assert integrate_sphere(trace.norm_sq(), 1) == 0
 
     def test_escalation_reports_insufficient_degree(self, cache):
         dom = BallDomain(3, Fraction(1))
@@ -351,15 +349,11 @@ class TestBallSpectra:
         assert block.dim == 1
         vol_trace = volume(3).interior(PolyVectorField.position(3))
         dom = BallDomain(3, Fraction(1))
-        from formlab.quadrature import RadialDensity
         b = block.basis[0]
         # proportional on the boundary: Cauchy-Schwarz equality
-        bb = integrate_sphere(RadialDensity.from_polynomial(
-            jstar_density(b, b, dom)), 1)
-        vv = integrate_sphere(RadialDensity.from_polynomial(
-            jstar_density(vol_trace, vol_trace, dom)), 1)
-        bv = integrate_sphere(RadialDensity.from_polynomial(
-            jstar_density(b, vol_trace, dom)), 1)
+        bb = integrate_sphere(jstar_density(b, b, dom), 1)
+        vv = integrate_sphere(jstar_density(vol_trace, vol_trace, dom), 1)
+        bv = integrate_sphere(jstar_density(b, vol_trace, dom), 1)
         assert bv * bv == bb * vv
 
     def test_neumann_variant_blocks(self, t3):
@@ -434,13 +428,11 @@ class TestAssemblyInvariants:
         # every coexact trial pullback is killed by the tangential
         # codifferential, exactly
         from formlab.ball import boundary_delta_rep
-        from formlab.quadrature import RadialDensity
         dom = BallDomain(3, Fraction(1))
         for l in (1, 2):
             for w in cache.get(3, l, 1, "H-normal-null").basis:
                 rep = boundary_delta_rep(w, dom)
-                assert integrate_sphere(RadialDensity.from_polynomial(
-                    jstar_density(rep, rep, dom)), 1) == 0
+                assert integrate_sphere(jstar_density(rep, rep, dom), 1) == 0
 
     def test_invalid_operator_and_degree(self, cache):
         with pytest.raises(ValueError):
