@@ -68,11 +68,11 @@ put back in list order.
 
 ``--jobs K`` splits the case list into groups (every spectrum, scaling,
 bounds and chain case of one (m, p) is one group, since they share its
-bases, its trial blocks (each built once per (m, p, R), with its Gram
-block, and shared by the three operators) and its spectra; every
-quadrature-oracle case is in one group, so
-that numpy loads in one process; every other case is a group of its
-own) and deals the groups to min(K, groups) workers longest first, by
+bases, its trial blocks (each built once per (m, p, R), with its
+independence decision, and shared by the three operators) and its
+spectra; every quadrature-oracle case is in one group, so that numpy
+loads in one process; every other case is a group of its own) and
+deals the groups to min(K, groups) workers longest first, by
 the cost estimates of ``CASE_COSTS``, each to the least-loaded worker.
 Worker 0 is the calling process; the others are ``os.fork`` children,
 which inherit the case list, the run's context and every module loaded
@@ -308,13 +308,13 @@ class _Context:
         """``assemble_operator``'s report, memoised per worker process, so
         the spectra and bounds suites share each ``(op, m, p, R)``
         assembly, and the three operators at one (m, p, R) share its trial
-        blocks through the cache: each distinct block and its G_b is built
-        once, and each coexact form is checked once for both
-        Dirichlet-to-Neumann maps.  Every case that assembles at one
-        (m, p) carries the group label (m, p), which keeps those cases in
-        one worker (``_partition``): each assembly is computed once per
-        run at any ``--jobs``.  Assembly raises unless the block
-        certificate holds."""
+        blocks through the cache: each distinct block is built, and its
+        independence decided, once, and each coexact form is checked
+        once for both Dirichlet-to-Neumann maps.  Every case that
+        assembles at one (m, p) carries the group label (m, p), which
+        keeps those cases in one worker (``_partition``): each assembly
+        is computed once per run at any ``--jobs``.  Assembly raises
+        unless the block certificate holds."""
         key = (op, m, p, Fraction(R))
         if key not in self._spectra:
             _, self._spectra[key] = assemble_operator(op, m, p, self.l_max, R, self.cache)

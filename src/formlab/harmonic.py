@@ -36,7 +36,7 @@ A file is trusted only when its schema and its (m, l, p, kind) match
 the request, it holds exactly ``expected_dim(m, l, p, kind)`` vectors,
 the dimension in closed form, its vectors are in the reduced form every
 computed basis has, which proves them linearly independent
-(``_in_reduced_form``), and every decoded form satisfies the
+(``is_reduced_basis``), and every decoded form satisfies the
 constraints that define its kind (``_in_kind``).  Independent forms of
 the kind, as many as its dimension, span it.  Any other file is a miss,
 and the basis is recomputed and written over it; a computed basis of
@@ -220,18 +220,6 @@ def sphere_reduce(q: Polynomial, radius) -> Polynomial:
     return Polynomial._of(m, out)
 
 
-# ---------------------------------------------------------------------------
-# Disk cache.
-# ---------------------------------------------------------------------------
-
-def _encode_fraction(x: Fraction | int) -> list[str]:
-    return [str(x.numerator), str(x.denominator)]
-
-
-def _decode_fraction(pair) -> Fraction:
-    return Fraction(int(pair[0]), int(pair[1]))
-
-
 def _coordinates(frame, forms: list[PolyForm]) -> list[dict]:
     """Each form's nonzero coefficients in the monomial frame, as
     {frame index: coefficient}."""
@@ -253,6 +241,31 @@ def _in_reduced_form(vectors: list[dict]) -> bool:
             return False
         last = lead
     return True
+
+
+def is_reduced_basis(m: int, l: int, p: int, forms: list[PolyForm]) -> bool:
+    """Whether the forms are homogeneous p-forms of degree l on R^m in
+    the reduced form of ``_in_reduced_form`` in their monomial frame,
+    which proves them linearly independent.  Every basis ``BasisCache``
+    computes is; it decides a loaded basis and each spectral trial
+    block."""
+    try:
+        coordinates = _coordinates(_monomial_frame(m, l, p), forms)
+    except KeyError:  # a term outside the frame
+        return False
+    return _in_reduced_form(coordinates)
+
+
+# ---------------------------------------------------------------------------
+# Disk cache.
+# ---------------------------------------------------------------------------
+
+def _encode_fraction(x: Fraction | int) -> list[str]:
+    return [str(x.numerator), str(x.denominator)]
+
+
+def _decode_fraction(pair) -> Fraction:
+    return Fraction(int(pair[0]), int(pair[1]))
 
 
 def _encode_basis(fsb: FormSpaceBasis) -> dict:
@@ -353,7 +366,7 @@ class BasisCache:
             # not JSON, not a document, or entries of the wrong shape
             return None
         trusted = (fsb.dim == expected_dim(*key)
-                   and _in_reduced_form(_coordinates(_monomial_frame(*key[:3]), fsb.basis))
+                   and is_reduced_basis(*key[:3], fsb.basis)
                    and all(_in_kind(w, fsb.kind) for w in fsb.basis))
         return fsb if trusted else None
 

@@ -17,15 +17,15 @@ Trial spaces are the pullbacks of the normal-null harmonic blocks
 closed blocks.  The three operators on one ball share one trial space:
 each block is built once per basis cache (``_block``) and every
 operator assembled on that cache reads it.  The Gram matrix G of
-boundary pairings int_S <J*u, J*v> is 0 between blocks by a theorem,
-proved in ``_certify_blocks``, so each block holds only its own exact
-G_b, a scalar multiple of the Fischer Gram matrix of its coefficients
-(``_gram_block``) with no integral evaluated, and no full matrix is
-built.  No extension is solved for.  A coexact trial form is its own
-extension: it is harmonic, co-closed and normal-null, and
-``BasisCache`` checks these constraints of every basis it loads from
-disk.  The ``dtn-neumann``
-extension of a closed datum is a closed formula
+boundary pairings int_S <J*u, J*v> is never built: by theorems proved
+in ``_certify_blocks`` it is 0 between blocks, and on each block a
+positive multiple of the Fischer Gram matrix of the coefficients,
+which is positive definite when the block's basis is in reduced form
+in its monomial frame.  No extension is solved for.  A coexact trial
+form is its own extension: it is harmonic, co-closed and normal-null,
+and ``BasisCache`` checks these constraints of every basis it loads
+from disk.  The ``dtn-neumann`` extension of a closed datum is a
+closed formula
 (``_neumann_extension``, after Raulot-Savo), and each one is checked
 exactly to be harmonic, to pull back to the datum and to have no
 normal part on the sphere.
@@ -33,8 +33,9 @@ normal part on the sphere.
 The spectrum is exact and certified block by block, pointwise: every
 trial form phi of a block is an eigenform, J*(T phi) = theta_b J* phi
 on the sphere with theta_b the closed-form ball eigenvalue, decided
-exactly by polynomial identities, and each G_b is positive definite by
-an exact LDL^T test.  The stiffness pairing on block b is then
+exactly by polynomial identities, and each block's basis is in reduced
+form (``harmonic.is_reduced_basis``), a linear-time check that makes
+its G_b positive definite.  The stiffness pairing on block b is then
 theta_b G_b, so it is never paired, and the eigenvalues are theta_b
 with multiplicity dim_b, as ``Fraction``s, with no floating
 eigensolve.  A failure raises ``CertificateError`` naming the block,
@@ -44,12 +45,10 @@ decide on these exact spectra with ==, <= and <.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
-from . import linalg
 from .ball import BallDomain, boundary_delta_rep, normal_part
-from .harmonic import BasisCache, sphere_reduce
+from .harmonic import BasisCache, is_reduced_basis, sphere_reduce
 from .polynomials import Polynomial
 from .polyform import PolyForm, PolyVectorField
 
@@ -57,48 +56,8 @@ OPERATORS = ("dtn", "dtn-neumann", "hodge-boundary")
 
 
 # ---------------------------------------------------------------------------
-# The Gram matrix and the Neumann extension.
+# The Neumann extension.
 # ---------------------------------------------------------------------------
-
-def _fischer(u: PolyForm, v: PolyForm) -> Fraction:
-    """The Fischer product <u, v>_F = sum over components I and
-    exponents a of a! u_{I,a} v_{I,a}, a! = a_1! ... a_m!."""
-    return sum((math.prod(map(math.factorial, a)) * c * v.coeffs[I].terms.get(a, 0)
-                for I, f in u.coeffs.items() if I in v.coeffs
-                for a, c in f.terms.items()), Fraction(0))
-
-
-def _gram_block(kind: str, forms: list[PolyForm], k: int,
-                domain: BallDomain) -> list[list[Fraction]]:
-    """Exact symmetric matrix of int_S <J*u, J*v> over one block of
-    harmonic, co-closed p-forms whose coefficients are homogeneous of
-    degree k: s_b F_b, with F_b the Fischer Gram matrix <u_i, u_j>_F and
-
-        s_b = R^(m-1+2k) / P(m, k)                  (coexact block),
-        s_b = R^(m-1+2k) (m+k-p) / P(m, k+1)        (exact block),
-
-    P(m, k) = m (m+2) ... (m+2k-2).  On the sphere <J*u, J*v> is
-    <u, v> - R^-2 <i_x u, i_x v>; the coefficients of u are harmonic of
-    degree k and, as u is co-closed, those of i_x u are harmonic of
-    degree k+1; and for harmonic f, g homogeneous of degree j the mean of
-    f g over the unit sphere is <f, g>_F / P(m, j) (Stein-Weiss, Fourier
-    Analysis on Euclidean Spaces, ch. IV).  So the mean of <J*u, J*v>
-    over the unit sphere is <u, v>_F / P(m, k) - <i_x u, i_x v>_F /
-    P(m, k+1).  Its second term is 0 on a coexact (normal-null) block,
-    and (p + k) <u, v>_F / P(m, k+1) on an exact (closed) one
-    (``_certify_blocks``), which with P(m, k+1) = (m + 2k) P(m, k) leaves
-    s_b.  Integrals are in units of |S^{m-1}(1)|, so a degree-2k
-    integrand over the radius-R sphere carries R^(m-1+2k)."""
-    m, R = domain.m, domain.radius
-    scale = R ** (m - 1 + 2 * k) / math.prod(range(m, m + 2 * k, 2))
-    if kind == "exact":
-        scale *= Fraction(m + k - forms[0].p, m + 2 * k)
-    out = [[Fraction(0)] * len(forms) for _ in forms]
-    for i, u in enumerate(forms):
-        for j in range(i, len(forms)):
-            out[i][j] = out[j][i] = scale * _fischer(u, forms[j])
-    return out
-
 
 def _zero_on_sphere(form: PolyForm, domain: BallDomain) -> bool:
     """Whether every coefficient of form reduces to 0 modulo
@@ -162,16 +121,15 @@ class Block:
     """One trial block of a ball: its kind, "coexact" (normal-null
     pullback) or "exact" (closed pullback); its spectral label l
     (coexact blocks use degree l, exact blocks degree l-1); its basis;
-    G, int_S <J*u, J*v> over the basis (``_gram_block``); whether G
-    passes the exact LDL^T positive-definiteness test, decided once when
-    the block is built; and the eigenform checks its basis has passed
-    (``_certify_blocks``)."""
+    whether the basis is in reduced form in its monomial frame, which
+    makes G_b, int_S <J*u, J*v> over the basis, positive definite,
+    decided once when the block is built; and the eigenform checks its
+    basis has passed (``_certify_blocks``)."""
 
-    __slots__ = ("kind", "l", "basis", "G", "definite", "proved")
+    __slots__ = ("kind", "l", "basis", "reduced", "proved")
 
-    def __init__(self, kind: str, l: int, basis: list[PolyForm], G: list[list[Fraction]]):
-        self.kind, self.l, self.basis, self.G = kind, l, basis, G
-        self.definite = linalg.is_positive_definite(G)
+    def __init__(self, kind: str, l: int, basis: list[PolyForm], reduced: bool):
+        self.kind, self.l, self.basis, self.reduced = kind, l, basis, reduced
         self.proved: set[tuple] = set()
 
     @property
@@ -182,22 +140,22 @@ class Block:
 def _block(kind: str, l: int, p: int, domain: BallDomain, cache: BasisCache) -> Block | None:
     """The trial block (kind, l) of p-forms on the ball, built once per
     cache and kept in its ``trial_blocks``, so that every operator
-    assembled on the cache shares the block, its G_b, the LDL^T test of
-    G_b and the eigenform checks it has passed; None when its basis is
-    empty."""
+    assembled on the cache shares the block, its reduced-form decision
+    (``harmonic.is_reduced_basis``) and the eigenform checks it has
+    passed; None when its basis is empty."""
     key = (domain.m, p, domain.radius, kind, l)
     if key not in cache.trial_blocks:
         k, basis_kind = (l, "H-normal-null") if kind == "coexact" else (l - 1, "H-closed")
         basis = list(cache.get(domain.m, k, p, basis_kind).basis)
-        cache.trial_blocks[key] = (Block(kind, l, basis, _gram_block(kind, basis, k, domain))
+        cache.trial_blocks[key] = (Block(kind, l, basis, is_reduced_basis(domain.m, k, p, basis))
                                    if basis else None)
     return cache.trial_blocks[key]
 
 
 class OperatorAssembly:
-    """The trial blocks of one operator on one ball, each with its own
-    Gram matrix G_b.  G is 0 between blocks (``_certify_blocks``), so
-    no full matrix is built."""
+    """The trial blocks of one operator on one ball.  G is 0 between
+    blocks and positive definite on each (``_certify_blocks``), so no
+    Gram matrix is built."""
 
     __slots__ = ("operator", "domain", "p", "l_max", "blocks")
 
@@ -304,7 +262,7 @@ def assemble_operator(operator: str, m: int, p: int, l_max: int, radius,
     block (not for ``dtn``) and then the coexact one, and the spectrum
     read off the exact block certificate (``_certify_blocks``).  Every
     operator assembled on one cache shares each block (``_block``): its
-    G_b is built once, and the eigenform check the two
+    reduced form is decided once, and the eigenform check the two
     Dirichlet-to-Neumann maps have in common runs once."""
     if operator not in OPERATORS:
         raise ValueError(f"unknown operator {operator!r}")
@@ -345,35 +303,51 @@ def _certify_blocks(assembly: OperatorAssembly) -> list[Fraction]:
         J*(T phi) = theta_b J* phi on the sphere, with theta_b from
         ``ball_reference_eigenvalue``: x^b ^ (T phi - theta_b phi)
         reduces to 0 modulo |x|^2 - R^2;
-      * G_b passes the exact LDL^T positive-definiteness test.
+      * the basis of block b is in reduced form in its monomial frame
+        (``harmonic.is_reduced_basis``).
 
-    G is 0 outside the diagonal blocks by a theorem, so each block holds
-    only its own G_b (``_gram_block``), and nothing is paired across
-    blocks.  The theorem, and the scale s_b of G_b, use the constraints
-    of ``harmonic._in_kind``, which ``BasisCache`` checks on every basis
-    it loads and proves of every basis it computes (the "H-closed"
-    kernel and the "H-normal-null" span, see ``harmonic``): trial forms
-    are componentwise harmonic and co-closed, exact ones closed and
-    coexact ones normal-null (i_x phi = 0).  On the sphere
-    <J*u, J*v> = <u, v> - R^-2 <i_x u, i_x v>.
+    No Gram matrix is built: G is 0 outside the diagonal blocks, and
+    positive definite on each, by theorems.  They use the constraints of
+    ``harmonic._in_kind``, which ``BasisCache`` checks on every basis it
+    loads and proves of every basis it computes (the "H-closed" kernel
+    and the "H-normal-null" span, see ``harmonic``): trial forms are
+    componentwise harmonic and co-closed, exact ones closed and coexact
+    ones normal-null (i_x phi = 0), and the coefficients of a block are
+    homogeneous of degree k = l on a coexact one and k = l - 1 on an
+    exact one.  On the sphere <J*u, J*v> = <u, v> - R^-2 <i_x u, i_x v>.
+    For harmonic f, g homogeneous of degree j the mean of f g over the
+    unit sphere is <f, g>_F / P(m, j), with the Fischer product
+    <f, g>_F = sum over exponents a of a! f_a g_a, a! = a_1! ... a_m!,
+    summed over components for forms, and P(m, j) = m (m+2) ... (m+2j-2)
+    (Stein-Weiss, Fourier Analysis on Euclidean Spaces, ch. IV).
 
       * Blocks of different coefficient degrees k != k' are orthogonal:
         the coefficients of u, v and of i_x u, i_x v are harmonic
         polynomials, homogeneous of different degrees, and spherical
-        harmonics of different degrees are orthogonal on every sphere
-        (Stein-Weiss, Fourier Analysis on Euclidean Spaces, ch. IV).
+        harmonics of different degrees are orthogonal on every sphere.
       * A closed u of degree k is d(i_x u) / (p + k), since d i_x + i_x d
         is p + k on homogeneous p-forms of degree k, and i_x is the
         adjoint of d for the Fischer product, so for every v of degree k
         <u, v>_F = <i_x u, i_x v>_F / (p + k).
       * The one pair of blocks that shares a degree is the exact block
         l = k+1 and the coexact block l = k.  There i_x v = 0, and the
-        mean of <u, v> over the sphere is <u, v>_F / P(m, k) as in
-        ``_gram_block``, which the item above makes 0.
-      * Within a block, i_x u = 0 on a coexact one, and
-        <i_x u, i_x v>_F = (p + k) <u, v>_F on an exact one, by the same
-        item: so G_b = s_b F_b (``_gram_block``).  As m + k - p > 0,
-        G_b is positive definite exactly when F_b is.
+        mean of <u, v> over the sphere is <u, v>_F / P(m, k), which the
+        item above makes 0.
+      * Within a block, as u is co-closed the coefficients of i_x u are
+        harmonic of degree k+1.  i_x u = 0 on a coexact block, and
+        <i_x u, i_x v>_F = (p + k) <u, v>_F on an exact one, by the
+        item above.  So G_b = s_b F_b, with F_b the Fischer Gram matrix
+        <u_i, u_j>_F and, in units of |S^{m-1}(1)|,
+
+            s_b = R^(m-1+2k) / P(m, k)                  (coexact block),
+            s_b = R^(m-1+2k) (m+k-p) / P(m, k+1)        (exact block),
+
+        as P(m, k+1) = (m + 2k) P(m, k).  s_b > 0, since m + k - p > 0.
+      * G_b is positive definite.  With V the coefficient matrix of the
+        basis in its monomial frame and D = diag(a!) over that frame,
+        F_b = V D V^T with D positive, so G_b is positive definite
+        exactly when the basis is linearly independent, and vectors in
+        reduced form are.
 
     The pointwise identity gives int_S <J*(T phi_i), J* phi_j>
     = theta_b G_b,ij on each block, through Green's formula on the
@@ -383,7 +357,7 @@ def _certify_blocks(assembly: OperatorAssembly) -> list[Fraction]:
     ``CertificateError`` naming the operator, the block and its rows,
     the trial form where one fails, and the condition.
 
-    A block decides its LDL^T test once, when it is built, and records
+    A block decides its reduced form once, when it is built, and records
     each eigenform check it passes, by operator image and theta_b, and
     runs none twice.  The two Dirichlet-to-Neumann maps
     share their check on a coexact block: the same forms, each its own
@@ -404,8 +378,9 @@ def _certify_blocks(assembly: OperatorAssembly) -> list[Fraction]:
                     raise CertificateError(where + f"trial form {i} is not an eigenform: "
                                            f"J*(T phi) != theta_b J* phi with theta_b = {theta}")
             blk.proved.add(proof)
-        if not blk.definite:
-            raise CertificateError(where + "G_b fails the exact LDL^T positive-definiteness test")
+        if not blk.reduced:
+            raise CertificateError(where + "basis not in reduced form in its monomial frame, "
+                                           "so G_b is not proved positive definite")
         thetas.append(theta)
         start += blk.dim
     return thetas

@@ -6,9 +6,12 @@ forms, with or without the pullback, by sphere moments.
 blocks too, as assembly did before G was built from Fischer products
 block by block; ``full_stiffness`` pairs the stiffness matrix A the
 same way, as assembly did before the pointwise eigenform certificate
-made it redundant; ``block_gram`` and ``block_stiffness`` lay out the
-assembly's own blocks G_b and theta_b G_b as the full block-diagonal
-matrices, for comparison with those two; and ``certify_eigenvalue``
+made it redundant; ``_gram_block`` builds one block G_b from Fischer
+products (``_fischer``), as assembly did before positive definiteness
+was proved from the reduced form of each block's basis;
+``block_gram`` and ``block_stiffness`` lay out the blocks G_b and
+theta_b G_b of an assembly as the full block-diagonal matrices, for
+comparison with those two; and ``certify_eigenvalue``
 takes the exact multiplicity of an eigenvalue as the nullity of
 A - theta G over the whole matrix.  ``reference_bases`` builds the
 harmonic fields "H" and the two cached kinds by restriction, as the
@@ -21,10 +24,11 @@ sparse one.  The rational ``rank``, ``nullity`` and ``solve`` are built
 on it here, since only tests need them.
 """
 
+import math
 from fractions import Fraction
 from functools import cache
 
-from formlab.ball import boundary_delta_rep, normal_part
+from formlab.ball import BallDomain, boundary_delta_rep, normal_part
 from formlab.harmonic import (KINDS, FormSpaceBasis, _form_rows, _reduced_span,
                               monomial_form_basis)
 from formlab.linalg import nullspace
@@ -172,14 +176,61 @@ def full_gram(assembly):
     return sphere_matrix(reps, reps, assembly.domain)
 
 
+def _fischer(u: PolyForm, v: PolyForm) -> Fraction:
+    """The Fischer product <u, v>_F = sum over components I and
+    exponents a of a! u_{I,a} v_{I,a}, a! = a_1! ... a_m!."""
+    return sum((math.prod(map(math.factorial, a)) * c * v.coeffs[I].terms.get(a, 0)
+                for I, f in u.coeffs.items() if I in v.coeffs
+                for a, c in f.terms.items()), Fraction(0))
+
+
+def _gram_block(kind: str, forms: list[PolyForm], k: int,
+                domain: BallDomain) -> list[list[Fraction]]:
+    """Exact symmetric matrix of int_S <J*u, J*v> over one block of
+    harmonic, co-closed p-forms whose coefficients are homogeneous of
+    degree k: s_b F_b, with F_b the Fischer Gram matrix <u_i, u_j>_F and
+
+        s_b = R^(m-1+2k) / P(m, k)                  (coexact block),
+        s_b = R^(m-1+2k) (m+k-p) / P(m, k+1)        (exact block),
+
+    P(m, k) = m (m+2) ... (m+2k-2).  On the sphere <J*u, J*v> is
+    <u, v> - R^-2 <i_x u, i_x v>; the coefficients of u are harmonic of
+    degree k and, as u is co-closed, those of i_x u are harmonic of
+    degree k+1; and for harmonic f, g homogeneous of degree j the mean of
+    f g over the unit sphere is <f, g>_F / P(m, j) (Stein-Weiss, Fourier
+    Analysis on Euclidean Spaces, ch. IV).  So the mean of <J*u, J*v>
+    over the unit sphere is <u, v>_F / P(m, k) - <i_x u, i_x v>_F /
+    P(m, k+1).  Its second term is 0 on a coexact (normal-null) block,
+    and (p + k) <u, v>_F / P(m, k+1) on an exact (closed) one
+    (``_certify_blocks``), which with P(m, k+1) = (m + 2k) P(m, k) leaves
+    s_b.  Integrals are in units of |S^{m-1}(1)|, so a degree-2k
+    integrand over the radius-R sphere carries R^(m-1+2k)."""
+    m, R = domain.m, domain.radius
+    scale = R ** (m - 1 + 2 * k) / math.prod(range(m, m + 2 * k, 2))
+    if kind == "exact":
+        scale *= Fraction(m + k - forms[0].p, m + 2 * k)
+    out = [[Fraction(0)] * len(forms) for _ in forms]
+    for i, u in enumerate(forms):
+        for j in range(i, len(forms)):
+            out[i][j] = out[j][i] = scale * _fischer(u, forms[j])
+    return out
+
+
+def block_degree(blk) -> int:
+    """The coefficient degree k of a trial block: l on a coexact block,
+    l - 1 on an exact one."""
+    return blk.l if blk.kind == "coexact" else blk.l - 1
+
+
 def block_gram(assembly):
     """The full Gram matrix laid out from the assembly's blocks: each G_b
-    on the diagonal, 0 between blocks."""
+    (``_gram_block``) on the diagonal, 0 between blocks."""
     n = sum(blk.dim for blk in assembly.blocks)
     G = [[Fraction(0)] * n for _ in range(n)]
     start = 0
     for blk in assembly.blocks:
-        for i, row in enumerate(blk.G, start):
+        G_b = _gram_block(blk.kind, blk.basis, block_degree(blk), assembly.domain)
+        for i, row in enumerate(G_b, start):
             G[i][start:start + blk.dim] = row
         start += blk.dim
     return G

@@ -201,37 +201,30 @@ class TestRunSuites:
                    if r["id"].startswith("spectrum/")]
         assert all(r["certified"] for r in spectra)
 
-    @pytest.mark.parametrize("m, l_max, grams, images", [(4, 1, 6, 50), (3, 2, 7, 50)])
-    def test_one_gram_block_and_one_dtn_check_per_block(self, monkeypatch, m, l_max,
-                                                        grams, images):
+    @pytest.mark.parametrize("m, l_max, decisions, images", [(4, 1, 6, 50), (3, 2, 7, 50)])
+    def test_one_independence_decision_and_one_dtn_check_per_block(self, monkeypatch, m,
+                                                                   l_max, decisions, images):
         # the three operators at one (m, p, R) share its trial blocks: one
-        # G_b and one LDL^T test of it per distinct block, and one
-        # eigenform check of each coexact form for both Dirichlet-to-Neumann
-        # maps (15 G_b builds, 15 LDL^T tests and 61 images at m=4, lmax 1,
-        # and 17, 17 and 59 at m=3, lmax 2, when each operator built its own)
-        from formlab import linalg, spectral
-        counts = {"gram": [], "ldl": [], "image": 0}
-        real_gram, real_image = spectral._gram_block, spectral._operator_image
-        real_ldl = linalg.is_positive_definite
+        # independence decision per distinct block, and one eigenform
+        # check of each coexact form for both Dirichlet-to-Neumann maps
+        # (15 decisions and 61 images at m=4, lmax 1, and 17 and 59 at
+        # m=3, lmax 2, when each operator built its own blocks)
+        from formlab import spectral
+        counts = {"decided": [], "image": 0}
+        real_decide, real_image = spectral.is_reduced_basis, spectral._operator_image
 
-        def gram(kind, forms, k, domain):
-            counts["gram"].append((domain.m, forms[0].p, domain.radius, kind, k))
-            return real_gram(kind, forms, k, domain)
-
-        def ldl(G):
-            counts["ldl"].append(id(G))
-            return real_ldl(G)
+        def decide(m, l, p, forms):
+            counts["decided"].append((m, l, p, tuple(map(id, forms))))
+            return real_decide(m, l, p, forms)
 
         def image(*args):
             counts["image"] += 1
             return real_image(*args)
-        monkeypatch.setattr(spectral, "_gram_block", gram)
-        monkeypatch.setattr(linalg, "is_positive_definite", ldl)
+        monkeypatch.setattr(spectral, "is_reduced_basis", decide)
         monkeypatch.setattr(spectral, "_operator_image", image)
         report = run_suites(small_config(suites=["spectra", "bounds"], dims=[m], l_max=l_max))
         assert report["summary"]["failed"] == 0
-        assert len(counts["gram"]) == len(set(counts["gram"])) == grams
-        assert len(counts["ldl"]) == len(set(counts["ldl"])) == grams
+        assert len(counts["decided"]) == len(set(counts["decided"])) == decisions
         assert counts["image"] == images
 
     def test_bounds_suite(self, tmp_path):

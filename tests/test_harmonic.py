@@ -22,6 +22,21 @@ def binom(n, k):
     return math.comb(n, k)
 
 
+def sparse(vectors):
+    return [{i: c for i, c in enumerate(vec) if c} for vec in vectors]
+
+
+# dense vectors, and whether they are in the reduced form of
+# ``harmonic._in_reduced_form``
+REDUCED_FORM_CASES = (([[0, 1, 0], [3, 0, 1]], True),
+                      ([], True),
+                      ([[1, 0], [1, 0]], False),          # leads not increasing
+                      ([[0, 1], [1, 0]], False),
+                      ([[0, 2, 0], [0, 0, 1]], False),    # lead entry not 1
+                      ([[0, 1, 1], [0, 0, 1]], False),    # lead shared with an earlier vector
+                      ([[0, 0], [1, 0]], False))          # a zero vector
+
+
 def sphere_gram(basis, m):
     """Unit-sphere Gram matrix of the pullbacks: entries int <J* a, J* b>."""
     dom = BallDomain(m, Fraction(1))
@@ -400,16 +415,14 @@ class TestCache:
             BasisCache().get(3, 1, 1, "H-closed")
 
     def test_reduced_form_decides_independence(self):
-        def sparse(vectors):
-            return [{i: c for i, c in enumerate(vec) if c} for vec in vectors]
-        assert harmonic._in_reduced_form(sparse([[0, 1, 0], [3, 0, 1]]))
-        assert harmonic._in_reduced_form([])
-        for vectors in ([[1, 0], [1, 0]],          # leads not increasing
-                        [[0, 1], [1, 0]],
-                        [[0, 2, 0], [0, 0, 1]],    # lead entry not 1
-                        [[0, 1, 1], [0, 0, 1]],    # lead shared with an earlier vector
-                        [[0, 0], [1, 0]]):         # a zero vector
-            assert not harmonic._in_reduced_form(sparse(vectors)), vectors
+        for vectors, reduced in REDUCED_FORM_CASES:
+            assert harmonic._in_reduced_form(sparse(vectors)) == reduced, vectors
+
+    def test_form_outside_the_frame_is_not_reduced(self):
+        cache = BasisCache()
+        basis = list(cache.get(3, 1, 1, "H-normal-null").basis)
+        basis[2] = cache.get(3, 2, 1, "H-normal-null").basis[0]
+        assert not harmonic.is_reduced_basis(3, 1, 1, basis)
 
     def test_memoisation(self):
         cache = BasisCache()
@@ -427,3 +440,31 @@ def test_gram_matrices_have_full_rank(cache):
     for m, l, p in ((3, 1, 1), (3, 2, 1), (4, 1, 2)):
         basis = cache.get(m, l, p, "H-normal-null")
         assert rank(sphere_gram(basis.basis, m)) == basis.dim
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_computed_bases_are_in_reduced_form(cache, m):
+    # the invariant that makes each spectral trial block's G_b positive
+    # definite, and that a loaded basis must show
+    for l in range(4):
+        for p in range(m + 1):
+            for kind in KINDS:
+                basis = cache.get(m, l, p, kind).basis
+                assert harmonic.is_reduced_basis(m, l, p, basis), (m, l, p, kind)
+
+
+def test_reduced_form_vectors_have_full_rank(cache):
+    # the theorem behind the invariant, on the hand-made cases and on the
+    # computed bases up to m = 4 (dense elimination grows fast beyond)
+    inputs = [sparse(vectors) for vectors, _ in REDUCED_FORM_CASES]
+    inputs += [harmonic._coordinates(harmonic._monomial_frame(m, l, p),
+                                     cache.get(m, l, p, kind).basis)
+               for m in range(2, 5) for l in range(4) for p in range(m + 1) for kind in KINDS]
+    checked = 0
+    for vectors in inputs:
+        if harmonic._in_reduced_form(vectors):
+            columns = sorted({i for vec in vectors for i in vec})
+            assert rank([[vec.get(i, 0) for i in columns] for vec in vectors]) == len(vectors)
+            checked += 1
+    # every input but the hand-made ones out of reduced form
+    assert checked == len(inputs) - sum(not reduced for _, reduced in REDUCED_FORM_CASES)

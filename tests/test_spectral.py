@@ -24,8 +24,9 @@ from formlab.spectral import (CertificateError, _neumann_extension, _neumann_fai
                               assemble_operator, ball_reference_eigenvalue,
                               check_bounds, scaling_check)
 from forms import volume
-from oracle import (block_gram, block_stiffness, certify_eigenvalue, full_gram,
-                    full_stiffness, harmonic_fields, rank, solve, sphere_matrix)
+from oracle import (_gram_block, block_degree, block_gram, block_stiffness,
+                    certify_eigenvalue, full_gram, full_stiffness, harmonic_fields, rank,
+                    solve, sphere_matrix)
 
 
 def binom(n, k):
@@ -391,10 +392,6 @@ class TestAssemblyInvariants:
             A = block_stiffness(asm)
             assert A == [list(col) for col in zip(*A)]
 
-    def test_gram_full_rank(self, d3):
-        G = block_gram(d3[0])
-        assert rank(G) == len(G)
-
     def test_eigenvalues_nonnegative(self, d3, t3, h3):
         for _, rep in (d3, t3, h3):
             assert all(g.value >= -1e-9 for g in rep.eigenvalues)
@@ -595,6 +592,20 @@ FULL_MATRIX_CASES = [(2, 1, 3, Fraction(2, 3)), (3, 1, 2, Fraction(1)),
                      (4, 1, 2, Fraction(7, 3)), (5, 2, 1, Fraction(7, 3))]
 
 
+def dependent_cache(how):
+    """A fresh cache whose coexact l=1 basis at m=3, p=1 is dependent: a
+    repeated vector, b[1] = b[0], or a combined one, b[2] = b[0] + b[1].
+    Its vectors are still eigenforms, so only the independence decision
+    of the block can reject it."""
+    cache = BasisCache()
+    basis = cache.get(3, 1, 1, "H-normal-null").basis
+    if how == "repeated":
+        basis[1] = basis[0]
+    else:
+        basis[2] = basis[0] + basis[1]
+    return cache
+
+
 class TestBlockCertificate:
     """The exact block certificate behind every reported spectrum."""
 
@@ -626,35 +637,26 @@ class TestBlockCertificate:
                                  "an eigenform: .* theta_b = 10/3$"):
             spectral._solve_assembly(t3[0])
 
-    def test_singular_gram_block_names_the_block(self, monkeypatch):
-        # the coexact l=1 block built with its second trial form's row and
-        # column of G_b a copy of the first's: each operator that lists the
-        # block fails in its own words, on one LDL^T decision
-        real_gram, real_ldl = spectral._gram_block, linalg.is_positive_definite
+    @pytest.mark.parametrize("how", ["repeated", "combined"])
+    def test_dependent_basis_names_the_block(self, monkeypatch, how):
+        # each operator that lists the dependent coexact l=1 block fails
+        # in its own words, on one independence decision per distinct block
         decided = []
+        real = spectral.is_reduced_basis
 
-        def gram(kind, forms, k, domain):
-            G = real_gram(kind, forms, k, domain)
-            if (kind, k) == ("coexact", 1):
-                for row in G:
-                    row[1] = row[0]
-                G[1] = list(G[0])
-            return G
-
-        def ldl(G):
-            decided.append(G)
-            return real_ldl(G)
-        monkeypatch.setattr(spectral, "_gram_block", gram)
-        monkeypatch.setattr(linalg, "is_positive_definite", ldl)
-        cache = BasisCache()
+        def decide(m, l, p, forms):
+            decided.append((m, l, p, tuple(map(id, forms))))
+            return real(m, l, p, forms)
+        monkeypatch.setattr(spectral, "is_reduced_basis", decide)
+        cache = dependent_cache(how)
         for op, rows in (("dtn", "0..2"), ("hodge-boundary", "3..5"), ("dtn-neumann", "3..5")):
-            with pytest.raises(CertificateError,
-                               match=f"^{op} at m=3, p=1, R=1: block coexact l=1 "
-                                     f"\\(rows {rows}\\): G_b fails the exact "
-                                     "LDL\\^T positive-definiteness test$"):
+            with pytest.raises(CertificateError) as err:
                 assemble_operator(op, 3, 1, 1, 1, cache)
+            assert str(err.value) == (
+                f"{op} at m=3, p=1, R=1: block coexact l=1 (rows {rows}): basis not in "
+                "reduced form in its monomial frame, so G_b is not proved positive definite")
         # the coexact l=1 block, then the exact one
-        assert len(decided) == 2
+        assert len(decided) == len(set(decided)) == 2
 
     def test_wrong_neumann_coefficient_names_the_form(self, monkeypatch):
         # a -> (p+k+1)/(m+2k) with the extension's own checks bypassed:
@@ -687,6 +689,27 @@ class TestBlockCertificate:
         assert not linalg.is_positive_definite([[1, 1], [1, 1]])
         assert not linalg.is_positive_definite([[1, 2], [2, 1]])
         assert not linalg.is_positive_definite([[0, 0], [0, 1]])
+
+    @pytest.mark.parametrize("m, p, l_max, R, how",
+                             [case + (None,) for case in FULL_MATRIX_CASES]
+                             + [(3, 1, 1, 1, "repeated"), (3, 1, 1, 1, "combined")])
+    def test_reduced_form_decides_as_the_ldl_test(self, m, p, l_max, R, how):
+        # the old decision, the exact LDL^T test of G_b, is the reference
+        # of the reduced-form decision on every block: both accept every
+        # block of the full-matrix cases, with G_b of full rank, and both
+        # reject the two dependent bases
+        cache = dependent_cache(how) if how else BasisCache()
+        for op in spectral.OPERATORS:
+            try:
+                assemble_operator(op, m, p, l_max, R, cache)
+            except CertificateError:
+                assert how
+        blocks = [blk for blk in cache.trial_blocks.values() if blk]
+        for blk in blocks:
+            G_b = _gram_block(blk.kind, blk.basis, block_degree(blk), BallDomain(m, Fraction(R)))
+            assert linalg.is_positive_definite(G_b) == blk.reduced == (rank(G_b) == blk.dim)
+        rejected = [(blk.kind, blk.l) for blk in blocks if not blk.reduced]
+        assert rejected == ([("coexact", 1)] if how else [])
 
     @pytest.mark.parametrize("m, p, l_max, R", FULL_MATRIX_CASES)
     def test_multiplicities_equal_full_matrix_nullities(self, cache, m, p, l_max, R):
