@@ -28,7 +28,8 @@ loads no layer, and a run loads only the layers its suites call:
   curvature  the spectrum layers, which ``cli`` imports, and curvature,
              sampling and quadrature (which sampling imports); no numpy
 
-No run loads ``dataclasses``: the records are plain classes.
+No run loads ``dataclasses``: the records are plain classes, and
+``cli.Case`` is a ``collections.namedtuple``.
 """
 
 __version__ = "0.1.0"

@@ -53,11 +53,12 @@ Schema 3 changed, from schema 2, curvature records only:
   * round "gallot_meyer_margin" (a float margin over sampled forms) ->
     "gallot_meyer", a bool decided by exact PSD tests.
 
-Every check is a ``Case`` record: its key, a module-level function,
-the keyword arguments to call it with and its group label.  ``CASES``
-maps each suite to the generator of its cases.  A case's function gets
-the run's ``_Context`` and returns its record without an id; the runner
-adds ``"id"``, the case key, in one place, for a crashed case too.
+Every check is a ``Case``, a named tuple of its key, a module-level
+function, the keyword arguments to call it with and its group label.
+``CASES`` maps each suite to the generator of its cases.  A case's
+function gets the run's ``_Context`` and returns its record without an
+id; the runner adds ``"id"``, the case key, in one place, for a crashed
+case too.
 
 Identical configuration and seed produce byte-identical reports modulo
 the ``timing`` section at any ``--jobs`` level: the case list is built
@@ -68,12 +69,13 @@ put back in list order.
 
 ``--jobs K`` splits the case list into groups (every spectrum, scaling,
 bounds and chain case of one (m, p) is one group, since they share its
-bases, its trial blocks (each built once per (m, p, R), with its
-independence decision, and shared by the three operators) and its
-spectra; every quadrature-oracle case is in one group, so that numpy
-loads in one process; every other case is a group of its own) and
-deals the groups to min(K, groups) workers longest first, by
-the cost estimates of ``CASE_COSTS``, each to the least-loaded worker.
+bases and its trial blocks (each built once per (m, p, R), with its
+independence decision and its eigenform checks, and shared by the three
+operators and by repeat assemblies); every quadrature-oracle case is in
+one group, so that numpy loads in one process; every other case is a
+group of its own) and deals the groups to min(K, groups) workers
+longest first, by the cost estimates of ``CASE_COSTS``, each to the
+least-loaded worker.
 Worker 0 is the calling process; the others are ``os.fork`` children,
 which inherit the case list, the run's context and every module loaded
 while building the list.  At ``--jobs 1`` nothing is forked.  numpy is
@@ -100,7 +102,7 @@ import json
 import os
 import sys
 import time
-from collections.abc import Callable
+from collections import namedtuple
 from fractions import Fraction
 from importlib import import_module
 
@@ -231,31 +233,15 @@ class ConfigError(Exception):
 # Cases and the context they run in.
 # ---------------------------------------------------------------------------
 
-class Case:
+class Case(namedtuple("Case", "key run args group", defaults=(None,))):
     """One check: ``run(ctx, **args)`` returns its record, to which the
     runner adds ``"id": key``.  ``run`` is a module-level function, so a
     case pickles.  Cases sharing a ``group`` other than None run in one
     worker, and ``cost`` estimates the case's run time, by which
-    ``_partition`` deals the groups.  A case is immutable, and equal to
-    another with the same four fields."""
+    ``_partition`` deals the groups.  A named tuple: immutable, and
+    equal to another with the same four fields."""
 
-    __slots__ = ("key", "run", "args", "group")
-
-    def __init__(self, key: str, run: Callable[..., dict], args: dict,
-                 group: tuple | str | None = None):
-        for name, value in zip(self.__slots__, (key, run, args, group)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign {name!r}: Case is immutable")
-
-    def __reduce__(self):
-        return Case, (self.key, self.run, self.args, self.group)
-
-    def __eq__(self, other):
-        if type(other) is not Case:
-            return NotImplemented
-        return self.__reduce__() == other.__reduce__()
+    __slots__ = ()
 
     @property
     def cost(self) -> float:
@@ -288,8 +274,9 @@ _FLOAT = {Polynomial: _float_poly, PolyForm: _float_form,
 
 
 class _Context:
-    """What the cases of one run share; each worker process holds its
-    own copy."""
+    """What the cases of one run share: its settings and its
+    ``BasisCache``, which memoises bases and trial blocks; each worker
+    process holds its own copy."""
 
     def __init__(self, cfg: RunConfig):
         self.seed = cfg.seed
@@ -297,7 +284,6 @@ class _Context:
         self.float_mode = cfg.mode == "float"
         self.tol = FLOAT_TOLERANCE if self.float_mode else 0
         self.cache = BasisCache(cfg.cache_dir)
-        self._spectra: dict = {}
 
     def num(self, x):
         """x in exact mode; in float mode, x with ``TrackedFloat``
@@ -305,20 +291,18 @@ class _Context:
         return _FLOAT[type(x)](x) if self.float_mode else x
 
     def spectrum(self, op: str, m: int, p: int, R):
-        """``assemble_operator``'s report, memoised per worker process, so
-        the spectra and bounds suites share each ``(op, m, p, R)``
-        assembly, and the three operators at one (m, p, R) share its trial
-        blocks through the cache: each distinct block is built, and its
-        independence decided, once, and each coexact form is checked
-        once for both Dirichlet-to-Neumann maps.  Every case that
+        """``assemble_operator``'s report on the run's cache.  Every
+        operator assembled on one cache shares its trial blocks: each
+        distinct block is built, and its independence decided, once per
+        (m, p, R), and each eigenform check runs once per block, the
+        coexact check once for both Dirichlet-to-Neumann maps.  So a
+        repeat assembly of one (op, m, p, R), by the spectra and bounds
+        suites, only reads theta_b off the blocks again.  Every case that
         assembles at one (m, p) carries the group label (m, p), which
-        keeps those cases in one worker (``_partition``): each assembly
-        is computed once per run at any ``--jobs``.  Assembly raises
-        unless the block certificate holds."""
-        key = (op, m, p, Fraction(R))
-        if key not in self._spectra:
-            _, self._spectra[key] = assemble_operator(op, m, p, self.l_max, R, self.cache)
-        return self._spectra[key]
+        keeps those cases in one worker (``_partition``): each block is
+        built and checked once per run at any ``--jobs``.  Assembly
+        raises unless the block certificate holds."""
+        return assemble_operator(op, m, p, self.l_max, R, self.cache)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@ only the nonzero entries, since the constraint rows of ``harmonic`` are
 mostly zeros.  The reduced row echelon form of a matrix is unique, so
 ``rref`` returns the same rows whatever order they come in and whatever
 pivots it meets on the way, and so does ``nullspace``.  The positive
-(semi)definiteness tests eliminate dense symmetric matrices (LDL^T).
+(semi)definiteness tests read the pivots of one symmetric elimination
+of a dense matrix (LDL^T, ``_ldl_pivots``): all positive for definite,
+none negative for semidefinite.
 """
 
 from __future__ import annotations
@@ -20,10 +22,6 @@ from fractions import Fraction
 
 Matrix = list[list[Fraction]]
 Row = dict[int, Fraction]
-
-
-def _copy(rows: Matrix) -> Matrix:
-    return [list(r) for r in rows]
 
 
 def _exact(pivot):
@@ -81,45 +79,41 @@ def nullspace(rows: list[Row], ncols: int) -> list[Row]:
     return list(basis.values())
 
 
-def is_positive_semidefinite(a: Matrix) -> bool:
-    """Exact PSD test for a symmetric rational matrix.
-
-    Symmetric Gaussian elimination: a negative pivot or a zero pivot
-    with a nonzero row rules PSD out.
-    """
-    m = _copy(a)
+def _ldl_pivots(a: Matrix) -> list[Fraction] | None:
+    """The pivots of symmetric Gaussian elimination (LDL^T) on the upper
+    triangle of the symmetric rational matrix a; None when a zero pivot
+    meets a nonzero entry of its row, which no positive semidefinite
+    matrix has.  A zero pivot with a zero row is kept and skipped."""
+    m = [list(r) for r in a]
     n = len(m)
+    pivots = []
     for k in range(n):
-        d = _exact(m[k][k])
-        if d < 0:
-            return False
-        if d == 0:
-            if any(m[k][j] != 0 for j in range(k, n)):
-                return False
-            continue
-        for i in range(k + 1, n):
-            f = m[i][k] / d
-            for j in range(k, n):
-                m[i][j] -= f * m[k][j]
-    return True
-
-
-def is_positive_definite(a: Matrix) -> bool:
-    """Exact positive-definiteness test for a symmetric rational matrix:
-    symmetric Gaussian elimination (LDL^T) on the upper triangle, which
-    must meet only positive pivots."""
-    m = _copy(a)
-    n = len(m)
-    for k in range(n):
-        d = _exact(m[k][k])
-        if d <= 0:
-            return False
         row_k = m[k]
+        d = _exact(row_k[k])
+        pivots.append(d)
+        if d == 0:
+            if any(row_k[k + 1:]):
+                return None
+            continue
         for i in range(k + 1, n):
             f = row_k[i] / d
             if f:
                 row_i = m[i]
                 for j in range(i, n):
                     row_i[j] -= f * row_k[j]
-    return True
+    return pivots
 
+
+def is_positive_semidefinite(a: Matrix) -> bool:
+    """Exact PSD test for a symmetric rational matrix: its LDL^T
+    elimination meets no negative pivot, and no zero pivot with a
+    nonzero row."""
+    pivots = _ldl_pivots(a)
+    return pivots is not None and all(d >= 0 for d in pivots)
+
+
+def is_positive_definite(a: Matrix) -> bool:
+    """Exact positive-definiteness test for a symmetric rational matrix:
+    its LDL^T elimination meets only positive pivots."""
+    pivots = _ldl_pivots(a)
+    return pivots is not None and all(d > 0 for d in pivots)

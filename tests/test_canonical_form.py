@@ -5,6 +5,9 @@ other one as a reduced ``Fraction``; float-mode coefficients pass
 through untouched.  Linear algebra on int input must stay exact.
 """
 
+import itertools
+import math
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -175,6 +178,51 @@ class TestLinalgExactness:
         assert linalg.is_positive_semidefinite(gram)
         assert linalg.is_positive_semidefinite(self.exact(gram))
         assert not linalg.is_positive_semidefinite([[1, 2], [2, 1]])
+
+    @staticmethod
+    def leibniz_det(a):
+        n = len(a)
+        total = 0
+        for perm in itertools.permutations(range(n)):
+            inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(n), 2))
+            total += (-1) ** inversions * math.prod(a[i][perm[i]] for i in range(n))
+        return total
+
+    def test_definiteness_matches_principal_minors(self):
+        # Sylvester's criterion for definiteness, and every principal
+        # minor non-negative for semidefiniteness, with minors by the
+        # Leibniz formula, on seeded symmetric rational matrices of sizes
+        # 0..4: arbitrary ones, B B^T of every rank (PSD, singular below
+        # full rank) and B D B^T with D of mixed sign (indefinite)
+        rng = random.Random(32)
+
+        def entry():
+            return rng.choice([rng.randint(-3, 3),
+                               Fraction(rng.randint(-3, 3), rng.randint(2, 4))])
+
+        def product(b, d):
+            return [[sum(x * di * y for x, di, y in zip(u, d, v)) for v in b] for u in b]
+        outcomes = {"definite": 0, "semidefinite": 0, "neither": 0}
+        for _ in range(600):
+            n = rng.randint(0, 4)
+            kind = rng.choice(["symmetric", "gram", "signed"])
+            if kind == "symmetric":
+                a = [[entry() for _ in range(n)] for _ in range(n)]
+                a = [[a[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+            else:
+                r = rng.randint(0, n)
+                b = [[entry() for _ in range(r)] for _ in range(n)]
+                d = [1] * r if kind == "gram" else [rng.choice([-1, 1, 2]) for _ in range(r)]
+                a = product(b, d)
+            minors = {s: self.leibniz_det([[a[i][j] for j in s] for i in s])
+                      for k in range(1, n + 1) for s in itertools.combinations(range(n), k)}
+            definite = all(minors[tuple(range(k))] > 0 for k in range(1, n + 1))
+            semidefinite = all(v >= 0 for v in minors.values())
+            assert linalg.is_positive_definite(a) == definite, a
+            assert linalg.is_positive_semidefinite(a) == semidefinite, a
+            label = "definite" if definite else "semidefinite" if semidefinite else "neither"
+            outcomes[label] += 1
+        assert min(outcomes.values()) >= 100, outcomes
 
 
 _ENTRY = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=5))

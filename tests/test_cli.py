@@ -181,20 +181,33 @@ class TestRunSuites:
         r1.pop("timing"), r2.pop("timing")
         assert json.dumps(r1, sort_keys=True) != json.dumps(r2, sort_keys=True)
 
-    def test_operators_assembled_once_per_run(self, monkeypatch):
-        calls = []
-        real = cli.assemble_operator
+    def test_repeat_assemblies_redo_no_certificate_work(self, monkeypatch):
+        # the spectra and bounds suites assemble each (op, m, p, R) more
+        # than once; the trial blocks of the cache carry each block's
+        # independence decision and eigenform checks, so the repeats add
+        # no decision and no operator image: 2 distinct bases (exact and
+        # coexact l=1), each decided once per radius, and 12 images per
+        # radius (hodge-boundary checks both blocks of dimension 3,
+        # dtn-neumann the exact one, dtn the coexact one it shares)
+        from formlab import spectral
+        counts = {"decided": [], "image": 0}
+        real_decide, real_image = spectral.is_reduced_basis, spectral._operator_image
 
-        def counting(op, m, p, l_max, R, cache):
-            calls.append((op, m, p, l_max, Fraction(R)))
-            return real(op, m, p, l_max, R, cache)
-        monkeypatch.setattr(cli, "assemble_operator", counting)
+        def decide(m, l, p, forms):
+            counts["decided"].append((m, l, p, tuple(map(id, forms))))
+            return real_decide(m, l, p, forms)
+
+        def image(*args):
+            counts["image"] += 1
+            return real_image(*args)
+        monkeypatch.setattr(spectral, "is_reduced_basis", decide)
+        monkeypatch.setattr(spectral, "_operator_image", image)
         cfg = small_config(suites=["spectra", "bounds"], dims=[3], degrees=[1],
                            radii=[Fraction(1), Fraction(1, 2)])
         report = run_suites(cfg)
         assert report["summary"]["failed"] == 0
-        assert sorted(calls) == sorted(set(calls))
-        assert len(calls) == 6
+        assert len(counts["decided"]) == 4 and len(set(counts["decided"])) == 2
+        assert counts["image"] == 24
         ids = [r["id"] for suite in report["suites"].values() for r in suite["checks"]]
         assert len(ids) == len(set(ids))
         spectra = [r for r in report["suites"]["spectra"]["checks"]
