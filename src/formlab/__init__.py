@@ -36,7 +36,7 @@ __version__ = "0.1.0"
 
 # Every public name, by the module defining it.
 _LAZY_MODULES = {
-    "exterior": ("ConstantForm", "LinearEndomorphism", "MultiIndex", "multi_indices"),
+    "exterior": ("ConstantForm", "MultiIndex", "multi_indices"),
     "polynomials": ("Polynomial",),
     "polyform": ("PolyForm", "PolyVectorField", "gradient_action"),
     "quadrature": ("RadialDensity", "integrate_ball", "integrate_sphere", "mc_oracle",

@@ -69,13 +69,13 @@ put back in list order.
 
 ``--jobs K`` splits the case list into groups (every spectrum, scaling,
 bounds and chain case of one (m, p) is one group, since they share its
-bases and its trial blocks (each built once per (m, p, R), with its
-independence decision and its eigenform checks, and shared by the three
-operators and by repeat assemblies); every quadrature-oracle case is in
-one group, so that numpy loads in one process; every other case is a
-group of its own) and deals the groups to min(K, groups) workers
-longest first, by the cost estimates of ``CASE_COSTS``, each to the
-least-loaded worker.
+bases and its trial blocks (each built once per (m, p), with its
+independence decision, shared by every radius, the three operators and
+repeat assemblies, and with its eigenform checks made once per radius);
+every quadrature-oracle case is in one group, so that numpy loads in
+one process; every other case is a group of its own) and deals the
+groups to min(K, groups) workers longest first, by the cost estimates
+of ``CASE_COSTS``, each to the least-loaded worker.
 Worker 0 is the calling process; the others are ``os.fork`` children,
 which inherit the case list, the run's context and every module loaded
 while building the list.  At ``--jobs 1`` nothing is forked.  numpy is
@@ -107,7 +107,6 @@ from fractions import Fraction
 from importlib import import_module
 
 from .ball import BallDomain, WeightFunction, canonical_weight, normal_split_residual
-from .exterior import LinearEndomorphism
 from .harmonic import BasisCache
 from .polynomials import Polynomial
 from .polyform import PolyForm, PolyVectorField
@@ -294,10 +293,11 @@ class _Context:
         """``assemble_operator``'s report on the run's cache.  Every
         operator assembled on one cache shares its trial blocks: each
         distinct block is built, and its independence decided, once per
-        (m, p, R), and each eigenform check runs once per block, the
-        coexact check once for both Dirichlet-to-Neumann maps.  So a
-        repeat assembly of one (op, m, p, R), by the spectra and bounds
-        suites, only reads theta_b off the blocks again.  Every case that
+        (m, p), whatever the radius, and each eigenform check runs once
+        per block and radius, the coexact check once for both
+        Dirichlet-to-Neumann maps.  So a repeat assembly of one
+        (op, m, p, R), by the spectra and bounds suites, only reads
+        theta_b off the blocks again.  Every case that
         assembles at one (m, p) carries the group label (m, p), which
         keeps those cases in one worker (``_partition``): each block is
         built and checked once per run at any ``--jobs``.  Assembly
@@ -433,7 +433,7 @@ def _hessian_estimate(ctx: _Context, dom) -> dict:
         rep = ident.pointwise_hessian_estimate(H, eta, c, eps)
         if not rep.passed:
             failures += 1
-    iso = LinearEndomorphism.diagonal([-c] * m)
+    iso = [[-c if i == j else Fraction(0) for j in range(m)] for i in range(m)]
     eta = sampling.random_constant_form(rng, m, min(2, m))
     iso_rep = ident.pointwise_hessian_estimate(iso, eta, c, Fraction(0))
     return {"params": {"m": m, "trials": trials},

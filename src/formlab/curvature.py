@@ -30,7 +30,7 @@ from fractions import Fraction
 from itertools import permutations, product
 from math import prod
 
-from .exterior import ConstantForm, LinearEndomorphism, multi_indices, sort_with_sign
+from .exterior import ConstantForm, multi_indices, sort_with_sign
 from .linalg import is_positive_definite, is_positive_semidefinite, rref
 from .polynomials import Polynomial
 from .polyform import PolyForm
@@ -202,9 +202,9 @@ def _weitzenbock(data: CurvatureData, forms):
     r = range(m)
     # a pair (a, c) with R(d_a, d_c) = 0 adds nothing
     terms = [(ConstantForm.basis(m, (a + 1,)), data.inverse[c],
-              LinearEndomorphism([[data.riemann_up[a][c][e][d] for e in r] for d in r]))
+              [[data.riemann_up[a][c][e][d] for e in r] for d in r])
              for a in r for c in r if any(map(any, data.riemann_up[a][c]))]
-    return [sum((dx.wedge(lift.lift(w).interior(v)) for dx, v, lift in terms), w * 0)
+    return [sum((dx.wedge(w.lift_by(rows).interior(v)) for dx, v, rows in terms), w * 0)
             if w.p else w * 0 for w in forms]
 
 
@@ -233,24 +233,23 @@ def bochner_residual(metric: ChartMetric, omega: PolyForm, point,
     m, p, x = metric.m, omega.p, data.point
     r = range(m)
     ginv, gamma = data.inverse, data.christoffel
-    conn = [LinearEndomorphism([[gamma[a][k][b] for b in r] for a in r]) for k in r]
-    dconn = [[LinearEndomorphism([[data.christoffel_d[j][a][k][b] for b in r] for a in r])
-              for k in r] for j in r]
+    conn = [[[gamma[a][k][b] for b in r] for a in r] for k in r]
+    dconn = [[[[data.christoffel_d[j][a][k][b] for b in r] for a in r] for k in r] for j in r]
 
     at = lambda f: ConstantForm(m, f.p, {I: c.evaluate(x) for I, c in f.coeffs.items()})
 
     def nabla(form):
         """form, d_k form and nabla_k form at x."""
         f0, f1 = at(form), [at(form.partial(k + 1)) for k in r]
-        return f0, f1, [f1[k] - conn[k].lift(f0) for k in r]
+        return f0, f1, [f1[k] - f0.lift_by(conn[k]) for k in r]
 
     w0, w1, nab = nabla(omega)
     # d_j nabla_l w
-    dnab = [[at(omega.partial(j + 1).partial(l + 1)) - dconn[j][l].lift(w0)
-             - conn[l].lift(w1[j]) for l in r] for j in r]
+    dnab = [[at(omega.partial(j + 1).partial(l + 1)) - w0.lift_by(dconn[j][l])
+             - w1[j].lift_by(conn[l]) for l in r] for j in r]
     rough = w0 * 0
     for k, l in product(r, r):
-        hess = dnab[k][l] - conn[k].lift(nab[l]) - sum(
+        hess = dnab[k][l] - nab[l].lift_by(conn[k]) - sum(
             (nab[a] * gamma[a][k][l] for a in r), w0 * 0)
         rough -= hess * ginv[k][l]
     hodge = w0 * 0

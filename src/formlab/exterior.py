@@ -14,6 +14,10 @@ structure, equality, `wedge`, `interior`, `star`, `inner`, `norm_sq`,
 `formlab.polyform.PolyForm` (polynomial coefficients, which adds the
 calculus) each subclass it and supply only how a scalar becomes a
 coefficient and the zero that `inner` starts from.
+
+A matrix is a list of rows throughout formlab, and it acts on forms
+only through `FormBody.lift_by`, the one matrix lift, which checks that
+it is m x m.
 """
 
 from __future__ import annotations
@@ -265,12 +269,19 @@ class FormBody:
         return self.inner(self)
 
     def lift_by(self, rows):
-        """Apply the p-form lift of the (1,1) tensor with entries
-        ``rows[i-1][j-1]`` (scalars or ring elements); 0 on 0-forms."""
+        """Apply the p-form lift of the (1,1) tensor whose m x m matrix
+        is given as rows, ``rows[i-1][j-1]`` being T_ij with T(e_j) =
+        sum_i T_ij e_i (scalars or ring elements); 0 on 0-forms.  Any
+        other shape raises ``ValueError``."""
+        m = self.m
+        if len(rows) != m or any(len(row) != m for row in rows):
+            widths = "/".join(map(str, sorted({len(row) for row in rows}))) or "0"
+            raise ValueError(f"lift on forms over R^{m} needs a {m}x{m} matrix, "
+                             f"got {len(rows)}x{widths}")
         if self.p == 0:
-            return self.zero(self.m, 0)
-        rows = [[self._coerce(self.m, e) for e in row] for row in rows]
-        return self._of(self.m, self.p, lift_terms(rows, self.coeffs, self.m))
+            return self.zero(m, 0)
+        rows = [[self._coerce(m, e) for e in row] for row in rows]
+        return self._of(m, self.p, lift_terms(rows, self.coeffs, m))
 
     def __repr__(self):
         if not self.coeffs:
@@ -294,33 +305,3 @@ class ConstantForm(FormBody):
     @staticmethod
     def _zero(m: int) -> Fraction:
         return Fraction(0)
-
-
-class LinearEndomorphism:
-    """A (1,1) tensor on R^m given by its matrix, T(e_j) = sum_i T_ij e_i."""
-
-    __slots__ = ("m", "entries")
-
-    def __init__(self, entries):
-        rows = tuple(tuple(r) for r in entries)
-        m = len(rows)
-        if any(len(r) != m for r in rows):
-            raise ValueError("matrix is not square")
-        self.m = m
-        self.entries = rows
-
-    @classmethod
-    def diagonal(cls, diag) -> "LinearEndomorphism":
-        d = list(diag)
-        m = len(d)
-        return cls([[d[i] if i == j else Fraction(0) for j in range(m)]
-                    for i in range(m)])
-
-    def trace(self):
-        return sum(self.entries[i][i] for i in range(self.m))
-
-    def lift(self, form: ConstantForm) -> ConstantForm:
-        """The degree-p lift; by convention the lift on 0-forms is 0."""
-        if form.m != self.m:
-            raise ValueError("ambient dimension mismatch")
-        return form.lift_by(self.entries)

@@ -25,7 +25,7 @@ from functools import reduce
 from numbers import Real
 from operator import add
 
-from .exterior import ConstantForm, LinearEndomorphism
+from .exterior import ConstantForm
 from .polynomials import Polynomial
 from .polyform import PolyForm, PolyVectorField, gradient_action, hessian_matrix
 from .ball import (BallDomain, WeightFunction, b_term_alternate_pairs,
@@ -405,24 +405,27 @@ class HessianEstimateReport:
             admissible, margin, equality, passed
 
 
-def pointwise_hessian_estimate(hess: LinearEndomorphism, eta: ConstantForm,
+def pointwise_hessian_estimate(hess: list[list[Fraction]], eta: ConstantForm,
                                c: Fraction, eps: Fraction) -> HessianEstimateReport:
     """Check (lap f)|eta|^2 + <eta, Hess-lift eta> >= (m-q)(c-eps)|eta|^2
-    for a Hessian with -Hess >= (c-eps) Id, where q = deg eta.
+    for a Hessian with -Hess >= (c-eps) Id, where q = deg eta.  ``hess``
+    is the m x m matrix of the Hessian given as rows, m = eta.m; any
+    other shape raises ``ValueError`` (``FormBody.lift_by``).
 
     The bound holds because in the Hessian eigenbasis each multi-index
     component picks up the sum of the eigenvalues of -Hess outside its
     index set.  Admissibility is certified by an exact PSD test.
     """
     from .linalg import is_positive_semidefinite
-    m = hess.m
+    m = eta.m
+    lifted = eta.lift_by(hess)
     c, eps = Fraction(c), Fraction(eps)
-    shifted = [[-hess.entries[i][j] - (c - eps) * int(i == j) for j in range(m)]
+    shifted = [[-hess[i][j] - (c - eps) * int(i == j) for j in range(m)]
                for i in range(m)]
     admissible = is_positive_semidefinite(shifted)
-    lap = -hess.trace()
+    lap = -sum(hess[i][i] for i in range(m))
     norm = eta.norm_sq()
-    value = lap * norm + eta.inner(hess.lift(eta))
+    value = lap * norm + eta.inner(lifted)
     bound = (m - eta.p) * (c - eps) * norm
     margin = value - bound
     if not admissible:
@@ -464,7 +467,8 @@ def replay_proof_chain(kind: str, p: int, domain: BallDomain,
     eigenvalue equal to (p+1)c.
 
     kind "comparison": the pointwise eigenvalue-sum identity with the
-    isotropic Hessian, giving the (n-p)c factor exactly.
+    isotropic Hessian and the Laplacian of the canonical weight, as its
+    ``WeightFunction`` holds them, giving the (n-p)c factor exactly.
 
     kind "nonsharp": the unweighted identity chain giving the strict
     half bound, including the two-term shape expression for B.
@@ -490,9 +494,6 @@ def replay_proof_chain(kind: str, p: int, domain: BallDomain,
         raise ValueError("missing eigenform block")
     weight = canonical_weight(domain)
     sigma = (p + 1) * c
-    if kind == "comparison":
-        hess_f = hessian_matrix(weight.f)
-        lap_f = PolyForm.from_function(weight.f).laplacian().coefficient(())
 
     checks: dict[str, bool] = {}
     details: dict[str, str] = {}
@@ -528,7 +529,7 @@ def replay_proof_chain(kind: str, p: int, domain: BallDomain,
 
         elif kind == "comparison":
             norm_sq = dphi.norm_sq()
-            pointwise = (norm_sq * lap_f + dphi.inner(dphi.lift_by(hess_f))
+            pointwise = (norm_sq * weight.lap + dphi.inner(dphi.lift_by(weight.hess))
                          - norm_sq * ((n - p) * c))
             checks[f"pointwise-sum{tag}"] = not pointwise
             rhs = ((n - p) * c * domain.interior(d_sq)

@@ -181,12 +181,6 @@ class Polynomial:
             terms[ne] = terms.get(ne, 0) + c * e[i]
         return Polynomial._of(self.m, terms)
 
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def is_zero(self) -> bool:
         return not self.terms
 

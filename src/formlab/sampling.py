@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .exterior import ConstantForm, LinearEndomorphism, multi_indices
+from .exterior import ConstantForm, multi_indices
 from .polynomials import Polynomial, monomial_exponents
 from .polyform import PolyForm, PolyVectorField
 from .quadrature import RadialDensity
@@ -70,14 +70,12 @@ def random_vector(rng: random.Random, m: int) -> tuple[Fraction, ...]:
 
 
 def random_admissible_hessian(rng: random.Random, m: int, c: Fraction,
-                              eps: Fraction) -> LinearEndomorphism:
-    """A Hessian with -H >= (c - eps) Id by construction:
+                              eps: Fraction) -> list[list[Fraction]]:
+    """The rows of a Hessian with -H >= (c - eps) Id by construction:
     -H = (c - eps) Id + B^T B with small integer B."""
     B = [[Fraction(rng.randint(-2, 2)) for _ in range(m)] for _ in range(m)]
-    entries = [[-((c - eps) * int(i == j)
-                  + sum(B[k][i] * B[k][j] for k in range(m)))
-                for j in range(m)] for i in range(m)]
-    return LinearEndomorphism(entries)
+    return [[-((c - eps) * int(i == j) + sum(B[k][i] * B[k][j] for k in range(m)))
+             for j in range(m)] for i in range(m)]
 
 
 def random_density(rng: random.Random, m: int, max_degree: int,

@@ -14,18 +14,19 @@ trial spaces:
 
 Trial spaces are the pullbacks of the normal-null harmonic blocks
 (co-exact on the sphere) and, where the operator acts on them, the
-closed blocks.  The three operators on one ball share one trial space:
-each block is built once per basis cache (``_block``) and every
-operator assembled on that cache reads it.  The Gram matrix G of
-boundary pairings int_S <J*u, J*v> is never built: by theorems proved
-in ``_certify_blocks`` it is 0 between blocks, and on each block a
-positive multiple of the Fischer Gram matrix of the coefficients,
-which is positive definite when the block's basis is in reduced form
-in its monomial frame.  No extension is solved for.  A coexact trial
-form is its own extension: it is harmonic, co-closed and normal-null,
-and ``BasisCache`` checks these constraints of every basis it loads
-from disk.  The ``dtn-neumann`` extension of a closed datum is a
-closed formula
+closed blocks.  A trial basis does not depend on the radius, so the
+three operators share one trial space on every ball of a dimension:
+each block is built once per basis cache (``_block``), and every
+operator assembled on that cache, at any radius, reads it.  The Gram
+matrix G of boundary pairings int_S <J*u, J*v> is never built: by
+theorems proved in ``_certify_blocks`` it is 0 between blocks, and on
+each block a positive multiple of the Fischer Gram matrix of the
+coefficients, which is positive definite when the block's basis is in
+reduced form in its monomial frame.  No extension is solved for.  A
+coexact trial form is its own extension: it is harmonic, co-closed and
+normal-null, and ``BasisCache`` checks these constraints of every
+basis it loads from disk.  The ``dtn-neumann`` extension of a closed
+datum is a closed formula
 (``_neumann_extension``, after Raulot-Savo), and each one is checked
 exactly to be harmonic, to pull back to the datum and to have no
 normal part on the sphere.
@@ -118,13 +119,14 @@ def _neumann_extension(phi: PolyForm, k: int, domain: BallDomain) -> PolyForm:
 # ---------------------------------------------------------------------------
 
 class Block:
-    """One trial block of a ball: its kind, "coexact" (normal-null
-    pullback) or "exact" (closed pullback); its spectral label l
-    (coexact blocks use degree l, exact blocks degree l-1); its basis;
-    whether the basis is in reduced form in its monomial frame, which
-    makes G_b, int_S <J*u, J*v> over the basis, positive definite,
-    decided once when the block is built; and the eigenform checks its
-    basis has passed (``_certify_blocks``)."""
+    """One trial block of p-forms on R^m, shared by the balls of every
+    radius: its kind, "coexact" (normal-null pullback) or "exact"
+    (closed pullback); its spectral label l (coexact blocks use degree
+    l, exact blocks degree l-1); its basis; whether the basis is in
+    reduced form in its monomial frame, which makes G_b, int_S <J*u, J*v>
+    over the basis, positive definite on every sphere, decided once when
+    the block is built; and the eigenform checks its basis has passed,
+    each on the sphere of one radius (``_certify_blocks``)."""
 
     __slots__ = ("kind", "l", "basis", "reduced", "proved")
 
@@ -137,17 +139,17 @@ class Block:
         return len(self.basis)
 
 
-def _block(kind: str, l: int, p: int, domain: BallDomain, cache: BasisCache) -> Block | None:
-    """The trial block (kind, l) of p-forms on the ball, built once per
-    cache and kept in its ``trial_blocks``, so that every operator
-    assembled on the cache shares the block, its reduced-form decision
-    (``harmonic.is_reduced_basis``) and the eigenform checks it has
-    passed; None when its basis is empty."""
-    key = (domain.m, p, domain.radius, kind, l)
+def _block(kind: str, l: int, m: int, p: int, cache: BasisCache) -> Block | None:
+    """The trial block (kind, l) of p-forms on R^m, built once per cache
+    and kept in its ``trial_blocks`` under (m, p, kind, l), so that
+    every operator assembled on the cache, at any radius, shares the
+    block, its reduced-form decision (``harmonic.is_reduced_basis``) and
+    the eigenform checks it has passed; None when its basis is empty."""
+    key = (m, p, kind, l)
     if key not in cache.trial_blocks:
         k, basis_kind = (l, "H-normal-null") if kind == "coexact" else (l - 1, "H-closed")
-        basis = list(cache.get(domain.m, k, p, basis_kind).basis)
-        cache.trial_blocks[key] = (Block(kind, l, basis, is_reduced_basis(domain.m, k, p, basis))
+        basis = list(cache.get(m, k, p, basis_kind).basis)
+        cache.trial_blocks[key] = (Block(kind, l, basis, is_reduced_basis(m, k, p, basis))
                                    if basis else None)
     return cache.trial_blocks[key]
 
@@ -261,9 +263,10 @@ def assemble_operator(operator: str, m: int, p: int, l_max: int, radius,
     """The operator's trial blocks l = 1..l_max, for each l the exact
     block (not for ``dtn``) and then the coexact one, and the spectrum
     read off the exact block certificate (``_certify_blocks``).  Every
-    operator assembled on one cache shares each block (``_block``): its
-    reduced form is decided once, and the eigenform check the two
-    Dirichlet-to-Neumann maps have in common runs once."""
+    operator assembled on one cache, at any radius, shares each block
+    (``_block``): its reduced form is decided once, and the eigenform
+    check the two Dirichlet-to-Neumann maps have in common runs once per
+    radius."""
     if operator not in OPERATORS:
         raise ValueError(f"unknown operator {operator!r}")
     if not 1 <= p <= m - 1:
@@ -272,7 +275,7 @@ def assemble_operator(operator: str, m: int, p: int, l_max: int, radius,
     domain = BallDomain(m, Fraction(radius))
     kinds = ("coexact",) if operator == "dtn" else ("exact", "coexact")
     blocks = [blk for l in range(1, l_max + 1) for kind in kinds
-              if (blk := _block(kind, l, p, domain, cache))]
+              if (blk := _block(kind, l, m, p, cache))]
     assembly = OperatorAssembly(operator, domain, p, l_max, blocks)
     return assembly, _solve_assembly(assembly)
 
@@ -357,12 +360,15 @@ def _certify_blocks(assembly: OperatorAssembly) -> list[Fraction]:
     ``CertificateError`` naming the operator, the block and its rows,
     the trial form where one fails, and the condition.
 
-    A block decides its reduced form once, when it is built, and records
-    each eigenform check it passes, by operator image and theta_b, and
-    runs none twice.  The two Dirichlet-to-Neumann maps
-    share their check on a coexact block: the same forms, each its own
-    extension under both, the same image -i_N d phi and the same
-    theta_b = (p + l)/R."""
+    A block, shared by every radius, decides its reduced form once, when
+    it is built, and records each eigenform check it passes, by operator
+    image, radius and theta_b, and runs none twice.  The radius is part
+    of the record because the check is made on the sphere of that radius
+    and theta_b need not tell radii apart: the hodge-boundary coexact
+    l = 1 block at p = m - 1 has theta_b = 0 at every R.  The two
+    Dirichlet-to-Neumann maps share their check on a coexact block: the
+    same forms, each its own extension under both, the same image
+    -i_N d phi and the same theta_b = (p + l)/R."""
     dom, op = assembly.domain, assembly.operator
     thetas = []
     start = 0
@@ -370,7 +376,8 @@ def _certify_blocks(assembly: OperatorAssembly) -> list[Fraction]:
         theta = assembly.theta(blk)
         where = (f"{op} at m={dom.m}, p={assembly.p}, R={dom.radius}: "
                  f"block {blk.kind} l={blk.l} (rows {start}..{start + blk.dim - 1}): ")
-        proof = ("dtn" if blk.kind == "coexact" and op != "hodge-boundary" else op, theta)
+        proof = ("dtn" if blk.kind == "coexact" and op != "hodge-boundary" else op,
+                 dom.radius, theta)
         if proof not in blk.proved:
             for i, w in enumerate(blk.basis, start):
                 image = _operator_image(op, w, assembly.extension(blk, w), dom)

@@ -1,5 +1,8 @@
 """Form constructions that only the tests use: the volume form, the
-flat covariant gradient and the split by coefficient degree."""
+flat covariant gradient, the split by coefficient degree and the rows
+of a diagonal matrix."""
+
+from fractions import Fraction
 
 from formlab.polynomials import Polynomial
 from formlab.polyform import PolyForm
@@ -23,3 +26,11 @@ def homogeneous_parts(w: PolyForm) -> dict[int, PolyForm]:
             parts.setdefault(sum(e), {}).setdefault(I, {})[e] = v
     return {d: PolyForm(w.m, w.p, {I: Polynomial(w.m, t) for I, t in cs.items()})
             for d, cs in sorted(parts.items())}
+
+
+def diag(values) -> list[list]:
+    """The rows of the diagonal matrix with the given diagonal, for
+    ``FormBody.lift_by``."""
+    values = list(values)
+    return [[v if i == j else Fraction(0) for j in range(len(values))]
+            for i, v in enumerate(values)]

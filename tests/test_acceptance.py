@@ -12,12 +12,12 @@ from fractions import Fraction
 import pytest
 
 from densities import pairs_density
+from forms import diag
 from formlab.ball import (BallDomain, WeightFunction, b_term_alternate_pairs,
                           b_term_pairs, canonical_weight)
 from formlab.cli import RunConfig, run_suites
 from formlab.curvature import (ChartMetric, bochner_residual, curvature_at,
                                gallot_meyer_check, weitzenbock_at)
-from formlab.exterior import LinearEndomorphism
 from formlab.harmonic import BasisCache
 from formlab.identities import (adjunction_residual,
                                 boundary_adjointness_residual,
@@ -287,7 +287,7 @@ def test_criterion_10_hessian_estimate():
         if not rep.passed:
             violations += 1
     assert violations == 0
-    iso = LinearEndomorphism.diagonal([Fraction(-2)] * 3)
+    iso = diag([Fraction(-2)] * 3)
     eta = random_constant_form(rng, 3, 2)
     rep = pointwise_hessian_estimate(iso, eta, Fraction(2), Fraction(0))
     assert rep.equality and rep.margin == 0

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from formlab.exterior import (ConstantForm, LinearEndomorphism, multi_indices,
-                              sort_with_sign, star_index)
+from formlab.exterior import ConstantForm, multi_indices, sort_with_sign, star_index
 from formlab.polyform import PolyForm
 from formlab.polynomials import Polynomial
 from formlab.sampling import (random_constant_form, random_vector, rng_for)
+
+from forms import diag
 
 
 def basis(m, *I):
@@ -129,8 +130,8 @@ class TestInner:
 
 class TestTensorLift:
     def test_diagonal(self):
-        T = LinearEndomorphism.diagonal([Fraction(5), Fraction(7), Fraction(11)])
-        assert T.lift(basis(3, 1, 2)) == basis(3, 1, 2) * Fraction(12)
+        T = diag([Fraction(5), Fraction(7), Fraction(11)])
+        assert basis(3, 1, 2).lift_by(T) == basis(3, 1, 2) * Fraction(12)
 
     def test_identity_gives_degree(self):
         rng = rng_for(5, "lift-id")
@@ -138,20 +139,19 @@ class TestTensorLift:
             m = rng.randint(2, 4)
             p = rng.randint(1, m)
             a = random_constant_form(rng, m, p)
-            assert LinearEndomorphism.diagonal([Fraction(1)] * m).lift(a) == a * Fraction(p)
+            assert a.lift_by(diag([Fraction(1)] * m)) == a * Fraction(p)
 
     def test_degree_zero_convention(self):
-        T = LinearEndomorphism.diagonal([Fraction(1)] * 3)
         f = ConstantForm(3, 0, {(): Fraction(4)})
-        assert T.lift(f).is_zero()
+        assert f.lift_by(diag([Fraction(1)] * 3)).is_zero()
 
     def test_diagonal_eigenvalues_are_index_sums(self):
-        diag = [Fraction(2), Fraction(-1), Fraction(3), Fraction(5)]
-        T = LinearEndomorphism.diagonal(diag)
+        values = [Fraction(2), Fraction(-1), Fraction(3), Fraction(5)]
+        T = diag(values)
         for p in range(1, 5):
             for I in multi_indices(4, p):
-                expected = sum(diag[i - 1] for i in I)
-                assert T.lift(basis(4, *I)) == basis(4, *I) * expected
+                expected = sum(values[i - 1] for i in I)
+                assert basis(4, *I).lift_by(T) == basis(4, *I) * expected
 
     def test_linearity_in_tensor_and_form(self):
         rng = rng_for(6, "lift-lin")
@@ -162,11 +162,23 @@ class TestTensorLift:
             b = random_constant_form(rng, m, p)
             T1 = [[Fraction(rng.randint(-2, 2)) for _ in range(m)] for _ in range(m)]
             T2 = [[Fraction(rng.randint(-2, 2)) for _ in range(m)] for _ in range(m)]
-            S = LinearEndomorphism([[T1[i][j] + T2[i][j] for j in range(m)]
-                                    for i in range(m)])
-            assert S.lift(a) == LinearEndomorphism(T1).lift(a) + LinearEndomorphism(T2).lift(a)
-            assert LinearEndomorphism(T1).lift(a + b) == \
-                LinearEndomorphism(T1).lift(a) + LinearEndomorphism(T1).lift(b)
+            S = [[T1[i][j] + T2[i][j] for j in range(m)] for i in range(m)]
+            assert a.lift_by(S) == a.lift_by(T1) + a.lift_by(T2)
+            assert (a + b).lift_by(T1) == a.lift_by(T1) + b.lift_by(T1)
+
+    @pytest.mark.parametrize("cls", [ConstantForm, PolyForm])
+    @pytest.mark.parametrize("rows, got", [
+        ([[1, 0, 0, 9], [0, 1, 0, 9], [0, 0, 1, 9]], "3x4"),
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [9, 9, 9]], "4x3"),
+        ([[1, 0], [0, 1]], "2x2"),
+        ([[1, 0, 0], [0, 1], [0, 0, 1]], "3x2/3"),
+    ], ids=["too-wide", "too-tall", "too-short", "ragged"])
+    def test_matrix_not_m_by_m_is_rejected(self, cls, rows, got):
+        # every degree, 0 included, checks the shape before lifting
+        for p in range(4):
+            w = cls.basis(3, tuple(range(1, p + 1)))
+            with pytest.raises(ValueError, match=f"needs a 3x3 matrix, got {got}$"):
+                w.lift_by(rows)
 
 
 class TestAdjunction:
@@ -238,7 +250,7 @@ class TestSharedFormBody:
         assert pa.star() == _as_poly(a.star())
         assert pa.inner(pb) == Polynomial.constant(m, a.inner(b))
         assert pa.norm_sq() == Polynomial.constant(m, a.norm_sq())
-        assert pa.lift_by(T) == _as_poly(LinearEndomorphism(T).lift(a))
+        assert pa.lift_by(T) == _as_poly(a.lift_by(T))
         assert pa.is_zero() == a.is_zero()
         if a.p >= 1:
             assert pa.interior(X) == _as_poly(a.interior(X))

@@ -5,8 +5,11 @@ imports ``dataclasses``; only ``quadrature`` and ``ball`` name
 ``quadrature``; ``ball`` and ``cli`` import ``quadrature`` only where
 they integrate, and only ``quadrature`` and ``sampling`` name
 ``RadialDensity``; every function the library defines is called in it or
-exported; importing the package loads no layer; a run loads only the
-layers its suite calls; and the README's layout names every module."""
+exported; every method of a library class is read as an attribute, and
+every module-level def or class named, somewhere in the library, its
+tests or its benchmark, or exported; importing the package loads no
+layer; a run loads only the layers its suite calls; and the README's
+layout names every module."""
 
 import ast
 import subprocess
@@ -18,6 +21,7 @@ import pytest
 import formlab
 
 SRC = Path(formlab.__file__).parent
+ROOT = Path(__file__).parent.parent
 
 
 def test_every_exported_name_resolves():
@@ -206,22 +210,32 @@ UNREFERENCED_ALLOWED = {
 }
 
 
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _names_read(trees) -> tuple[set[str], set[str]]:
+    """The ids of every ``Name`` and the attributes of every
+    ``Attribute`` in the trees."""
+    names, attrs = set(), set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+    return names, attrs
+
+
 def _unreferenced_functions(trees: dict[str, ast.Module], exported) -> list[str]:
     """``module:line:name`` of every function or method, dunders aside,
     whose name no ``Name`` or ``Attribute`` in any of the modules reads
     and that is not exported."""
-    referenced = set(exported)
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                referenced.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
+    referenced = set(exported).union(*_names_read(trees.values()))
     return [f"{module}:{node.lineno}:{node.name}"
             for module, tree in trees.items() for node in ast.walk(tree)
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and not (node.name.startswith("__") and node.name.endswith("__"))
-            and node.name not in referenced]
+            and not _is_dunder(node.name) and node.name not in referenced]
 
 
 def test_every_function_is_referenced_or_exported():
@@ -237,6 +251,50 @@ def test_checker_flags_an_unreferenced_function():
                      "def d(): pass\nclass K:\n    def __len__(self): return 0\n"
                      "    def e(self): self.a\n")
     assert _unreferenced_functions({"m.py": tree}, ["d"]) == ["m.py:3:c", "m.py:7:e"]
+
+
+def _orphans(library: dict[str, ast.Module], readers, exported) -> list[str]:
+    """``module:line:name`` of every module-level def or class of the
+    library that no ``Name`` or ``Attribute`` in the readers names and
+    that is not exported, and ``module:line:Class.method`` of every
+    method of a module-level class that no ``Attribute`` in the readers
+    reads; dunders aside."""
+    names, attrs = _names_read(readers)
+    named = names | attrs | set(exported)
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    out = []
+    for module, tree in library.items():
+        for node in tree.body:
+            if not isinstance(node, defs) or _is_dunder(node.name):
+                continue
+            if node.name not in named:
+                out.append(f"{module}:{node.lineno}:{node.name}")
+            if isinstance(node, ast.ClassDef):
+                out += [f"{module}:{sub.lineno}:{node.name}.{sub.name}" for sub in node.body
+                        if isinstance(sub, defs[:2]) and not _is_dunder(sub.name)
+                        and sub.name not in attrs]
+    return out
+
+
+def test_every_library_name_is_read_somewhere():
+    library = {path.name: ast.parse(path.read_text(), filename=str(path))
+               for path in sorted(SRC.glob("*.py"))}
+    readers = list(library.values()) + [
+        ast.parse(path.read_text(), filename=str(path))
+        for folder in ("tests", "perfbench") for path in sorted((ROOT / folder).glob("*.py"))]
+    orphans = _orphans(library, readers, formlab.__all__)
+    assert not orphans, f"defined but never read in src, tests or perfbench: {orphans}"
+
+
+def test_checker_flags_an_orphan():
+    lib = ast.parse("def a(): pass\ndef b(): pass\ndef __getattr__(n): pass\n"
+                    "class K:\n    def __len__(self): return 0\n"
+                    "    def m(self): pass\n    def n(self): pass\n"
+                    "class L:\n    def o(self): pass\n")
+    # a method counts only when read as an attribute, not by its bare name
+    reader = ast.parse("a()\nK().m()\nn = 1\no = L\n")
+    assert _orphans({"lib.py": lib}, [lib, reader], ["L"]) == \
+        ["lib.py:2:b", "lib.py:7:K.n", "lib.py:9:L.o"]
 
 
 SPECTRUM_ABSENT = ["numpy", "formlab.identities", "formlab.sampling",

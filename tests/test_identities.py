@@ -10,7 +10,6 @@ from formlab import ball, cli, identities
 from formlab.ball import (BallDomain, WeightFunction, boundary_delta_rep,
                           canonical_weight, normal_part)
 from formlab.cli import FLOAT_TOLERANCE, _float_form, _float_weight
-from formlab.exterior import LinearEndomorphism
 from formlab.identities import (pointwise_hessian_estimate, replay_proof_chain,
                                 verify_function_reilly, verify_pohozhaev,
                                 verify_stokes, verify_unweighted_reilly,
@@ -21,7 +20,7 @@ from formlab.quadrature import integrate_ball, integrate_sphere
 from formlab.sampling import (random_admissible_hessian, random_constant_form,
                               random_form, random_polynomial,
                               random_vector_field, rng_for)
-from forms import covariant_gradient
+from forms import covariant_gradient, diag
 
 DOM3 = BallDomain(3, Fraction(1))
 
@@ -288,7 +287,7 @@ class TestPohozhaev:
 class TestHessianEstimate:
     def test_isotropic_equality(self):
         c = Fraction(1)
-        H = LinearEndomorphism.diagonal([-c] * 3)
+        H = diag([-c] * 3)
         eta = random_constant_form(rng_for(52, "iso"), 3, 2)
         rep = pointwise_hessian_estimate(H, eta, c, Fraction(0))
         assert rep.passed and rep.equality and rep.margin == 0
@@ -312,13 +311,13 @@ class TestHessianEstimate:
 
     def test_degenerate_epsilon(self):
         # eps = c: lower bound 0, any negative-semidefinite Hessian works
-        H = LinearEndomorphism.diagonal([Fraction(0), Fraction(-1), Fraction(-2)])
+        H = diag([Fraction(0), Fraction(-1), Fraction(-2)])
         eta = random_constant_form(rng_for(54, "deg"), 3, 1)
         rep = pointwise_hessian_estimate(H, eta, Fraction(1), Fraction(1))
         assert rep.passed
 
     def test_precondition_violation_reported(self):
-        H = LinearEndomorphism.diagonal([Fraction(1), Fraction(-2), Fraction(-2)])
+        H = diag([Fraction(1), Fraction(-2), Fraction(-2)])
         eta = random_constant_form(rng_for(55, "bad"), 3, 1)
         rep = pointwise_hessian_estimate(H, eta, Fraction(1), Fraction(0))
         assert not rep.admissible and not rep.passed

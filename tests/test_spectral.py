@@ -658,6 +658,26 @@ class TestBlockCertificate:
         # the coexact l=1 block, then the exact one
         assert len(decided) == len(set(decided)) == 2
 
+    def test_each_radius_checks_a_shared_block_on_its_own_sphere(self, monkeypatch):
+        # the hodge-boundary coexact l=1 block at p = m-1 has theta_b = 0
+        # at every radius, and the one block serves both radii; its
+        # eigenform check still runs on each sphere
+        images = []
+        real = spectral._operator_image
+
+        def image(op, w, ext, dom):
+            images.append(dom.radius)
+            return real(op, w, ext, dom)
+        monkeypatch.setattr(spectral, "_operator_image", image)
+        cache = BasisCache()
+        for R in (1, 2):
+            asm, rep = assemble_operator("hodge-boundary", 3, 2, 1, R, cache)
+            coexact = [blk for blk in asm.blocks if blk.kind == "coexact"]
+            assert [asm.theta(blk) for blk in coexact] == [0]
+        assert len([blk for blk in cache.trial_blocks.values() if blk]) == len(asm.blocks)
+        dims = sum(blk.dim for blk in asm.blocks)
+        assert images == [1] * dims + [2] * dims
+
     def test_wrong_neumann_coefficient_names_the_form(self, monkeypatch):
         # a -> (p+k+1)/(m+2k) with the extension's own checks bypassed:
         # the pullback of -i_N d ext is then (2a + p + k)/R J* phi, off theta_b
