@@ -42,7 +42,7 @@ _LAZY_MODULES = {
     "quadrature": ("RadialDensity", "integrate_ball", "integrate_sphere", "mc_oracle",
                    "sphere_average"),
     "ball": ("BallDomain", "WeightFunction", "canonical_weight", "normal_part"),
-    "harmonic": ("BasisCache", "FormSpaceBasis", "sphere_reduce"),
+    "harmonic": ("BasisCache", "sphere_reduce"),
     "spectral": ("CertificateError", "SpectrumReport", "assemble_operator",
                  "ball_reference_eigenvalue", "check_bounds", "scaling_check"),
     "identities": ("IdentityReport", "pointwise_hessian_estimate",

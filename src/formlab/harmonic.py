@@ -28,19 +28,22 @@ Bases are computed by the sparse exact elimination of ``linalg``, on
 rows and coordinates read straight off the forms' terms, and each is
 the one basis of its span in the reduced form of ``_in_reduced_form``:
 the reduced row echelon form is unique, so any construction of a kind,
-any order of its rows, and every run give the same basis.  A small disk
-cache stores the results, one JSON document per (m, l, p, kind): schema
-2 holds the monomial frame and the basis vectors, with rationals
-encoded portably as decimal strings (sign carried by the numerator).
+any order of its rows, and every run give the same basis.  A basis is
+a tuple of forms.  A small disk cache stores the results, one JSON
+document per (m, l, p, kind): schema 3 holds that key and, for each
+vector, its nonzero coefficients as [frame index, str(Fraction)] pairs
+in the monomial frame of ``_monomial_frame``, which the key determines.
 A file is trusted only when its schema and its (m, l, p, kind) match
-the request, it holds exactly ``expected_dim(m, l, p, kind)`` vectors,
-the dimension in closed form, its vectors are in the reduced form every
-computed basis has, which proves them linearly independent
-(``is_reduced_basis``), and every decoded form satisfies the
-constraints that define its kind (``_in_kind``).  Independent forms of
-the kind, as many as its dimension, span it.  Any other file is a miss,
-and the basis is recomputed and written over it; a computed basis of
-any other size raises ``AssertionError``.
+the request, every frame index is in range, it holds exactly
+``expected_dim(m, l, p, kind)`` vectors, the dimension in closed form,
+its vectors are in the reduced form every computed basis has, which
+proves them linearly independent (``is_reduced_basis``), and every
+decoded form satisfies the constraints that define its kind
+(``_in_kind``).  Independent forms of the kind, as many as its
+dimension, span it.  Any other file, a schema-2 one with its dense
+coordinates included, is a miss, and the basis is recomputed and
+written over it; a computed basis of any other size raises
+``AssertionError``.
 """
 
 from __future__ import annotations
@@ -57,18 +60,7 @@ from .polynomials import Polynomial, monomial_exponents
 from .polyform import PolyForm, PolyVectorField
 
 KINDS = ("H-closed", "H-normal-null")
-SCHEMA = 2
-
-
-class FormSpaceBasis:
-    __slots__ = ("m", "l", "p", "kind", "basis")
-
-    def __init__(self, m: int, l: int, p: int, kind: str, basis: list[PolyForm]):
-        self.m, self.l, self.p, self.kind, self.basis = m, l, p, kind, basis
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
+SCHEMA = 3
 
 
 def _monomial_frame(m: int, l: int, p: int):
@@ -105,7 +97,7 @@ def _kernel(m: int, l: int, p: int, operators) -> list[PolyForm]:
     (one per free column, 1 there) are in the reduced form of
     ``_in_reduced_form``."""
     frame = _monomial_frame(m, l, p)
-    monomials = monomial_form_basis(m, l, p).basis
+    monomials = monomial_form_basis(m, l, p)
     rows = [row for op in operators for row in _form_rows([op(b) for b in monomials])]
     return [_vector_to_form(m, p, frame, vec) for vec in linalg.nullspace(rows, len(frame))]
 
@@ -124,15 +116,12 @@ def _reduced_span(m: int, l: int, p: int, forms: list[PolyForm]) -> list[PolyFor
             for row in reversed(reduced.values())]
 
 
-def monomial_form_basis(m: int, l: int, p: int) -> FormSpaceBasis:
-    """The full space of homogeneous polynomial p-forms of degree l."""
+def monomial_form_basis(m: int, l: int, p: int) -> tuple[PolyForm, ...]:
+    """The full space of homogeneous polynomial p-forms of degree l, one
+    monomial form per frame entry."""
     if l < 0 or not 0 <= p <= m:
         raise ValueError("bad (l, p) range")
-    frame = _monomial_frame(m, l, p)
-    basis = []
-    for I, e in frame:
-        basis.append(PolyForm(m, p, {I: Polynomial(m, {e: 1})}))
-    return FormSpaceBasis(m, l, p, "P", basis)
+    return tuple(PolyForm(m, p, {I: Polynomial(m, {e: 1})}) for I, e in _monomial_frame(m, l, p))
 
 
 def _harmonic_polynomials(m: int, l: int) -> int:
@@ -260,36 +249,25 @@ def is_reduced_basis(m: int, l: int, p: int, forms: list[PolyForm]) -> bool:
 # Disk cache.
 # ---------------------------------------------------------------------------
 
-def _encode_fraction(x: Fraction | int) -> list[str]:
-    return [str(x.numerator), str(x.denominator)]
-
-
-def _decode_fraction(pair) -> Fraction:
-    return Fraction(int(pair[0]), int(pair[1]))
-
-
-def _encode_basis(fsb: FormSpaceBasis) -> dict:
-    frame = _monomial_frame(fsb.m, fsb.l, fsb.p)
+def _encode_basis(m: int, l: int, p: int, kind: str, basis) -> dict:
+    """The schema-3 document of a basis: its key, and each vector's
+    nonzero coefficients as [frame index, str(Fraction)] pairs."""
     return {
-        "schema": SCHEMA,
-        "m": fsb.m, "l": fsb.l, "p": fsb.p, "kind": fsb.kind,
-        "dim": fsb.dim,
-        "frame": [[list(I), list(e)] for I, e in frame],
-        "vectors": [[_encode_fraction(vec.get(i, 0)) for i in range(len(frame))]
-                    for vec in _coordinates(frame, fsb.basis)],
+        "schema": SCHEMA, "m": m, "l": l, "p": p, "kind": kind,
+        "vectors": [[[i, str(c)] for i, c in vec.items()]
+                    for vec in _coordinates(_monomial_frame(m, l, p), basis)],
     }
 
 
-def _decode_basis(doc: dict) -> FormSpaceBasis:
+def _decode_basis(doc: dict) -> tuple[PolyForm, ...]:
+    """The forms of a schema-3 document, in its order.  Whether they are
+    a basis of their kind is ``BasisCache._load``'s decision."""
     m, l, p = doc["m"], doc["l"], doc["p"]
-    frame = [(tuple(I), tuple(e)) for I, e in doc["frame"]]
-    if frame != _monomial_frame(m, l, p) or any(len(vec) != len(frame)
-                                                for vec in doc["vectors"]):
-        raise ValueError("basis document does not fit its monomial frame")
-    basis = [_vector_to_form(m, p, frame, {i: c for i, c in enumerate(map(_decode_fraction, vec))
-                                           if c})
-             for vec in doc["vectors"]]
-    return FormSpaceBasis(m, l, p, doc["kind"], basis)
+    frame = _monomial_frame(m, l, p)
+    vectors = [{i: Fraction(c) for i, c in vec} for vec in doc["vectors"]]
+    if any(i not in range(len(frame)) for vec in vectors for i in vec):
+        raise ValueError("frame index out of range")
+    return tuple(_vector_to_form(m, p, frame, vec) for vec in vectors)
 
 
 def _in_kind(w: PolyForm, kind: str) -> bool:
@@ -310,15 +288,16 @@ def _in_kind(w: PolyForm, kind: str) -> bool:
 class BasisCache:
     """Memoising store for form-space bases, optionally disk-backed.
 
-    Disk writes go through a temporary file and an atomic rename, so
-    readers only ever see whole files.  The forked workers of the
-    command line's ``--jobs`` each hold their own memo; two that miss
-    the same basis both compute it and write the same bytes.  A file
-    that is not a well-formed basis document (truncated, a zero
-    denominator, a vector that does not fit its frame), of another
-    schema, for another (m, l, p, kind), with dependent vectors, with a
-    form outside its kind or with a vector count other than
-    ``expected_dim`` is a miss, rebuilt and rewritten.  A miss computes
+    ``get`` returns a basis as a tuple of forms.  Disk writes go through
+    a temporary file and an atomic rename, so readers only ever see
+    whole files.  The forked workers of the command line's ``--jobs``
+    each hold their own memo; two that miss the same basis both compute
+    it and write the same bytes.  A file is a miss, rebuilt and
+    rewritten, when it is not a well-formed schema-3 document (not
+    JSON, nested too deep for the parser, truncated, a zero denominator,
+    a frame index out of range), is of another schema, is for another
+    (m, l, p, kind), has dependent vectors, has a form outside its kind
+    or has a vector count other than ``expected_dim``.  A miss computes
     and stores the requested basis and the one it is built from, the
     "H-closed" basis at (l - 1, p + 1) for "H-normal-null".  An instance
     is not shared between threads: no run starts any, and each forked
@@ -329,7 +308,7 @@ class BasisCache:
         self.directory = directory
         if directory:
             os.makedirs(directory, exist_ok=True)
-        self._memo: dict[tuple, FormSpaceBasis] = {}
+        self._memo: dict[tuple, tuple[PolyForm, ...]] = {}
         # the trial blocks that ``spectral`` builds on these bases, kept
         # here so that they live exactly as long as the bases they read
         self.trial_blocks: dict = {}
@@ -339,19 +318,19 @@ class BasisCache:
             return None
         return os.path.join(self.directory, f"basis_m{m}_l{l}_p{p}_{kind}.json")
 
-    def get(self, m: int, l: int, p: int, kind: str) -> FormSpaceBasis:
+    def get(self, m: int, l: int, p: int, kind: str) -> tuple[PolyForm, ...]:
         if kind not in KINDS:
             raise ValueError(f"unknown basis kind {kind!r}")
         key = (m, l, p, kind)
         if key not in self._memo:
-            fsb = self._load(key)
-            if fsb is None:
-                fsb = self._compute(m, l, p, kind)
-                self._store(fsb)
-            self._memo[key] = fsb
+            basis = self._load(key)
+            if basis is None:
+                basis = self._compute(*key)
+                self._store(key, basis)
+            self._memo[key] = basis
         return self._memo[key]
 
-    def _load(self, key: tuple) -> FormSpaceBasis | None:
+    def _load(self, key: tuple) -> tuple[PolyForm, ...] | None:
         path = self._path(*key)
         if not path or not os.path.exists(path):
             return None
@@ -360,37 +339,37 @@ class BasisCache:
                 doc = json.load(fh)
             if [doc.get(k) for k in ("schema", "m", "l", "p", "kind")] != [SCHEMA, *key]:
                 return None
-            fsb = _decode_basis(doc)
-        except (ValueError, TypeError, KeyError, IndexError, AttributeError,
-                ZeroDivisionError):
-            # not JSON, not a document, or entries of the wrong shape
+            basis = _decode_basis(doc)
+        except (ValueError, TypeError, KeyError, AttributeError, ZeroDivisionError,
+                RecursionError):
+            # not JSON, nested too deep to parse, not a document, or
+            # entries of the wrong shape
             return None
-        trusted = (fsb.dim == expected_dim(*key)
-                   and is_reduced_basis(*key[:3], fsb.basis)
-                   and all(_in_kind(w, fsb.kind) for w in fsb.basis))
-        return fsb if trusted else None
+        trusted = (len(basis) == expected_dim(*key)
+                   and is_reduced_basis(*key[:3], basis)
+                   and all(_in_kind(w, key[3]) for w in basis))
+        return basis if trusted else None
 
-    def _store(self, fsb: FormSpaceBasis) -> None:
-        path = self._path(fsb.m, fsb.l, fsb.p, fsb.kind)
+    def _store(self, key: tuple, basis: tuple[PolyForm, ...]) -> None:
+        path = self._path(*key)
         if not path:
             return
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             # one write: json.dump streams through the pure-Python encoder
-            fh.write(json.dumps(_encode_basis(fsb)))
+            fh.write(json.dumps(_encode_basis(*key, basis)))
         os.replace(tmp, path)
 
-    def _compute(self, m, l, p, kind) -> FormSpaceBasis:
+    def _compute(self, m, l, p, kind) -> tuple[PolyForm, ...]:
         if kind == "H-closed":
             basis = _kernel(m, l, p, [PolyForm.d] * (p < m) + [PolyForm.delta] * (p > 0))
         elif l == 0 or p == m:
-            basis = monomial_form_basis(m, l, p).basis if l == p == 0 else []
+            basis = monomial_form_basis(m, l, p) if l == p == 0 else ()
         else:
             position = PolyVectorField.position(m)
             basis = _reduced_span(m, l, p, [w.interior(position) for w in
-                                            self.get(m, l - 1, p + 1, "H-closed").basis])
-        fsb = FormSpaceBasis(m, l, p, kind, basis)
-        if fsb.dim != expected_dim(m, l, p, kind):
-            raise AssertionError(f"basis ({m}, {l}, {p}, {kind}) has {fsb.dim} vectors, "
+                                            self.get(m, l - 1, p + 1, "H-closed")])
+        if len(basis) != expected_dim(m, l, p, kind):
+            raise AssertionError(f"basis ({m}, {l}, {p}, {kind}) has {len(basis)} vectors, "
                                  f"expected {expected_dim(m, l, p, kind)}")
-        return fsb
+        return tuple(basis)

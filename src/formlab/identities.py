@@ -358,10 +358,11 @@ def weighted_codifferential_residual(f: Polynomial, omega: PolyForm) -> bool:
 
 def hessian_expansion_residual(f: Polynomial, omega: PolyForm) -> bool:
     """delta(df ^ w) = (lap f) w - grad_{grad f} w + Hess f(w) - df ^ delta w."""
-    df = PolyVectorField.from_gradient(f).dual_one_form()
+    gradf = PolyVectorField.from_gradient(f)
+    df = gradf.dual_one_form()
     lhs = df.wedge(omega).delta()
     lap_f = PolyForm.from_function(f).laplacian().coefficient(())
-    rhs = omega * lap_f - omega.deriv_along(PolyVectorField.from_gradient(f)) \
+    rhs = omega * lap_f - omega.deriv_along(gradf) \
         + omega.lift_by(hessian_matrix(f))
     if omega.p >= 1:
         rhs = rhs - df.wedge(omega.delta())
@@ -490,7 +491,7 @@ def replay_proof_chain(kind: str, p: int, domain: BallDomain,
     if kind in ("comparison", "nonsharp") and p > n - 1:
         raise ValueError(f"{kind} chain needs p <= n-1")
     block = cache.get(m, 1, p, "H-normal-null")
-    if not block.dim:
+    if not block:
         raise ValueError("missing eigenform block")
     weight = canonical_weight(domain)
     sigma = (p + 1) * c
@@ -498,7 +499,7 @@ def replay_proof_chain(kind: str, p: int, domain: BallDomain,
     checks: dict[str, bool] = {}
     details: dict[str, str] = {}
 
-    for idx, phi in enumerate(block.basis):
+    for idx, phi in enumerate(block):
         tag = f"[{idx}]"
         dphi = phi.d()
         i_n_dphi = normal_part(dphi, domain)
@@ -553,5 +554,5 @@ def replay_proof_chain(kind: str, p: int, domain: BallDomain,
             checks[f"strict-half-bound{tag}"] = sigma_phi > (p + 1) * c / 2
 
     details["sigma"] = str(sigma)
-    details["block_dim"] = str(block.dim)
+    details["block_dim"] = str(len(block))
     return ChainReport(kind, {"m": m, "p": p, "R": domain.radius}, checks, details)

@@ -24,9 +24,10 @@ each block a positive multiple of the Fischer Gram matrix of the
 coefficients, which is positive definite when the block's basis is in
 reduced form in its monomial frame.  No extension is solved for.  A
 coexact trial form is its own extension: it is harmonic, co-closed and
-normal-null, and ``BasisCache`` checks these constraints of every
-basis it loads from disk.  The ``dtn-neumann`` extension of a closed
-datum is a closed formula
+normal-null, and ``BasisCache`` checks these constraints on the forms
+it decodes from every cache file it loads, with their number and
+their reduced form, before it trusts them.  The ``dtn-neumann``
+extension of a closed datum is a closed formula
 (``_neumann_extension``, after Raulot-Savo), and each one is checked
 exactly to be harmonic, to pull back to the datum and to have no
 normal part on the sphere.
@@ -130,7 +131,7 @@ class Block:
 
     __slots__ = ("kind", "l", "basis", "reduced", "proved")
 
-    def __init__(self, kind: str, l: int, basis: list[PolyForm], reduced: bool):
+    def __init__(self, kind: str, l: int, basis: tuple[PolyForm, ...], reduced: bool):
         self.kind, self.l, self.basis, self.reduced = kind, l, basis, reduced
         self.proved: set[tuple] = set()
 
@@ -148,7 +149,7 @@ def _block(kind: str, l: int, m: int, p: int, cache: BasisCache) -> Block | None
     key = (m, p, kind, l)
     if key not in cache.trial_blocks:
         k, basis_kind = (l, "H-normal-null") if kind == "coexact" else (l - 1, "H-closed")
-        basis = list(cache.get(m, k, p, basis_kind).basis)
+        basis = cache.get(m, k, p, basis_kind)
         cache.trial_blocks[key] = (Block(kind, l, basis, is_reduced_basis(m, k, p, basis))
                                    if basis else None)
     return cache.trial_blocks[key]
@@ -311,9 +312,10 @@ def _certify_blocks(assembly: OperatorAssembly) -> list[Fraction]:
 
     No Gram matrix is built: G is 0 outside the diagonal blocks, and
     positive definite on each, by theorems.  They use the constraints of
-    ``harmonic._in_kind``, which ``BasisCache`` checks on every basis it
-    loads and proves of every basis it computes (the "H-closed" kernel
-    and the "H-normal-null" span, see ``harmonic``): trial forms are
+    ``harmonic._in_kind``, which ``BasisCache`` checks on the decoded
+    forms of every basis it loads from disk, before it trusts them, and
+    proves of every basis it computes (the "H-closed" kernel and the
+    "H-normal-null" span, see ``harmonic``): trial forms are
     componentwise harmonic and co-closed, exact ones closed and coexact
     ones normal-null (i_x phi = 0), and the coefficients of a block are
     homogeneous of degree k = l on a coexact one and k = l - 1 on an

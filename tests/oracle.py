@@ -29,8 +29,7 @@ from fractions import Fraction
 from functools import cache
 
 from formlab.ball import BallDomain, boundary_delta_rep, normal_part
-from formlab.harmonic import (KINDS, FormSpaceBasis, _form_rows, _reduced_span,
-                              monomial_form_basis)
+from formlab.harmonic import KINDS, _form_rows, _reduced_span, monomial_form_basis
 from formlab.linalg import nullspace
 from formlab.polyform import PolyForm, PolyVectorField
 from formlab.quadrature import integrate_pairs
@@ -272,14 +271,13 @@ def reference_bases(m, l, p):
     restrictions: the monomials, then ker of the Hodge Laplacian, then
     ker delta for p >= 1 ("H"), then ker d with p <= m - 1 ("H-closed")
     and ker i_x with p >= 1 ("H-normal-null")."""
-    harmonic = restrict(monomial_form_basis(m, l, p).basis, PolyForm.laplacian)
+    harmonic = restrict(monomial_form_basis(m, l, p), PolyForm.laplacian)
     if p >= 1:
         harmonic = restrict(harmonic, PolyForm.delta)
     position = PolyVectorField.position(m)
     closed = restrict(harmonic, PolyForm.d) if p <= m - 1 else harmonic
     normal_null = restrict(harmonic, lambda w: w.interior(position)) if p >= 1 else harmonic
-    return {kind: FormSpaceBasis(m, l, p, kind, basis) for kind, basis in
-            (("H", harmonic), ("H-closed", closed), ("H-normal-null", normal_null))}
+    return {"H": harmonic, "H-closed": closed, "H-normal-null": normal_null}
 
 
 @cache
@@ -289,5 +287,5 @@ def harmonic_fields(basis_cache, m, l, p):
     "H-normal-null" bases, in the reduced form of
     ``harmonic._reduced_span``.  Both kinds are the constants at
     l = p = 0, and the span takes them once."""
-    forms = [w for kind in KINDS for w in basis_cache.get(m, l, p, kind).basis]
+    forms = [w for kind in KINDS for w in basis_cache.get(m, l, p, kind)]
     return _reduced_span(m, l, p, forms)

@@ -210,8 +210,7 @@ class TestBoundaryOperators:
                         assert lhs == rhs
 
     def test_coclosed_basis_killed(self, cache):
-        basis = cache.get(3, 1, 1, "H-normal-null")
-        for w in basis.basis:
+        for w in cache.get(3, 1, 1, "H-normal-null"):
             assert trace_norm_sq(boundary_delta_rep(w, DOM3), DOM3) == 0
 
 

@@ -122,8 +122,8 @@ class TestFloatCoefficients:
 
 class TestCacheRoundTrip:
     def test_disk_load_gives_canonical_coefficients(self, tmp_path):
-        built = [BasisCache(str(tmp_path)).get(3, 2, 1, kind).basis for kind in KINDS]
-        loaded = [BasisCache(str(tmp_path)).get(3, 2, 1, kind).basis for kind in KINDS]
+        built = [BasisCache(str(tmp_path)).get(3, 2, 1, kind) for kind in KINDS]
+        loaded = [BasisCache(str(tmp_path)).get(3, 2, 1, kind) for kind in KINDS]
         assert loaded == built
         coeffs = [c for basis in loaded for form in basis
                   for poly in form.coeffs.values() for c in poly.terms.values()]

@@ -34,7 +34,7 @@ def _form_rows(forms):
 
 
 def _basis_rows(m, l, p, kind):
-    return _form_rows(BasisCache().get(m, l, p, kind).basis)
+    return _form_rows(BasisCache().get(m, l, p, kind))
 
 
 def _assembly(op, m=3, p=1, l_max=2, radius=Fraction(1, 2)):

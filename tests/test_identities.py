@@ -103,8 +103,7 @@ class TestWeightedReilly:
     def test_canonical_weight_kills_boundary_f_terms(self, cache):
         # omega = d(phi) for the lowest coexact eigenform: boundary terms
         # carrying the weight itself drop since the weight vanishes there
-        basis = cache.get(3, 1, 1, "H-normal-null")
-        omega = basis.basis[0].d()
+        omega = cache.get(3, 1, 1, "H-normal-null")[0].d()
         rep = verify_weighted_reilly(canonical_weight(DOM3), omega, DOM3)
         assert rep.passed
         assert rep.terms["codifferential"] == 0
@@ -383,7 +382,7 @@ class TestProofChainNegativeControls:
         """Whether the named checks fail on every form of basis."""
         rep = replay_proof_chain(kind, p, dom, _SwappedBlockCache(basis, dom.m, p))
         assert rep.details["sigma"] == str((p + 1) / dom.radius)
-        return not any(rep.checks[f"{name}[{i}]"] for i in range(basis.dim) for name in names)
+        return not any(rep.checks[f"{name}[{i}]"] for i in range(len(basis)) for name in names)
 
     @pytest.mark.parametrize("m, p, R", [(3, 1, Fraction(1)), (4, 2, Fraction(7, 3))])
     def test_second_coexact_block(self, cache, m, p, R):
@@ -400,7 +399,7 @@ class TestProofChainNegativeControls:
         # closed degree-1 fields: d phi = 0, so sigma_phi = 0
         dom = BallDomain(m, R)
         block = cache.get(m, 1, p, "H-closed")
-        assert block.dim
+        assert block
         assert self._failed("nonsharp", p, dom, block, ["strict-half-bound"])
         assert self._failed("comparison", p, dom, block, ["eigenvalue-product"])
 
