@@ -188,11 +188,14 @@ def b_term_alternate_pairs(omega: PolyForm, domain: BallDomain) -> list[tuple]:
 
 
 class WeightFunction:
-    """A polynomial weight f with its derivatives, all ``Polynomial``s
-    computed from f on construction: ``grad`` (the partials of f),
-    ``hess`` (the matrix of second partials) and ``lap``, the
-    non-negative-convention Laplacian, i.e. minus the trace of the
-    Hessian.  ``kind`` names the weight in identity reports."""
+    """A polynomial f with its derivatives, all ``Polynomial``s computed
+    from f on construction: ``grad`` (the partials of f), ``hess`` (the
+    matrix of second partials, rows of the lift ``FormBody.lift_by``
+    takes) and ``lap``, the non-negative-convention Laplacian, i.e. minus
+    the trace of the Hessian.  It is the one home of f's derivatives:
+    every identity check that needs a polynomial's Hessian or Laplacian,
+    a weight's or not, reads it and the gradient from here.  ``kind``
+    names the weight in identity reports."""
 
     __slots__ = ("kind", "f", "grad", "hess", "lap")
 
@@ -216,19 +219,6 @@ class WeightFunction:
     def normal_derivative(self, domain: BallDomain) -> Polynomial:
         """f_N = <grad f, N> with the inner normal, as a polynomial on Sigma."""
         return PolyVectorField(self.grad).dot(domain.normal_field())
-
-    def hessian_pairs(self, a: PolyForm, b: PolyForm):
-        """``(H_ij, terms of <a, E_ij-lift b>)`` for each nonzero Hessian
-        entry, with E_ij the unit matrix, so that
-        <a, Hess-lift b> = sum_ij H_ij <a, E_ij-lift b>."""
-        for i in range(self.m):
-            for j in range(self.m):
-                entry = self.hess[i][j]
-                if entry.is_zero():
-                    continue
-                unit = [[Polynomial.zero(self.m)] * self.m for _ in range(self.m)]
-                unit[i][j] = Polynomial.one(self.m)
-                yield entry, inner_pairs(a, b.lift_by(unit))
 
 
 def canonical_weight(domain: BallDomain) -> WeightFunction:

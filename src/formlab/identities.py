@@ -27,7 +27,7 @@ from operator import add
 
 from .exterior import ConstantForm
 from .polynomials import Polynomial
-from .polyform import PolyForm, PolyVectorField, gradient_action, hessian_matrix
+from .polyform import PolyForm, PolyVectorField, gradient_action
 from .ball import (BallDomain, WeightFunction, b_term_alternate_pairs,
                    b_term_pairs, boundary_delta_rep, inner_pairs, jstar_pairs,
                    normal_part)
@@ -135,9 +135,10 @@ def _gradient_pairs(omega: PolyForm, scale=1) -> list[tuple]:
 
 def _hessian_int(weight: WeightFunction, a: PolyForm, b: PolyForm,
                  domain: BallDomain) -> Fraction:
-    """int over the ball of <a, Hess-lift b>, one contraction per entry."""
-    return sum((domain.interior(pairs, entry)
-                for entry, pairs in weight.hessian_pairs(a, b)), Fraction(0))
+    """int over the ball of <a, Hess-lift b>: b lifted by the weight's
+    Hessian (``WeightFunction.hess``) and paired with a, in one moment
+    contraction."""
+    return domain.interior(inner_pairs(a, b.lift_by(weight.hess)))
 
 
 # ---------------------------------------------------------------------------
@@ -187,16 +188,11 @@ def weighted_reilly_terms(weight: WeightFunction, omega: PolyForm,
         energy += inner_pairs(dw, dw)
     energy += _gradient_pairs(omega, -1)
 
-    # -2 <w, i_{grad f} dw>, one contraction per gradient entry
+    # -2 <w, i_{grad f} dw>: i_{grad f} takes the gradient field whole,
+    # so the term is one moment contraction
     contraction = Fraction(0)
     if p <= m - 1:
-        for k in range(1, m + 1):
-            gk = weight.grad[k - 1]
-            if gk.is_zero():
-                continue
-            comps = [Polynomial.zero(m)] * m
-            comps[k - 1] = Polynomial.one(m)
-            contraction += domain.interior(inner_pairs(omega, dw.interior(comps), -2), gk)
+        contraction = domain.interior(inner_pairs(omega, dw.interior(weight.grad), -2))
 
     if p >= 1:
         i_n = normal_part(omega, domain)
@@ -269,13 +265,10 @@ def verify_function_reilly(weight: WeightFunction, u: Polynomial,
     m = domain.m
     n = domain.boundary_dim
     c = domain.curvature
-    du = PolyForm.from_function(u).d()
-    lap_u = PolyForm.from_function(u).laplacian().coefficient(())
-    energy = [(1, lap_u, lap_u)]
-    for a in range(1, m + 1):
-        for l in range(1, m + 1):
-            e = u.partial(a).partial(l)
-            energy.append((-1, e, e))
+    u_derivs = WeightFunction.polynomial(u)
+    du = PolyVectorField(u_derivs.grad).dual_one_form()
+    energy = [(1, u_derivs.lap, u_derivs.lap)]
+    energy += [(-1, e, e) for row in u_derivs.hess for e in row]
     lhs = domain.interior(energy, weight.f)
 
     u_n = normal_part(du, domain).coefficient(())
@@ -358,12 +351,11 @@ def weighted_codifferential_residual(f: Polynomial, omega: PolyForm) -> bool:
 
 def hessian_expansion_residual(f: Polynomial, omega: PolyForm) -> bool:
     """delta(df ^ w) = (lap f) w - grad_{grad f} w + Hess f(w) - df ^ delta w."""
-    gradf = PolyVectorField.from_gradient(f)
+    derivs = WeightFunction.polynomial(f)
+    gradf = PolyVectorField(derivs.grad)
     df = gradf.dual_one_form()
     lhs = df.wedge(omega).delta()
-    lap_f = PolyForm.from_function(f).laplacian().coefficient(())
-    rhs = omega * lap_f - omega.deriv_along(gradf) \
-        + omega.lift_by(hessian_matrix(f))
+    rhs = omega * derivs.lap - omega.deriv_along(gradf) + omega.lift_by(derivs.hess)
     if omega.p >= 1:
         rhs = rhs - df.wedge(omega.delta())
     return (lhs - rhs).is_zero()

@@ -6,9 +6,9 @@
 and repr.  Its coefficients are polynomials, a scalar given as one
 becomes a constant polynomial, and ``inner`` starts from the zero
 polynomial.  This module adds the flat-space calculus: exterior
-derivative, codifferential, Hodge Laplacian and componentwise (rough)
-Laplacian, componentwise partial derivatives, directional derivative,
-and the lift of a vector field's Jacobian to p-forms.  A
+derivative, codifferential, componentwise (rough) Laplacian,
+componentwise partial derivatives, directional derivative, and the lift
+of a vector field's Jacobian to p-forms.  A
 ``PolyVectorField`` iterates over its components, so it is the vector
 that ``interior`` contracts with.
 
@@ -19,7 +19,7 @@ functions as minus the sum of second derivatives.
 
 from __future__ import annotations
 
-from .exterior import FormBody, interior_terms, wedge_index
+from .exterior import FormBody, wedge_index
 from .polynomials import Polynomial
 
 
@@ -72,26 +72,25 @@ class PolyForm(FormBody):
                             {I: c.partial(k) for I, c in self.coeffs.items()})
 
     def delta(self) -> "PolyForm":
-        """Codifferential, -sum_k i_{e_k} (d/dx_k)."""
+        """Codifferential, -sum_k i_{e_k} (d/dx_k), read off the partials:
+        each coefficient c_I whose index I holds k gives
+        -(-1)^pos dc_I/dx_k on I without k, pos being k's 0-based place
+        in I.  Keys and sums run k by k."""
         if self.p == 0:
             raise ValueError("codifferential of a 0-form")
         out: dict = {}
         for k in range(1, self.m + 1):
-            dk = self.partial(k)
-            comps = [Polynomial.zero(self.m)] * self.m
-            comps[k - 1] = Polynomial.one(self.m)
-            for J, v in interior_terms(comps, dk.coeffs).items():
-                out[J] = out[J] - v if J in out else -v
+            for I, c in self.coeffs.items():
+                if k not in I:
+                    continue
+                dk = c.partial(k)
+                if not dk:
+                    continue
+                pos = I.index(k)
+                J = I[:pos] + I[pos + 1:]
+                v = -dk if pos % 2 == 0 else dk
+                out[J] = out[J] + v if J in out else v
         return PolyForm._of(self.m, self.p - 1, out)
-
-    def laplacian(self) -> "PolyForm":
-        """Hodge Laplacian d delta + delta d, missing ends dropped."""
-        total = PolyForm.zero(self.m, self.p)
-        if self.p >= 1:
-            total = total + self.delta().d()
-        if self.p <= self.m - 1:
-            total = total + self.d().delta()
-        return total
 
     def rough_laplacian(self) -> "PolyForm":
         """Componentwise sum_k d^2/dx_k^2; on flat R^m this is minus the
@@ -195,7 +194,3 @@ def gradient_action(field: PolyVectorField, omega: PolyForm) -> PolyForm:
         raise ValueError("ambient dimension mismatch")
     return omega.lift_by(field.jacobian())
 
-
-def hessian_matrix(f: Polynomial) -> list[list[Polynomial]]:
-    return [[f.partial(a).partial(l) for l in range(1, f.m + 1)]
-            for a in range(1, f.m + 1)]

@@ -303,18 +303,21 @@ def mc_oracle(density: RadialDensity, radius, samples: int, seed: int,
 
 def _evaluate_chunk(density: RadialDensity, R: float, region: str, rng, out) -> None:
     """Draw ``len(out)`` samples and write the density's values into ``out``,
-    ``MC_BLOCK`` rows at a time.  The draws are freed on return, before the
+    ``MC_BLOCK`` rows at a time.  On the ball the radial uniforms are drawn
+    into ``out`` itself, and each block's values overwrite the uniforms
+    that block has read.  The normals are freed on return, before the
     next chunk is drawn."""
     import numpy as np
     m = density.m
     n = len(out)
     g = rng.standard_normal((n, m))
-    u = rng.random(n) if region == "ball" else None
+    if region == "ball":
+        rng.random(out=out)
     for lo in range(0, n, MC_BLOCK):
         pts = g[lo:lo + MC_BLOCK]
         pts /= np.linalg.norm(pts, axis=1)[:, None]
-        if u is None:
+        if region == "sphere":
             pts *= R
         else:
-            pts *= R * u[lo:lo + MC_BLOCK, None] ** (1.0 / m)
+            pts *= R * out[lo:lo + MC_BLOCK, None] ** (1.0 / m)
         out[lo:lo + MC_BLOCK] = density.evaluate_float(pts)

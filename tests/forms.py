@@ -1,6 +1,6 @@
 """Form constructions that only the tests use: the volume form, the
-flat covariant gradient, the split by coefficient degree and the rows
-of a diagonal matrix."""
+flat covariant gradient, the Hodge Laplacian, the split by coefficient
+degree and the rows of a diagonal matrix."""
 
 from fractions import Fraction
 
@@ -16,6 +16,16 @@ def volume(m: int) -> PolyForm:
 def covariant_gradient(w: PolyForm) -> tuple[PolyForm, ...]:
     """The flat covariant derivatives of w along e_1, ..., e_m."""
     return tuple(w.partial(k) for k in range(1, w.m + 1))
+
+
+def hodge_laplacian(w: PolyForm) -> PolyForm:
+    """d delta w + delta d w, missing ends dropped."""
+    total = PolyForm.zero(w.m, w.p)
+    if w.p >= 1:
+        total = total + w.delta().d()
+    if w.p <= w.m - 1:
+        total = total + w.d().delta()
+    return total
 
 
 def homogeneous_parts(w: PolyForm) -> dict[int, PolyForm]:

@@ -21,7 +21,10 @@ the cache built it before it stopped caching "H".  ``dense_rref`` and
 ``dense_nullspace`` are the dense elimination ``linalg`` did before it
 went sparse, with its largest-entry pivot search: the reference for the
 sparse one.  The rational ``rank``, ``nullity`` and ``solve`` are built
-on it here, since only tests need them.
+on it here, since only tests need them.  ``unit_vector_delta`` is the
+codifferential as ``PolyForm.delta`` computed it before it read each
+coefficient's partials directly: each partial-derivative form
+contracted with a unit vector of polynomials.
 """
 
 import math
@@ -32,7 +35,9 @@ from formlab.ball import BallDomain, boundary_delta_rep, normal_part
 from formlab.harmonic import KINDS, _form_rows, _reduced_span, monomial_form_basis
 from formlab.linalg import nullspace
 from formlab.polyform import PolyForm, PolyVectorField
+from formlab.polynomials import Polynomial
 from formlab.quadrature import integrate_pairs
+from forms import hodge_laplacian
 
 
 def _trace(form, domain) -> dict:
@@ -58,6 +63,21 @@ def sphere_matrix(rows, cols, domain, pullback=True):
     return [[integrate_pairs([(key[0], c, b[key]) for key, c in a.items() if key in b],
                              domain.radius)
              for b in col_parts] for a in row_parts]
+
+
+def unit_vector_delta(omega: PolyForm) -> PolyForm:
+    """delta = -sum_k i_{e_k} (d/dx_k omega), with e_k a unit vector of
+    polynomials and d/dx_k omega built as a form."""
+    if omega.p == 0:
+        raise ValueError("codifferential of a 0-form")
+    m = omega.m
+    out: dict = {}
+    for k in range(1, m + 1):
+        unit = [Polynomial.zero(m)] * m
+        unit[k - 1] = Polynomial.one(m)
+        for J, v in omega.partial(k).interior(unit).coeffs.items():
+            out[J] = out[J] - v if J in out else -v
+    return PolyForm(m, omega.p - 1, out)
 
 
 def dense_rref(rows):
@@ -271,7 +291,7 @@ def reference_bases(m, l, p):
     restrictions: the monomials, then ker of the Hodge Laplacian, then
     ker delta for p >= 1 ("H"), then ker d with p <= m - 1 ("H-closed")
     and ker i_x with p >= 1 ("H-normal-null")."""
-    harmonic = restrict(monomial_form_basis(m, l, p), PolyForm.laplacian)
+    harmonic = restrict(monomial_form_basis(m, l, p), hodge_laplacian)
     if p >= 1:
         harmonic = restrict(harmonic, PolyForm.delta)
     position = PolyVectorField.position(m)

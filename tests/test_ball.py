@@ -10,12 +10,12 @@ from formlab.ball import (BallDomain, WeightFunction, b_term_alternate_pairs,
                           b_term_pairs, boundary_delta_rep, canonical_weight,
                           normal_part, normal_split_residual)
 from formlab.polynomials import Polynomial, monomial_exponents
-from formlab.polyform import PolyForm, PolyVectorField, hessian_matrix
+from formlab.polyform import PolyForm, PolyVectorField
 from formlab.cli import _float_poly
 from formlab.identities import TrackedFloat
 from formlab.quadrature import RadialDensity, integrate_pairs, integrate_sphere
 from formlab.sampling import random_density, random_form, random_polynomial, rng_for
-from forms import volume
+from forms import hodge_laplacian, volume
 
 DOM3 = BallDomain(3, Fraction(1))
 
@@ -290,8 +290,9 @@ class TestWeightFunction:
         for _ in range(5):
             f = random_polynomial(rng, m, 4)
             wf = WeightFunction.polynomial(f)
-            assert wf.lap == PolyForm.from_function(f).laplacian().coefficient(())
-            assert [list(row) for row in wf.hess] == hessian_matrix(f)
+            assert wf.lap == hodge_laplacian(PolyForm.from_function(f)).coefficient(())
+            assert [list(row) for row in wf.hess] == \
+                PolyVectorField.from_gradient(f).jacobian()
 
     @pytest.mark.parametrize("R", [1, Fraction(1, 2), Fraction(7, 3)])
     @pytest.mark.parametrize("m", [2, 3, 4])

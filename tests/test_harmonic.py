@@ -15,6 +15,7 @@ from formlab.polynomials import Polynomial
 from formlab.polyform import PolyForm, PolyVectorField
 from formlab.quadrature import integrate_sphere
 from formlab.sampling import random_polynomial, rng_for
+from forms import hodge_laplacian
 from oracle import harmonic_fields, rank, reference_bases, solve
 
 
@@ -93,10 +94,10 @@ class TestHarmonicFields:
     def test_conditions_hold_exactly(self, cache):
         for m, l, p in ((3, 2, 1), (3, 1, 2), (4, 1, 1)):
             for b in harmonic_fields(cache, m, l, p):
-                assert b.laplacian().is_zero()
+                assert hodge_laplacian(b).is_zero()
                 assert b.delta().is_zero()
                 if p <= m - 1:
-                    assert b.d().laplacian().is_zero()
+                    assert hodge_laplacian(b.d()).is_zero()
 
     @pytest.mark.parametrize("m", (2, 3, 4, 5, 6))
     def test_rough_laplacian_build_equals_hodge_build(self, cache, m):

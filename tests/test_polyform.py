@@ -7,11 +7,12 @@ import pytest
 from densities import pairs_density
 from formlab.identities import _gradient_pairs
 from formlab.polynomials import Polynomial
-from formlab.polyform import (PolyForm, PolyVectorField, gradient_action,
-                              hessian_matrix)
+from formlab.cli import _float_form
+from formlab.polyform import PolyForm, PolyVectorField, gradient_action
 from formlab.sampling import (random_form, random_polynomial,
                               random_vector_field, rng_for)
-from forms import covariant_gradient, homogeneous_parts, volume
+from forms import covariant_gradient, hodge_laplacian, homogeneous_parts, volume
+from oracle import unit_vector_delta
 
 
 def x(m, k):
@@ -100,19 +101,41 @@ class TestCodifferential:
             w = random_form(rng, m, p, 3)
             assert w.delta().delta().is_zero()
 
+    @staticmethod
+    def _layout(form):
+        """Keys, exponents, values and coefficient types in dict order, with
+        the tracked magnitude of a float coefficient."""
+        return [(I, [(e, type(c), c, getattr(c, "magnitude", None))
+                     for e, c in poly.terms.items()])
+                for I, poly in form.coeffs.items()]
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    def test_equals_the_unit_vector_reference(self, m):
+        # exact forms mix int and Fraction coefficients, and their
+        # TrackedFloat copies must round the same sums in the same order
+        rng = rng_for(11, "delta-reference", m)
+        for p in range(1, m + 1):
+            for _ in range(2):
+                w = random_form(rng, m, p, 3 if m <= 4 else 2) \
+                    + random_form(rng, m, p, 2, density=0.2) * Fraction(1, 3)
+                for form in (w, _float_form(w)):
+                    got, ref = form.delta(), unit_vector_delta(form)
+                    assert got == ref
+                    assert self._layout(got) == self._layout(ref)
+
 
 class TestLaplacian:
     def test_function_convention(self):
         f = Polynomial.radius_squared(3)
-        assert PolyForm.from_function(f).laplacian() == \
+        assert hodge_laplacian(PolyForm.from_function(f)) == \
             PolyForm(3, 0, {(): Polynomial.constant(3, -6)})
 
     def test_linear_coefficients_harmonic(self):
-        assert PolyForm(3, 1, {(2,): x(3, 1)}).laplacian().is_zero()
+        assert hodge_laplacian(PolyForm(3, 1, {(2,): x(3, 1)})).is_zero()
 
     def test_harmonic_quadratic(self):
         f = x(3, 1) * x(3, 1) - x(3, 2) * x(3, 2)
-        assert PolyForm.from_function(f).laplacian().is_zero()
+        assert hodge_laplacian(PolyForm.from_function(f)).is_zero()
 
     def test_flat_bochner_is_componentwise(self):
         # Hodge Laplacian equals minus the componentwise Laplacian
@@ -124,7 +147,7 @@ class TestLaplacian:
             rough = PolyForm.zero(m, p)
             for k in range(1, m + 1):
                 rough = rough + w.partial(k).partial(k)
-            assert w.laplacian() == -rough
+            assert hodge_laplacian(w) == -rough
 
 
 class TestRoughLaplacian:
@@ -134,11 +157,11 @@ class TestRoughLaplacian:
             for p in range(m + 1):
                 for degree in (2, 4):
                     w = random_form(rng, m, p, degree) * Fraction(1, 3)
-                    assert w.rough_laplacian() == -w.laplacian()
+                    assert w.rough_laplacian() == -hodge_laplacian(w)
 
     def test_builds_no_polynomial_sums(self, monkeypatch):
         w = random_form(rng_for(14, "rough-laplacian"), 4, 2, 3)
-        want = -w.laplacian()
+        want = -hodge_laplacian(w)
 
         def no_add(*args):
             raise AssertionError("Polynomial.__add__ called")
@@ -256,9 +279,10 @@ class TestPointwiseLemmas:
             f = random_polynomial(rng, m, 3)
             df = PolyVectorField.from_gradient(f).dual_one_form()
             lhs = df.wedge(w).delta()
-            lap_f = PolyForm.from_function(f).laplacian().coefficient(())
+            lap_f = hodge_laplacian(PolyForm.from_function(f)).coefficient(())
             rhs = (w * lap_f - w.deriv_along(PolyVectorField.from_gradient(f))
-                   + w.lift_by(hessian_matrix(f)) - df.wedge(w.delta()))
+                   + w.lift_by(PolyVectorField.from_gradient(f).jacobian())
+                   - df.wedge(w.delta()))
             assert (lhs - rhs).is_zero()
 
     def test_weighted_codifferential(self):
